@@ -2,26 +2,31 @@
 
 The central objects are the sliding-window integral W(t) = int_{t-tau}^t p,
 its certified lower bound epsilon, the upper bound pbar, the double integral
-xi(t) = int_{t-tau}^t int_s^t p(r) dr ds (computed through the equivalent
-single integral int_{t-tau}^t (r - t + tau) p(r) dr), and the infimum
-function pl(h) = inf_t int_t^{t+h} p.
+xi(t) = int_{t-tau}^t int_s^t p(r) dr ds, and the infimum function
+pl(h) = inf_t int_t^{t+h} p.
 
-All quadrature is composite Simpson; minima/maxima over t are located on a
-grid and polished with a bounded scalar minimizer.
+W and xi at many times come from one primitive, `window_table`: two
+cumulative Simpson integrals on a single grid, read at their composite-
+Simpson nodes and joined by cubic Hermite pieces with the exact slopes.
+Single windows (`simpson`, `window_integral`, `xi`, `xi_nested`) are plain
+composite Simpson; they serve as oracles and as the objective of the bounded
+scalar minimizer that polishes grid minima and maxima over t.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize_scalar
 
 SIMPSON_SUBINTERVALS = 2048
 PE_SAFETY = 0.01  # 1% shrink/inflation between raw and certified values
-_CHUNK_BUDGET = 4_000_000  # max scratch doubles for vectorized windows
 
 
 def _rate_values(p, nodes) -> np.ndarray:
@@ -42,8 +47,8 @@ class PETriple:
     pbar: float
 
     def __post_init__(self):
-        if min(self.tau, self.epsilon, self.pbar) <= 0:
-            raise ValueError("tau, epsilon, pbar must all be positive")
+        if not all(0 < v < math.inf for v in (self.tau, self.epsilon, self.pbar)):
+            raise ValueError("tau, epsilon, pbar must all be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -122,20 +127,61 @@ def window_integral(p: DecayRate, tau: float, t: float,
     return simpson(p, t - tau, t, n)
 
 
+def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float,
+                 n: int = SIMPSON_SUBINTERVALS):
+    """Interpolants (W, xi) of the window integral and of xi on [t_lo, t_hi].
+
+    With C = int p and D = int C, cumulative Simpson integrals on one grid of
+    step tau/(2n) over [t_lo - tau, t_hi],
+
+        W(t) = C(t) - C(t - tau),   xi(t) = tau C(t) - [D(t) - D(t - tau)].
+
+    Both are read at the even nodes, where the cumulative integrals are exact
+    composite-Simpson sums, and joined by cubic Hermite pieces with the exact
+    slopes W' = p(t) - p(t - tau) and xi' = tau p(t) - W(t).  A non-finite
+    rate value on the grid raises NotPersistentlyExcitingError naming its time.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    h = tau / (2 * n)
+    m = 2 * n + 2 * max(1, math.ceil((t_hi - t_lo) / (2 * h)))
+    x = (t_lo - tau) + h * np.arange(m + 1)
+    y = _rate_values(p, x)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise NotPersistentlyExcitingError(
+            f"rate is not finite at t={float(x[np.argmax(bad)])!r}")
+    C = cumulative_simpson(y, dx=h, initial=0.0)
+    D = cumulative_simpson(C, dx=h, initial=0.0)
+    now, back = slice(2 * n, None, 2), slice(0, m - 2 * n + 1, 2)
+    W = C[now] - C[back]
+    xi_vals = tau * C[now] - (D[now] - D[back])
+    return (CubicHermiteSpline(x[now], W, y[now] - y[back]),
+            CubicHermiteSpline(x[now], xi_vals, tau * y[now] - W))
+
+
+def _tabulate(p: DecayRate, tau: float, t, n: int):
+    """W and xi at the times t, one table per run of overlapping windows.
+
+    Times are folded into one period for periodic p and sorted; a gap wider
+    than tau starts a new run, so the grids never cover more than about
+    twice the nodes of separate windows.
+    """
+    t = np.asarray(t, dtype=float)
+    s = (np.mod(t, p.period) if p.period is not None else t).ravel()
+    W, X = np.empty(s.shape), np.empty(s.shape)
+    order = np.argsort(s, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(s[order]) > tau) + 1):
+        if idx.size:
+            W_fn, X_fn = window_table(p, tau, s[idx[0]], s[idx[-1]], n)
+            W[idx], X[idx] = W_fn(s[idx]), X_fn(s[idx])
+    return W.reshape(t.shape), X.reshape(t.shape)
+
+
 def window_integral_vec(p: DecayRate, tau: float, t: np.ndarray,
                         n: int = SIMPSON_SUBINTERVALS) -> np.ndarray:
-    """Window integral for an array of right endpoints, chunked for memory."""
-    t = np.asarray(t, dtype=float)
-    offsets = np.linspace(-tau, 0.0, n + 1)
-    w = _simpson_weights(n) * (tau / n)
-    out = np.empty(t.shape)
-    flat = t.ravel()
-    step = max(1, _CHUNK_BUDGET // (n + 1))
-    res = out.ravel()
-    for i in range(0, flat.size, step):
-        nodes = flat[i:i + step, None] + offsets[None, :]
-        res[i:i + step] = _rate_values(p, nodes) @ w
-    return out
+    """Window integral for an array of right endpoints."""
+    return _tabulate(p, tau, t, n)[0]
 
 
 def xi(p: DecayRate, tau: float, t: float, n: int = SIMPSON_SUBINTERVALS) -> float:
@@ -154,17 +200,7 @@ def xi(p: DecayRate, tau: float, t: float, n: int = SIMPSON_SUBINTERVALS) -> flo
 def xi_vec(p: DecayRate, tau: float, t: np.ndarray,
            n: int = SIMPSON_SUBINTERVALS) -> np.ndarray:
     """Vectorized xi over an array of times."""
-    t = np.asarray(t, dtype=float)
-    offsets = np.linspace(-tau, 0.0, n + 1)
-    w = _simpson_weights(n) * (tau / n) * (offsets + tau)
-    out = np.empty(t.shape)
-    flat = t.ravel()
-    res = out.ravel()
-    step = max(1, _CHUNK_BUDGET // (n + 1))
-    for i in range(0, flat.size, step):
-        nodes = flat[i:i + step, None] + offsets[None, :]
-        res[i:i + step] = _rate_values(p, nodes) @ w
-    return out
+    return _tabulate(p, tau, t, n)[1]
 
 
 def xi_nested(p: DecayRate, tau: float, t: float, n: int = 256) -> float:
@@ -213,7 +249,7 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
     ts = np.linspace(0.0, horizon, n_grid)
     Ws = window_integral_vec(p, tau, ts, n_quad)
     eps = _refine_min(lambda t: window_integral(p, tau, float(t), n_quad), ts, Ws)
-    if eps <= tol:
+    if not eps > tol:  # also catches NaN
         raise NotPersistentlyExcitingError(
             f"window integral reaches {eps!r} on [0, {horizon!r}] for tau={tau!r}")
 
@@ -221,6 +257,9 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
     tg = np.linspace(-tau, horizon, n_p + 1)
     pv = _rate_values(p, tg)
     pbar = -_refine_min(lambda t: -float(p(float(t))), tg, -pv)
+    if not math.isfinite(pbar):
+        raise NotPersistentlyExcitingError(
+            f"maximum of the rate on [{-tau!r}, {horizon!r}] is {pbar!r}")
 
     return PEEstimate(
         tau=tau,

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import decay as decay_mod
 from . import verify
@@ -35,7 +34,6 @@ from .verify import InequalityReport, SampleDomain
 GAIN_MARGIN = 1.25          # the 5/4 factor multiplying the disturbance gain
 DEFAULT_FACTOR_ISS = 0.25   # w = (factor/tau) * mu_tilde
 DEFAULT_FACTOR_DIS = 0.125
-_XI_SPLINE_NODES = 4096
 
 
 class SlopeBoundViolatedError(RuntimeError):
@@ -115,26 +113,25 @@ class StrictCertificate:
     gain_margin: float | None = None
     domain: SampleDomain | None = None
     validation: CertificateValidation = field(default_factory=CertificateValidation)
-    _xi_spline: object = field(default=None, repr=False)
-    _win_spline: object = field(default=None, repr=False)
+    _table: tuple | None = field(default=None, repr=False)
 
     # -- time-dependent coefficients ---------------------------------------
 
     def xi_fn(self, t):
-        """xi(t), via a cached periodic spline when the rate is periodic."""
-        if self._xi_spline is not None:
-            return self._xi_spline(np.mod(t, self.rate.period))
-        if isinstance(t, np.ndarray):
-            return decay_mod.xi_vec(self.rate, self.pe.tau, t)
-        return decay_mod.xi(self.rate, self.pe.tau, float(t))
+        """xi(t) as an array of the shape of t.
+
+        A periodic rate reads the one-period (W, xi) table cached at
+        construction; an aperiodic one tabulates afresh on every call.
+        """
+        if self._table is not None:
+            return self._table[1](np.mod(t, self.rate.period))
+        return decay_mod.xi_vec(self.rate, self.pe.tau, t)
 
     def window_fn(self, t):
-        """W(t) = int_{t-tau}^t p."""
-        if self._win_spline is not None:
-            return self._win_spline(np.mod(t, self.rate.period))
-        if isinstance(t, np.ndarray):
-            return decay_mod.window_integral_vec(self.rate, self.pe.tau, t)
-        return decay_mod.window_integral(self.rate, self.pe.tau, float(t))
+        """W(t) = int_{t-tau}^t p, tabulated like xi_fn."""
+        if self._table is not None:
+            return self._table[0](np.mod(t, self.rate.period))
+        return decay_mod.window_integral_vec(self.rate, self.pe.tau, t)
 
     # -- the strictified function -------------------------------------------
 
@@ -317,17 +314,10 @@ def _finalize(cert: StrictCertificate, premise: InequalityReport,
 
 
 def _xi_splines(p: DecayRate, tau: float):
-    """Periodic cubic splines for xi and the window integral (periodic p)."""
+    """The one-period (W, xi) table of a periodic rate; None otherwise."""
     if p.period is None:
-        return None, None
-    P = p.period
-    grid = np.linspace(0.0, P, _XI_SPLINE_NODES + 1)
-    xi_vals = decay_mod.xi_vec(p, tau, grid)
-    win_vals = decay_mod.window_integral_vec(p, tau, grid)
-    xi_vals[-1] = xi_vals[0]
-    win_vals[-1] = win_vals[0]
-    return (CubicSpline(grid, xi_vals, bc_type="periodic"),
-            CubicSpline(grid, win_vals, bc_type="periodic"))
+        return None
+    return decay_mod.window_table(p, tau, 0.0, p.period)
 
 
 def strictify_issp(candidate: LyapunovCandidate, system: ControlSystem,
@@ -362,11 +352,10 @@ def strictify_issp(candidate: LyapunovCandidate, system: ControlSystem,
     w = build_w(mu_tilde, pe.tau, pe.pbar, factor)
     dec = _decay_gain(pe.epsilon, w, candidate.alpha1)
 
-    xi_sp, win_sp = _xi_splines(p, pe.tau)
     cert = StrictCertificate(
         kind="strict-ISS", candidate=candidate, system=system, rate=p, pe=pe,
         w=w, mu_tilde=mu_tilde, decay=dec, factor=factor, alpha2_tilde=a2t,
-        chi=chi, domain=domain, _xi_spline=xi_sp, _win_spline=win_sp)
+        chi=chi, domain=domain, _table=_xi_splines(p, pe.tau))
 
     def margin_fn(t, x, u):
         r = np.linalg.norm(x, axis=1)
@@ -411,12 +400,10 @@ def strictify_disp(candidate: LyapunovCandidate, system: ControlSystem,
 
     w = build_w(mu_tilde, pe.tau, pe.pbar, factor)
     dec = _decay_gain(pe.epsilon, w, candidate.alpha1)
-    xi_sp, win_sp = _xi_splines(p, pe.tau)
     cert = StrictCertificate(
         kind="strict-DIS", candidate=candidate, system=system, rate=p, pe=pe,
         w=w, mu_tilde=mu_tilde, decay=dec, factor=factor, omega=omega,
-        gain_margin=GAIN_MARGIN, domain=domain,
-        _xi_spline=xi_sp, _win_spline=win_sp)
+        gain_margin=GAIN_MARGIN, domain=domain, _table=_xi_splines(p, pe.tau))
 
     def margin_fn(t, x, u):
         r = np.linalg.norm(x, axis=1)

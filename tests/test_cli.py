@@ -252,6 +252,20 @@ class TestAperiodicRate:
         assert float(vals["pbar (raw)"]) == pytest.approx(131.97278714792367, abs=1e-6)
         assert vals["horizon-limited"].strip() == "yes"
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_pe_on_non_finite_rate_fails_by_name(self, tmp_path, capsys):
+        """sqrt(t) is NaN before t = 0, where the first window starts."""
+        cfg = tmp_path / "sqrt.ini"
+        cfg.write_text(SIN3_CONFIG.replace('p = "(1 + exp(-t))*max(0, sin(t))^3"',
+                                           'p = "sqrt(t)"')
+                       .replace("tau = 6.283185307179586", "tau = 1.0"),
+                       encoding="utf-8")
+        assert cli.main(["pe", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "validation failure: rate is not finite at t=-1.0" in captured.err
+        assert "Traceback" not in captured.err
+        assert "epsilon" not in captured.out
+
 
 class TestDiagnostics:
     def test_strictify_counterexample_reports_unbounded_sup(self, capsys):

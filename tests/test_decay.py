@@ -16,6 +16,19 @@ ONE = rate_from_expr("1", period=1.0)
 SIN3 = rate_from_expr("(1 + exp(-t))*max(0, sin(t))^3")
 SIN3_EPS = 1.333333335371483
 SIN3_PBAR = 131.97278714792367
+# aperiodic: the two frequencies are incommensurate
+MIXED = rate_from_expr("1 + sin(t)^2 + 0.5*sin(sqrt(2)*t)^2")
+
+
+def counting(rate):
+    """The rate as a new DecayRate, and a one-item list counting its nodes."""
+    nodes = [0]
+
+    def fn(t):
+        nodes[0] += int(np.size(t))
+        return rate.fn(t)
+
+    return DecayRate(fn, rate.period), nodes
 
 
 class TestEstimatePE:
@@ -82,10 +95,14 @@ class TestXi:
             assert single == pytest.approx(nested, abs=1e-8)
 
     def test_vectorized_matches_scalar(self):
-        ts = np.linspace(0.0, 6.0, 13)
+        # negative times fold into the period
+        ts = np.concatenate([np.linspace(0.0, 6.0, 13), [-7.0, -PI / 2, -0.1]])
         vec = decay.xi_vec(SIN2, PI, ts)
         for t, v in zip(ts, vec):
             assert v == pytest.approx(decay.xi(SIN2, PI, float(t)), abs=1e-12)
+        zero_d = decay.xi_vec(MIXED, 2.0, 1.5)
+        assert np.shape(zero_d) == ()
+        assert float(zero_d) == pytest.approx(decay.xi(MIXED, 2.0, 1.5), abs=1e-12)
 
     def test_xi_window_bounds_randomized(self):
         rng = np.random.default_rng(3)
@@ -159,7 +176,71 @@ def test_simpson_polynomial_exact():
 
 
 def test_window_integral_vec_matches_scalar():
-    ts = np.linspace(0.0, 5.0, 11)
+    ts = np.concatenate([np.linspace(0.0, 5.0, 11), [-7.0, -PI / 2, -0.1]])
     vec = decay.window_integral_vec(SIN2, PI, ts)
     for t, v in zip(ts, vec):
         assert v == pytest.approx(decay.window_integral(SIN2, PI, float(t)), abs=1e-12)
+    zero_d = decay.window_integral_vec(MIXED, 2.0, 1.5)
+    assert np.shape(zero_d) == ()
+    assert float(zero_d) == pytest.approx(decay.window_integral(MIXED, 2.0, 1.5), abs=1e-12)
+
+
+class TestWindowTable:
+    def test_rigid_body_closed_form_dense(self):
+        ts = np.linspace(0.0, 4 * PI, 20001)
+        closed = (PI / 4) * (PI - np.sin(2 * ts))
+        W, X = decay.window_table(SIN2, PI, 0.0, 4 * PI)
+        assert np.abs(X(ts) - closed).max() <= 1e-12
+        assert np.abs(W(ts) - PI / 2).max() <= 1e-12
+        # periodic rates fold the times into one period
+        assert np.abs(decay.xi_vec(SIN2, PI, ts) - closed).max() <= 1e-12
+
+    def test_matches_nested_oracle_up_to_20_tau(self):
+        # D = int C grows like t^2: this bounds its cancellation at 20 tau
+        ts = np.linspace(0.0, 40.0, 41)
+        got = decay.xi_vec(MIXED, 2.0, ts)
+        nested = [decay.xi_nested(MIXED, 2.0, float(t), n=512) for t in ts]
+        assert np.abs(got - nested).max() <= 1e-10
+
+    def test_single_node_span(self):
+        W, X = decay.window_table(MIXED, 2.0, 3.0, 3.0)
+        assert float(W(3.0)) == pytest.approx(decay.window_integral(MIXED, 2.0, 3.0), abs=1e-12)
+        assert float(X(3.0)) == pytest.approx(decay.xi(MIXED, 2.0, 3.0), abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_rate_named(self):
+        with pytest.raises(decay.NotPersistentlyExcitingError, match=r"not finite at t=-1\.0"):
+            decay.estimate_pe(rate_from_expr("sqrt(t)"), 1.0)
+        with pytest.raises(decay.NotPersistentlyExcitingError, match=r"not finite at t=2\.0"):
+            decay.window_table(rate_from_expr("1/(t - 2)"), 1.0, 2.0, 5.0)
+
+    def test_non_finite_maximum_rejected(self):
+        # finite on every grid, infinite at the scalar polish of the maximum
+        p = DecayRate(lambda t: np.ones_like(t) if isinstance(t, np.ndarray) else math.inf)
+        with pytest.raises(decay.NotPersistentlyExcitingError, match="maximum"):
+            decay.estimate_pe(p, 1.0)
+
+    def test_pe_triple_rejects_non_finite(self):
+        for eps, pbar in ((math.nan, 1.0), (1.0, math.inf), (math.inf, 1.0)):
+            with pytest.raises(ValueError):
+                PETriple(1.0, eps, pbar)
+
+    def test_sparse_underline_p_node_budget(self):
+        """Isolated windows: at most 2x the nodes of one (n+1)-node window
+        per grid time, next to the same scalar polish."""
+        n, n_grid, h = decay.SIMPSON_SUBINTERVALS, 512, 1e-6
+        p, nodes = counting(MIXED)
+        decay.underline_p(p, h)
+        total = nodes[0]
+        nodes[0] = 0
+        decay.window_integral_vec(p, h, np.linspace(0.0, 20.0, n_grid) + h)
+        polish = total - nodes[0]
+        assert total <= 2 * (n_grid * (n + 1) + polish)
+
+    def test_sparse_xi_vec_node_budget(self):
+        """Each isolated window costs 2n + 3 nodes: twice the n + 1 of the
+        single-window Simpson sum, plus the second knot of its table."""
+        n = decay.SIMPSON_SUBINTERVALS
+        p, nodes = counting(MIXED)
+        decay.xi_vec(p, 2.0, np.linspace(0.0, 200.0, 13))
+        assert nodes[0] <= 13 * (2 * (n + 1) + 1)

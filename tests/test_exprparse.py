@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -175,12 +176,13 @@ class TestDifferentiate:
         "x1^x2",
     ]
 
-    @pytest.mark.parametrize("text", SMOOTH)
-    @pytest.mark.parametrize("var", ["t", "x1", "x2"])
-    def test_matches_finite_differences(self, text, var):
+    # pairs whose variable occurs in the expression, so that no case is skipped
+    SMOOTH_PAIRS = [(var, text) for var, text in itertools.product(("t", "x1", "x2"), SMOOTH)
+                    if var in ep.parse(text).variables()]
+
+    @pytest.mark.parametrize("var,text", SMOOTH_PAIRS)
+    def test_matches_finite_differences(self, var, text):
         e = ep.parse(text)
-        if var not in e.variables():
-            pytest.skip("variable unused")
         d = ep.differentiate(e, var)
         rng = np.random.default_rng(7)
         h = 1e-6
