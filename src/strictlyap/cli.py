@@ -101,6 +101,13 @@ def _load(args) -> Problem:
         problem = load_problem(args.config)
     else:
         raise ConfigError("supply --config FILE or --example NAME")
+    return _override(problem, args)
+
+
+def _override(problem: Problem, args) -> Problem:
+    """Apply --seed and --samples; a sample count below 1 is a config error."""
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.seed is not None:
         problem.seed = args.seed
     if args.samples is not None:
@@ -162,7 +169,8 @@ def cmd_strictify(args) -> int:
     except ValidationFailedError as exc:
         print("strictification failed:")
         print(f"  {exc}")
-        _diagnose_omega(problem)
+        if exc.report.n_samples:
+            _diagnose_omega(problem)
         return EXIT_FAIL
     except (SlopeBoundViolatedError, UnboundedSupError) as exc:
         print(f"strictification failed: {exc}")
@@ -333,11 +341,7 @@ def _simulate_problem(problem: Problem, out) -> int:
 
 
 def cmd_example(args) -> int:
-    problem = get_fixture(args.name)
-    if args.seed is not None:
-        problem.seed = args.seed
-    if args.samples is not None:
-        problem.samples = args.samples
+    problem = _override(get_fixture(args.name), args)
     out = args.out
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -375,11 +379,7 @@ def cmd_example(args) -> int:
     code = cmd_strictify(ns)
     if code != EXIT_OK:
         return code
-    problem2 = get_fixture(args.name)
-    if args.seed is not None:
-        problem2.seed = args.seed
-    if args.samples is not None:
-        problem2.samples = args.samples
+    problem2 = _override(get_fixture(args.name), args)
     problem2.sim.tf = min(problem2.sim.tf, 10.0)
     return _simulate_problem(problem2, out)
 

@@ -288,6 +288,8 @@ def _build(cp: configparser.ConfigParser) -> Problem:
                               ds.getfloat("x_radius", fallback=10.0),
                               ds.getfloat("u_radius", fallback=5.0))
         samples = ds.getint("samples", fallback=10_000)
+        if samples < 1:
+            raise ConfigError(f"samples must be at least 1, got {samples}")
 
     sim = SimSpec()
     m_closed = system.m

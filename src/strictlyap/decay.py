@@ -160,14 +160,18 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float,
             CubicHermiteSpline(x[now], xi_vals, tau * y[now] - W))
 
 
-def _tabulate(p: DecayRate, tau: float, t, n: int):
+def _tabulate(p: DecayRate, tau: float, t, n: int = SIMPSON_SUBINTERVALS):
     """W and xi at the times t, one table per run of overlapping windows.
 
     Times are folded into one period for periodic p and sorted; a gap wider
     than tau starts a new run, so the grids never cover more than about
-    twice the nodes of separate windows.
+    twice the nodes of separate windows.  A non-finite time raises ValueError
+    naming the first one.
     """
     t = np.asarray(t, dtype=float)
+    bad = t[~np.isfinite(t)]
+    if bad.size:
+        raise ValueError(f"query time is not finite: t={float(bad[0])!r}")
     s = (np.mod(t, p.period) if p.period is not None else t).ravel()
     W, X = np.empty(s.shape), np.empty(s.shape)
     order = np.argsort(s, kind="stable")

@@ -48,10 +48,10 @@ class ValidationFailedError(RuntimeError):
     """A required sampled inequality failed; carries the offending report."""
 
     def __init__(self, report: InequalityReport, certificate=None):
-        super().__init__(
-            f"check '{report.name}' failed: margin {report.worst_margin!r} "
-            f"at t={report.worst_point[0]!r}, x={report.worst_point[1]!r}, "
-            f"u={report.worst_point[2]!r}")
+        detail = report.notes if report.n_samples == 0 else (
+            f"margin {report.worst_margin!r} at t={report.worst_point[0]!r}, "
+            f"x={report.worst_point[1]!r}, u={report.worst_point[2]!r}")
+        super().__init__(f"check '{report.name}' failed: {detail}")
         self.report = report
         self.certificate = certificate
 
@@ -117,21 +117,20 @@ class StrictCertificate:
 
     # -- time-dependent coefficients ---------------------------------------
 
-    def xi_fn(self, t):
-        """xi(t) as an array of the shape of t.
-
-        A periodic rate reads the one-period (W, xi) table cached at
-        construction; an aperiodic one tabulates afresh on every call.
-        """
+    def _window_xi(self, t):
+        """(W(t), xi(t)): the cached one-period table, else one tabulation."""
         if self._table is not None:
-            return self._table[1](np.mod(t, self.rate.period))
-        return decay_mod.xi_vec(self.rate, self.pe.tau, t)
+            s = np.mod(t, self.rate.period)
+            return self._table[0](s), self._table[1](s)
+        return decay_mod._tabulate(self.rate, self.pe.tau, t)
+
+    def xi_fn(self, t):
+        """xi(t) as an array of the shape of t."""
+        return self._window_xi(t)[1]
 
     def window_fn(self, t):
-        """W(t) = int_{t-tau}^t p, tabulated like xi_fn."""
-        if self._table is not None:
-            return self._table[0](np.mod(t, self.rate.period))
-        return decay_mod.window_integral_vec(self.rate, self.pe.tau, t)
+        """W(t) = int_{t-tau}^t p as an array of the shape of t."""
+        return self._window_xi(t)[0]
 
     # -- the strictified function -------------------------------------------
 
@@ -144,8 +143,9 @@ class StrictCertificate:
         v = self.candidate.V(t, x)
         vd = verify.vdot(self.candidate, self.system, t, x, u)
         p_t = self.rate(t)
-        return ((1.0 + self.xi_fn(t) * self.w.deriv(v)) * vd
-                + (self.pe.tau * p_t - self.window_fn(t)) * self.w(v))
+        W, xi = self._window_xi(t)
+        return ((1.0 + xi * self.w.deriv(v)) * vd
+                + (self.pe.tau * p_t - W) * self.w(v))
 
     @property
     def passed(self) -> bool:
@@ -169,8 +169,9 @@ class StrictCertificate:
 
         def dV_dt(t, x):
             v = cand.V(t, x)
-            return ((1.0 + self.xi_fn(t) * w.deriv(v)) * cand.dV_dt(t, x)
-                    + (self.pe.tau * self.rate(t) - self.window_fn(t)) * w(v))
+            W, xi = self._window_xi(t)
+            return ((1.0 + xi * w.deriv(v)) * cand.dV_dt(t, x)
+                    + (self.pe.tau * self.rate(t) - W) * w(v))
 
         def grad_x(t, x):
             v = cand.V(t, x)
@@ -467,27 +468,27 @@ def construct_omega(system: ControlSystem, candidate: LyapunovCandidate,
 
     Sampled over t in [0, T] for periodic systems; aperiodic systems get a
     doubling t-horizon scan, and persistent growth raises UnboundedSupError
-    (the uniform-boundedness premise fails).
+    (the uniform-boundedness premise fails).  Each s-value draws one batch
+    with t in [0, 1], which every horizon T reads as T * t.
     """
     if s_grid is None:
         s_grid = np.concatenate([[0.0], np.geomspace(1.0e-3, 10.0, 63)])
     s_grid = np.asarray(s_grid, dtype=float)
+    horizons = ([system.period] if system.period is not None
+                else [t_horizon, 2.0 * t_horizon, 4.0 * t_horizon])
 
-    def m_values(T: float) -> np.ndarray:
-        out = np.empty(s_grid.size)
-        for i, s in enumerate(s_grid):
-            dom = SampleDomain((0.0, T), float(chi(s)), float(s))
-            t, x, u = dom.sample(n_per_s, candidate.n, system.m, seed + i)
-            vd = verify.vdot(candidate, system, t, x, u)
-            out[i] = float((vd + mu(np.linalg.norm(x, axis=1))).max())
-        return out
+    sups = np.empty((len(horizons), s_grid.size))
+    for i, s in enumerate(s_grid):
+        dom = SampleDomain((0.0, 1.0), float(chi(s)), float(s))
+        t01, x, u = dom.sample(n_per_s, candidate.n, system.m, seed + i)
+        mu_x = mu(np.linalg.norm(x, axis=1))
+        for k, T in enumerate(horizons):
+            vd = verify.vdot(candidate, system, T * t01, x, u)
+            sups[k, i] = float((vd + mu_x).max())
 
-    if system.period is not None:
-        M = m_values(system.period)
-    else:
-        m1 = m_values(t_horizon)
-        m2 = m_values(2.0 * t_horizon)
-        m4 = m_values(4.0 * t_horizon)
+    M = sups[-1]
+    if system.period is None:
+        m1, m2, m4 = sups
         g1 = m2 - m1
         g2 = m4 - m2
         scale = np.maximum(1.0, np.abs(m1))
@@ -498,7 +499,6 @@ def construct_omega(system: ControlSystem, candidate: LyapunovCandidate,
                 f"sup of Vdot + mu at s = {float(s_grid[j]):g} grows without bound "
                 f"({float(m1[j]):.6g} -> {float(m2[j]):.6g} -> {float(m4[j]):.6g} "
                 f"as the horizon doubles)")
-        M = m4
 
     # monotone piecewise-linear majorant with a 5% sampling-safety margin,
     # pinned to 0 at 0 when possible

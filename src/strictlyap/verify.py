@@ -1,20 +1,23 @@
 """Sampling-based checking and falsification of the decay inequalities.
 
-Every check draws a deterministic batch of points (scrambled Halton for
-coverage plus seeded uniform noise), evaluates a vectorized margin whose
-nonnegativity expresses the inequality, then polishes the worst point with
-coordinate descent.  A passing report means "no violation found on this
-domain with this budget", never a proof.
+Every check draws a deterministic batch of points (unit-cube rows from
+scrambled Halton for coverage plus seeded uniform noise, sent into the domain
+by one map), evaluates a vectorized margin whose nonnegativity expresses the
+inequality, then polishes the worst point with coordinate descent.  A passing
+report means "no violation found on this domain with this budget", never a
+proof; an implication region that kept no sample fails.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.stats import qmc, norm
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from .decay import DecayRate, _rate_values
 from .dynsys import Trajectory
@@ -35,54 +38,47 @@ class SampleDomain:
     t_range: tuple[float, float] = (0.0, 10.0)
     x_radius: float = 10.0
     u_radius: float = 5.0
-    x_radius_min: float = 0.0
 
     def sample(self, n: int, nx: int, nu: int, seed: int = 0,
                halton_fraction: float = 0.5):
-        """Deterministic batch: (t, x, u) arrays of shapes (n,), (n,nx), (n,nu)."""
+        """Deterministic batch: (t, x, u) arrays of shapes (n,), (n,nx), (n,nu).
+
+        Unit-cube rows [t, |x|, x-direction, |u|, u-direction]: a block of
+        clipped Halton rows, then one of uniform rows drawn column by column.
+        """
+        if n < 1:
+            raise ValueError(f"sample count must be at least 1, got {n!r}")
+        widths = [1, 1, nx] + ([1, nu] if nu else [])
         n_h = int(round(n * halton_fraction))
-        n_u = n - n_h
+        # each block is mapped as soon as it is drawn, which bounds peak memory
         parts = []
         if n_h > 0:
-            d = 1 + (1 + nx) + (1 + nu if nu else 0)
-            h = qmc.Halton(d=d, scramble=True, seed=seed).random(n_h)
-            h = np.clip(h, 1.0e-12, 1.0 - 1.0e-12)
-            t = self.t_range[0] + (self.t_range[1] - self.t_range[0]) * h[:, 0]
-            x = self._ball(h[:, 1], h[:, 2:2 + nx], self.x_radius, self.x_radius_min)
-            if nu:
-                u = self._ball(h[:, 2 + nx], h[:, 3 + nx:3 + nx + nu], self.u_radius, 0.0)
-            else:
-                u = np.zeros((n_h, 0))
-            parts.append((t, x, u))
-        if n_u > 0:
+            h = qmc.Halton(d=sum(widths), scramble=True, seed=seed).random(n_h)
+            parts.append(self._map(np.clip(h, 1.0e-12, 1.0 - 1.0e-12), nx))
+        if n > n_h:
             rng = np.random.default_rng(seed + 1)
-            t = rng.uniform(*self.t_range, n_u)
-            x = self._ball(rng.uniform(size=n_u), rng.uniform(size=(n_u, nx)),
-                           self.x_radius, self.x_radius_min)
-            if nu:
-                u = self._ball(rng.uniform(size=n_u), rng.uniform(size=(n_u, nu)),
-                               self.u_radius, 0.0)
-            else:
-                u = np.zeros((n_u, 0))
-            parts.append((t, x, u))
-        t = np.concatenate([p[0] for p in parts])
-        x = np.concatenate([p[1] for p in parts])
-        u = np.concatenate([p[2] for p in parts])
-        return t, x, u
+            parts.append(self._map(
+                np.hstack([rng.random((n - n_h, w)) for w in widths]), nx))
+        return tuple(np.concatenate(a) for a in zip(*parts))
+
+    def _map(self, c: np.ndarray, nx: int):
+        """Send unit-cube rows into the box."""
+        t = self.t_range[0] + (self.t_range[1] - self.t_range[0]) * c[:, 0]
+        return (t, self._ball(c[:, 1:2 + nx], self.x_radius),
+                self._ball(c[:, 2 + nx:], self.u_radius))
 
     @staticmethod
-    def _ball(r01: np.ndarray, dir01: np.ndarray, radius: float,
-              radius_min: float) -> np.ndarray:
-        """Uniform in the annulus radius_min <= |x| <= radius."""
-        k, d = dir01.shape
-        if d == 0:
+    def _ball(c: np.ndarray, radius: float) -> np.ndarray:
+        """Uniform in the ball |x| <= radius from rows [|x|, direction]."""
+        k, d = c.shape[0], c.shape[1] - 1
+        if d <= 0:
             return np.zeros((k, 0))
         if radius <= 0:
             return np.zeros((k, d))
-        z = norm.ppf(np.clip(dir01, 1.0e-12, 1.0 - 1.0e-12))
+        z = ndtri(np.clip(c[:, 1:], 1.0e-12, 1.0 - 1.0e-12))
         nrm = np.linalg.norm(z, axis=1)
         nrm[nrm == 0.0] = 1.0
-        rad = (radius_min ** d + r01 * (radius ** d - radius_min ** d)) ** (1.0 / d)
+        rad = (c[:, 0] * radius ** d) ** (1.0 / d)
         return z / nrm[:, None] * rad[:, None]
 
 
@@ -103,10 +99,12 @@ class InequalityReport:
         """Margin at the recorded worst point; matches worst_margin."""
         if self.margin_fn is None:
             raise ValueError(f"report '{self.name}' carries no margin function")
-        t, x, u = self.worst_point
-        return float(self.margin_fn(np.asarray([t]),
-                                    np.asarray(x)[None, :],
-                                    np.asarray(u)[None, :])[0])
+        return float(_at_point(self.margin_fn, *self.worst_point))
+
+
+def _at_point(fn, t, x, u):
+    """A batch function of (t, x, u) evaluated at one point."""
+    return fn(np.asarray([t]), np.asarray(x)[None, :], np.asarray(u)[None, :])[0]
 
 
 def vdot(candidate, system, t, x, u):
@@ -121,16 +119,17 @@ def vdot(candidate, system, t, x, u):
 
 def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None,
                         passes: int = 8):
-    """Locally minimize the margin around ``point`` (deterministic)."""
+    """Locally minimize the margin around ``point`` (deterministic); probes
+    outside the batch mask ``accept`` count as +inf."""
     t, x, u = point
     t = float(t)
     x = np.array(x, dtype=float)
     u = np.array(u, dtype=float)
 
     def value(tt, xx, uu):
-        if accept is not None and not accept(tt, xx, uu):
+        if accept is not None and not _at_point(accept, tt, xx, uu):
             return np.inf
-        return float(margin_fn(np.asarray([tt]), xx[None, :], uu[None, :])[0])
+        return float(_at_point(margin_fn, tt, xx, uu))
 
     best = value(t, x, u)
     dt0 = 0.1 * (domain.t_range[1] - domain.t_range[0])
@@ -148,8 +147,6 @@ def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None,
                     nrm = np.linalg.norm(xx)
                     if nrm > domain.x_radius:
                         xx *= domain.x_radius / nrm
-                    if nrm < domain.x_radius_min:
-                        continue
                 else:
                     uu[idx - 1 - x.size] += sign * du0 * shrink
                     nrm = np.linalg.norm(uu)
@@ -170,18 +167,14 @@ def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
         t, x, u = t[keep], x[keep], u[keep]
     if t.size == 0:
         return InequalityReport(name, 0, np.inf, (0.0, np.zeros(nx), np.zeros(nu)),
-                                True, tol, notes="no samples in implication region",
+                                False, tol, notes="no samples in implication region",
                                 margin_fn=margin_fn)
     margins = np.asarray(margin_fn(t, x, u), dtype=float)
     j = int(np.argmin(margins))
     worst = float(margins[j])
     point = (float(t[j]), x[j], u[j])
     if refine:
-        accept = None
-        if mask_fn is not None:
-            accept = lambda tt, xx, uu: bool(
-                mask_fn(np.asarray([tt]), xx[None, :], uu[None, :])[0])
-        worst, point = _coordinate_descent(margin_fn, domain, point, accept)
+        worst, point = _coordinate_descent(margin_fn, domain, point, mask_fn)
     return InequalityReport(name, int(t.size), worst, point, worst >= -tol,
                             tol, notes=notes, margin_fn=margin_fn)
 
@@ -257,9 +250,7 @@ def check_strict_iss_lyap(candidate, system, mu: GainFunction,
     one = DecayRate(lambda t: np.ones_like(np.asarray(t, dtype=float)),
                     period=1.0, label="1")
     rep = check_issp_lyap(candidate, system, one, mu, chi, domain, n, seed, tol)
-    return InequalityReport("strict-iss-lyapunov", rep.n_samples, rep.worst_margin,
-                            rep.worst_point, rep.passed, tol, rep.notes,
-                            margin_fn=rep.margin_fn)
+    return dataclasses.replace(rep, name="strict-iss-lyapunov")
 
 
 def falsify(predicate, domain: SampleDomain, nx: int, nu: int,

@@ -267,6 +267,32 @@ class TestAperiodicRate:
         assert "epsilon" not in captured.out
 
 
+class TestSampleBudget:
+    @pytest.mark.parametrize("argv", [["strictify", "--example", "scalar-linear"],
+                                      ["example", "counterexample-elw"]])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_budget_below_one_is_config_error(self, argv, samples, capsys):
+        assert cli.main(argv + ["--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --samples must be at least 1, got {samples}" in err
+
+    def test_ini_budget_below_one_is_config_error(self, tmp_path):
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(SCALAR_CONFIG.replace("samples = 3000", "samples = 0"),
+                       encoding="utf-8")
+        with pytest.raises(ConfigError, match="samples must be at least 1"):
+            load_problem(cfg)
+
+    def test_empty_implication_region_fails(self, capsys):
+        code = cli.main(["strictify", "--example", "scalar-linear", "--samples", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert ("check 'strict-iss-contract' failed: "
+                "no samples in implication region") in out
+        assert "diagnosis" not in out
+        assert "PASS" not in out
+
+
 class TestDiagnostics:
     def test_strictify_counterexample_reports_unbounded_sup(self, capsys):
         code = cli.main(["strictify", "--example", "counterexample-elw",

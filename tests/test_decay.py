@@ -186,6 +186,13 @@ def test_window_integral_vec_matches_scalar():
 
 
 class TestWindowTable:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_query_time_named(self, bad):
+        with pytest.raises(ValueError, match=f"query time is not finite: t={bad!r}"):
+            decay.xi_vec(SIN2, 1.0, [0.0, bad])
+        with pytest.raises(ValueError, match="query time is not finite"):
+            decay.window_integral_vec(SIN2, 1.0, np.array([[0.0, 2.0], [-bad, bad]]))
+
     def test_rigid_body_closed_form_dense(self):
         ts = np.linspace(0.0, 4 * PI, 20001)
         closed = (PI / 4) * (PI - np.sin(2 * ts))

@@ -221,8 +221,27 @@ class TestConstructOmega:
 
     def test_remark_counterexample_unbounded(self):
         ce = counterexample_elw()
+        with pytest.raises(st.UnboundedSupError) as ei:
+            st.construct_omega(ce.system, ce.candidate, ce.mu, ce.chi, seed=8)
+        assert str(ei.value) == (
+            "sup of Vdot + mu at s = 10 grows without bound "
+            "(16920.9 -> 32233.2 -> 62857.8 as the horizon doubles)")
+
+    def test_one_draw_per_s_value(self, monkeypatch):
+        # the three horizons of an aperiodic system share one batch per s
+        calls = []
+        sample = SampleDomain.sample
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.t_range)
+            return sample(self, *args, **kwargs)
+
+        monkeypatch.setattr(SampleDomain, "sample", spy)
+        ce = counterexample_elw()
         with pytest.raises(st.UnboundedSupError):
             st.construct_omega(ce.system, ce.candidate, ce.mu, ce.chi, seed=8)
+        assert len(calls) == 64
+        assert set(calls) == {(0.0, 1.0)}
 
 
 class TestCertificateInvariants:
@@ -266,6 +285,33 @@ class TestCertificateInvariants:
             a = float(cert.v_sharp(t, x))
             b = float(cert.v_sharp(t + PI, x))
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+    def test_one_table_per_aperiodic_margin_evaluation(self, monkeypatch):
+        from strictlyap import decay as dmod
+        system = field_from_exprs(["-x1 + 0.5*u1"], 1, 1)
+        candidate = candidate_from_exprs("0.5*x1^2", 1, "0.5*s^2", "0.5*s^2", "s")
+        rate = rate_from_expr("1 + 0.5*sin(t)^2", pe=PETriple(1.0, 1.0, 1.5))
+        cert = st.strictify_disp(candidate, system, rate,
+                                 mu_tilde=identity_gain(),
+                                 omega=gain_from_expr("0.5*s^2"), factor=0.125,
+                                 domain=SampleDomain((0.0, 3.0), 4.0, 1.0),
+                                 n_samples=400, seed=4)
+        assert cert._table is None
+        tables = []
+        window_table = dmod.window_table
+
+        def counting(*args, **kwargs):
+            tables.append(args[2:4])
+            return window_table(*args, **kwargs)
+
+        monkeypatch.setattr(dmod, "window_table", counting)
+        t = np.linspace(0.0, 3.0, 50)
+        x = np.linspace(-1.0, 1.0, 50)[:, None]
+        u = np.full((50, 1), 0.3)
+        cert.vdot_sharp(t, x, u)
+        assert len(tables) == 1
+        cert.sharp_candidate().dV_dt(t, x)
+        assert len(tables) == 2
 
     def test_analytic_vdot_sharp_matches_expansion(self):
         rb = rigid_body()

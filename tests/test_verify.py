@@ -27,6 +27,90 @@ def _norm_sq_candidate(tight=True):
         alpha1=a1, alpha2=gain_from_expr("s^2"), alpha3=gain_from_expr("2*s"))
 
 
+def _two_part_reference(dom, n, nx, nu, seed, halton_fraction=0.5):
+    """The sampler as two separately mapped branches, Halton then uniform."""
+    from scipy.stats import norm, qmc
+
+    def ball(r01, dir01, radius):
+        k, d = dir01.shape
+        if d == 0:
+            return np.zeros((k, 0))
+        if radius <= 0:
+            return np.zeros((k, d))
+        z = norm.ppf(np.clip(dir01, 1.0e-12, 1.0 - 1.0e-12))
+        nrm = np.linalg.norm(z, axis=1)
+        nrm[nrm == 0.0] = 1.0
+        rad = (0.0 ** d + r01 * (radius ** d - 0.0 ** d)) ** (1.0 / d)
+        return z / nrm[:, None] * rad[:, None]
+
+    n_h = int(round(n * halton_fraction))
+    n_u = n - n_h
+    parts = []
+    if n_h > 0:
+        d = 1 + (1 + nx) + (1 + nu if nu else 0)
+        h = qmc.Halton(d=d, scramble=True, seed=seed).random(n_h)
+        h = np.clip(h, 1.0e-12, 1.0 - 1.0e-12)
+        t = dom.t_range[0] + (dom.t_range[1] - dom.t_range[0]) * h[:, 0]
+        x = ball(h[:, 1], h[:, 2:2 + nx], dom.x_radius)
+        u = (ball(h[:, 2 + nx], h[:, 3 + nx:3 + nx + nu], dom.u_radius) if nu
+             else np.zeros((n_h, 0)))
+        parts.append((t, x, u))
+    if n_u > 0:
+        rng = np.random.default_rng(seed + 1)
+        t = rng.uniform(*dom.t_range, n_u)
+        x = ball(rng.uniform(size=n_u), rng.uniform(size=(n_u, nx)), dom.x_radius)
+        u = (ball(rng.uniform(size=n_u), rng.uniform(size=(n_u, nu)), dom.u_radius)
+             if nu else np.zeros((n_u, 0)))
+        parts.append((t, x, u))
+    return tuple(np.concatenate([p[k] for p in parts]) for k in range(3))
+
+
+class TestSampleDomain:
+    DOMAIN = SampleDomain((-1.5, 7.25), 3.0, 0.75)
+
+    @pytest.mark.parametrize("dom, n, nx, nu, frac", [
+        (DOMAIN, 1, 2, 1, 0.5),
+        (DOMAIN, 1, 2, 1, 1.0),
+        (DOMAIN, 1001, 3, 2, 0.5),
+        (DOMAIN, 999, 1, 0, 0.5),
+        (DOMAIN, 500, 2, 1, 0.0),
+        (DOMAIN, 500, 2, 1, 1.0),
+        (SampleDomain((0.0, 1.0), 0.0, 0.0), 257, 2, 2, 0.5),
+        (SampleDomain((0.0, 1.0), 2.0, 0.0), 64, 1, 1, 0.5),
+    ])
+    def test_matches_two_part_reference(self, dom, n, nx, nu, frac):
+        for seed in (0, 7):
+            got = dom.sample(n, nx, nu, seed, halton_fraction=frac)
+            ref = _two_part_reference(dom, n, nx, nu, seed, frac)
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape
+                assert np.array_equal(g, r)
+
+    def test_batch_stays_in_the_box(self):
+        dom = self.DOMAIN
+        t, x, u = dom.sample(4001, 3, 2, seed=3)
+        assert t.shape == (4001,) and x.shape == (4001, 3) and u.shape == (4001, 2)
+        assert t.min() >= dom.t_range[0] and t.max() <= dom.t_range[1]
+        assert np.linalg.norm(x, axis=1).max() <= dom.x_radius * (1 + 1e-12)
+        assert np.linalg.norm(u, axis=1).max() <= dom.u_radius * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_empty_budget_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            SampleDomain().sample(n, 2, 1)
+
+
+def test_empty_implication_region_fails():
+    def never(t, x, u):
+        return np.zeros(t.size, dtype=bool)
+
+    rep = verify._run_check("empty", lambda t, x, u: np.ones(t.size),
+                            SampleDomain(), 2, 1, 50, 0, 1e-9, mask_fn=never)
+    assert rep.n_samples == 0
+    assert not rep.passed
+    assert rep.notes == "no samples in implication region"
+
+
 class TestCheckUppd:
     def test_tight_envelopes_pass_with_zero_margin(self):
         rep = verify.check_uppd(_norm_sq_candidate(), SampleDomain((0, 1), 3.0, 0.0),
