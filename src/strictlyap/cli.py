@@ -105,7 +105,10 @@ def _load(args) -> Problem:
 
 
 def _override(problem: Problem, args) -> Problem:
-    """Apply --seed and --samples; a sample count below 1 is a config error."""
+    """Apply --seed and --samples; a negative seed or a sample count below 1
+    is a config error."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if args.samples is not None and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.seed is not None:
@@ -315,8 +318,8 @@ def _simulate_problem(problem: Problem, out) -> int:
         _ensure_pe(problem)
         cert = strictify_problem(problem)
     except (ValidationFailedError, SlopeBoundViolatedError, UnboundedSupError,
-            NotPersistentlyExcitingError, ConfigError):
-        cert = None  # simulate still runs; only V is reported
+            NotPersistentlyExcitingError, ConfigError) as exc:
+        print(f"V# unavailable: {exc}")  # simulate still runs; only V is reported
     sim = problem.sim
     code = EXIT_OK
     for k, run in enumerate(sim.runs, start=1):

@@ -46,40 +46,57 @@ def _split(t, x):
     return (t, *(x[:, i] for i in range(x.shape[1]))), True
 
 
+def _columns(values, shape) -> np.ndarray:
+    """The components of a fused array call as the columns of (*shape, len)."""
+    out = np.empty((*shape, len(values)))
+    for j, v in enumerate(values):
+        out[..., j] = v
+    return out
+
+
+_NO_INPUT = np.zeros(0)
+
+
+def _scalar_call(fused, t, x, u=_NO_INPUT) -> np.ndarray:
+    """One call of ``fused`` on Python floats, as an array.
+
+    Floats raise on overflow and division by zero where numpy scalars give
+    inf or nan, which the integrator's blow-up guard reports; such a call
+    is repeated on numpy scalars.
+    """
+    try:
+        return np.array(fused(float(t), *x.tolist(), *u.tolist()))
+    except (ArithmeticError, exprparse.EvalDomainError):
+        return np.array(fused(t, *x, *u))
+
+
 def field_from_exprs(texts: Sequence[str], n: int, m: int,
                      period: float | None = None, label: str = "") -> ControlSystem:
     """Vector field from n component expressions over t, x1..xn, u1..um."""
     if len(texts) != n:
         raise ConfigError(f"need {n} component expressions, got {len(texts)}")
-    args = _state_args(n, m)
-    fns = [exprparse.compile_expr(txt, args) for txt in texts]
+    fused = exprparse.compile_expr(texts, _state_args(n, m))
 
     def f(t, x, u):
-        xa, batched = _split(t, x)
+        x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if not batched:
-            a = (*xa, *u)
-            return np.array([fn(*a) for fn in fns])
-        a = (*xa, *(u[:, j] for j in range(u.shape[1])))
-        k = len(xa[0])
-        return np.stack([np.broadcast_to(np.asarray(fn(*a), dtype=float), (k,))
-                         for fn in fns], axis=1)
+        if x.ndim == 1:
+            return _scalar_call(fused, t, x, u)
+        xa, _ = _split(t, x)
+        return _columns(fused(*xa, *(u[:, j] for j in range(u.shape[1]))), (len(x),))
 
     return ControlSystem(n, m, f, period=period, label=label)
 
 
 def feedback_from_exprs(texts: Sequence[str], n: int) -> Callable:
     """State feedback (t, x) -> leading input channels."""
-    args = _state_args(n)
-    fns = [exprparse.compile_expr(txt, args) for txt in texts]
+    fused = exprparse.compile_expr(texts, _state_args(n))
 
     def fb(t, x):
-        a, batched = _split(t, x)
-        if not batched:
-            return np.array([fn(*a) for fn in fns])
-        k = len(a[0])
-        return np.stack([np.broadcast_to(np.asarray(fn(*a), dtype=float), (k,))
-                         for fn in fns], axis=1)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return _scalar_call(fused, t, x)
+        return _columns(fused(*_split(t, x)[0]), (len(x),))
 
     return fb
 
@@ -138,17 +155,15 @@ def rate_from_expr(text: str, period: float | None = None,
 
 
 def signal_from_exprs(texts: Sequence[str], sup_bound: float | None = None) -> Signal:
-    fns = [exprparse.compile_expr(txt, ("t",)) for txt in texts]
-    m = len(texts)
+    fused = exprparse.compile_expr(texts, ("t",))
 
     def fn(t):
         if np.isscalar(t):
-            return np.array([f(t) for f in fns])
+            return np.array(fused(float(t)))
         t = np.asarray(t, dtype=float)
-        return np.stack([np.broadcast_to(np.asarray(f(t), dtype=float), t.shape)
-                         for f in fns], axis=1)
+        return _columns(fused(t), t.shape)
 
-    return Signal(fn, m, sup_bound=sup_bound, label=", ".join(texts))
+    return Signal(fn, len(texts), sup_bound=sup_bound, label=", ".join(texts))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +244,8 @@ def _build(cp: configparser.ConfigParser) -> Problem:
         raise ConfigError("tau must be a positive number")
     period = prob.getfloat("period", fallback=None)
     seed = prob.getint("seed", fallback=0)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     factor = prob.getfloat("factor", fallback=None)
     name = _strip(prob.get("name", "problem"))
 

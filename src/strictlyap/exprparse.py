@@ -9,7 +9,8 @@ gains, signals) is declared in this language.
 
 ``Expr.eval`` is the reference scalar evaluator with strict error reporting;
 ``compile_expr`` emits a fast callable with a plain-float path (``math``) and
-an ndarray path (``numpy``), dispatched per call.
+an ndarray path (``numpy``), dispatched per call; a sequence of expressions
+(the components of a vector field) compiles to one callable returning a tuple.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -518,20 +519,24 @@ def _emit(e: Expr) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def compile_expr(e: Expr | str, arg_names: tuple[str, ...]) -> Callable[..., float]:
+def compile_expr(e: Expr | str | Sequence[Expr | str],
+                 arg_names: tuple[str, ...]) -> Callable:
     """Compile ``e`` to a positional callable over ``arg_names``.
 
     The result takes plain floats (fast ``math`` path) or numpy arrays
     (vectorized path); domain failures on the scalar path raise
     EvalDomainError, while the array path follows numpy nan semantics.
+    A sequence of expressions compiles to one callable returning a tuple.
     """
-    if isinstance(e, str):
-        e = parse(e)
-    missing = e.variables() - set(arg_names)
+    fused = not isinstance(e, (Expr, str))
+    exprs = tuple(parse(x) if isinstance(x, str) else x for x in (e if fused else (e,)))
+    missing = set().union(*(x.variables() for x in exprs)) - set(arg_names)
     if missing:
         raise UnboundVariableError(
             f"expression uses {sorted(missing)} not among arguments {list(arg_names)}")
-    src = f"lambda {', '.join(arg_names) or '_'}: {_emit(e)}"
+    body = f"({''.join(_emit(x) + ', ' for x in exprs)})" if fused else _emit(exprs[0])
+    e = exprs if fused else exprs[0]
+    src = f"lambda {', '.join(arg_names) or '_'}: {body}"
     fn_s = eval(src, dict(_SCALAR_NS))  # noqa: S307 - source emitted by _emit only
     fn_v = eval(src, dict(_VECTOR_NS))  # noqa: S307
 

@@ -126,10 +126,14 @@ class StrictCertificate:
 
     def xi_fn(self, t):
         """xi(t) as an array of the shape of t."""
+        if self._table is not None:
+            return self._table[1](np.mod(t, self.rate.period))
         return self._window_xi(t)[1]
 
     def window_fn(self, t):
         """W(t) = int_{t-tau}^t p as an array of the shape of t."""
+        if self._table is not None:
+            return self._table[0](np.mod(t, self.rate.period))
         return self._window_xi(t)[0]
 
     # -- the strictified function -------------------------------------------

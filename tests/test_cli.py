@@ -293,6 +293,50 @@ class TestSampleBudget:
         assert "PASS" not in out
 
 
+class TestSeed:
+    @pytest.mark.parametrize("argv", [["strictify", "--example", "scalar-linear"],
+                                      ["example", "counterexample-elw"]])
+    def test_negative_seed_is_config_error(self, argv, capsys):
+        assert cli.main(argv + ["--seed", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --seed must be non-negative, got -5" in err
+        assert "Traceback" not in err
+
+    def test_ini_negative_seed_is_config_error(self, tmp_path):
+        cfg = tmp_path / "neg.ini"
+        cfg.write_text(SCALAR_CONFIG.replace("seed = 5", "seed = -1"), encoding="utf-8")
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            load_problem(cfg)
+        assert cli.main(["strictify", "--config", str(cfg)]) == 2
+
+
+def test_simulate_reports_unavailable_vsharp(tmp_path, capsys):
+    # chi = s/2 is too tight for dx = -x + u: the issp check fails
+    cfg = tmp_path / "tight.ini"
+    cfg.write_text(SCALAR_CONFIG.replace('chi = "2*s"', 'chi = "0.5*s"')
+                   .replace("tf = 5.0", "tf = 0.5"), encoding="utf-8")
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("V# unavailable: check 'issp-lyapunov' failed: margin -")
+    assert lines[1].startswith("run 1:")
+    assert (out / "sim_1.csv").read_text().splitlines()[0] == "t,x1,u1,V"
+
+
+def test_simulate_without_inputs(tmp_path, capsys):
+    # m = 0: the configured runs get empty input signals
+    text = (SCALAR_CONFIG.replace("m = 1", "m = 0").replace('"-x1 + u1"', '"-x1"')
+            .replace("tf = 5.0", "tf = 0.5"))
+    text = text[:text.index("x0.1")] + "x0.1 = 1.0\n"
+    cfg = tmp_path / "free.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    data = np.loadtxt(out / "sim_1.csv", delimiter=",", skiprows=1)
+    assert data.shape == (501, 4)      # t, x1, V, Vsharp
+    assert data[-1, 1] == pytest.approx(np.exp(-0.5), abs=1e-9)
+
+
 class TestDiagnostics:
     def test_strictify_counterexample_reports_unbounded_sup(self, capsys):
         code = cli.main(["strictify", "--example", "counterexample-elw",

@@ -1,10 +1,13 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from strictlyap import dynsys, verify
-from strictlyap.dynsys import ControlSystem, Signal, close_loop, integrate, lyapunov_along
+from strictlyap import dynsys, exprparse, verify
+from strictlyap.config import field_from_exprs, signal_from_exprs
+from strictlyap.dynsys import (ControlSystem, Signal, Trajectory, close_loop, integrate,
+                               lyapunov_along)
 from strictlyap.fixtures import rigid_body
 
 
@@ -151,3 +154,120 @@ def test_trajectory_csv_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x1,x2,x3,u1,u2,V"
     assert len(lines) == len(tr.times) + 1
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the per-component field path and the unfused RK4 step
+
+def _per_component_field(texts, n, m):
+    """One compiled callable per component, called on numpy scalars."""
+    args = ("t", *(f"x{i+1}" for i in range(n)), *(f"u{j+1}" for j in range(m)))
+    fns = [exprparse.compile_expr(txt, args) for txt in texts]
+    return lambda t, x, u: np.array([fn(t, *x, *u) for fn in fns])
+
+
+def _per_component_signal(texts):
+    fns = [exprparse.compile_expr(txt, ("t",)) for txt in texts]
+    return lambda t: np.array([fn(t) for fn in fns])
+
+
+def _unfused_rk4(f, x0, t0, tf, u, step):
+    """The RK4 loop with a norm from np.linalg and a copy per state."""
+    x = np.asarray(x0, dtype=float).copy()
+    n_steps = int(np.ceil((tf - t0) / step - 1.0e-12))
+    states = [x.copy()]
+    t = t0
+    for k in range(n_steps):
+        t_next = tf if k == n_steps - 1 else t0 + (k + 1) * step
+        h = t_next - t
+        u0, um, u1 = u(t), u(t + 0.5 * h), u(t_next)
+        k1 = np.asarray(f(t, x, u0), dtype=float)
+        k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1, um), dtype=float)
+        k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2, um), dtype=float)
+        k4 = np.asarray(f(t_next, x + h * k3, u1), dtype=float)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t_next
+        nrm = float(np.linalg.norm(x))
+        assert np.isfinite(nrm) and nrm <= dynsys.BLOWUP_GUARD
+        states.append(x.copy())
+    return np.asarray(states)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("run", [0, 1])
+    def test_rigid_body_runs_match_per_component_path(self, run):
+        rb = rigid_body()
+        field = _per_component_field([rb.expressions[f"f{i+1}"] for i in range(3)], 3, 2)
+        sim = rb.sim.runs[run]
+        if run == 0:
+            u_ref = lambda t: np.zeros(2)
+        else:
+            u_ref = _per_component_signal(["0.1*sin(3*t)", "0.1*cos(5*t)"])
+        tr = integrate(rb.system, sim.x0, 0.0, 2.0, sim.signal, 1.0e-3)
+        ref = _unfused_rk4(field, sim.x0, 0.0, 2.0, u_ref, 1.0e-3)
+        assert tr.states.shape == (2001, 3)
+        assert np.array_equal(tr.states, ref)
+
+    def test_generic_lambda_gets_arrays(self):
+        seen = []
+
+        def f(t, x, u):
+            seen.append((type(x), x.shape, u.shape))
+            return np.array([x[1], -x[0]])
+
+        tr = integrate(ControlSystem(2, 0, f), [1.0, 0.0], 0.0, 0.01, Signal.zero(0), 1e-3)
+        assert len(tr.times) == 11
+        assert set(seen) == {(np.ndarray, (2,), (0,))}
+
+    def test_expression_field_without_inputs(self):
+        # m = 0: -x1 on Python floats equals -x on arrays, bit for bit
+        expr = integrate(field_from_exprs(["-x1"], 1, 0), [1.0], 0.0, 1.0,
+                         Signal.zero(0), 1e-3)
+        generic = integrate(_decay_system(), [1.0], 0.0, 1.0, Signal.zero(0), 1e-3)
+        assert expr.inputs.shape == (1001, 0)
+        assert np.array_equal(expr.states, generic.states)
+        assert expr.states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
+
+    def test_empty_signal_batches(self):
+        sig = signal_from_exprs([])
+        assert sig(0.5).shape == (0,)
+        assert sig(np.linspace(0.0, 1.0, 4)).shape == (4, 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("text, x0", [("x1^400", 10.0), ("1/(x1 - x1)", 1.0)])
+    def test_float_overflow_still_trips_the_guard(self, text, x0):
+        # Python floats raise where numpy scalars give inf: still a blow-up
+        with pytest.raises(dynsys.BlowUpError) as ei:
+            integrate(field_from_exprs([text], 1, 0), [x0], 0.0, 1.0,
+                      Signal.zero(0), 1e-3)
+        assert ei.value.time == 1e-3
+
+
+def _csv_writer_reference(path, traj, extra):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["t"] + [f"x{i+1}" for i in range(traj.states.shape[1])]
+                    + [f"u{j+1}" for j in range(traj.inputs.shape[1])] + list(extra))
+        for i in range(traj.times.size):
+            wr.writerow([f"{v:.17g}" for v in
+                         [traj.times[i], *traj.states[i], *traj.inputs[i],
+                          *(col[i] for col in extra.values())]])
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("k", [1, 4097, 9000])
+def test_trajectory_csv_matches_csv_writer(tmp_path, m, k):
+    rng = np.random.default_rng(k + m)
+    states = rng.normal(size=(k, 3)) * 10.0 ** rng.integers(-300, 300, size=(k, 3))
+    states[0, 0], states[-1, 1] = np.inf, -np.inf
+    v = rng.random(k)
+    v[k // 2] = np.nan
+    traj = Trajectory(np.linspace(0.0, 1.0, k), states, rng.normal(size=(k, m)),
+                      Signal.zero(m))
+    extra = {"V": v, "Vsharp": -v}
+    dynsys.write_trajectory_csv(tmp_path / "fast.csv", traj, extra)
+    _csv_writer_reference(tmp_path / "ref.csv", traj, extra)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    dynsys.write_trajectory_csv(tmp_path / "bare.csv", traj)
+    _csv_writer_reference(tmp_path / "bare_ref.csv", traj, {})
+    assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "bare_ref.csv").read_bytes()

@@ -219,3 +219,42 @@ class TestCompile:
         f = ep.compile_expr("log(t)", ("t",))
         with pytest.raises(ep.EvalDomainError):
             f(-1.0)
+
+
+class TestFusedCompile:
+    TEXTS = ["sin(t)^2 + x1*u1", "-(1 + sin(t)*x1 + sin(t)^2)*x2", "2.5",
+             "max(0, u1 - abs(x1))^3", "x2/(1 + x1^2) - tanh(u1)"]
+    ARGS = ("t", "x1", "x2", "u1")
+
+    def test_agrees_with_per_component_on_floats(self):
+        fused = ep.compile_expr(self.TEXTS, self.ARGS)
+        singles = [ep.compile_expr(txt, self.ARGS) for txt in self.TEXTS]
+        rng = np.random.default_rng(3)
+        for row in rng.normal(size=(50, 4)) * 3.0:
+            args = row.tolist()
+            out = fused(*args)
+            assert isinstance(out, tuple)
+            assert out == tuple(f(*args) for f in singles)
+
+    def test_agrees_with_per_component_on_arrays(self):
+        fused = ep.compile_expr(self.TEXTS, self.ARGS)
+        singles = [ep.compile_expr(txt, self.ARGS) for txt in self.TEXTS]
+        cols = list(np.random.default_rng(4).normal(size=(4, 200)) * 3.0)
+        for a, b in zip(fused(*cols), (f(*cols) for f in singles)):
+            assert np.array_equal(a, b)
+
+    def test_exposes_expressions_and_arguments(self):
+        fused = ep.compile_expr(self.TEXTS, self.ARGS)
+        assert fused.expr == tuple(ep.parse(txt) for txt in self.TEXTS)
+        assert fused.arg_names == self.ARGS
+
+    def test_single_and_empty_sequences(self):
+        assert ep.compile_expr(["x1 + 1"], ("x1",))(2.0) == (3.0,)
+        assert ep.compile_expr([], ("t",))(0.5) == ()
+
+    def test_scalar_domain_error_and_missing_argument(self):
+        fused = ep.compile_expr(["t", "log(t)"], ("t",))
+        with pytest.raises(ep.EvalDomainError):
+            fused(-1.0)
+        with pytest.raises(ep.UnboundVariableError):
+            ep.compile_expr(["x1", "x2"], ("x1",))

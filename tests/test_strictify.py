@@ -313,6 +313,35 @@ class TestCertificateInvariants:
         cert.sharp_candidate().dV_dt(t, x)
         assert len(tables) == 2
 
+    def test_one_spline_per_periodic_coefficient_call(self):
+        system = field_from_exprs(["-x1 + 0.5*u1"], 1, 1, period=1.0)
+        candidate = candidate_from_exprs("0.5*x1^2", 1, "0.5*s^2", "0.5*s^2", "s",
+                                         period=1.0)
+        rate = rate_from_expr("1 + 0.5*sin(2*pi*t)^2", period=1.0,
+                              pe=PETriple(1.0, 1.0, 1.5))
+        cert = st.strictify_disp(candidate, system, rate,
+                                 mu_tilde=identity_gain(),
+                                 omega=gain_from_expr("0.5*s^2"), factor=0.125,
+                                 domain=SampleDomain((0.0, 2.0), 4.0, 1.0),
+                                 n_samples=400, seed=4)
+        calls = []
+
+        def counting(name, spline):
+            def call(s):
+                calls.append(name)
+                return spline(s)
+            return call
+
+        W, xi = cert._table
+        cert._table = (counting("W", W), counting("xi", xi))
+        t = np.linspace(-1.0, 3.0, 9)
+        assert np.array_equal(cert.xi_fn(t), xi(np.mod(t, 1.0)))
+        assert calls == ["xi"]
+        assert np.array_equal(cert.window_fn(t), W(np.mod(t, 1.0)))
+        assert calls == ["xi", "W"]
+        cert.v_sharp(0.5, np.array([1.0]))
+        assert calls == ["xi", "W", "xi"]
+
     def test_analytic_vdot_sharp_matches_expansion(self):
         rb = rigid_body()
         rb.samples = 8000
