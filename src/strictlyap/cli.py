@@ -7,8 +7,9 @@
     strictlyap example NAME [--reference "w1r; w2r; w3r"] [--out DIR]
 
 Exit codes: 0 = all requested checks passed, 1 = a validation failed,
-2 = configuration or usage error.  All file output is deterministic for a
-fixed config and seed.
+2 = configuration or usage error, 3 = internal error (any other exception;
+its type, message and traceback go to stderr).  All file output is
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from .strictify import (SlopeBoundViolatedError, UnboundedSupError,
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+EXIT_INTERNAL = 3
 
 VERIFY_CHECKS = ("uppd", "issp", "disp-state", "disp-value", "strict-iss",
                  "iss-estimate")
@@ -51,6 +54,10 @@ def main(argv: list[str] | None = None) -> int:
             SlopeBoundViolatedError, UnboundedSupError, BlowUpError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:

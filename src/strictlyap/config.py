@@ -37,13 +37,10 @@ def _state_args(n: int, m: int = 0) -> tuple[str, ...]:
 
 
 def _split(t, x):
-    """Normalize to per-column argument tuples; returns (args, batched)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return (t, *x), False
+    """Batch arguments (t, x1..xn) for x of shape (k, n); a scalar t is broadcast."""
     if np.ndim(t) == 0:
         t = np.full(x.shape[0], float(t))
-    return (t, *(x[:, i] for i in range(x.shape[1]))), True
+    return (t, *x.T)
 
 
 def _columns(values, shape) -> np.ndarray:
@@ -70,46 +67,47 @@ def _scalar_call(fused, t, x, u=_NO_INPUT) -> np.ndarray:
         return np.array(fused(t, *x, *u))
 
 
+def _vector_field(texts: Sequence[str], n: int, m: int = 0) -> Callable:
+    """One fused compile of ``texts`` over t, x1..xn, u1..um as f(t, x[, u]).
+
+    A point (x of shape (n,)) is one call on Python floats and gives shape
+    (len(texts),); a batch (x of shape (k, n), u of shape (k, m)) gives
+    (k, len(texts)).
+    """
+    fused = exprparse.compile_expr(texts, _state_args(n, m))
+
+    def f(t, x, u=_NO_INPUT):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if x.ndim == 1:
+            return _scalar_call(fused, t, x, u)
+        return _columns(fused(*_split(t, x), *u.T), (len(x),))
+
+    return f
+
+
 def field_from_exprs(texts: Sequence[str], n: int, m: int,
                      period: float | None = None, label: str = "") -> ControlSystem:
     """Vector field from n component expressions over t, x1..xn, u1..um."""
     if len(texts) != n:
         raise ConfigError(f"need {n} component expressions, got {len(texts)}")
-    fused = exprparse.compile_expr(texts, _state_args(n, m))
-
-    def f(t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.ndim == 1:
-            return _scalar_call(fused, t, x, u)
-        xa, _ = _split(t, x)
-        return _columns(fused(*xa, *(u[:, j] for j in range(u.shape[1]))), (len(x),))
-
-    return ControlSystem(n, m, f, period=period, label=label)
+    return ControlSystem(n, m, _vector_field(texts, n, m), period=period, label=label)
 
 
 def feedback_from_exprs(texts: Sequence[str], n: int) -> Callable:
     """State feedback (t, x) -> leading input channels."""
-    fused = exprparse.compile_expr(texts, _state_args(n))
-
-    def fb(t, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return _scalar_call(fused, t, x)
-        return _columns(fused(*_split(t, x)[0]), (len(x),))
-
-    return fb
+    return _vector_field(texts, n)
 
 
 def _scalar_field(text: str, n: int):
+    """Scalar field V(t, x): a float at a point, shape (k,) on a batch."""
     fn = exprparse.compile_expr(text, _state_args(n))
 
     def g(t, x):
-        a, batched = _split(t, x)
-        v = fn(*a)
-        if batched:
-            return np.broadcast_to(np.asarray(v, dtype=float), (len(a[0]),))
-        return float(v)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return float(_scalar_call(fn, t, x))
+        return np.broadcast_to(np.asarray(fn(*_split(t, x)), dtype=float), (len(x),))
 
     return g
 
@@ -131,13 +129,7 @@ def candidate_from_exprs(v_text: str, n: int, alpha1: str | GainFunction,
                       for i in range(n)]
     v_fn = _scalar_field(v_text, n)
     dt_fn = _scalar_field(dv_dt_text, n)
-    part_fns = [_scalar_field(g, n) for g in grad_texts]
-
-    def grad(t, x):
-        cols = [p(t, x) for p in part_fns]
-        if np.ndim(cols[0]) == 0:
-            return np.array(cols)
-        return np.stack(cols, axis=1)
+    grad = _vector_field(grad_texts, n)
 
     def as_gain(g):
         return gain_from_expr(g) if isinstance(g, str) else g

@@ -55,9 +55,9 @@ class PETriple:
 class DecayRate:
     """Nonnegative scalar rate p(t), evaluable on [-tau, infinity).
 
-    For t < 0 a declared period folds the argument back into [0, period);
-    otherwise the function is evaluated as-is, falling back to p(0) if the
-    natural extension fails.
+    A declared period folds every argument into [0, period).  An aperiodic
+    rate is evaluated as given, also at t < 0, so its function must be
+    defined on [-tau, infinity); a failure there propagates.
     """
 
     fn: Callable
@@ -68,15 +68,7 @@ class DecayRate:
     def __call__(self, t):
         if self.period is not None:
             t = np.mod(t, self.period)
-            return self.fn(t)
-        if isinstance(t, np.ndarray):
-            return self.fn(t)
-        if t < 0.0:
-            try:
-                return float(self.fn(t))
-            except (ValueError, ArithmeticError):
-                return float(self.fn(0.0))
-        return float(self.fn(t))
+        return self.fn(t)
 
     def with_pe(self, pe: PETriple) -> "DecayRate":
         return dataclasses.replace(self, pe=pe)
@@ -329,10 +321,9 @@ def underline_p_gain(p: DecayRate, horizon: float | None = None,
     from .funcalc import GainFunction
 
     def fn(h):
-        if isinstance(h, np.ndarray):
-            return np.array([underline_p(p, float(v), horizon, n_grid)
-                             for v in h.ravel()]).reshape(h.shape)
-        return underline_p(p, float(h), horizon, n_grid)
+        h = np.asarray(h, dtype=float)
+        return np.array([underline_p(p, float(v), horizon, n_grid)
+                         for v in h.ravel()]).reshape(h.shape)
 
     return GainFunction(fn, None, probe_max=probe_max,
                         label=f"pl[{p.label}]" if p.label else "pl")

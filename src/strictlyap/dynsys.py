@@ -180,11 +180,7 @@ def close_loop(system: ControlSystem, feedback: Callable,
 
     def f_closed(t, x, u):
         fb = np.asarray(feedback(t, x), dtype=float)
-        if np.ndim(fb) == 1:
-            full = np.concatenate([fb, np.asarray(u, dtype=float)])
-        else:
-            full = np.concatenate([fb, np.asarray(u, dtype=float)], axis=1)
-        return system.f(t, x, full)
+        return system.f(t, x, np.concatenate([fb, np.asarray(u, dtype=float)], axis=-1))
 
     label = f"{system.label}+feedback" if system.label else "closed-loop"
     return ControlSystem(system.n, m_rest, f_closed, period=system.period, label=label)

@@ -26,7 +26,8 @@ from . import exprparse
 from .config import (Problem, SimRun, SimSpec, candidate_from_exprs,
                      feedback_from_exprs, field_from_exprs, rate_from_expr,
                      signal_from_exprs)
-from .decay import DecayRate, NotPersistentlyExcitingError, PETriple, estimate_pe
+from .decay import (DecayRate, NotPersistentlyExcitingError, PETriple, _rate_values,
+                    estimate_pe)
 from .dynsys import Signal
 from .verify import SampleDomain
 
@@ -237,8 +238,7 @@ def check_reference_admissibility(w1r_text: str, w2r_text: str,
 
     def sup_cross(H: float) -> float:
         t = np.linspace(0.0, H, 32_001)
-        y = (np.broadcast_to(np.asarray(f1(t), dtype=float), t.shape)
-             * np.broadcast_to(np.asarray(f2(t), dtype=float), t.shape))
+        y = _rate_values(f1, t) * _rate_values(f2, t)
         # cumulative trapezoid of the product
         inc = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
         run = np.concatenate([[0.0], np.cumsum(inc)])
@@ -254,11 +254,8 @@ def check_reference_admissibility(w1r_text: str, w2r_text: str,
                                    f"(sup {s1:.6g} -> {s2:.6g} -> {s4:.6g})",
                                    sup_cross_integral=s4)
 
-    pe_rate = DecayRate(
-        lambda t: (np.broadcast_to(np.asarray(f1(t), dtype=float), np.shape(t)) ** 2
-                   + np.broadcast_to(np.asarray(f2(t), dtype=float), np.shape(t)) ** 2)
-        if isinstance(t, np.ndarray) else float(f1(t)) ** 2 + float(f2(t)) ** 2,
-        label=f"({w1r_text})^2 + ({w2r_text})^2")
+    pe_rate = DecayRate(lambda t: _rate_values(f1, t) ** 2 + _rate_values(f2, t) ** 2,
+                        label=f"({w1r_text})^2 + ({w2r_text})^2")
     for tau in tau_ladder:
         try:
             est = estimate_pe(pe_rate, float(tau), horizon=4.0 * horizon, n_grid=256)

@@ -75,12 +75,11 @@ class SpotCheckReport:
 
 
 def identity_gain() -> GainFunction:
-    return GainFunction(lambda s: s * 1.0, lambda s: np.ones_like(np.asarray(s, dtype=float)) if isinstance(s, np.ndarray) else 1.0, label="s")
+    return GainFunction(lambda s: s * 1.0, lambda s: np.ones_like(s, dtype=float), label="s")
 
 
 def linear_gain(c: float, label: str | None = None) -> GainFunction:
-    return GainFunction(lambda s: c * s,
-                        lambda s: c * np.ones_like(np.asarray(s, dtype=float)) if isinstance(s, np.ndarray) else c,
+    return GainFunction(lambda s: c * s, lambda s: np.full_like(s, c, dtype=float),
                         label=label or f"{c!r}*s")
 
 
@@ -213,15 +212,15 @@ def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:
     return out.reshape(out_shape)
 
 
-def inverse_gain(g: GainFunction, tol: float = INVERT_TOL) -> GainFunction:
+def inverse_gain(g: GainFunction) -> GainFunction:
     """Numeric inverse of an increasing gain, as a GainFunction.
 
-    The derivative uses the inverse-function rule 1/g'(g^{-1}(y)).
+    Every argument goes through the vectorized bisection, so a float gives
+    a 0-d array.  The derivative uses the inverse-function rule
+    1/g'(g^{-1}(y)).
     """
     def fn(y):
-        if isinstance(y, np.ndarray):
-            return _invert_array(g, y)
-        return invert(g, float(y), tol)
+        return _invert_array(g, y)
 
     def deriv(y):
         s = fn(y)

@@ -48,7 +48,7 @@ class ValidationFailedError(RuntimeError):
     """A required sampled inequality failed; carries the offending report."""
 
     def __init__(self, report: InequalityReport, certificate=None):
-        detail = report.notes if report.n_samples == 0 else (
+        detail = report.notes if not np.isfinite(report.worst_margin) else (
             f"margin {report.worst_margin!r} at t={report.worst_point[0]!r}, "
             f"x={report.worst_point[1]!r}, u={report.worst_point[2]!r}")
         super().__init__(f"check '{report.name}' failed: {detail}")
@@ -60,8 +60,9 @@ class ValidationFailedError(RuntimeError):
 class LyapunovCandidate:
     """V(t, x) with its time/space derivatives and envelope gains.
 
-    Callables follow the batch convention: scalar t with x of shape (n,),
-    or t of shape (k,) with x of shape (k, n).
+    Callables take batches: t of shape (k,) (or a scalar) with x of shape
+    (k, n).  Point calls (x of shape (n,)) are for RK4 stop tests only;
+    V, dV_dt and grad_x built from expressions answer them on floats.
     """
 
     n: int
@@ -178,12 +179,8 @@ class StrictCertificate:
                     + (self.pe.tau * self.rate(t) - W) * w(v))
 
         def grad_x(t, x):
-            v = cand.V(t, x)
-            coef = 1.0 + self.xi_fn(t) * w.deriv(v)
-            g = np.asarray(cand.grad_x(t, x), dtype=float)
-            if g.ndim == 1:
-                return coef * g
-            return np.asarray(coef)[:, None] * g
+            coef = np.asarray(1.0 + self.xi_fn(t) * w.deriv(cand.V(t, x)))
+            return coef[..., None] * np.asarray(cand.grad_x(t, x), dtype=float)
 
         a2, a3 = cand.alpha2, cand.alpha3
         alpha2_sharp = GainFunction(
@@ -517,8 +514,7 @@ def construct_omega(system: ControlSystem, candidate: LyapunovCandidate,
         s = np.asarray(s, dtype=float)
         base = np.interp(s, s_grid, vals)
         over = np.maximum(s - s_grid[-1], 0.0)
-        out = np.maximum(base + (last_slope + 1.0) * over, 1.0e-6 * s)
-        return float(out) if out.ndim == 0 else out
+        return np.maximum(base + (last_slope + 1.0) * over, 1.0e-6 * s)
 
     return GainFunction(fn, None, probe_max=float(s_grid[-1]),
                         label="envelope(Vdot + mu)")

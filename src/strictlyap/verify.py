@@ -5,7 +5,8 @@ scrambled Halton for coverage plus seeded uniform noise, sent into the domain
 by one map), evaluates a vectorized margin whose nonnegativity expresses the
 inequality, then polishes the worst point with coordinate descent.  A passing
 report means "no violation found on this domain with this budget", never a
-proof; an implication region that kept no sample fails.
+proof; an implication region that kept no sample fails, and so does a
+non-finite sampled margin, without refinement.
 """
 
 from __future__ import annotations
@@ -112,8 +113,6 @@ def vdot(candidate, system, t, x, u):
     dt = np.asarray(candidate.dV_dt(t, x), dtype=float)
     g = np.asarray(candidate.grad_x(t, x), dtype=float)
     fx = np.asarray(system.f(t, x, u), dtype=float)
-    if g.ndim == 1:
-        return float(dt + np.dot(g, fx))
     return dt + np.einsum("ij,ij->i", g, fx)
 
 
@@ -170,6 +169,14 @@ def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
                                 False, tol, notes="no samples in implication region",
                                 margin_fn=margin_fn)
     margins = np.asarray(margin_fn(t, x, u), dtype=float)
+    bad = ~np.isfinite(margins)
+    if bad.any():
+        j = int(np.argmax(bad))
+        worst, point = float(margins[j]), (float(t[j]), x[j], u[j])
+        notes = (f"{int(bad.sum())} non-finite margins; first {worst!r} at "
+                 f"t={point[0]!r}, x={point[1]!r}, u={point[2]!r}")
+        return InequalityReport(name, int(t.size), worst, point, False, tol,
+                                notes=notes, margin_fn=margin_fn)
     j = int(np.argmin(margins))
     worst = float(margins[j])
     point = (float(t[j]), x[j], u[j])

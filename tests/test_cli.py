@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import strictlyap
 from strictlyap import cli
 from strictlyap.config import ConfigError, load_problem, strictify_problem
 
@@ -202,9 +205,14 @@ class TestDeterminism:
 
 
 def test_module_entry_point_runs():
+    # the child imports the package under test, also when only pytest's
+    # `pythonpath` setting put it on the path
+    src = str(Path(strictlyap.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "strictlyap.cli", "pe", "--example", "scalar-linear"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0
     line = [l for l in proc.stdout.splitlines() if l.startswith("epsilon (raw)")][0]
     assert float(line.split(":")[1]) == pytest.approx(1.0, abs=1e-9)
@@ -291,6 +299,17 @@ class TestSampleBudget:
                 "no samples in implication region") in out
         assert "diagnosis" not in out
         assert "PASS" not in out
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(cli, "cmd_pe", broken)
+    assert cli.main(["pe", "--example", "scalar-linear"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: IndexError: index 7 is out of bounds" in err
+    assert "Traceback" in err
 
 
 class TestSeed:

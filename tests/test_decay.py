@@ -6,6 +6,7 @@ import pytest
 from strictlyap import decay
 from strictlyap.config import rate_from_expr
 from strictlyap.decay import DecayRate, PETriple
+from strictlyap.exprparse import EvalDomainError
 
 PI = math.pi
 
@@ -154,9 +155,17 @@ class TestDecayRate:
     def test_natural_extension_when_aperiodic(self):
         assert SIN3(-3 * PI / 2) == pytest.approx((1 + math.exp(3 * PI / 2)), rel=1e-12)
 
-    def test_constant_fallback_on_failure(self):
+    def test_aperiodic_failure_at_negative_t_propagates(self):
+        # an aperiodic rate is evaluated as given: no p(0) fallback
         p = DecayRate(lambda t: math.sqrt(t) if not isinstance(t, np.ndarray) else np.sqrt(t))
-        assert p(-4.0) == 0.0  # falls back to p(0)
+        with pytest.raises(ValueError, match="math domain error"):
+            p(-4.0)
+        assert p(4.0) == 2.0
+        expr = rate_from_expr("sqrt(t)")
+        with pytest.raises(EvalDomainError):
+            expr(-4.0)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(expr(np.array([-4.0]))).all()
 
     def test_with_pe_attaches_triple(self):
         p = SIN2.with_pe(PETriple(PI, PI / 2, 1.0))

@@ -44,6 +44,30 @@ def test_invert_array_matches_scalar():
         assert s == pytest.approx(fc.invert(g, float(y)), abs=1e-8)
 
 
+@pytest.mark.parametrize("text", ["s + s^3", "2*s + s^2", "s"])
+def test_inverse_gain_float_equals_batch_element(text):
+    # one path for every input: a float is a batch of one, bit for bit
+    inv = fc.inverse_gain(fc.gain_from_expr(text))
+    for y in (0.0, 1.0e-3, 0.3, 1.7, 12.5, 900.0):
+        got = inv(y)
+        assert np.shape(got) == ()
+        assert float(got) == inv(np.array([y]))[0]
+        assert float(inv.deriv(y)) == np.broadcast_to(inv.deriv(np.array([y])), (1,))[0]
+
+
+def test_linear_gains_are_shape_agnostic():
+    for g, c in ((fc.identity_gain(), 1.0), (fc.linear_gain(2.5), 2.5)):
+        assert float(g.deriv(3.0)) == c
+        assert np.array_equal(g.deriv(np.array([0.0, 4.0])), [c, c])
+        assert g.deriv(np.zeros((2, 3))).shape == (2, 3)
+
+
+def test_underline_p_gain_float_and_array():
+    pl = underline_p_gain(DecayRate(lambda t: np.sin(t) ** 2, period=math.pi), n_grid=64)
+    assert float(pl(math.pi)) == pl(np.array([math.pi]))[0]
+    assert pl(np.array([[1.0, 2.0]])).shape == (1, 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=4),
        st.floats(min_value=0.0, max_value=0.95))

@@ -11,7 +11,8 @@ from strictlyap.dynsys import ControlSystem, Signal, integrate
 from strictlyap.fixtures import counterexample_elw, rigid_body, scalar_linear
 from strictlyap.funcalc import (GainFunction, KLFunction, gain_from_expr,
                                 identity_gain, scale_gain)
-from strictlyap.strictify import LyapunovCandidate, dis_to_issp_chi
+from strictlyap.strictify import (LyapunovCandidate, ValidationFailedError,
+                                 dis_to_issp_chi)
 from strictlyap.verify import SampleDomain
 
 PI = math.pi
@@ -109,6 +110,35 @@ def test_empty_implication_region_fails():
     assert rep.n_samples == 0
     assert not rep.passed
     assert rep.notes == "no samples in implication region"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_margin_fails_by_name(bad):
+    calls = []
+
+    def margin_fn(t, x, u):
+        calls.append(t.size)
+        m = 1.0 + x[:, 0] ** 2
+        m[[3, 11, 12]] = bad
+        return m
+
+    rep = verify._run_check("nonfinite", margin_fn, SampleDomain(), 2, 1, 50, 0, 1e-9)
+    t, x, u = SampleDomain().sample(50, 2, 1, 0)
+    assert calls == [50]                     # no refinement probes
+    assert not rep.passed and rep.n_samples == 50
+    assert rep.worst_margin == bad or (np.isnan(bad) and np.isnan(rep.worst_margin))
+    assert rep.worst_point[0] == t[3] and np.array_equal(rep.worst_point[1], x[3])
+    assert rep.notes.startswith(f"3 non-finite margins; first {bad!r} at t={float(t[3])!r}, ")
+    msg = str(ValidationFailedError(rep))
+    assert msg == f"check 'nonfinite' failed: {rep.notes}"
+    assert "horizon" not in msg
+
+
+def test_finite_failure_message_keeps_the_margin():
+    rep = verify._run_check("neg", lambda t, x, u: -1.0 - x[:, 0] ** 2, SampleDomain(),
+                            2, 1, 50, 0, 1e-9, refine=False)
+    assert str(ValidationFailedError(rep)).startswith(
+        f"check 'neg' failed: margin {rep.worst_margin!r} at t=")
 
 
 class TestCheckUppd:
