@@ -150,8 +150,6 @@ def signal_from_exprs(texts: Sequence[str], sup_bound: float | None = None) -> S
     fused = exprparse.compile_expr(texts, ("t",))
 
     def fn(t):
-        if np.isscalar(t):
-            return np.array(fused(float(t)))
         t = np.asarray(t, dtype=float)
         return _columns(fused(t), t.shape)
 
@@ -307,6 +305,10 @@ def _build(cp: configparser.ConfigParser) -> Problem:
         sim.t0 = ss.getfloat("t0", fallback=0.0)
         sim.tf = ss.getfloat("tf", fallback=10.0)
         sim.step = ss.getfloat("step", fallback=1.0e-3)
+        if not sim.tf > sim.t0:
+            raise ConfigError(f"[sim] tf must exceed t0, got t0={sim.t0!r}, tf={sim.tf!r}")
+        if not sim.step > 0:
+            raise ConfigError(f"[sim] step must be positive, got {sim.step!r}")
         k = 1
         while f"x0.{k}" in ss:
             raw = _strip(ss[f"x0.{k}"]).replace(",", " ")

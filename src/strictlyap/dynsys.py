@@ -6,11 +6,11 @@ aborts on likely finite escape.  Reproducibility beats adaptivity here, so
 no step-size control is attempted.
 
 One state is stepped at a time: each stage is one call ``f(t, x, u)`` on
-an ``(n,)`` array, and the cost of a run is the per-call overhead of its
-4 field and 3 input calls per step.  Fields built from expressions
-(``config.field_from_exprs``) answer each call with one fused evaluation
-on Python floats.  The runs of ``simulate`` and ``iss-estimate`` are few
-(at most six), too few for stepping them as one batch to pay off.
+an ``(n,)`` array, and a run costs the overhead of 4 such calls per step;
+the exogenous input is read once per run, on all stage times.  Fields built
+from expressions (``config.field_from_exprs``) answer each call with one
+fused evaluation on Python floats.  The runs of ``simulate`` and
+``iss-estimate`` are few (at most six), too few to step as one batch.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .exprparse import EvalDomainError
 
 BLOWUP_GUARD = 1.0e8
 DEFAULT_STEP = 1.0e-3
@@ -53,7 +55,7 @@ class ControlSystem:
 
 @dataclass(frozen=True)
 class Signal:
-    """Input signal u(t) -> R^m, optionally with a declared sup bound."""
+    """Input signal: ``t`` of shape (k,) -> u of shape (k, m); optional sup bound."""
 
     fn: Callable
     m: int
@@ -65,37 +67,31 @@ class Signal:
 
     @staticmethod
     def zero(m: int) -> "Signal":
-        return Signal(lambda t: np.zeros(m) if np.isscalar(t) else np.zeros((np.shape(t)[0], m)),
-                      m, sup_bound=0.0, label="0")
+        return Signal(lambda t: np.zeros((len(t), m)), m, sup_bound=0.0, label="0")
 
     @staticmethod
     def constant(values: Sequence[float]) -> "Signal":
         v = np.asarray(values, dtype=float)
-
-        def fn(t):
-            if np.isscalar(t):
-                return v.copy()
-            return np.broadcast_to(v, (np.shape(t)[0], v.size)).copy()
-
-        return Signal(fn, v.size, sup_bound=float(np.linalg.norm(v)),
+        return Signal(lambda t: np.tile(v, (len(t), 1)), v.size,
+                      sup_bound=float(np.linalg.norm(v)),
                       label=",".join(repr(float(c)) for c in v))
 
     @staticmethod
     def piecewise(segments: Sequence[tuple[float, "Signal"]], m: int) -> "Signal":
-        """Signal switching at breakpoints: list of (t_end, signal); the last
-        segment extends to infinity regardless of its breakpoint."""
+        """Signal switching at breakpoints: list of (t_end, signal); each t takes
+        the first segment with t < t_end, the last one regardless of its end."""
         if not segments:
             raise ValueError("need at least one segment")
-        ends = [float(b) for b, _ in segments]
+        ends = np.array([float(b) for b, _ in segments[:-1]])
         sigs = [s for _, s in segments]
 
         def fn(t):
-            if not np.isscalar(t):
-                return np.stack([fn(float(v)) for v in np.asarray(t).ravel()])
-            for end, sig in zip(ends[:-1], sigs[:-1]):
-                if t < end:
-                    return sig(t)
-            return sigs[-1](t)
+            t = np.asarray(t, dtype=float)
+            seg = np.column_stack([t[:, None] < ends, np.ones(t.shape, bool)]).argmax(axis=1)
+            out = np.empty((t.size, m))
+            for i, sig in enumerate(sigs):
+                out[seg == i] = sig(t[seg == i])
+            return out
 
         bounds = [s.sup_bound for s in sigs]
         sup = None if any(b is None for b in bounds) else max(bounds)
@@ -108,7 +104,7 @@ class Trajectory:
 
     times: np.ndarray          # (k,)
     states: np.ndarray         # (k, n)
-    inputs: np.ndarray         # (k, m)
+    inputs: np.ndarray         # (k, m): the rows the RK4 stages applied
     input_used: Signal
 
     @property
@@ -124,8 +120,10 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
               stop_when: Callable | None = None) -> Trajectory:
     """Fixed-step RK4 from t0 to tf, recording every step.
 
-    ``stop_when(t, x)`` may end the run early (the point that triggered it is
-    still recorded).  Raises BlowUpError when |x| exceeds the guard.
+    ``u`` is called once, on all stage times.  ``stop_when(t, x)`` may end the
+    run early (the point that triggered it is still recorded).  Raises
+    EvalDomainError on a non-finite input and BlowUpError when |x| exceeds
+    the guard.
     """
     if tf <= t0:
         raise ValueError("tf must exceed t0")
@@ -135,33 +133,35 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
     if x.shape != (system.n,):
         raise ValueError(f"x0 must have shape ({system.n},)")
     f = system.f
-    n_steps = int(np.ceil((tf - t0) / step - 1.0e-12))
-    times = [t0]
+    n_steps = max(1, int(np.ceil((tf - t0) / step - 1.0e-12)))
+    nodes = np.append(t0 + np.arange(n_steps) * step, tf)     # t0 + k*step, then tf
+    grid = np.empty(2 * n_steps + 1)                          # t0, t0 + h/2, t1, ..., tf
+    grid[0::2], grid[1::2] = nodes, nodes[:-1] + 0.5 * np.diff(nodes)
+    ts = grid.tolist()
+    with np.errstate(all="ignore"):
+        rows = np.asarray(u(grid), dtype=float).reshape(grid.size, system.m)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise EvalDomainError(f"input is not finite at t={ts[bad[0]]!r}: u = {rows[bad[0]]}")
     states = [x]           # each step binds x to a new array; none is mutated
-    t = t0
     for k in range(n_steps):
-        t_next = tf if k == n_steps - 1 else t0 + (k + 1) * step
+        t, t_mid, t_next = ts[2 * k:2 * k + 3]
         h = t_next - t
-        t_mid = t + 0.5 * h
-        u0 = np.asarray(u(t), dtype=float)
-        um = np.asarray(u(t_mid), dtype=float)
-        u1 = np.asarray(u(t_next), dtype=float)
+        u0, um, u1 = rows[2 * k:2 * k + 3]
         k1 = np.asarray(f(t, x, u0), dtype=float)
         k2 = np.asarray(f(t_mid, x + 0.5 * h * k1, um), dtype=float)
         k3 = np.asarray(f(t_mid, x + 0.5 * h * k2, um), dtype=float)
         k4 = np.asarray(f(t_next, x + h * k3, u1), dtype=float)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t_next
         nrm = math.sqrt(float(x @ x))      # np.linalg.norm's value
         if not nrm <= BLOWUP_GUARD:        # also true for nan
-            raise BlowUpError(t, nrm)
-        times.append(t)
+            raise BlowUpError(t_next, nrm)
         states.append(x)
-        if stop_when is not None and stop_when(t, x):
+        if stop_when is not None and stop_when(t_next, x):
             break
-    times = np.asarray(times)
+    times = nodes[:len(states)]
+    inputs = rows[0::2][:len(states)]
     states = np.asarray(states)
-    inputs = np.asarray(u(times), dtype=float).reshape(len(times), system.m)
     return Trajectory(times, states, inputs, u)
 
 

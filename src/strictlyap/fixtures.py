@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from . import exprparse
 from .config import (Problem, SimRun, SimSpec, candidate_from_exprs,
@@ -239,10 +240,7 @@ def check_reference_admissibility(w1r_text: str, w2r_text: str,
     def sup_cross(H: float) -> float:
         t = np.linspace(0.0, H, 32_001)
         y = _rate_values(f1, t) * _rate_values(f2, t)
-        # cumulative trapezoid of the product
-        inc = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
-        run = np.concatenate([[0.0], np.cumsum(inc)])
-        return float(np.abs(run).max())
+        return float(np.abs(cumulative_trapezoid(y, t, initial=0.0)).max())
 
     s1 = sup_cross(horizon)
     s2 = sup_cross(2.0 * horizon)

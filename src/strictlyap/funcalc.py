@@ -10,6 +10,7 @@ doubling followed by bisection, which only needs monotonicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -87,7 +88,8 @@ def gain_from_expr(text: str, probe_max: float = DEFAULT_PROBE_MAX) -> GainFunct
     """Build a gain from an expression in the variable ``s``.
 
     Uses the symbolic derivative when the expression is smooth, otherwise
-    the finite-difference fallback.
+    the finite-difference fallback.  A constant derivative keeps the shape
+    of its argument.
     """
     e = exprparse.parse(text)
     extra = e.variables() - {"s"}
@@ -96,7 +98,10 @@ def gain_from_expr(text: str, probe_max: float = DEFAULT_PROBE_MAX) -> GainFunct
     fn = exprparse.compile_expr(e, ("s",))
     deriv = None
     if exprparse.is_smooth(e):
-        deriv = exprparse.compile_expr(exprparse.differentiate(e, "s"), ("s",))
+        d = exprparse.differentiate(e, "s")
+        deriv = exprparse.compile_expr(d, ("s",))
+        if not d.variables():
+            deriv = partial(np.full_like, fill_value=float(deriv(0.0)), dtype=float)
     return GainFunction(fn, deriv, probe_max=probe_max, label=text)
 
 
@@ -184,8 +189,10 @@ def invert(g: GainFunction, y: float, tol: float = INVERT_TOL) -> float:
 
 
 def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:
-    """Vectorized bisection; same contract as `invert` per element."""
+    """Vectorized bisection; same contract as `invert` per element, NaN for NaN."""
     y = np.asarray(y, dtype=float)
+    if (y < 0.0).any():
+        raise ValueError("target must be nonnegative")
     out_shape = y.shape
     y = y.ravel()
     lo = np.zeros_like(y)
@@ -209,6 +216,7 @@ def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:
             break
     out = 0.5 * (lo + hi)
     out[y == 0.0] = 0.0
+    out[np.isnan(y)] = np.nan
     return out.reshape(out_shape)
 
 

@@ -143,14 +143,16 @@ class StrictCertificate:
         v = self.candidate.V(t, x)
         return v + self.xi_fn(t) * self.w(v)
 
-    def vdot_sharp(self, t, x, u):
-        """Analytic expansion of d/dt V# along the system."""
-        v = self.candidate.V(t, x)
-        vd = verify.vdot(self.candidate, self.system, t, x, u)
-        p_t = self.rate(t)
+    def _expand(self, t, v, vd):
+        """d/dt V# = (1 + xi w'(V)) vd + (tau p - W) w(V), with vd = d/dt V."""
         W, xi = self._window_xi(t)
         return ((1.0 + xi * self.w.deriv(v)) * vd
-                + (self.pe.tau * p_t - W) * self.w(v))
+                + (self.pe.tau * self.rate(t) - W) * self.w(v))
+
+    def vdot_sharp(self, t, x, u):
+        """Analytic expansion of d/dt V# along the system."""
+        return self._expand(t, self.candidate.V(t, x),
+                            verify.vdot(self.candidate, self.system, t, x, u))
 
     @property
     def passed(self) -> bool:
@@ -169,14 +171,8 @@ class StrictCertificate:
         xi_max = self.pe.tau ** 2 * self.pe.pbar / 2.0
         dxi_max = 2.0 * self.pe.tau * self.pe.pbar
 
-        def V(t, x):
-            return self.v_sharp(t, x)
-
         def dV_dt(t, x):
-            v = cand.V(t, x)
-            W, xi = self._window_xi(t)
-            return ((1.0 + xi * w.deriv(v)) * cand.dV_dt(t, x)
-                    + (self.pe.tau * self.rate(t) - W) * w(v))
+            return self._expand(t, cand.V(t, x), cand.dV_dt(t, x))
 
         def grad_x(t, x):
             coef = np.asarray(1.0 + self.xi_fn(t) * w.deriv(cand.V(t, x)))
@@ -194,7 +190,7 @@ class StrictCertificate:
         if cand.period is not None and self.rate.period is not None:
             ratio = cand.period / self.rate.period
             period = cand.period if abs(ratio - round(ratio)) < 1e-9 else None
-        return LyapunovCandidate(n=cand.n, V=V, dV_dt=dV_dt, grad_x=grad_x,
+        return LyapunovCandidate(n=cand.n, V=self.v_sharp, dV_dt=dV_dt, grad_x=grad_x,
                                  alpha1=cand.alpha1, alpha2=alpha2_sharp,
                                  alpha3=alpha3_sharp, period=period,
                                  label=f"sharp({cand.label})" if cand.label else "sharp")

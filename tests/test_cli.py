@@ -329,6 +329,30 @@ class TestSeed:
         assert cli.main(["strictify", "--config", str(cfg)]) == 2
 
 
+class TestSimSection:
+    @pytest.mark.parametrize("old, new", [("tf = 5.0", "tf = -1.0"), ("tf = 5.0", "tf = 0.0"),
+                                          ("step = 0.001", "step = 0"),
+                                          ("step = 0.001", "step = -0.001")])
+    def test_bad_time_grid_is_config_error(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text(SCALAR_CONFIG.replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError, match="tf must exceed t0|step must be positive"):
+            load_problem(cfg)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, t_bad", [("exp(1000000*t)", "t=0.001:"),
+                                             ("log(1 - t)", "t=1.0:")])
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, text, t_bad):
+        cfg = tmp_path / "input.ini"
+        cfg.write_text(SCALAR_CONFIG.replace('u.1.1 = "0"', f'u.1.1 = "{text}"'),
+                       encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: input is not finite at " + t_bad in err
+        assert "Traceback" not in err
+
+
 def test_simulate_reports_unavailable_vsharp(tmp_path, capsys):
     # chi = s/2 is too tight for dx = -x + u: the issp check fails
     cfg = tmp_path / "tight.ini"

@@ -46,6 +46,10 @@ class TestIntegrate:
         assert tr.times[-1] == pytest.approx(0.0105, abs=0)
         assert len(tr.times) == 3  # 0, 0.01, 0.0105
 
+    def test_span_below_one_step_is_one_step(self):
+        tr = integrate(_decay_system(), [1.0], 0.0, 1e-16, Signal.zero(0), 1e-3)
+        assert tr.times.tolist() == [0.0, 1e-16]
+
     def test_blow_up_detected(self):
         sys = ControlSystem(1, 0, lambda t, x, u: x ** 2, label="escape")
         with pytest.raises(dynsys.BlowUpError) as ei:
@@ -123,13 +127,74 @@ class TestLyapunovAlong:
         assert rel.max() < 1e-4
 
 
+def _counting(sig: Signal):
+    """``sig`` with a record of the time batches it is called on."""
+    calls = []
+
+    def fn(t):
+        calls.append(np.array(t))
+        return sig(t)
+
+    return Signal(fn, sig.m), calls
+
+
+class TestInputGrid:
+    def test_signal_called_once_per_run(self):
+        rb = rigid_body()
+        u, calls = _counting(rb.sim.runs[1].signal)
+        tr = integrate(rb.system, [1.0, -1.0, 2.0], 0.0, 0.0105, u, 1e-3)
+        assert len(calls) == 1
+        grid = calls[0]
+        assert grid.shape == (2 * 11 + 1,)
+        assert np.array_equal(grid[0::2], tr.times)
+        assert grid[-1] == 0.0105 and grid[-2] == 0.01 + 0.5 * (0.0105 - 0.01)
+
+    def test_signal_called_once_with_stop_when(self):
+        u, calls = _counting(Signal.constant([0.5]))
+        sys = ControlSystem(1, 1, lambda t, x, u: -x + u)
+        tr = integrate(sys, [1.0], 0.0, 1.0, u, 1e-2, stop_when=lambda t, x: t >= 0.3)
+        assert len(calls) == 1
+        assert len(tr.times) == 31 and tr.inputs.shape == (31, 1)
+        assert np.array_equal(tr.times, calls[0][0:62:2])
+
+    def test_recorded_inputs_are_the_applied_rows(self):
+        seen = []
+
+        def f(t, x, u):
+            seen.append(u.copy())
+            return -x + u
+
+        tr = integrate(ControlSystem(1, 1, f), [1.0], 0.0, 3.0,
+                       signal_from_exprs(["exp(t)"]), 1e-3)
+        applied = np.array(seen[0::4] + seen[-1:])    # k1 of every step, then k4's end
+        assert np.array_equal(applied, tr.inputs)
+
+
 class TestSignals:
     def test_piecewise(self):
         seg = Signal.piecewise([(1.0, Signal.constant([2.0])),
                                 (np.inf, Signal.constant([5.0]))], 1)
-        assert seg(0.5)[0] == 2.0
-        assert seg(1.5)[0] == 5.0
+        assert seg(np.array([0.5, 1.5])).tolist() == [[2.0], [5.0]]
         assert seg.sup_bound == 5.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("ends", [(1.0, 2.0, 3.0), (2.0, 1.0, 3.0), (0.5, -1.0, 0.25)])
+    def test_piecewise_batch_matches_first_match_rule(self, ends):
+        sigs = [signal_from_exprs([f"{c}*sin(t)", f"{c} + t"]) for c in (1, 2, 3, 4)]
+        segments = list(zip((*ends, 0.0), sigs))
+        seg = Signal.piecewise(segments, 2)
+        ts = np.array([-2.0, -1.0, 0.0, 0.25, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0,
+                       np.inf, -np.inf, np.nan])
+
+        def scalar_rule(t):                 # reference: the rule one point at a time
+            for end, sig in segments[:-1]:
+                if t < end:
+                    return sig(np.array([t]))[0]
+            return sigs[-1](np.array([t]))[0]
+
+        expected = np.array([scalar_rule(t) for t in ts])
+        assert np.array_equal(seg(ts), expected, equal_nan=True)
+        assert seg(np.zeros(0)).shape == (0, 2)
 
     def test_vectorized_constant(self):
         c = Signal.constant([1.0, -2.0])
@@ -230,7 +295,6 @@ class TestBitIdentity:
 
     def test_empty_signal_batches(self):
         sig = signal_from_exprs([])
-        assert sig(0.5).shape == (0,)
         assert sig(np.linspace(0.0, 1.0, 4)).shape == (4, 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -55,6 +55,29 @@ def test_inverse_gain_float_equals_batch_element(text):
         assert float(inv.deriv(y)) == np.broadcast_to(inv.deriv(np.array([y])), (1,))[0]
 
 
+@pytest.mark.parametrize("y", [-1.0, np.array([2.0, -1.0e-12])])
+def test_inverse_gain_rejects_negative_target(y):
+    inv = fc.inverse_gain(fc.gain_from_expr("s + s^3"))
+    with pytest.raises(ValueError, match="target must be nonnegative"):
+        inv(y)
+
+
+def test_inverse_gain_keeps_nan():
+    inv = fc.inverse_gain(fc.gain_from_expr("s + s^3"))
+    assert np.isnan(inv(np.nan))
+    got = inv(np.array([2.0, np.nan, 0.0]))
+    assert np.isnan(got[1]) and got[2] == 0.0
+    assert got[0] == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("text, c", [("s", 1.0), ("2*s", 2.0), ("3*s + 1", 3.0)])
+def test_constant_derivative_keeps_argument_shape(text, c):
+    g = fc.gain_from_expr(text)
+    assert np.array_equal(g.deriv(np.zeros(3)), [c, c, c])
+    assert g.deriv(np.zeros((2, 4))).shape == (2, 4)
+    assert float(g.deriv(0.7)) == c
+
+
 def test_linear_gains_are_shape_agnostic():
     for g, c in ((fc.identity_gain(), 1.0), (fc.linear_gain(2.5), 2.5)):
         assert float(g.deriv(3.0)) == c
