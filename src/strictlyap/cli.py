@@ -25,7 +25,7 @@ import numpy as np
 
 from . import decay as decay_mod
 from . import verify as verify_mod
-from .config import ConfigError, Problem, load_problem, strictify_problem
+from .config import ROUTES, ConfigError, Problem, load_problem, strictify_problem
 from .decay import NotPersistentlyExcitingError, estimate_pe
 from .dynsys import BlowUpError, Signal, integrate, write_trajectory_csv
 from .exprparse import ExpressionError
@@ -151,8 +151,10 @@ def _ensure_pe(problem: Problem) -> None:
 # Subcommands
 
 def cmd_pe(args) -> int:
-    problem = _load(args)
-    out = _outdir(args)
+    return _pe(_load(args), _outdir(args))
+
+
+def _pe(problem: Problem, out: Path | None) -> int:
     est = estimate_pe(problem.rate, problem.tau)
     print(f"decay rate: {problem.rate.label or '(callable)'}")
     print(f"tau: {est.tau:.17g}")
@@ -171,8 +173,11 @@ def cmd_pe(args) -> int:
 
 
 def cmd_strictify(args) -> int:
-    problem = _load(args)
-    out = _outdir(args)
+    return _strictify(_load(args), _outdir(args))[0]
+
+
+def _strictify(problem: Problem, out: Path | None):
+    """Build, print and write the certificate: (exit code, certificate or None)."""
     _ensure_pe(problem)
     try:
         cert = strictify_problem(problem)
@@ -181,10 +186,10 @@ def cmd_strictify(args) -> int:
         print(f"  {exc}")
         if exc.report.n_samples:
             _diagnose_omega(problem)
-        return EXIT_FAIL
+        return EXIT_FAIL, None
     except (SlopeBoundViolatedError, UnboundedSupError) as exc:
         print(f"strictification failed: {exc}")
-        return EXIT_FAIL
+        return EXIT_FAIL, None
 
     for line in cert.report_lines():
         print(line)
@@ -195,7 +200,7 @@ def cmd_strictify(args) -> int:
         print(f"xi closed-form max deviation: {dev:.3e}")
         if dev > 1.0e-6:
             print("xi closed-form validation: FAIL")
-            return EXIT_FAIL
+            return EXIT_FAIL, cert
         print("xi closed-form validation: PASS")
     if out is not None:
         t1 = problem.domain.t_range[1]
@@ -212,7 +217,7 @@ def cmd_strictify(args) -> int:
                    ["name", "n_samples", "worst_margin", "passed"],
                    [(r.name, r.n_samples, float(r.worst_margin), int(r.passed))
                     for r in cert.validation.reports])
-    return EXIT_OK if cert.passed else EXIT_FAIL
+    return (EXIT_OK if cert.passed else EXIT_FAIL), cert
 
 
 def _diagnose_omega(problem: Problem) -> None:
@@ -263,16 +268,15 @@ def _run_named_check(problem: Problem, name: str):
     n, seed = problem.samples, problem.seed
     if name == "uppd":
         return [verify_mod.check_uppd(c, d, n, seed)]
+    if name in ROUTES:
+        _need(problem, *ROUTES[name][1])
     if name == "issp":
-        _need(problem, "mu", "chi")
         return [verify_mod.check_issp_lyap(c, s, problem.rate, problem.mu,
                                            problem.chi, d, n, seed)]
     if name == "disp-state":
-        _need(problem, "mu", "omega")
         return [verify_mod.check_disp_lyap(c, s, problem.rate, problem.mu,
                                            problem.omega, "state", d, n, seed)]
     if name == "disp-value":
-        _need(problem, "mu_tilde", "omega")
         return [verify_mod.check_disp_lyap(c, s, problem.rate, problem.mu_tilde,
                                            problem.omega, "value", d, n, seed)]
     if name == "strict-iss":
@@ -316,10 +320,8 @@ def _iss_estimate_report(problem: Problem):
 
 
 def cmd_simulate(args) -> int:
-    return _simulate_problem(_load(args), _outdir(args))
-
-
-def _simulate_problem(problem: Problem, out) -> int:
+    problem = _load(args)
+    out = _outdir(args)
     cert = None
     try:
         _ensure_pe(problem)
@@ -327,6 +329,11 @@ def _simulate_problem(problem: Problem, out) -> int:
     except (ValidationFailedError, SlopeBoundViolatedError, UnboundedSupError,
             NotPersistentlyExcitingError, ConfigError) as exc:
         print(f"V# unavailable: {exc}")  # simulate still runs; only V is reported
+    return _simulate(problem, out, cert)
+
+
+def _simulate(problem: Problem, out: Path | None, cert) -> int:
+    """Integrate the configured runs; V# is reported when ``cert`` is given."""
     sim = problem.sim
     code = EXIT_OK
     for k, run in enumerate(sim.runs, start=1):
@@ -380,18 +387,14 @@ def cmd_example(args) -> int:
     if args.name == "counterexample-elw":
         return _example_counterexample(problem)
 
-    ns = argparse.Namespace(config=None, example=None, out=out,
-                            seed=args.seed, samples=args.samples)
-    ns.example = args.name
-    code = cmd_pe(ns)
+    code = _pe(problem, out)
     if code != EXIT_OK:
         return code
-    code = cmd_strictify(ns)
+    code, cert = _strictify(problem, out)
     if code != EXIT_OK:
         return code
-    problem2 = _override(get_fixture(args.name), args)
-    problem2.sim.tf = min(problem2.sim.tf, 10.0)
-    return _simulate_problem(problem2, out)
+    problem.sim.tf = min(problem.sim.tf, 10.0)
+    return _simulate(problem, out, cert)
 
 
 def _example_counterexample(problem: Problem) -> int:

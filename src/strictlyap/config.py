@@ -10,19 +10,28 @@ fixtures construct the same bundle programmatically.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import exprparse
+from . import exprparse, strictify
 from .decay import DecayRate, PETriple
 from .dynsys import ControlSystem, Signal
 from .funcalc import GainFunction, gain_from_expr
-from .strictify import LyapunovCandidate
+from .strictify import DEFAULT_FACTOR_DIS, DEFAULT_FACTOR_ISS, LyapunovCandidate
 from .verify import SampleDomain
 
-MODES = ("issp", "disp-state", "disp-value")
+# mode -> (strictify route, its gain fields in call order, default factor).
+# The route is named, not bound, so that wrappers installed on the strictify
+# module at run time are the ones called.
+ROUTES = {
+    "issp": ("strictify_issp", ("chi", "mu"), DEFAULT_FACTOR_ISS),
+    "disp-state": ("strictify_from_state_form", ("mu", "omega"), DEFAULT_FACTOR_ISS),
+    "disp-value": ("strictify_disp", ("mu_tilde", "omega"), DEFAULT_FACTOR_DIS),
+}
+MODES = tuple(ROUTES)
 
 
 class ConfigError(Exception):
@@ -57,14 +66,15 @@ _NO_INPUT = np.zeros(0)
 def _scalar_call(fused, t, x, u=_NO_INPUT) -> np.ndarray:
     """One call of ``fused`` on Python floats, as an array.
 
-    Floats raise on overflow and division by zero where numpy scalars give
-    inf or nan, which the integrator's blow-up guard reports; such a call
-    is repeated on numpy scalars.
+    Floats raise on overflow, division by zero and domain errors where
+    numpy gives inf or nan, which the integrator's blow-up guard reports;
+    such a call is repeated on 0-d arrays, which take the numpy path.
     """
     try:
         return np.array(fused(float(t), *x.tolist(), *u.tolist()))
     except (ArithmeticError, exprparse.EvalDomainError):
-        return np.array(fused(t, *x, *u))
+        with np.errstate(all="ignore"):
+            return np.array(fused(*(np.asarray(v) for v in (t, *x, *u))))
 
 
 def _vector_field(texts: Sequence[str], n: int, m: int = 0) -> Callable:
@@ -207,6 +217,23 @@ def _strip(v: str) -> str:
     return v
 
 
+_POSITIVE = ("positive and finite", lambda v: 0.0 < v < math.inf)
+_NON_NEGATIVE = ("non-negative and finite", lambda v: 0.0 <= v < math.inf)
+_FINITE = ("finite", math.isfinite)
+_FACTOR = ("in (0, 1/4]", lambda v: 0.0 < v <= 0.25)
+
+
+def _number(section, key: str, fallback: float | None = None,
+            rule: tuple = _FINITE) -> float | None:
+    """``section[key]`` as a float held to ``rule``; ``fallback`` if absent."""
+    if key not in section:
+        return fallback
+    value = float(section[key])
+    if not rule[1](value):
+        raise ConfigError(f"[{section.name}] {key} must be {rule[0]}, got {value!r}")
+    return value
+
+
 def load_problem(path) -> Problem:
     """Parse an INI problem description; see the README for the schema."""
     cp = configparser.ConfigParser(inline_comment_prefixes=None, interpolation=None)
@@ -229,14 +256,14 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     mode = _strip(prob.get("mode", "disp-value"))
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    tau = prob.getfloat("tau")
-    if tau is None or tau <= 0:
-        raise ConfigError("tau must be a positive number")
-    period = prob.getfloat("period", fallback=None)
+    tau = _number(prob, "tau", rule=_POSITIVE)
+    if tau is None:
+        raise ConfigError("[problem] tau is required")
+    period = _number(prob, "period", rule=_POSITIVE)
     seed = prob.getint("seed", fallback=0)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    factor = prob.getfloat("factor", fallback=None)
+    factor = _number(prob, "factor", rule=_FACTOR)
     name = _strip(prob.get("name", "problem"))
 
     sys_sec = cp["system"]
@@ -273,7 +300,7 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     dec = cp["decay"]
     p_text = _strip(dec["p"])
     expressions["p"] = p_text
-    p_period = dec.getfloat("period", fallback=None)
+    p_period = _number(dec, "period", rule=_POSITIVE)
     rate = rate_from_expr(p_text, period=p_period)
 
     gains: dict[str, GainFunction | None] = {g: None for g in ("mu", "chi", "mu_tilde", "omega")}
@@ -289,11 +316,14 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     samples = 10_000
     if "domains" in cp:
         ds = cp["domains"]
-        t_min = ds.getfloat("t_min", fallback=0.0)
-        t_max = ds.getfloat("t_max", fallback=max(period or 0.0, tau) + tau)
+        t_min = _number(ds, "t_min", 0.0)
+        t_max = _number(ds, "t_max", max(period or 0.0, tau) + tau)
+        if not t_max > t_min:
+            raise ConfigError(f"[domains] t_max must exceed t_min, "
+                              f"got t_min={t_min!r}, t_max={t_max!r}")
         domain = SampleDomain((t_min, t_max),
-                              ds.getfloat("x_radius", fallback=10.0),
-                              ds.getfloat("u_radius", fallback=5.0))
+                              _number(ds, "x_radius", 10.0, _NON_NEGATIVE),
+                              _number(ds, "u_radius", 5.0, _NON_NEGATIVE))
         samples = ds.getint("samples", fallback=10_000)
         if samples < 1:
             raise ConfigError(f"samples must be at least 1, got {samples}")
@@ -302,19 +332,17 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     m_closed = system.m
     if "sim" in cp:
         ss = cp["sim"]
-        sim.t0 = ss.getfloat("t0", fallback=0.0)
-        sim.tf = ss.getfloat("tf", fallback=10.0)
-        sim.step = ss.getfloat("step", fallback=1.0e-3)
+        sim.t0 = _number(ss, "t0", 0.0)
+        sim.tf = _number(ss, "tf", 10.0)
+        sim.step = _number(ss, "step", 1.0e-3, _POSITIVE)
         if not sim.tf > sim.t0:
             raise ConfigError(f"[sim] tf must exceed t0, got t0={sim.t0!r}, tf={sim.tf!r}")
-        if not sim.step > 0:
-            raise ConfigError(f"[sim] step must be positive, got {sim.step!r}")
         k = 1
         while f"x0.{k}" in ss:
             raw = _strip(ss[f"x0.{k}"]).replace(",", " ")
             x0 = np.array([float(v) for v in raw.split()])
-            if x0.size != n:
-                raise ConfigError(f"x0.{k} must have {n} entries")
+            if x0.size != n or not np.isfinite(x0).all():
+                raise ConfigError(f"[sim] x0.{k} must be {n} finite numbers, got {raw!r}")
             texts = []
             for j in range(m_closed):
                 key = f"u.{k}.{j+1}"
@@ -334,36 +362,21 @@ def _build(cp: configparser.ConfigParser) -> Problem:
 
 def strictify_problem(problem: Problem, n_samples: int | None = None,
                       seed: int | None = None):
-    """Run the route selected by ``problem.mode`` and return the certificate.
+    """Run the route that ``ROUTES`` maps ``problem.mode`` to; return the certificate.
 
     The decay rate must already carry its PE triple (the CLI attaches one
     from estimate_pe when the problem comes from a config file).
     """
-    from . import strictify as st
-
-    n = n_samples if n_samples is not None else problem.samples
-    sd = seed if seed is not None else problem.seed
-    kw = dict(domain=problem.domain, n_samples=n, seed=sd)
-    if problem.mode == "issp":
-        factor = problem.factor if problem.factor is not None else st.DEFAULT_FACTOR_ISS
-        return st.strictify_issp(problem.candidate, problem.system, problem.rate,
-                                 problem.chi, problem.mu, factor, **kw)
-    if problem.mode == "disp-state":
-        factor = problem.factor if problem.factor is not None else st.DEFAULT_FACTOR_ISS
-        return st.strictify_from_state_form(problem.candidate, problem.system,
-                                            problem.rate, problem.mu, problem.omega,
-                                            factor, **kw)
-    factor = problem.factor if problem.factor is not None else st.DEFAULT_FACTOR_DIS
-    return st.strictify_disp(problem.candidate, problem.system, problem.rate,
-                             problem.mu_tilde, problem.omega, factor, **kw)
+    route, gains, default_factor = ROUTES[problem.mode]
+    factor = problem.factor if problem.factor is not None else default_factor
+    return getattr(strictify, route)(
+        problem.candidate, problem.system, problem.rate,
+        *(getattr(problem, g) for g in gains), factor, domain=problem.domain,
+        n_samples=n_samples if n_samples is not None else problem.samples,
+        seed=seed if seed is not None else problem.seed)
 
 
 def _require_gains(mode: str, gains: dict) -> None:
-    needed = {
-        "issp": ("mu", "chi"),
-        "disp-state": ("mu", "omega"),
-        "disp-value": ("mu_tilde", "omega"),
-    }[mode]
-    missing = [g for g in needed if gains.get(g) is None]
+    missing = [g for g in ROUTES[mode][1] if gains.get(g) is None]
     if missing:
         raise ConfigError(f"mode '{mode}' requires gains: {', '.join(missing)}")

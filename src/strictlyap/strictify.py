@@ -8,8 +8,12 @@ xi(t), and the strictified function
     V#(t, x) = V(t, x) + xi(t) * w(V(t, x)),
 
 then validates the guaranteed decay inequality of the resulting certificate
-by sampling.  The time derivative of V# is always assembled from the
-analytic expansion
+by sampling.  The three routes (strictify_issp, strictify_disp and
+strictify_from_state_form) differ only in the premises they check, in how
+they obtain mu_tilde and in the contract margin; each hands these to one
+shared builder, _certify, which constructs w and the certificate and runs
+the contract and coefficient-bounds checks.  The time derivative of V# is
+always assembled from the analytic expansion
 
     d/dt V# = [1 + xi(t) w'(V)] Vdot + [tau p(t) - W(t)] w(V),
 
@@ -20,6 +24,7 @@ of integrator error (W is the sliding-window integral of p).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -290,32 +295,71 @@ def default_domain(candidate: LyapunovCandidate, system: ControlSystem,
     return SampleDomain((0.0, max(period, tau) + tau), 10.0, 5.0)
 
 
-def _bounds_report(cert: StrictCertificate, domain: SampleDomain, n: int,
-                   seed: int, tol: float) -> InequalityReport:
-    """0 <= xi(t) w'(V(t,x)) <= 1/4, i.e. the coefficient stays in [1, 5/4]."""
-
-    def margin_fn(t, x, u):
-        q = cert.xi_fn(t) * cert.w.deriv(cert.candidate.V(t, x))
-        return np.minimum(q, 0.25 - q)
-
-    return verify._run_check("coefficient-bounds", margin_fn, domain,
-                             cert.candidate.n, 0, n, seed + 3, tol)
-
-
-def _finalize(cert: StrictCertificate, premise: InequalityReport,
-              uppd: InequalityReport, contract: InequalityReport,
-              bounds: InequalityReport) -> StrictCertificate:
-    cert.validation.reports = [uppd, premise, bounds, contract]
-    if not cert.passed:
-        raise ValidationFailedError(cert.validation.worst(), cert)
-    return cert
-
-
 def _xi_splines(p: DecayRate, tau: float):
     """The one-period (W, xi) table of a periodic rate; None otherwise."""
     if p.period is None:
         return None
     return decay_mod.window_table(p, tau, 0.0, p.period)
+
+
+def _prepare(candidate: LyapunovCandidate, system: ControlSystem, p: DecayRate,
+             domain: SampleDomain | None) -> tuple[PETriple, SampleDomain]:
+    """The PE triple of ``p`` and the sampling domain, defaulted if None."""
+    if p.pe is None:
+        raise ValueError("decay rate carries no PE triple; run estimate_pe first")
+    if domain is None:
+        domain = default_domain(candidate, system, p, p.pe.tau)
+    return p.pe, domain
+
+
+def _require(report: InequalityReport) -> InequalityReport:
+    """A premise report that passed; a failed one is raised."""
+    if not report.passed:
+        raise ValidationFailedError(report)
+    return report
+
+
+def _iss_margin(cert: StrictCertificate, t, x, u):
+    return -cert.vdot_sharp(t, x, u) - cert.decay(np.linalg.norm(x, axis=1))
+
+
+def _dis_margin(cert: StrictCertificate, t, x, u):
+    return (_iss_margin(cert, t, x, u)
+            + cert.gain_margin * cert.omega(np.linalg.norm(u, axis=1)))
+
+
+def _certify(kind: str, candidate: LyapunovCandidate, system: ControlSystem,
+             p: DecayRate, domain: SampleDomain, premises: list[InequalityReport],
+             mu_tilde: GainFunction, factor: float, margin: Callable,
+             n_samples: int, seed: int, tol: float, mask_fn: Callable | None = None,
+             **extra) -> StrictCertificate:
+    """The construction shared by every route, after its premises passed.
+
+    Builds w = (factor/tau) mu_tilde, the decay gain and the certificate
+    (``extra``: chi, omega, gain_margin, alpha2_tilde), then samples the
+    contract margin(cert, t, x, u) >= 0 on mask_fn (seed + 2) and the
+    coefficient bounds 0 <= xi w'(V) <= 1/4 (seed + 3).
+    """
+    pe = p.pe
+    w = build_w(mu_tilde, pe.tau, pe.pbar, factor)
+    cert = StrictCertificate(
+        kind=kind, candidate=candidate, system=system, rate=p, pe=pe, w=w,
+        mu_tilde=mu_tilde, decay=_decay_gain(pe.epsilon, w, candidate.alpha1),
+        factor=factor, domain=domain, _table=_xi_splines(p, pe.tau), **extra)
+
+    def bounds_fn(t, x, u):
+        q = cert.xi_fn(t) * w.deriv(candidate.V(t, x))
+        return np.minimum(q, 0.25 - q)
+
+    contract = verify._run_check(f"{kind.lower()}-contract", partial(margin, cert),
+                                 domain, candidate.n, system.m, n_samples, seed + 2,
+                                 tol, mask_fn=mask_fn)
+    bounds = verify._run_check("coefficient-bounds", bounds_fn, domain,
+                               candidate.n, 0, n_samples, seed + 3, tol)
+    cert.validation.reports = [*premises, bounds, contract]
+    if not cert.passed:
+        raise ValidationFailedError(cert.validation.worst(), cert)
+    return cert
 
 
 def strictify_issp(candidate: LyapunovCandidate, system: ControlSystem,
@@ -331,42 +375,19 @@ def strictify_issp(candidate: LyapunovCandidate, system: ControlSystem,
 
         |x| >= chi(|u|)  =>  d/dt V# <= -epsilon * w(alpha1(|x|)).
     """
-    if p.pe is None:
-        raise ValueError("decay rate carries no PE triple; run estimate_pe first")
-    pe = p.pe
-    if domain is None:
-        domain = default_domain(candidate, system, p, pe.tau)
-
-    uppd = verify.check_uppd(candidate, domain, n_samples, seed, tol)
-    if not uppd.passed:
-        raise ValidationFailedError(uppd)
-    premise = verify.check_issp_lyap(candidate, system, p, mu, chi, domain,
-                                     n_samples, seed + 1, tol)
-    if not premise.passed:
-        raise ValidationFailedError(premise)
-
+    pe, domain = _prepare(candidate, system, p, domain)
+    uppd = _require(verify.check_uppd(candidate, domain, n_samples, seed, tol))
+    premise = _require(verify.check_issp_lyap(candidate, system, p, mu, chi, domain,
+                                              n_samples, seed + 1, tol))
     a2t = build_alpha2_tilde(candidate.alpha2, mu, pe.tau, pe.pbar)
     mu_tilde = compose(mu, inverse_gain(a2t))
-    w = build_w(mu_tilde, pe.tau, pe.pbar, factor)
-    dec = _decay_gain(pe.epsilon, w, candidate.alpha1)
-
-    cert = StrictCertificate(
-        kind="strict-ISS", candidate=candidate, system=system, rate=p, pe=pe,
-        w=w, mu_tilde=mu_tilde, decay=dec, factor=factor, alpha2_tilde=a2t,
-        chi=chi, domain=domain, _table=_xi_splines(p, pe.tau))
-
-    def margin_fn(t, x, u):
-        r = np.linalg.norm(x, axis=1)
-        return -cert.vdot_sharp(t, x, u) - dec(r)
 
     def mask_fn(t, x, u):
         return np.linalg.norm(x, axis=1) >= chi(np.linalg.norm(u, axis=1))
 
-    contract = verify._run_check("strict-iss-contract", margin_fn, domain,
-                                 candidate.n, system.m, n_samples, seed + 2,
-                                 tol, mask_fn=mask_fn)
-    bounds = _bounds_report(cert, domain, n_samples, seed, tol)
-    return _finalize(cert, premise, uppd, contract, bounds)
+    return _certify("strict-ISS", candidate, system, p, domain, [uppd, premise],
+                    mu_tilde, factor, _iss_margin, n_samples, seed, tol,
+                    mask_fn=mask_fn, alpha2_tilde=a2t, chi=chi)
 
 
 def strictify_disp(candidate: LyapunovCandidate, system: ControlSystem,
@@ -382,36 +403,13 @@ def strictify_disp(candidate: LyapunovCandidate, system: ControlSystem,
 
         d/dt V# <= -epsilon * w(alpha1(|x|)) + (5/4) Omega(|u|).
     """
-    if p.pe is None:
-        raise ValueError("decay rate carries no PE triple; run estimate_pe first")
-    pe = p.pe
-    if domain is None:
-        domain = default_domain(candidate, system, p, pe.tau)
-
-    uppd = verify.check_uppd(candidate, domain, n_samples, seed, tol)
-    if not uppd.passed:
-        raise ValidationFailedError(uppd)
-    premise = verify.check_disp_lyap(candidate, system, p, mu_tilde, omega,
-                                     "value", domain, n_samples, seed + 1, tol)
-    if not premise.passed:
-        raise ValidationFailedError(premise)
-
-    w = build_w(mu_tilde, pe.tau, pe.pbar, factor)
-    dec = _decay_gain(pe.epsilon, w, candidate.alpha1)
-    cert = StrictCertificate(
-        kind="strict-DIS", candidate=candidate, system=system, rate=p, pe=pe,
-        w=w, mu_tilde=mu_tilde, decay=dec, factor=factor, omega=omega,
-        gain_margin=GAIN_MARGIN, domain=domain, _table=_xi_splines(p, pe.tau))
-
-    def margin_fn(t, x, u):
-        r = np.linalg.norm(x, axis=1)
-        uu = np.linalg.norm(u, axis=1)
-        return (-cert.vdot_sharp(t, x, u) - dec(r) + GAIN_MARGIN * omega(uu))
-
-    contract = verify._run_check("strict-dis-contract", margin_fn, domain,
-                                 candidate.n, system.m, n_samples, seed + 2, tol)
-    bounds = _bounds_report(cert, domain, n_samples, seed, tol)
-    return _finalize(cert, premise, uppd, contract, bounds)
+    _, domain = _prepare(candidate, system, p, domain)
+    uppd = _require(verify.check_uppd(candidate, domain, n_samples, seed, tol))
+    premise = _require(verify.check_disp_lyap(candidate, system, p, mu_tilde, omega,
+                                              "value", domain, n_samples, seed + 1, tol))
+    return _certify("strict-DIS", candidate, system, p, domain, [uppd, premise],
+                    mu_tilde, factor, _dis_margin, n_samples, seed, tol,
+                    omega=omega, gain_margin=GAIN_MARGIN)
 
 
 def strictify_from_state_form(candidate: LyapunovCandidate, system: ControlSystem,
@@ -424,25 +422,21 @@ def strictify_from_state_form(candidate: LyapunovCandidate, system: ControlSyste
     """Strict-DIS certificate from the state-form dissipation premise.
 
     Checks Vdot <= -p(t) mu(|x|) + Omega(|u|) first, then rewrites the decay
-    term in value form through alpha2-tilde and delegates to strictify_disp
-    (V <= alpha2_tilde(|x|) makes mu(|x|) >= mu_tilde(V)).
+    term in value form through alpha2-tilde and certifies as strictify_disp
+    does (V <= alpha2_tilde(|x|) makes mu(|x|) >= mu_tilde(V)).
     """
-    if p.pe is None:
-        raise ValueError("decay rate carries no PE triple; run estimate_pe first")
-    pe = p.pe
-    if domain is None:
-        domain = default_domain(candidate, system, p, pe.tau)
-    state_premise = verify.check_disp_lyap(candidate, system, p, mu, omega,
-                                           "state", domain, n_samples, seed + 7, tol)
-    if not state_premise.passed:
-        raise ValidationFailedError(state_premise)
+    pe, domain = _prepare(candidate, system, p, domain)
+    state_premise = _require(verify.check_disp_lyap(
+        candidate, system, p, mu, omega, "state", domain, n_samples, seed + 7, tol))
     a2t = build_alpha2_tilde(candidate.alpha2, mu, pe.tau, pe.pbar)
     mu_tilde = compose(mu, inverse_gain(a2t))
-    cert = strictify_disp(candidate, system, p, mu_tilde, omega, factor,
-                          domain, n_samples, seed, tol)
-    cert.alpha2_tilde = a2t
-    cert.validation.reports.insert(1, state_premise)
-    return cert
+    uppd = _require(verify.check_uppd(candidate, domain, n_samples, seed, tol))
+    premise = _require(verify.check_disp_lyap(candidate, system, p, mu_tilde, omega,
+                                              "value", domain, n_samples, seed + 1, tol))
+    return _certify("strict-DIS", candidate, system, p, domain,
+                    [uppd, state_premise, premise], mu_tilde, factor, _dis_margin,
+                    n_samples, seed, tol, omega=omega, gain_margin=GAIN_MARGIN,
+                    alpha2_tilde=a2t)
 
 
 def _decay_gain(epsilon: float, w: GainFunction, alpha1: GainFunction) -> GainFunction:

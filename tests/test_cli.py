@@ -61,6 +61,11 @@ def scalar_config(tmp_path):
     return path
 
 
+def _edit_case(old, new, match):
+    """SCALAR_CONFIG with ``old`` replaced by ``new``, and the error it raises."""
+    return pytest.param(old, new, match, id=f"{old}-{new}")
+
+
 class TestConfigLoading:
     def test_full_round_trip(self, scalar_config):
         problem = load_problem(scalar_config)
@@ -94,11 +99,57 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_problem(p)
 
-    def test_missing_gain_for_mode(self, tmp_path):
+    @pytest.mark.parametrize("mode, needed", [("issp", ("mu", "chi")),
+                                              ("disp-state", ("mu", "omega")),
+                                              ("disp-value", ("mu_tilde", "omega"))],
+                             ids=["issp", "disp-state", "disp-value"])
+    def test_missing_gain_for_mode(self, tmp_path, mode, needed):
+        gains = {"mu": "0.5*s^2", "chi": "2*s", "mu_tilde": "s", "omega": "0.5*s^2"}
         p = tmp_path / "bad.ini"
-        p.write_text(SCALAR_CONFIG.replace('chi = "2*s"', ""), encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_problem(p)
+        for gain in needed:
+            given = "\n".join(f'{k} = "{v}"' for k, v in gains.items() if k != gain)
+            text = (SCALAR_CONFIG.replace("mode = issp", f"mode = {mode}")
+                    .replace('mu = "0.5*s^2"\nchi = "2*s"', given))
+            assert given in text
+            p.write_text(text, encoding="utf-8")
+            with pytest.raises(ConfigError, match=f"mode '{mode}' requires gains: {gain}$"):
+                load_problem(p)
+
+    @pytest.mark.parametrize("old, new, match", [
+        _edit_case("tau = 1.0", "tau = nan",
+                   r"\[problem\] tau must be positive and finite, got nan"),
+        _edit_case("tau = 1.0", "tau = inf",
+                   r"\[problem\] tau must be positive and finite, got inf"),
+        _edit_case("seed = 5\nperiod = 1.0", "seed = 5\nperiod = 0",
+                   r"\[problem\] period must be positive and finite, got 0.0"),
+        _edit_case("seed = 5\nperiod = 1.0", "seed = 5\nperiod = -2",
+                   r"\[problem\] period must be positive and finite, got -2.0"),
+        _edit_case('p = "1"\nperiod = 1.0', 'p = "1"\nperiod = 0',
+                   r"\[decay\] period must be positive and finite, got 0.0"),
+        _edit_case('p = "1"\nperiod = 1.0', 'p = "1"\nperiod = -1',
+                   r"\[decay\] period must be positive and finite, got -1.0"),
+        _edit_case("seed = 5\n", "seed = 5\nfactor = 0.5\n",
+                   r"\[problem\] factor must be in \(0, 1/4\], got 0.5"),
+        _edit_case("seed = 5\n", "seed = 5\nfactor = nan\n",
+                   r"\[problem\] factor must be in \(0, 1/4\], got nan"),
+        _edit_case("x_radius = 6.0", "x_radius = nan",
+                   r"\[domains\] x_radius must be non-negative and finite, got nan"),
+        _edit_case("u_radius = 2.0", "u_radius = -1",
+                   r"\[domains\] u_radius must be non-negative and finite, got -1.0"),
+        _edit_case("t_max = 2.0", "t_max = nan", r"\[domains\] t_max must be finite, got nan"),
+        _edit_case("t_max = 2.0", "t_max = 2.0\nt_min = 2.0",
+                   r"\[domains\] t_max must exceed t_min, got t_min=2.0, t_max=2.0"),
+        _edit_case("x0.1 = 1.0", "x0.1 = nan",
+                   r"\[sim\] x0.1 must be 1 finite numbers, got 'nan'"),
+    ])
+    def test_out_of_range_number_is_config_error(self, tmp_path, capsys, old, new, match):
+        assert old in SCALAR_CONFIG
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(SCALAR_CONFIG.replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError, match=match):
+            load_problem(cfg)
+        assert cli.main(["strictify", "--config", str(cfg)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -330,16 +381,34 @@ class TestSeed:
 
 
 class TestSimSection:
-    @pytest.mark.parametrize("old, new", [("tf = 5.0", "tf = -1.0"), ("tf = 5.0", "tf = 0.0"),
-                                          ("step = 0.001", "step = 0"),
-                                          ("step = 0.001", "step = -0.001")])
-    def test_bad_time_grid_is_config_error(self, tmp_path, capsys, old, new):
+    @pytest.mark.parametrize("old, new, match", [
+        _edit_case("tf = 5.0", "tf = -1.0", "tf must exceed t0"),
+        _edit_case("tf = 5.0", "tf = 0.0", "tf must exceed t0"),
+        _edit_case("step = 0.001", "step = 0", "step must be positive"),
+        _edit_case("step = 0.001", "step = -0.001", "step must be positive"),
+        _edit_case("tf = 5.0", "tf = inf", r"\[sim\] tf must be finite, got inf"),
+        _edit_case("step = 0.001", "step = inf",
+                   r"\[sim\] step must be positive and finite, got inf"),
+        _edit_case("t0 = 0.0", "t0 = nan", r"\[sim\] t0 must be finite, got nan"),
+    ])
+    def test_bad_time_grid_is_config_error(self, tmp_path, capsys, old, new, match):
         cfg = tmp_path / "grid.ini"
         cfg.write_text(SCALAR_CONFIG.replace(old, new), encoding="utf-8")
-        with pytest.raises(ConfigError, match="tf must exceed t0|step must be positive"):
+        with pytest.raises(ConfigError, match=match):
             load_problem(cfg)
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("field", ["exp(x1) + u1", "log(x1) - 2 + u1"])
+    def test_field_leaving_its_domain_is_a_blow_up(self, tmp_path, capsys, field):
+        # math raises OverflowError / a domain error where numpy gives inf / nan
+        cfg = tmp_path / "escape.ini"
+        cfg.write_text(SCALAR_CONFIG.replace('"-x1 + u1"', f'"{field}"'), encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "run 1: blow-up at t = " in captured.out
+        assert "error" not in captured.err
 
     @pytest.mark.parametrize("text, t_bad", [("exp(1000000*t)", "t=0.001:"),
                                              ("log(1 - t)", "t=1.0:")])
@@ -394,11 +463,19 @@ class TestDiagnostics:
         out = capsys.readouterr().out
         assert "fitted beta" in out and "iss-estimate" in out
 
-    def test_example_rigid_body_end_to_end(self, capsys, tmp_path):
+    def test_example_rigid_body_end_to_end(self, monkeypatch, capsys, tmp_path):
+        built = []
+
+        def spy(problem, *args, **kwargs):
+            built.append(problem.name)
+            return strictify_problem(problem, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "strictify_problem", spy)
         code = cli.main(["example", "rigid-body", "--samples", "20000",
                          "--out", str(tmp_path / "rb")])
         out = capsys.readouterr().out
         assert code == 0
+        assert built == ["rigid-body"]      # pe, strictify and simulate share one
         assert "admissible: tau = 3.14" in out
         assert "validation: PASS" in out
         assert (tmp_path / "rb" / "xi.csv").exists()

@@ -194,6 +194,52 @@ class TestStateFormRoute:
                                          domain=ce.domain, n_samples=4000, seed=5)
 
 
+HALF_SQUARE = gain_from_expr("0.5*s^2")
+
+
+# each route with its two gains, its report names in order and the check
+# whose failure it raises first
+ROUTE_CASES = [
+    pytest.param(st.strictify_issp, (gain_from_expr("2*s"), HALF_SQUARE),
+                 ["uppd", "issp-lyapunov", "coefficient-bounds", "strict-iss-contract"],
+                 "uppd", id="issp"),
+    pytest.param(st.strictify_disp, (identity_gain(), HALF_SQUARE),
+                 ["uppd", "disp-lyapunov[value]", "coefficient-bounds",
+                  "strict-dis-contract"], "uppd", id="disp-value"),
+    pytest.param(st.strictify_from_state_form, (HALF_SQUARE, HALF_SQUARE),
+                 ["uppd", "disp-lyapunov[state]", "disp-lyapunov[value]",
+                  "coefficient-bounds", "strict-dis-contract"],
+                 "disp-lyapunov[state]", id="disp-state"),
+]
+
+
+class TestRoutes:
+    """What each route owns on top of the shared builder."""
+
+    @staticmethod
+    def _run(route, gains, drift="-x1", alpha1="0.5*s^2"):
+        system = field_from_exprs([f"{drift} + 0.5*u1"], 1, 1, period=1.0)
+        candidate = candidate_from_exprs("0.5*x1^2", 1, alpha1, "0.5*s^2", "s",
+                                         period=1.0)
+        rate = rate_from_expr("1", period=1.0, pe=PETriple(1.0, 1.0, 1.0))
+        return route(candidate, system, rate, *gains,
+                     domain=SampleDomain((0.0, 2.0), 6.0, 2.0), n_samples=3000, seed=6)
+
+    @pytest.mark.parametrize("route, gains, names, first", ROUTE_CASES)
+    def test_report_names_in_order(self, route, gains, names, first):
+        cert = self._run(route, gains)
+        assert cert.passed
+        assert [r.name for r in cert.validation.reports] == names
+
+    @pytest.mark.parametrize("route, gains, names, first", ROUTE_CASES)
+    def test_first_failing_premise_is_raised(self, route, gains, names, first):
+        # alpha1 = s^2 exceeds V and the drift is unstable: the envelope and
+        # the dissipation premises all fail, so the order of checks decides
+        with pytest.raises(st.ValidationFailedError) as ei:
+            self._run(route, gains, drift="x1", alpha1="s^2")
+        assert ei.value.report.name == first
+
+
 class TestConstructOmega:
     def test_leaky_envelope_dominates_and_is_modest(self):
         sc = scalar_linear()
