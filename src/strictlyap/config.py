@@ -63,18 +63,19 @@ def _columns(values, shape) -> np.ndarray:
 _NO_INPUT = np.zeros(0)
 
 
-def _scalar_call(fused, t, x, u=_NO_INPUT) -> np.ndarray:
-    """One call of ``fused`` on Python floats, as an array.
+def _scalar_call(point, fused, t, x, u=_NO_INPUT):
+    """One call of ``point``, the plain-float lambda of ``fused``, at a point.
 
     Floats raise on overflow, division by zero and domain errors where
     numpy gives inf or nan, which the integrator's blow-up guard reports;
-    such a call is repeated on 0-d arrays, which take the numpy path.
+    such a call is repeated through ``fused`` on 0-d arrays, which take the
+    numpy path.
     """
     try:
-        return np.array(fused(float(t), *x.tolist(), *u.tolist()))
-    except (ArithmeticError, exprparse.EvalDomainError):
+        return point(float(t), *x.tolist(), *u.tolist())
+    except exprparse.FLOAT_ERRORS:
         with np.errstate(all="ignore"):
-            return np.array(fused(*(np.asarray(v) for v in (t, *x, *u))))
+            return fused(*(np.asarray(v) for v in (t, *x, *u)))
 
 
 def _vector_field(texts: Sequence[str], n: int, m: int = 0) -> Callable:
@@ -82,17 +83,20 @@ def _vector_field(texts: Sequence[str], n: int, m: int = 0) -> Callable:
 
     A point (x of shape (n,)) is one call on Python floats and gives shape
     (len(texts),); a batch (x of shape (k, n), u of shape (k, m)) gives
-    (k, len(texts)).
+    (k, len(texts)).  ``f.point`` is the plain-float kernel
+    (t, x1..xn, u1..um) -> tuple that the integrator calls directly.
     """
     fused = exprparse.compile_expr(texts, _state_args(n, m))
+    point = getattr(fused, "math", fused)   # a wrapped compile may carry none
 
     def f(t, x, u=_NO_INPUT):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         if x.ndim == 1:
-            return _scalar_call(fused, t, x, u)
+            return np.array(_scalar_call(point, fused, t, x, u))
         return _columns(fused(*_split(t, x), *u.T), (len(x),))
 
+    f.point = point
     return f
 
 
@@ -112,11 +116,12 @@ def feedback_from_exprs(texts: Sequence[str], n: int) -> Callable:
 def _scalar_field(text: str, n: int):
     """Scalar field V(t, x): a float at a point, shape (k,) on a batch."""
     fn = exprparse.compile_expr(text, _state_args(n))
+    point = getattr(fn, "math", fn)
 
     def g(t, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return float(_scalar_call(fn, t, x))
+            return float(_scalar_call(point, fn, t, x))
         return np.broadcast_to(np.asarray(fn(*_split(t, x)), dtype=float), (len(x),))
 
     return g

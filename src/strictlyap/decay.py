@@ -16,7 +16,9 @@ scalar minimizer that polishes grid minima and maxima over t.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -150,6 +152,33 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float,
     xi_vals = tau * C[now] - (D[now] - D[back])
     return (CubicHermiteSpline(x[now], W, y[now] - y[back]),
             CubicHermiteSpline(x[now], xi_vals, tau * y[now] - W))
+
+
+class PointSpline:
+    """A cubic Hermite spline that answers a Python float without scipy.
+
+    A float ``s`` is placed by ``bisect_right`` on the knots, clipped to the
+    first and last piece as PPoly extrapolates, and its piece is summed in
+    PPoly's own order, so the value equals ``spline(s)`` bit for bit.  Any
+    other query (arrays, numpy scalars of other types) goes to ``spline``.
+    The knots and coefficients are copied to lists on the first float query
+    only, so a table that is only read on arrays holds no Python copy.
+    """
+
+    def __init__(self, spline: CubicHermiteSpline):
+        self.spline = spline
+
+    @functools.cached_property
+    def _lists(self):
+        return (self.spline.x.tolist(), *self.spline.c.tolist())   # knots, cubic..constant
+
+    def __call__(self, s):
+        if not isinstance(s, float):
+            return self.spline(s)
+        knots, c0, c1, c2, c3 = self._lists
+        i = min(max(bisect_right(knots, s) - 1, 0), len(knots) - 2)
+        d = s - knots[i]
+        return (((0.0 + c3[i]) + c2[i] * d) + c1[i] * (d * d)) + c0[i] * ((d * d) * d)
 
 
 def _tabulate(p: DecayRate, tau: float, t, n: int = SIMPSON_SUBINTERVALS):

@@ -5,12 +5,16 @@ step shortened to land exactly on the requested final time; a norm guard
 aborts on likely finite escape.  Reproducibility beats adaptivity here, so
 no step-size control is attempted.
 
-One state is stepped at a time: each stage is one call ``f(t, x, u)`` on
-an ``(n,)`` array, and a run costs the overhead of 4 such calls per step;
-the exogenous input is read once per run, on all stage times.  Fields built
-from expressions (``config.field_from_exprs``) answer each call with one
-fused evaluation on Python floats.  The runs of ``simulate`` and
-``iss-estimate`` are few (at most six), too few to step as one batch.
+One state is stepped at a time, on Python floats: the state is a list of
+floats and each stage is one call of the field's point kernel
+``f.point(t, x1..xn, u1..um) -> tuple``.  Fields built from expressions
+(``config.field_from_exprs``) carry one, a fused ``math`` lambda, and
+``close_loop`` composes the kernels of a field and its feedback.  Any other
+callable gets one adapter that calls ``f(t, x, u)`` on ``(n,)`` arrays.  The
+exogenous input is read once per run, on all stage times, and its rows are
+converted to floats a chunk of steps at a time; finished states go into one
+preallocated array.  The runs of ``simulate`` and ``iss-estimate`` are few
+(at most six), too few to step as one batch.
 """
 
 from __future__ import annotations
@@ -22,10 +26,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprparse import EvalDomainError
+from .exprparse import FLOAT_ERRORS, EvalDomainError
 
 BLOWUP_GUARD = 1.0e8
+# math.hypot and np.linalg.norm may differ in the last bits: a state within
+# this margin of the guard is measured again by np.linalg.norm's formula
+_GUARD_FAST = BLOWUP_GUARD * (1.0 - 1.0e-9)
 DEFAULT_STEP = 1.0e-3
+_CHUNK = 4096              # RK4 steps whose input rows are converted at a time
 _CSV_CHUNK = 4096          # trajectory rows formatted per write
 
 
@@ -115,54 +123,97 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
+def _stage(f: Callable, n: int) -> Callable:
+    """RK4 stage (t, x, u) -> n floats, with x and u sequences of floats.
+
+    ``f.point`` (t, x1..xn, u1..um) -> tuple is called directly.  A stage it
+    cannot evaluate on floats (one of ``FLOAT_ERRORS``) is repeated through
+    ``f`` on (n,) arrays, where an expression field retries on 0-d arrays
+    under ``np.errstate(all="ignore")``, so an inf or nan reaches the norm
+    guard.  A callable without a kernel is always called on (n,) arrays.
+    """
+
+    def on_arrays(t, x, u):
+        k = np.asarray(f(t, np.array(x), np.array(u)), dtype=float)
+        return (k if k.shape == (n,) else np.broadcast_to(k, (n,))).tolist()
+
+    point = getattr(f, "point", None)
+    if point is None:
+        return on_arrays
+
+    def stage(t, x, u):
+        try:
+            return point(t, *x, *u)
+        except FLOAT_ERRORS:
+            return on_arrays(t, x, u)
+
+    return stage
+
+
 def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
               step: float = DEFAULT_STEP,
               stop_when: Callable | None = None) -> Trajectory:
     """Fixed-step RK4 from t0 to tf, recording every step.
 
-    ``u`` is called once, on all stage times.  ``stop_when(t, x)`` may end the
-    run early (the point that triggered it is still recorded).  Raises
-    EvalDomainError on a non-finite input and BlowUpError when |x| exceeds
-    the guard.
+    ``u`` is called once, on all stage times; its rows are converted to
+    Python floats a chunk of steps at a time, and each chunk's states are
+    written into one preallocated (steps + 1, n) array.  ``stop_when(t, x)``,
+    with x an (n,) array, may end the run early (the point that triggered it
+    is still recorded).  Raises EvalDomainError on a non-finite input and
+    BlowUpError when |x| exceeds the guard.
     """
     if tf <= t0:
         raise ValueError("tf must exceed t0")
     if step <= 0:
         raise ValueError("step must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (system.n,):
-        raise ValueError(f"x0 must have shape ({system.n},)")
-    f = system.f
+    n = system.n
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},)")
     n_steps = max(1, int(np.ceil((tf - t0) / step - 1.0e-12)))
     nodes = np.append(t0 + np.arange(n_steps) * step, tf)     # t0 + k*step, then tf
     grid = np.empty(2 * n_steps + 1)                          # t0, t0 + h/2, t1, ..., tf
     grid[0::2], grid[1::2] = nodes, nodes[:-1] + 0.5 * np.diff(nodes)
-    ts = grid.tolist()
     with np.errstate(all="ignore"):
         rows = np.asarray(u(grid), dtype=float).reshape(grid.size, system.m)
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        raise EvalDomainError(f"input is not finite at t={ts[bad[0]]!r}: u = {rows[bad[0]]}")
-    states = [x]           # each step binds x to a new array; none is mutated
-    for k in range(n_steps):
-        t, t_mid, t_next = ts[2 * k:2 * k + 3]
-        h = t_next - t
-        u0, um, u1 = rows[2 * k:2 * k + 3]
-        k1 = np.asarray(f(t, x, u0), dtype=float)
-        k2 = np.asarray(f(t_mid, x + 0.5 * h * k1, um), dtype=float)
-        k3 = np.asarray(f(t_mid, x + 0.5 * h * k2, um), dtype=float)
-        k4 = np.asarray(f(t_next, x + h * k3, u1), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nrm = math.sqrt(float(x @ x))      # np.linalg.norm's value
-        if not nrm <= BLOWUP_GUARD:        # also true for nan
-            raise BlowUpError(t_next, nrm)
-        states.append(x)
-        if stop_when is not None and stop_when(t_next, x):
-            break
-    times = nodes[:len(states)]
-    inputs = rows[0::2][:len(states)]
-    states = np.asarray(states)
-    return Trajectory(times, states, inputs, u)
+        raise EvalDomainError(f"input is not finite at t={float(grid[bad[0]])!r}: "
+                              f"u = {rows[bad[0]]}")
+    stage = _stage(system.f, n)
+    states = np.empty((n_steps + 1, n))
+    states[0] = x0
+    x = x0.tolist()
+    done, stopped = 0, False
+    while done < n_steps and not stopped:
+        end = min(done + _CHUNK, n_steps)
+        ts = grid[2 * done:2 * end + 1].tolist()
+        us = rows[2 * done:2 * end + 1].tolist()
+        chunk = []
+        for j in range(0, 2 * (end - done), 2):
+            t, t_mid, t_next = ts[j:j + 3]
+            u0, um, u1 = us[j:j + 3]
+            h = t_next - t
+            hh = 0.5 * h
+            k1 = stage(t, x, u0)
+            k2 = stage(t_mid, [a + hh * b for a, b in zip(x, k1)], um)
+            k3 = stage(t_mid, [a + hh * b for a, b in zip(x, k2)], um)
+            k4 = stage(t_next, [a + h * b for a, b in zip(x, k3)], u1)
+            h6 = h / 6.0
+            x = [a + h6 * (((p + 2.0 * q) + 2.0 * r) + s)
+                 for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+            if not math.hypot(*x) <= _GUARD_FAST:     # also true for nan
+                xa = np.array(x)
+                nrm = math.sqrt(float(xa @ xa))       # np.linalg.norm's value
+                if not nrm <= BLOWUP_GUARD:
+                    raise BlowUpError(t_next, nrm)
+            chunk.append(x)
+            if stop_when is not None and stop_when(t_next, np.array(x)):
+                stopped = True
+                break
+        states[done + 1:done + 1 + len(chunk)] = chunk
+        done += len(chunk)
+    return Trajectory(nodes[:done + 1], states[:done + 1], rows[0::2][:done + 1], u)
 
 
 def close_loop(system: ControlSystem, feedback: Callable,
@@ -181,6 +232,16 @@ def close_loop(system: ControlSystem, feedback: Callable,
     def f_closed(t, x, u):
         fb = np.asarray(feedback(t, x), dtype=float)
         return system.f(t, x, np.concatenate([fb, np.asarray(u, dtype=float)], axis=-1))
+
+    f_point, fb_point = getattr(system.f, "point", None), getattr(feedback, "point", None)
+    if f_point is not None and fb_point is not None:
+        n = system.n
+
+        def point(t, *xu):
+            x = xu[:n]
+            return f_point(t, *x, *fb_point(t, *x), *xu[n:])
+
+        f_closed.point = point
 
     label = f"{system.label}+feedback" if system.label else "closed-loop"
     return ControlSystem(system.n, m_rest, f_closed, period=system.period, label=label)

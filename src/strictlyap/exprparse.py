@@ -9,8 +9,10 @@ gains, signals) is declared in this language.
 
 ``Expr.eval`` is the reference scalar evaluator with strict error reporting;
 ``compile_expr`` emits a fast callable with a plain-float path (``math``) and
-an ndarray path (``numpy``), dispatched per call; a sequence of expressions
-(the components of a vector field) compiles to one callable returning a tuple.
+an ndarray path (``numpy``), dispatched per call, and exposes the raw
+plain-float lambda as its ``math`` attribute for callers that only pass
+floats; a sequence of expressions (the components of a vector field)
+compiles to one callable returning a tuple.
 """
 
 from __future__ import annotations
@@ -519,6 +521,10 @@ def _emit(e: Expr) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
+# What a plain-float evaluation raises where numpy gives inf or nan.
+FLOAT_ERRORS = (ArithmeticError, ValueError, EvalDomainError)
+
+
 def compile_expr(e: Expr | str | Sequence[Expr | str],
                  arg_names: tuple[str, ...]) -> Callable:
     """Compile ``e`` to a positional callable over ``arg_names``.
@@ -527,6 +533,10 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     (vectorized path); domain failures on the scalar path raise
     EvalDomainError, while the array path follows numpy nan semantics.
     A sequence of expressions compiles to one callable returning a tuple.
+
+    ``call.math`` is the plain-float lambda without the dispatch: it takes
+    Python floats only and raises one of FLOAT_ERRORS where the dispatching
+    call raises EvalDomainError.
     """
     fused = not isinstance(e, (Expr, str))
     exprs = tuple(parse(x) if isinstance(x, str) else x for x in (e if fused else (e,)))
@@ -553,6 +563,7 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
 
     call.expr = e  # type: ignore[attr-defined]
     call.arg_names = arg_names  # type: ignore[attr-defined]
+    call.math = fn_s  # type: ignore[attr-defined]
     return call
 
 

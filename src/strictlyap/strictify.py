@@ -123,23 +123,30 @@ class StrictCertificate:
 
     # -- time-dependent coefficients ---------------------------------------
 
+    def _fold(self, t):
+        """t folded into the table's period; a float stays a Python float,
+        which the table answers without scipy."""
+        period = self.rate.period
+        return float(t) % period if isinstance(t, float) else np.mod(t, period)
+
     def _window_xi(self, t):
         """(W(t), xi(t)): the cached one-period table, else one tabulation."""
         if self._table is not None:
-            s = np.mod(t, self.rate.period)
+            s = self._fold(t)
             return self._table[0](s), self._table[1](s)
         return decay_mod._tabulate(self.rate, self.pe.tau, t)
 
     def xi_fn(self, t):
-        """xi(t) as an array of the shape of t."""
+        """xi(t): an array of the shape of t, or a float at a float t."""
         if self._table is not None:
-            return self._table[1](np.mod(t, self.rate.period))
+            return self._table[1](self._fold(t))
         return self._window_xi(t)[1]
 
     def window_fn(self, t):
-        """W(t) = int_{t-tau}^t p as an array of the shape of t."""
+        """W(t) = int_{t-tau}^t p: an array of the shape of t, or a float at a
+        float t."""
         if self._table is not None:
-            return self._table[0](np.mod(t, self.rate.period))
+            return self._table[0](self._fold(t))
         return self._window_xi(t)[0]
 
     # -- the strictified function -------------------------------------------
@@ -296,10 +303,14 @@ def default_domain(candidate: LyapunovCandidate, system: ControlSystem,
 
 
 def _xi_splines(p: DecayRate, tau: float):
-    """The one-period (W, xi) table of a periodic rate; None otherwise."""
+    """The one-period (W, xi) table of a periodic rate; None otherwise.
+
+    Each entry answers a float query in Python (``decay.PointSpline``), so
+    V# at a point, as in an RK4 stop test, makes no scipy call.
+    """
     if p.period is None:
         return None
-    return decay_mod.window_table(p, tau, 0.0, p.period)
+    return tuple(map(decay_mod.PointSpline, decay_mod.window_table(p, tau, 0.0, p.period)))
 
 
 def _prepare(candidate: LyapunovCandidate, system: ControlSystem, p: DecayRate,

@@ -104,8 +104,10 @@ class InequalityReport:
 
 
 def _at_point(fn, t, x, u):
-    """A batch function of (t, x, u) evaluated at one point."""
-    return fn(np.asarray([t]), np.asarray(x)[None, :], np.asarray(u)[None, :])[0]
+    """A batch function of (t, x, u) evaluated at one point; a point outside
+    a field's domain gives nan or inf, without a warning."""
+    with np.errstate(all="ignore"):
+        return fn(np.asarray([t]), np.asarray(x)[None, :], np.asarray(u)[None, :])[0]
 
 
 def vdot(candidate, system, t, x, u):
@@ -161,14 +163,16 @@ def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
                n: int, seed: int, tol: float, mask_fn=None,
                refine: bool = True, notes: str = "") -> InequalityReport:
     t, x, u = domain.sample(n, nx, nu, seed)
-    if mask_fn is not None:
-        keep = mask_fn(t, x, u)
-        t, x, u = t[keep], x[keep], u[keep]
-    if t.size == 0:
-        return InequalityReport(name, 0, np.inf, (0.0, np.zeros(nx), np.zeros(nu)),
-                                False, tol, notes="no samples in implication region",
-                                margin_fn=margin_fn)
-    margins = np.asarray(margin_fn(t, x, u), dtype=float)
+    # samples outside a field's domain give nan or inf, which fail by name below
+    with np.errstate(all="ignore"):
+        if mask_fn is not None:
+            keep = mask_fn(t, x, u)
+            t, x, u = t[keep], x[keep], u[keep]
+        if t.size == 0:
+            return InequalityReport(name, 0, np.inf, (0.0, np.zeros(nx), np.zeros(nu)),
+                                    False, tol, notes="no samples in implication region",
+                                    margin_fn=margin_fn)
+        margins = np.asarray(margin_fn(t, x, u), dtype=float)
     bad = ~np.isfinite(margins)
     if bad.any():
         j = int(np.argmax(bad))

@@ -450,6 +450,17 @@ def test_simulate_without_inputs(tmp_path, capsys):
 
 
 class TestDiagnostics:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_margins_fail_without_a_warning(self, tmp_path, capsys):
+        # samples with x1 <= 0 leave the domain of log: nan margins, no warning
+        cfg = tmp_path / "log.ini"
+        cfg.write_text(SCALAR_CONFIG.replace('"-x1 + u1"', '"log(x1) - 2 + u1"')
+                       .replace("samples = 3000", "samples = 500"), encoding="utf-8")
+        assert cli.main(["verify", "issp", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "non-finite margins" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_strictify_counterexample_reports_unbounded_sup(self, capsys):
         code = cli.main(["strictify", "--example", "counterexample-elw",
                          "--samples", "4000"])

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from strictlyap import dynsys, exprparse, verify
-from strictlyap.config import field_from_exprs, signal_from_exprs
+from strictlyap.config import field_from_exprs, load_problem, signal_from_exprs
 from strictlyap.dynsys import (ControlSystem, Signal, Trajectory, close_loop, integrate,
                                lyapunov_along)
 from strictlyap.fixtures import rigid_body
@@ -305,6 +306,158 @@ class TestBitIdentity:
             integrate(field_from_exprs([text], 1, 0), [x0], 0.0, 1.0,
                       Signal.zero(0), 1e-3)
         assert ei.value.time == 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The float RK4 loop against the ndarray loop it replaced
+
+def _ndarray_rk4(system, x0, t0, tf, u, step, stop_when=None):
+    """The RK4 loop on (n,) arrays: every stage is np.asarray(f(t, x, u))."""
+    x = np.asarray(x0, dtype=float).copy()
+    f = system.f
+    n_steps = max(1, int(np.ceil((tf - t0) / step - 1.0e-12)))
+    nodes = np.append(t0 + np.arange(n_steps) * step, tf)
+    grid = np.empty(2 * n_steps + 1)
+    grid[0::2], grid[1::2] = nodes, nodes[:-1] + 0.5 * np.diff(nodes)
+    ts = grid.tolist()
+    rows = np.asarray(u(grid), dtype=float).reshape(grid.size, system.m)
+    states = [x]
+    for k in range(n_steps):
+        t, t_mid, t_next = ts[2 * k:2 * k + 3]
+        h = t_next - t
+        u0, um, u1 = rows[2 * k:2 * k + 3]
+        k1 = np.asarray(f(t, x, u0), dtype=float)
+        k2 = np.asarray(f(t_mid, x + 0.5 * h * k1, um), dtype=float)
+        k3 = np.asarray(f(t_mid, x + 0.5 * h * k2, um), dtype=float)
+        k4 = np.asarray(f(t_next, x + h * k3, u1), dtype=float)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        nrm = math.sqrt(float(x @ x))
+        if not nrm <= dynsys.BLOWUP_GUARD:
+            raise dynsys.BlowUpError(t_next, nrm)
+        states.append(x)
+        if stop_when is not None and stop_when(t_next, x):
+            break
+    k = len(states)
+    return nodes[:k], np.asarray(states), rows[0::2][:k]
+
+
+def _assert_same(traj, ref):
+    times, states, inputs = ref
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.inputs, inputs)
+
+
+STEP = 2.0 ** -10          # tf = k * STEP is exactly k steps
+CHUNK = dynsys._CHUNK
+
+
+def _stop_at(call):
+    """stop_when that fires on its ``call``-th call (never for None)."""
+    calls = []
+
+    def stop_when(t, x):
+        calls.append(t)
+        return len(calls) == call
+
+    return stop_when
+
+
+class TestChunkedLoop:
+    @pytest.mark.parametrize("k", [CHUNK, CHUNK + 1, 3 * CHUNK + 123],
+                             ids=["one-chunk", "chunk-plus-one", "ragged-last-chunk"])
+    def test_matches_ndarray_loop(self, k):
+        rb = rigid_body()
+        run = rb.sim.runs[1]
+        tr = integrate(rb.system, run.x0, 0.0, k * STEP, run.signal, STEP)
+        assert tr.times.size == k + 1
+        _assert_same(tr, _ndarray_rk4(rb.system, run.x0, 0.0, k * STEP, run.signal, STEP))
+
+    @pytest.mark.parametrize("fire", [1, CHUNK, CHUNK + 1, None],
+                             ids=["first-step", "last-of-chunk", "first-of-next", "never"])
+    def test_stop_when_matches_ndarray_loop(self, fire):
+        rb = rigid_body()
+        run = rb.sim.runs[1]
+        k = 2 * CHUNK + 7
+        tr = integrate(rb.system, run.x0, 0.0, k * STEP, run.signal, STEP,
+                       stop_when=_stop_at(fire))
+        assert tr.times.size == (k if fire is None else fire) + 1
+        _assert_same(tr, _ndarray_rk4(rb.system, run.x0, 0.0, k * STEP, run.signal,
+                                      STEP, stop_when=_stop_at(fire)))
+
+    def test_stop_when_gets_an_array(self):
+        rb = rigid_body()
+        seen = []
+
+        def stop_when(t, x):
+            seen.append((type(x), x.shape))
+            return False
+
+        integrate(rb.system, [1.0, -1.0, 2.0], 0.0, 10 * STEP, Signal.zero(2), STEP,
+                  stop_when=stop_when)
+        assert seen == [(np.ndarray, (3,))] * 10
+
+
+RB_OPEN_CONFIG = """\
+[problem]
+name = rigid-body-ini
+n = 3
+m = 4
+mode = disp-value
+tau = 3.141592653589793
+period = 6.283185307179586
+
+[system]
+f1 = "u1 + u3 - cos(t)"
+f2 = "u2 + u4"
+f3 = "(x1 + sin(t))*x2"
+feedback1 = "-x1 - x2*x3 + cos(t)"
+feedback2 = "-(1 + sin(t)*x1 + sin(t)^2)*x2 - (2*sin(t) + cos(t))*x3"
+
+[lyapunov]
+V = "0.5*(x1^2 + (x2 + sin(t)*x3)^2 + x3^2)"
+alpha1 = "((3 - sqrt(5))/4)*s^2"
+alpha2 = "((3 + sqrt(5))/4)*s^2"
+alpha3 = "4*s + 2*s^2"
+
+[decay]
+p = "sin(t)^2"
+period = 3.141592653589793
+
+[gains]
+mu_tilde = "s"
+omega = "0.5*s^2"
+
+[sim]
+x0.1 = 1 1 1
+u.1.1 = "0.1*sin(3*t)"
+u.1.2 = "0.1*cos(5*t)"
+"""
+
+
+class TestKernelPaths:
+    def test_wrapped_field_matches_kernel(self):
+        # the benchmark tracer wraps system.f the same way: no kernel, arrays in
+        rb = rigid_body()
+        f = rb.system.f
+        wrapped = dataclasses.replace(rb.system, f=lambda t, x, u: f(t, x, u))
+        assert hasattr(f, "point") and not hasattr(wrapped.f, "point")
+        run = rb.sim.runs[1]
+        tr = integrate(rb.system, run.x0, 0.0, 2.0, run.signal, 1e-3)
+        ref = integrate(wrapped, run.x0, 0.0, 2.0, run.signal, 1e-3)
+        _assert_same(tr, (ref.times, ref.states, ref.inputs))
+
+    def test_ini_feedback_matches_generic_composition(self, tmp_path):
+        path = tmp_path / "rb.ini"
+        path.write_text(RB_OPEN_CONFIG, encoding="utf-8")
+        problem = load_problem(path)
+        fb = problem.feedback
+        generic = close_loop(problem.open_system, lambda t, x: fb(t, x))
+        assert hasattr(problem.system.f, "point") and not hasattr(generic.f, "point")
+        run = problem.sim.runs[0]
+        tr = integrate(problem.system, run.x0, 0.0, 2.0, run.signal, 1e-3)
+        ref = integrate(generic, run.x0, 0.0, 2.0, run.signal, 1e-3)
+        _assert_same(tr, (ref.times, ref.states, ref.inputs))
 
 
 def _csv_writer_reference(path, traj, extra):

@@ -388,6 +388,30 @@ class TestCertificateInvariants:
         cert.v_sharp(0.5, np.array([1.0]))
         assert calls == ["xi", "W", "xi"]
 
+    def test_point_v_sharp_reads_the_batch_xi(self):
+        # a float time takes the table's Python Hermite path, a batch scipy's
+        # PPoly: both must give the same xi and W, bit for bit.  V itself is
+        # evaluated on floats (math) at a point and on arrays (numpy) in a
+        # batch, which may differ in the last bit, so V# is compared where
+        # the two V values agree and otherwise through the point V.
+        rb = rigid_body()
+        cert = strictify_problem(rb, n_samples=2000)
+        period = cert.rate.period
+        knots = cert._table[1].spline.x
+        fixed = np.concatenate([knots, -knots[1::2], period * np.arange(-20.0, 21.0)])
+        rng = np.random.default_rng(21)
+        times = np.concatenate([fixed, rng.uniform(-50.0, 100.0, 10_000 - fixed.size)])
+        states = rng.normal(size=(times.size, 3)) * 2.0
+        xi, W = cert.xi_fn(times), cert.window_fn(times)
+        V, vs = rb.candidate.V(times, states), cert.v_sharp(times, states)
+        for i, (t, x) in enumerate(zip(times.tolist(), states)):
+            assert cert.xi_fn(t) == xi[i] and cert.window_fn(t) == W[i]
+            v = rb.candidate.V(t, x)
+            point = cert.v_sharp(t, x)
+            assert type(point) is float and point == v + xi[i] * cert.w(v)
+            if v == V[i]:
+                assert point == vs[i]
+
     def test_analytic_vdot_sharp_matches_expansion(self):
         rb = rigid_body()
         rb.samples = 8000
