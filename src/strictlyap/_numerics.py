@@ -1,0 +1,205 @@
+"""Numpy-only versions of the scipy routines the package relies on.
+
+Each one performs the same floating-point operations in the same order as
+its scipy counterpart, so the results are identical bit for bit (the tests
+pin every one against scipy with ``np.array_equal``):
+
+- ``halton(d, n, seed)``: ``scipy.stats.qmc.Halton(d, scramble=True,
+  seed=seed).random(n)``, Owen-scrambled Halton points (Owen 2017,
+  arXiv:1706.02808);
+- ``cumulative_simpson(y, dx)``: ``scipy.integrate.cumulative_simpson(y,
+  dx=dx, initial=0.0)``;
+- ``cumulative_trapezoid(y, x)``: ``scipy.integrate.cumulative_trapezoid(y,
+  x, initial=0.0)``;
+- ``CubicHermite(x, y, dydx)``: ``scipy.interpolate.CubicHermiteSpline``,
+  evaluated as its ``PPoly`` is, extrapolation included.
+
+Importing scipy.stats, scipy.integrate and scipy.interpolate costs about a
+second, several times the run time of most commands; these few lines of
+numpy keep them off the import path.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from bisect import bisect_right
+
+import numpy as np
+
+_CHUNK = 8192       # Hermite queries per pass: 64 KiB per temporary
+
+
+def _primes(d: int) -> list[int]:
+    """The first d primes."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def halton(d: int, n: int, seed: int) -> np.ndarray:
+    """n scrambled Halton points in [0, 1)^d, an array of shape (n, d).
+
+    Per base b (the first d primes), ``ceil(54 / log2 b) - 1`` permutations
+    of ``range(b)`` are shuffled by ``default_rng(seed)``, base after base.
+    Point k sums ``perm[j][digit_j(k)] * b^-(j+1)`` over the rows j in
+    order.  Once every index has run out of digits, a row adds the same
+    ``perm[j][0] * b^-(j+1)`` to every point.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((d, n))
+    for v, base in zip(out, _primes(d)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1,
+                          axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        n_digits, top = 0, max(n - 1, 0)
+        while top:
+            top //= base
+            n_digits += 1
+        k = np.arange(n, dtype=np.int64)
+        digit = np.empty_like(k)
+        b2r = 1.0 / base
+        for j, perm in enumerate(perms):
+            if j < n_digits:
+                np.divmod(k, base, out=(k, digit))
+                v += perm.take(digit) * b2r
+            else:
+                v += perm[0] * b2r
+            b2r /= base
+    return out.T     # scipy's layout: the transpose of one row per base
+
+
+def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running composite-Simpson integral of samples y spaced dx, from 0.
+
+    Each step's piece is the quadratic through its three nearest samples,
+    taken from the left triple (h1) and from the reversed array (h2), which
+    alone covers the last step; needs at least 3 samples.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.size < 3:
+        raise ValueError("cumulative Simpson needs at least 3 samples")
+    d = dx / 3
+    h1 = d * (5 * y[:-2] / 4 + 2 * y[1:-1] - y[2:] / 4)
+    r = y[::-1]
+    h2 = (d * (5 * r[:-2] / 4 + 2 * r[1:-1] - r[2:] / 4))[::-1]
+    pieces = np.empty(y.size - 1)
+    pieces[:-1:2] = h1[::2]
+    pieces[1::2] = h2[::2]
+    pieces[-1] = h2[-1]
+    # scipy adds the initial 0.0 to the running sum, which turns -0.0 into 0.0
+    return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over the increasing times x, from 0."""
+    y = np.asarray(y, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
+class CubicHermite:
+    """The cubic Hermite interpolant through (x, y) with slopes dydx.
+
+    Coefficients are scipy's, and a query is evaluated as ``PPoly`` does:
+    the piece starting at the last knot <= s, clipped to the first and last
+    piece (so both ends extrapolate), summed in the power order
+    ``((c3 + c2 d) + c1 d^2) + c0 d^3`` with d = s - knot.  A Python float
+    is placed by ``bisect_right`` on lists copied on its first use and
+    returns a float; anything else is taken as an array and returns an
+    array of its shape.
+    """
+
+    def __init__(self, x, y, dydx):
+        x, y, dydx = (np.ascontiguousarray(a, dtype=float) for a in (x, y, dydx))
+        if not (np.isfinite(y).all() and np.isfinite(dydx).all()):
+            raise ValueError("Hermite values and slopes must be finite")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.knots = x
+        # cubic .. constant; PPoly starts its sum from 0.0, so a -0.0 constant
+        # enters as 0.0
+        self.coef = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1] + 0.0)
+        # the end of each piece; nan keeps queries past the last knot in the
+        # last piece
+        self._ends = np.append(x[1:-1], np.nan)
+        # knots within a quarter step of an even grid let an array query
+        # guess its piece to within one
+        step = (x[-1] - x[0]) / dx.size
+        even = np.abs(x - (x[0] + step * np.arange(x.size))).max() < 0.25 * step
+        self._per_step = 1.0 / step if even else None
+
+    @functools.cached_property
+    def _lists(self):
+        return (self.knots.tolist(), *(c.tolist() for c in self.coef))
+
+    def locate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Piece index and offset from its knot of each query in the 1-D
+        array s, as ``clip(searchsorted(knots, s, 'right') - 1, 0, len - 2)``.
+
+        On an even grid, ``floor((s - x0) / step - 1/2)`` is that piece or
+        the one before, and one comparison with the piece's end settles it.
+        """
+        x, last = self.knots, self.knots.size - 2
+        if self._per_step is None:
+            i = np.searchsorted(x, s, side="right")
+            i -= 1
+            np.clip(i, 0, last, out=i)
+        else:
+            g = s - x[0]
+            g *= self._per_step
+            g -= 0.5
+            np.fmax(g, 0.0, out=g)       # a nan query lands in piece 0
+            np.fmin(g, last, out=g)
+            i = g.astype(np.intp)
+            i += s >= self._ends.take(i, out=g, mode="clip")
+        return i, s - x.take(i, mode="clip")
+
+    def at(self, i: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
+        """Write into out the values at the pieces i and offsets d that
+        ``locate`` returned."""
+        c0, c1, c2, c3 = self.coef
+        c2.take(i, out=out, mode="clip")
+        out *= d
+        term = c3.take(i, mode="clip")
+        out += term
+        c1.take(i, out=term, mode="clip")
+        d2 = d * d
+        term *= d2
+        out += term
+        c0.take(i, out=term, mode="clip")
+        d2 *= d
+        term *= d2
+        out += term
+
+    def __call__(self, s):
+        if isinstance(s, float):
+            knots, c0, c1, c2, c3 = self._lists
+            i = min(max(bisect_right(knots, s) - 1, 0), len(knots) - 2)
+            d = s - knots[i]
+            return ((c3[i] + c2[i] * d) + c1[i] * (d * d)) + c0[i] * ((d * d) * d)
+        return hermite_values((self,), s)[0]
+
+
+def hermite_values(tables, s) -> tuple:
+    """Each table at s, for tables on the same knots.
+
+    A float s goes to each table's float path.  An array s is placed once for
+    all the tables, _CHUNK queries at a time, so that the dozen passes over
+    each chunk stay in cache.
+    """
+    if isinstance(s, float):
+        return tuple(table(s) for table in tables)
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    outs = [np.empty(flat.size) for _ in tables]
+    for a in range(0, flat.size, _CHUNK):
+        i, d = tables[0].locate(flat[a:a + _CHUNK])
+        for table, out in zip(tables, outs):
+            table.at(i, d, out[a:a + _CHUNK])
+    return tuple(out.reshape(s.shape) for out in outs)

@@ -7,25 +7,24 @@ pl(h) = inf_t int_t^{t+h} p.
 
 W and xi at many times come from one primitive, `window_table`: two
 cumulative Simpson integrals on a single grid, read at their composite-
-Simpson nodes and joined by cubic Hermite pieces with the exact slopes.
+Simpson nodes and joined by cubic Hermite pieces with the exact slopes
+(`_numerics`, numpy versions of scipy's routines, bit for bit).
 Single windows (`simpson`, `window_integral`, `xi`, `xi_nested`) are plain
 composite Simpson; they serve as oracles and as the objective of the bounded
-scalar minimizer that polishes grid minima and maxima over t.
+scalar minimizer that polishes grid minima and maxima over t (scipy's,
+imported on first use).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import minimize_scalar
+
+from ._numerics import CubicHermite, cumulative_simpson, hermite_values
 
 SIMPSON_SUBINTERVALS = 2048
 PE_SAFETY = 0.01  # 1% shrink/inflation between raw and certified values
@@ -132,8 +131,10 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float,
 
     Both are read at the even nodes, where the cumulative integrals are exact
     composite-Simpson sums, and joined by cubic Hermite pieces with the exact
-    slopes W' = p(t) - p(t - tau) and xi' = tau p(t) - W(t).  A non-finite
-    rate value on the grid raises NotPersistentlyExcitingError naming its time.
+    slopes W' = p(t) - p(t - tau) and xi' = tau p(t) - W(t); the two tables
+    share their knots, so `hermite_values` places a batch once for both.  A
+    non-finite rate value on the grid raises NotPersistentlyExcitingError
+    naming its time.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -145,40 +146,14 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float,
     if bad.any():
         raise NotPersistentlyExcitingError(
             f"rate is not finite at t={float(x[np.argmax(bad)])!r}")
-    C = cumulative_simpson(y, dx=h, initial=0.0)
-    D = cumulative_simpson(C, dx=h, initial=0.0)
+    C = cumulative_simpson(y, h)
+    D = cumulative_simpson(C, h)
     now, back = slice(2 * n, None, 2), slice(0, m - 2 * n + 1, 2)
     W = C[now] - C[back]
     xi_vals = tau * C[now] - (D[now] - D[back])
-    return (CubicHermiteSpline(x[now], W, y[now] - y[back]),
-            CubicHermiteSpline(x[now], xi_vals, tau * y[now] - W))
-
-
-class PointSpline:
-    """A cubic Hermite spline that answers a Python float without scipy.
-
-    A float ``s`` is placed by ``bisect_right`` on the knots, clipped to the
-    first and last piece as PPoly extrapolates, and its piece is summed in
-    PPoly's own order, so the value equals ``spline(s)`` bit for bit.  Any
-    other query (arrays, numpy scalars of other types) goes to ``spline``.
-    The knots and coefficients are copied to lists on the first float query
-    only, so a table that is only read on arrays holds no Python copy.
-    """
-
-    def __init__(self, spline: CubicHermiteSpline):
-        self.spline = spline
-
-    @functools.cached_property
-    def _lists(self):
-        return (self.spline.x.tolist(), *self.spline.c.tolist())   # knots, cubic..constant
-
-    def __call__(self, s):
-        if not isinstance(s, float):
-            return self.spline(s)
-        knots, c0, c1, c2, c3 = self._lists
-        i = min(max(bisect_right(knots, s) - 1, 0), len(knots) - 2)
-        d = s - knots[i]
-        return (((0.0 + c3[i]) + c2[i] * d) + c1[i] * (d * d)) + c0[i] * ((d * d) * d)
+    knots = x[now]
+    return (CubicHermite(knots, W, y[now] - y[back]),
+            CubicHermite(knots, xi_vals, tau * y[now] - W))
 
 
 def _tabulate(p: DecayRate, tau: float, t, n: int = SIMPSON_SUBINTERVALS):
@@ -198,8 +173,8 @@ def _tabulate(p: DecayRate, tau: float, t, n: int = SIMPSON_SUBINTERVALS):
     order = np.argsort(s, kind="stable")
     for idx in np.split(order, np.flatnonzero(np.diff(s[order]) > tau) + 1):
         if idx.size:
-            W_fn, X_fn = window_table(p, tau, s[idx[0]], s[idx[-1]], n)
-            W[idx], X[idx] = W_fn(s[idx]), X_fn(s[idx])
+            tables = window_table(p, tau, s[idx[0]], s[idx[-1]], n)
+            W[idx], X[idx] = hermite_values(tables, s[idx])
     return W.reshape(t.shape), X.reshape(t.shape)
 
 
@@ -240,7 +215,13 @@ def xi_nested(p: DecayRate, tau: float, t: float, n: int = 256) -> float:
 
 def _refine_min(fn: Callable[[float], float], grid: np.ndarray,
                 vals: np.ndarray, k: int = 3) -> float:
-    """Polish the k best grid minima with bounded Brent; return the least."""
+    """Polish the k best grid minima with bounded Brent; return the least.
+
+    scipy.optimize is imported here, on first use, so that a run that never
+    estimates PE constants (a fixture carries its own) does not load it.
+    """
+    from scipy.optimize import minimize_scalar
+
     best = float(vals.min())
     order = np.argsort(vals)[:k]
     for j in order:

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import exprparse
+from ._numerics import cumulative_trapezoid
 from .config import (Problem, SimRun, SimSpec, candidate_from_exprs,
                      feedback_from_exprs, field_from_exprs, rate_from_expr,
                      signal_from_exprs)
@@ -240,7 +240,7 @@ def check_reference_admissibility(w1r_text: str, w2r_text: str,
     def sup_cross(H: float) -> float:
         t = np.linspace(0.0, H, 32_001)
         y = _rate_values(f1, t) * _rate_values(f2, t)
-        return float(np.abs(cumulative_trapezoid(y, t, initial=0.0)).max())
+        return float(np.abs(cumulative_trapezoid(y, t)).max())
 
     s1 = sup_cross(horizon)
     s2 = sup_cross(2.0 * horizon)

@@ -9,10 +9,10 @@ xi(t), and the strictified function
 
 then validates the guaranteed decay inequality of the resulting certificate
 by sampling.  The three routes (strictify_issp, strictify_disp and
-strictify_from_state_form) differ only in the premises they check, in how
-they obtain mu_tilde and in the contract margin; each hands these to one
-shared builder, _certify, which constructs w and the certificate and runs
-the contract and coefficient-bounds checks.  The time derivative of V# is
+strictify_from_state_form) differ only in the premises they check and in
+how they obtain mu_tilde; each hands these to one shared builder, _certify,
+which constructs w and the certificate and runs the contract (the margin
+of its kind) and coefficient-bounds checks.  The time derivative of V# is
 always assembled from the analytic expansion
 
     d/dt V# = [1 + xi(t) w'(V)] Vdot + [tau p(t) - W(t)] w(V),
@@ -24,7 +24,6 @@ of integrator error (W is the sliding-window integral of p).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,6 +31,7 @@ import numpy as np
 from . import decay as decay_mod
 from . import verify
 from .decay import DecayRate, PETriple
+from ._numerics import hermite_values
 from .dynsys import ControlSystem
 from .funcalc import GainFunction, compose, inverse_gain, scale_gain
 from .verify import InequalityReport, SampleDomain
@@ -123,31 +123,14 @@ class StrictCertificate:
 
     # -- time-dependent coefficients ---------------------------------------
 
-    def _fold(self, t):
-        """t folded into the table's period; a float stays a Python float,
-        which the table answers without scipy."""
-        period = self.rate.period
-        return float(t) % period if isinstance(t, float) else np.mod(t, period)
-
-    def _window_xi(self, t):
-        """(W(t), xi(t)): the cached one-period table, else one tabulation."""
-        if self._table is not None:
-            s = self._fold(t)
-            return self._table[0](s), self._table[1](s)
-        return decay_mod._tabulate(self.rate, self.pe.tau, t)
-
     def xi_fn(self, t):
         """xi(t): an array of the shape of t, or a float at a float t."""
-        if self._table is not None:
-            return self._table[1](self._fold(t))
-        return self._window_xi(t)[1]
+        return _column(self.rate, self.pe.tau, self._table, 1, t)
 
     def window_fn(self, t):
         """W(t) = int_{t-tau}^t p: an array of the shape of t, or a float at a
         float t."""
-        if self._table is not None:
-            return self._table[0](self._fold(t))
-        return self._window_xi(t)[0]
+        return _column(self.rate, self.pe.tau, self._table, 0, t)
 
     # -- the strictified function -------------------------------------------
 
@@ -155,16 +138,11 @@ class StrictCertificate:
         v = self.candidate.V(t, x)
         return v + self.xi_fn(t) * self.w(v)
 
-    def _expand(self, t, v, vd):
-        """d/dt V# = (1 + xi w'(V)) vd + (tau p - W) w(V), with vd = d/dt V."""
-        W, xi = self._window_xi(t)
-        return ((1.0 + xi * self.w.deriv(v)) * vd
-                + (self.pe.tau * self.rate(t) - W) * self.w(v))
-
     def vdot_sharp(self, t, x, u):
         """Analytic expansion of d/dt V# along the system."""
-        return self._expand(t, self.candidate.V(t, x),
-                            verify.vdot(self.candidate, self.system, t, x, u))
+        return _dvsharp_dt(self.rate, self.pe.tau, self._table, self.w, t,
+                           self.candidate.V(t, x),
+                           verify.vdot(self.candidate, self.system, t, x, u))
 
     @property
     def passed(self) -> bool:
@@ -184,7 +162,8 @@ class StrictCertificate:
         dxi_max = 2.0 * self.pe.tau * self.pe.pbar
 
         def dV_dt(t, x):
-            return self._expand(t, cand.V(t, x), cand.dV_dt(t, x))
+            return _dvsharp_dt(self.rate, self.pe.tau, self._table, w, t,
+                               cand.V(t, x), cand.dV_dt(t, x))
 
         def grad_x(t, x):
             coef = np.asarray(1.0 + self.xi_fn(t) * w.deriv(cand.V(t, x)))
@@ -242,6 +221,34 @@ class StrictCertificate:
                          f"n={r.n_samples} {'PASS' if r.passed else 'FAIL'}")
         lines.append(f"validation: {'PASS' if self.passed else 'FAIL'}")
         return lines
+
+
+# ---------------------------------------------------------------------------
+# The time-dependent coefficients, from the rate, tau and the one-period
+# (W, xi) table of a periodic rate (None otherwise).  Certificate checks call
+# these directly, so a report's margin function holds no reference to its
+# certificate, which would put every certificate in a reference cycle.
+
+def _fold(period: float, t):
+    """t folded into [0, period); a float stays a Python float, which the
+    table answers in Python."""
+    return float(t) % period if isinstance(t, float) else np.mod(t, period)
+
+
+def _column(rate: DecayRate, tau: float, table, j: int, t):
+    """W(t) (j = 0) or xi(t) (j = 1), from that table column alone."""
+    if table is not None:
+        return table[j](_fold(rate.period, t))
+    return decay_mod._tabulate(rate, tau, t)[j]
+
+
+def _dvsharp_dt(rate: DecayRate, tau: float, table, w: GainFunction, t, v, vd):
+    """d/dt V# = (1 + xi w'(V)) vd + (tau p - W) w(V), with vd = d/dt V."""
+    if table is not None:
+        W, xi = hermite_values(table, _fold(rate.period, t))
+    else:
+        W, xi = decay_mod._tabulate(rate, tau, t)
+    return (1.0 + xi * w.deriv(v)) * vd + (tau * rate(t) - W) * w(v)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +312,12 @@ def default_domain(candidate: LyapunovCandidate, system: ControlSystem,
 def _xi_splines(p: DecayRate, tau: float):
     """The one-period (W, xi) table of a periodic rate; None otherwise.
 
-    Each entry answers a float query in Python (``decay.PointSpline``), so
-    V# at a point, as in an RK4 stop test, makes no scipy call.
+    Each entry answers a float query in Python, so V# at a point, as in an
+    RK4 stop test, makes no array call.
     """
     if p.period is None:
         return None
-    return tuple(map(decay_mod.PointSpline, decay_mod.window_table(p, tau, 0.0, p.period)))
+    return decay_mod.window_table(p, tau, 0.0, p.period)
 
 
 def _prepare(candidate: LyapunovCandidate, system: ControlSystem, p: DecayRate,
@@ -330,39 +337,45 @@ def _require(report: InequalityReport) -> InequalityReport:
     return report
 
 
-def _iss_margin(cert: StrictCertificate, t, x, u):
-    return -cert.vdot_sharp(t, x, u) - cert.decay(np.linalg.norm(x, axis=1))
-
-
-def _dis_margin(cert: StrictCertificate, t, x, u):
-    return (_iss_margin(cert, t, x, u)
-            + cert.gain_margin * cert.omega(np.linalg.norm(u, axis=1)))
-
-
 def _certify(kind: str, candidate: LyapunovCandidate, system: ControlSystem,
              p: DecayRate, domain: SampleDomain, premises: list[InequalityReport],
-             mu_tilde: GainFunction, factor: float, margin: Callable,
-             n_samples: int, seed: int, tol: float, mask_fn: Callable | None = None,
+             mu_tilde: GainFunction, factor: float, n_samples: int, seed: int,
+             tol: float, mask_fn: Callable | None = None,
              **extra) -> StrictCertificate:
     """The construction shared by every route, after its premises passed.
 
     Builds w = (factor/tau) mu_tilde, the decay gain and the certificate
     (``extra``: chi, omega, gain_margin, alpha2_tilde), then samples the
-    contract margin(cert, t, x, u) >= 0 on mask_fn (seed + 2) and the
-    coefficient bounds 0 <= xi w'(V) <= 1/4 (seed + 3).
+    contract of its kind >= 0 on mask_fn (seed + 2) and the coefficient
+    bounds 0 <= xi w'(V) <= 1/4 (seed + 3):
+
+        strict-ISS:  -d/dt V# - decay(|x|)
+        strict-DIS:  -d/dt V# - decay(|x|) + gain_margin * omega(|u|)
     """
     pe = p.pe
-    w = build_w(mu_tilde, pe.tau, pe.pbar, factor)
-    cert = StrictCertificate(
-        kind=kind, candidate=candidate, system=system, rate=p, pe=pe, w=w,
-        mu_tilde=mu_tilde, decay=_decay_gain(pe.epsilon, w, candidate.alpha1),
-        factor=factor, domain=domain, _table=_xi_splines(p, pe.tau), **extra)
+    tau = pe.tau
+    w = build_w(mu_tilde, tau, pe.pbar, factor)
+    table = _xi_splines(p, tau)
+    decay = _decay_gain(pe.epsilon, w, candidate.alpha1)
+    omega, gain_margin = extra.get("omega"), extra.get("gain_margin")
+
+    def contract_fn(t, x, u):
+        vdot_sharp = _dvsharp_dt(p, tau, table, w, t, candidate.V(t, x),
+                                 verify.vdot(candidate, system, t, x, u))
+        margin = -vdot_sharp - decay(np.linalg.norm(x, axis=1))
+        if kind == "strict-DIS":
+            margin = margin + gain_margin * omega(np.linalg.norm(u, axis=1))
+        return margin
 
     def bounds_fn(t, x, u):
-        q = cert.xi_fn(t) * w.deriv(candidate.V(t, x))
+        q = _column(p, tau, table, 1, t) * w.deriv(candidate.V(t, x))
         return np.minimum(q, 0.25 - q)
 
-    contract = verify._run_check(f"{kind.lower()}-contract", partial(margin, cert),
+    cert = StrictCertificate(
+        kind=kind, candidate=candidate, system=system, rate=p, pe=pe, w=w,
+        mu_tilde=mu_tilde, decay=decay, factor=factor, domain=domain, _table=table,
+        **extra)
+    contract = verify._run_check(f"{kind.lower()}-contract", contract_fn,
                                  domain, candidate.n, system.m, n_samples, seed + 2,
                                  tol, mask_fn=mask_fn)
     bounds = verify._run_check("coefficient-bounds", bounds_fn, domain,
@@ -397,7 +410,7 @@ def strictify_issp(candidate: LyapunovCandidate, system: ControlSystem,
         return np.linalg.norm(x, axis=1) >= chi(np.linalg.norm(u, axis=1))
 
     return _certify("strict-ISS", candidate, system, p, domain, [uppd, premise],
-                    mu_tilde, factor, _iss_margin, n_samples, seed, tol,
+                    mu_tilde, factor, n_samples, seed, tol,
                     mask_fn=mask_fn, alpha2_tilde=a2t, chi=chi)
 
 
@@ -419,7 +432,7 @@ def strictify_disp(candidate: LyapunovCandidate, system: ControlSystem,
     premise = _require(verify.check_disp_lyap(candidate, system, p, mu_tilde, omega,
                                               "value", domain, n_samples, seed + 1, tol))
     return _certify("strict-DIS", candidate, system, p, domain, [uppd, premise],
-                    mu_tilde, factor, _dis_margin, n_samples, seed, tol,
+                    mu_tilde, factor, n_samples, seed, tol,
                     omega=omega, gain_margin=GAIN_MARGIN)
 
 
@@ -445,7 +458,7 @@ def strictify_from_state_form(candidate: LyapunovCandidate, system: ControlSyste
     premise = _require(verify.check_disp_lyap(candidate, system, p, mu_tilde, omega,
                                               "value", domain, n_samples, seed + 1, tol))
     return _certify("strict-DIS", candidate, system, p, domain,
-                    [uppd, state_premise, premise], mu_tilde, factor, _dis_margin,
+                    [uppd, state_premise, premise], mu_tilde, factor,
                     n_samples, seed, tol, omega=omega, gain_margin=GAIN_MARGIN,
                     alpha2_tilde=a2t)
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import ndtri
-from scipy.stats import qmc
 
+from ._numerics import cumulative_trapezoid, halton
 from .decay import DecayRate, _rate_values
 from .dynsys import Trajectory
 from .funcalc import GainFunction, KLFunction
@@ -54,7 +53,7 @@ class SampleDomain:
         # each block is mapped as soon as it is drawn, which bounds peak memory
         parts = []
         if n_h > 0:
-            h = qmc.Halton(d=sum(widths), scramble=True, seed=seed).random(n_h)
+            h = halton(sum(widths), n_h, seed)
             parts.append(self._map(np.clip(h, 1.0e-12, 1.0 - 1.0e-12), nx))
         if n > n_h:
             rng = np.random.default_rng(seed + 1)
@@ -299,8 +298,7 @@ def check_iss_estimate(trajs: Sequence[Trajectory], p: DecayRate,
     worst_point = (0.0, np.zeros(trajs[0].states.shape[1]), np.zeros(trajs[0].inputs.shape[1]))
     total = 0
     for traj in trajs:
-        r = cumulative_trapezoid(_rate_values(p, traj.times), traj.times,
-                                 initial=0.0)
+        r = cumulative_trapezoid(_rate_values(p, traj.times), traj.times)
         sup_u = _running_input_sup(traj)
         nrm = traj.norms()
         x0 = float(nrm[0])
@@ -335,8 +333,7 @@ def fit_iss_envelope(trajs: Sequence[Trajectory], p: DecayRate,
         x0 = float(tr.norms()[0])
         if x0 <= 0.0:
             continue
-        r = cumulative_trapezoid(_rate_values(p, tr.times), tr.times,
-                                 initial=0.0)
+        r = cumulative_trapezoid(_rate_values(p, tr.times), tr.times)
         nrm = tr.norms()
         keep = nrm > 1.0e-8 * x0
         rs.append(r[keep])
@@ -361,8 +358,7 @@ def fit_iss_envelope(trajs: Sequence[Trajectory], p: DecayRate,
     amps, ubs = [0.0], [0.0]
     for tr in forced_runs:
         amp = float(np.linalg.norm(tr.inputs, axis=1).max())
-        r = cumulative_trapezoid(_rate_values(p, tr.times), tr.times,
-                                 initial=0.0)
+        r = cumulative_trapezoid(_rate_values(p, tr.times), tr.times)
         residual = tr.norms() - C * float(tr.norms()[0]) * np.exp(-lam * r)
         amps.append(amp)
         ubs.append(max(0.0, float(residual.max())) * 1.05)

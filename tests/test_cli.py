@@ -269,6 +269,23 @@ def test_module_entry_point_runs():
     assert float(line.split(":")[1]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_cli_import_loads_no_heavy_scipy():
+    # scipy.stats, interpolate, integrate and optimize take over a second to
+    # import; the package needs numpy and scipy.special only until a PE
+    # estimate imports scipy.optimize
+    src = str(Path(strictlyap.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, strictlyap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'stats'], ['scipy', 'interpolate'], ['scipy', 'integrate'], "
+            "['scipy', 'optimize'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 SIN3_CONFIG = """\
 [problem]
 name = sin3

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -389,15 +391,15 @@ class TestCertificateInvariants:
         assert calls == ["xi", "W", "xi"]
 
     def test_point_v_sharp_reads_the_batch_xi(self):
-        # a float time takes the table's Python Hermite path, a batch scipy's
-        # PPoly: both must give the same xi and W, bit for bit.  V itself is
+        # a float time takes the table's Python Hermite path, a batch its
+        # array path: both must give the same xi and W, bit for bit.  V itself is
         # evaluated on floats (math) at a point and on arrays (numpy) in a
         # batch, which may differ in the last bit, so V# is compared where
         # the two V values agree and otherwise through the point V.
         rb = rigid_body()
         cert = strictify_problem(rb, n_samples=2000)
         period = cert.rate.period
-        knots = cert._table[1].spline.x
+        knots = cert._table[1].knots
         fixed = np.concatenate([knots, -knots[1::2], period * np.arange(-20.0, 21.0)])
         rng = np.random.default_rng(21)
         times = np.concatenate([fixed, rng.uniform(-50.0, 100.0, 10_000 - fixed.size)])
@@ -411,6 +413,25 @@ class TestCertificateInvariants:
             assert type(point) is float and point == v + xi[i] * cert.w(v)
             if v == V[i]:
                 assert point == vs[i]
+
+    @pytest.mark.parametrize("fixture", [scalar_linear, rigid_body],
+                             ids=["strict-ISS", "strict-DIS"])
+    def test_certificate_is_freed_without_the_cycle_collector(self, fixture):
+        # no report's margin function refers back to its certificate, so
+        # reference counting alone frees a certificate
+        gc.collect()
+        gc.disable()
+        try:
+            cert = strictify_problem(fixture(), n_samples=500)
+            reports = cert.validation.reports
+            for report in reports:
+                assert report.reevaluate() == report.worst_margin
+            ref = weakref.ref(cert)
+            del cert
+            assert ref() is None
+            assert [r.reevaluate() for r in reports] == [r.worst_margin for r in reports]
+        finally:
+            gc.enable()
 
     def test_analytic_vdot_sharp_matches_expansion(self):
         rb = rigid_body()
