@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import decay as decay_mod
+from . import exprparse
 from . import verify as verify_mod
 from .config import ROUTES, ConfigError, Problem, load_problem, strictify_problem
 from .decay import NotPersistentlyExcitingError, estimate_pe
@@ -297,19 +298,18 @@ def _iss_estimate_report(problem: Problem):
     sim = problem.sim
     m = problem.system.m
     rng = np.random.default_rng(problem.seed)
+    tf = min(sim.tf, sim.t0 + 20.0)
     fit_batch, hold_batch = [], []
     for k, scale in enumerate((1.0, 0.6, 0.3)):
         x0 = rng.normal(size=problem.system.n)
         x0 *= scale * 0.5 * problem.domain.x_radius / max(np.linalg.norm(x0), 1e-12)
-        tr = integrate(problem.system, x0, sim.t0, sim.t0 + min(20.0, sim.tf),
-                       Signal.zero(m), sim.step)
+        tr = integrate(problem.system, x0, sim.t0, tf, Signal.zero(m), sim.step)
         (fit_batch if k < 2 else hold_batch).append(tr)
     for k, amp in enumerate((0.2, 0.5, 1.0)):
         x0 = rng.normal(size=problem.system.n)
         x0 *= 0.3 * problem.domain.x_radius / max(np.linalg.norm(x0), 1e-12)
         u = Signal.constant([amp] + [0.0] * (m - 1)) if m else Signal.zero(0)
-        tr = integrate(problem.system, x0, sim.t0, sim.t0 + min(20.0, sim.tf),
-                       u, sim.step)
+        tr = integrate(problem.system, x0, sim.t0, tf, u, sim.step)
         (fit_batch if k < 2 else hold_batch).append(tr)
     beta, gamma = verify_mod.fit_iss_envelope(fit_batch, problem.rate,
                                               holdout=hold_batch)
@@ -370,6 +370,8 @@ def cmd_example(args) -> int:
         if len(parts) != 3:
             print("reference must be three ';'-separated expressions", file=sys.stderr)
             return EXIT_CONFIG
+        # w3r enters no admissibility condition, but must be an expression in t
+        exprparse.compile_expr(exprparse.parse(parts[2]), ("t",))
         res = check_reference_admissibility(parts[0], parts[1])
         print(f"reference: ({parts[0]}, {parts[1]}, {parts[2]})")
         if not res.admissible:

@@ -28,6 +28,7 @@ from ._numerics import CubicHermite, cumulative_simpson, hermite_values
 
 SIMPSON_SUBINTERVALS = 2048
 PE_SAFETY = 0.01  # 1% shrink/inflation between raw and certified values
+PASS_TOL = 1.0e-9  # least accepted epsilon; a sampled margin >= -PASS_TOL passes
 
 
 def _rate_values(p, nodes) -> np.ndarray:
@@ -114,18 +115,16 @@ def simpson(fn: Callable, a: float, b: float, n: int = SIMPSON_SUBINTERVALS) -> 
     return float((b - a) / n * np.dot(_simpson_weights(n), y))
 
 
-def window_integral(p: DecayRate, tau: float, t: float,
-                    n: int = SIMPSON_SUBINTERVALS) -> float:
+def window_integral(p: DecayRate, tau: float, t: float) -> float:
     """int_{t-tau}^t p(r) dr."""
-    return simpson(p, t - tau, t, n)
+    return simpson(p, t - tau, t)
 
 
-def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float,
-                 n: int = SIMPSON_SUBINTERVALS):
+def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float):
     """Interpolants (W, xi) of the window integral and of xi on [t_lo, t_hi].
 
     With C = int p and D = int C, cumulative Simpson integrals on one grid of
-    step tau/(2n) over [t_lo - tau, t_hi],
+    step tau/(2n), n = SIMPSON_SUBINTERVALS, over [t_lo - tau, t_hi],
 
         W(t) = C(t) - C(t - tau),   xi(t) = tau C(t) - [D(t) - D(t - tau)].
 
@@ -138,6 +137,7 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float,
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    n = SIMPSON_SUBINTERVALS
     h = tau / (2 * n)
     m = 2 * n + 2 * max(1, math.ceil((t_hi - t_lo) / (2 * h)))
     x = (t_lo - tau) + h * np.arange(m + 1)
@@ -156,7 +156,7 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float,
             CubicHermite(knots, xi_vals, tau * y[now] - W))
 
 
-def _tabulate(p: DecayRate, tau: float, t, n: int = SIMPSON_SUBINTERVALS):
+def _tabulate(p: DecayRate, tau: float, t):
     """W and xi at the times t, one table per run of overlapping windows.
 
     Times are folded into one period for periodic p and sorted; a gap wider
@@ -173,18 +173,17 @@ def _tabulate(p: DecayRate, tau: float, t, n: int = SIMPSON_SUBINTERVALS):
     order = np.argsort(s, kind="stable")
     for idx in np.split(order, np.flatnonzero(np.diff(s[order]) > tau) + 1):
         if idx.size:
-            tables = window_table(p, tau, s[idx[0]], s[idx[-1]], n)
+            tables = window_table(p, tau, s[idx[0]], s[idx[-1]])
             W[idx], X[idx] = hermite_values(tables, s[idx])
     return W.reshape(t.shape), X.reshape(t.shape)
 
 
-def window_integral_vec(p: DecayRate, tau: float, t: np.ndarray,
-                        n: int = SIMPSON_SUBINTERVALS) -> np.ndarray:
+def window_integral_vec(p: DecayRate, tau: float, t: np.ndarray) -> np.ndarray:
     """Window integral for an array of right endpoints."""
-    return _tabulate(p, tau, t, n)[0]
+    return _tabulate(p, tau, t)[0]
 
 
-def xi(p: DecayRate, tau: float, t: float, n: int = SIMPSON_SUBINTERVALS) -> float:
+def xi(p: DecayRate, tau: float, t: float) -> float:
     """Double integral int_{t-tau}^t int_s^t p(r) dr ds.
 
     Computed via the single-integral identity
@@ -192,15 +191,15 @@ def xi(p: DecayRate, tau: float, t: float, n: int = SIMPSON_SUBINTERVALS) -> flo
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    n = SIMPSON_SUBINTERVALS
     x = np.linspace(t - tau, t, n + 1)
     y = (x - t + tau) * _rate_values(p, x)
     return float(tau / n * np.dot(_simpson_weights(n), y))
 
 
-def xi_vec(p: DecayRate, tau: float, t: np.ndarray,
-           n: int = SIMPSON_SUBINTERVALS) -> np.ndarray:
+def xi_vec(p: DecayRate, tau: float, t: np.ndarray) -> np.ndarray:
     """Vectorized xi over an array of times."""
-    return _tabulate(p, tau, t, n)[1]
+    return _tabulate(p, tau, t)[1]
 
 
 def xi_nested(p: DecayRate, tau: float, t: float, n: int = 256) -> float:
@@ -214,8 +213,8 @@ def xi_nested(p: DecayRate, tau: float, t: float, n: int = 256) -> float:
 # PE constants
 
 def _refine_min(fn: Callable[[float], float], grid: np.ndarray,
-                vals: np.ndarray, k: int = 3) -> float:
-    """Polish the k best grid minima with bounded Brent; return the least.
+                vals: np.ndarray) -> float:
+    """Polish the 3 best grid minima with bounded Brent; return the least.
 
     scipy.optimize is imported here, on first use, so that a run that never
     estimates PE constants (a fixture carries its own) does not load it.
@@ -223,7 +222,7 @@ def _refine_min(fn: Callable[[float], float], grid: np.ndarray,
     from scipy.optimize import minimize_scalar
 
     best = float(vals.min())
-    order = np.argsort(vals)[:k]
+    order = np.argsort(vals)[:3]
     for j in order:
         lo = grid[max(0, j - 1)]
         hi = grid[min(len(grid) - 1, j + 1)]
@@ -236,14 +235,14 @@ def _refine_min(fn: Callable[[float], float], grid: np.ndarray,
 
 
 def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
-                n_grid: int = 512, n_quad: int = SIMPSON_SUBINTERVALS,
-                tol: float = 1.0e-9) -> PEEstimate:
+                n_grid: int = 512) -> PEEstimate:
     """Estimate (epsilon, pbar) for the window length tau.
 
     epsilon is the sampled minimum over t in [0, horizon] of the window
     integral, pbar the sampled maximum of p over [-tau, horizon]; both are
     polished locally, and certified values carry a 1% safety margin
-    (epsilon shrunk, pbar inflated).
+    (epsilon shrunk, pbar inflated).  An epsilon not above PASS_TOL raises
+    NotPersistentlyExcitingError.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -253,9 +252,9 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
         raise ValueError("horizon must be at least tau")
 
     ts = np.linspace(0.0, horizon, n_grid)
-    Ws = window_integral_vec(p, tau, ts, n_quad)
-    eps = _refine_min(lambda t: window_integral(p, tau, float(t), n_quad), ts, Ws)
-    if not eps > tol:  # also catches NaN
+    Ws = window_integral_vec(p, tau, ts)
+    eps = _refine_min(lambda t: window_integral(p, tau, float(t)), ts, Ws)
+    if not eps > PASS_TOL:  # also catches NaN
         raise NotPersistentlyExcitingError(
             f"window integral reaches {eps!r} on [0, {horizon!r}] for tau={tau!r}")
 
@@ -278,37 +277,37 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
     )
 
 
-def pe_scan(p: DecayRate, taus, horizon: float | None = None,
-            n_grid: int = 256) -> list[tuple[float, float]]:
-    """epsilon(tau) over a ladder of window lengths; 0 marks failures."""
+def pe_scan(p: DecayRate, taus,
+            horizon: float | None = None) -> list[tuple[float, float]]:
+    """epsilon(tau) over a ladder of window lengths (256-point grids); 0
+    marks failures."""
     out = []
     for tau in taus:
         try:
-            est = estimate_pe(p, float(tau), horizon, n_grid)
+            est = estimate_pe(p, float(tau), horizon, n_grid=256)
             out.append((float(tau), est.epsilon))
         except NotPersistentlyExcitingError:
             out.append((float(tau), 0.0))
     return out
 
 
-def check_pe(p: DecayRate, n_samples: int = 400, horizon: float | None = None,
-             tol: float = 1.0e-9) -> tuple[bool, float]:
-    """Verify the attached triple by sampling; returns (ok, worst margin)."""
+def check_pe(p: DecayRate) -> tuple[bool, float]:
+    """Verify the attached triple on 400 window ends over estimate_pe's
+    default horizon and 1600 rate samples; returns (ok, worst margin)."""
     if p.pe is None:
         raise ValueError("decay rate has no attached PE triple")
     tau, eps, pbar = p.pe.tau, p.pe.epsilon, p.pe.pbar
-    if horizon is None:
-        horizon = p.period + tau if p.period is not None else 20.0 * tau
-    ts = np.linspace(0.0, horizon, n_samples)
+    horizon = p.period + tau if p.period is not None else 20.0 * tau
+    ts = np.linspace(0.0, horizon, 400)
     margins = window_integral_vec(p, tau, ts) - eps
-    pg = np.linspace(-tau, horizon, 4 * n_samples)
+    pg = np.linspace(-tau, horizon, 1600)
     margins_p = pbar - _rate_values(p, pg)
     worst = float(min(margins.min(), margins_p.min()))
-    return worst >= -tol, worst
+    return worst >= -PASS_TOL, worst
 
 
 def underline_p(p: DecayRate, h: float, horizon: float | None = None,
-                n_grid: int = 512, n_quad: int = SIMPSON_SUBINTERVALS) -> float:
+                n_grid: int = 512) -> float:
     """inf over t in [0, horizon] of int_t^{t+h} p(r) dr.
 
     Exact for periodic p as soon as the horizon covers a full period.
@@ -320,20 +319,20 @@ def underline_p(p: DecayRate, h: float, horizon: float | None = None,
     if horizon is None:
         horizon = p.period if p.period is not None else 20.0 * max(h, 1.0)
     ts = np.linspace(0.0, horizon, n_grid)
-    vals = window_integral_vec(p, h, ts + h, n_quad)
+    vals = window_integral_vec(p, h, ts + h)
     return max(0.0, _refine_min(
-        lambda t: window_integral(p, h, float(t) + h, n_quad), ts, vals))
+        lambda t: window_integral(p, h, float(t) + h), ts, vals))
 
 
-def underline_p_gain(p: DecayRate, horizon: float | None = None,
-                     n_grid: int = 128, probe_max: float = 50.0):
-    """pl as a gain-like callable of h (used to rescale KL estimates)."""
+def underline_p_gain(p: DecayRate, n_grid: int = 128):
+    """pl as a gain-like callable of h on [0, 50] (used to rescale KL
+    estimates), each value over underline_p's default horizon."""
     from .funcalc import GainFunction
 
     def fn(h):
         h = np.asarray(h, dtype=float)
-        return np.array([underline_p(p, float(v), horizon, n_grid)
+        return np.array([underline_p(p, float(v), n_grid=n_grid)
                          for v in h.ravel()]).reshape(h.shape)
 
-    return GainFunction(fn, None, probe_max=probe_max,
+    return GainFunction(fn, None, probe_max=50.0,
                         label=f"pl[{p.label}]" if p.label else "pl")

@@ -113,7 +113,6 @@ class Trajectory:
     times: np.ndarray          # (k,)
     states: np.ndarray         # (k, n)
     inputs: np.ndarray         # (k, m): the rows the RK4 stages applied
-    input_used: Signal
 
     @property
     def x0(self) -> np.ndarray:
@@ -213,18 +212,17 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
                 break
         states[done + 1:done + 1 + len(chunk)] = chunk
         done += len(chunk)
-    return Trajectory(nodes[:done + 1], states[:done + 1], rows[0::2][:done + 1], u)
+    return Trajectory(nodes[:done + 1], states[:done + 1], rows[0::2][:done + 1])
 
 
-def close_loop(system: ControlSystem, feedback: Callable,
-               k_feedback: int | None = None) -> ControlSystem:
+def close_loop(system: ControlSystem, feedback: Callable) -> ControlSystem:
     """Substitute the first input channels by a state feedback.
 
-    ``feedback(t, x)`` fills the leading coordinates of the input vector; the
-    returned system's input is the remaining disturbance channel.
+    ``feedback(t, x)`` fills the leading coordinates of the input vector, as
+    many as it returns at (0, 0); the returned system's input is the
+    remaining disturbance channel.
     """
-    probe = np.asarray(feedback(0.0, np.zeros(system.n)), dtype=float)
-    k = probe.size if k_feedback is None else k_feedback
+    k = np.asarray(feedback(0.0, np.zeros(system.n)), dtype=float).size
     if not 0 < k <= system.m:
         raise ValueError(f"feedback supplies {k} channels, system has m={system.m}")
     m_rest = system.m - k

@@ -30,6 +30,7 @@ from .config import (Problem, SimRun, SimSpec, candidate_from_exprs,
 from .decay import (DecayRate, NotPersistentlyExcitingError, PETriple, _rate_values,
                     estimate_pe)
 from .dynsys import Signal
+from .strictify import _horizon_growth
 from .verify import SampleDomain
 
 PI = math.pi
@@ -228,9 +229,9 @@ def check_reference_admissibility(w1r_text: str, w2r_text: str,
     int_0^t w1r w2r must stay bounded and w1r^2 + w2r^2 must be persistently
     exciting for some window length on the ladder.
 
-    Boundedness is judged by horizon doubling: persistent growth of the
-    running sup across [0,H] -> [0,2H] -> [0,4H] marks the reference
-    inadmissible.
+    Boundedness is judged by horizon doubling: growth of the running sup
+    across [0,H] -> [0,2H] -> [0,4H], by the rule of
+    `strictify._horizon_growth`, marks the reference inadmissible.
     """
     e1 = exprparse.parse(w1r_text)
     e2 = exprparse.parse(w2r_text)
@@ -245,8 +246,7 @@ def check_reference_admissibility(w1r_text: str, w2r_text: str,
     s1 = sup_cross(horizon)
     s2 = sup_cross(2.0 * horizon)
     s4 = sup_cross(4.0 * horizon)
-    g1, g2 = s2 - s1, s4 - s2
-    if g1 > 1.0e-6 * max(1.0, s1) and g2 >= 0.4 * g1:
+    if _horizon_growth(s1, s2, s4):
         return AdmissibilityResult(False,
                                    f"cross integral grows without bound "
                                    f"(sup {s1:.6g} -> {s2:.6g} -> {s4:.6g})",

@@ -19,7 +19,6 @@ from . import exprparse
 
 DEFAULT_PROBE_MAX = 1.0e3
 DEFAULT_GRID = 10_000
-INVERT_TOL = 1.0e-10
 _BRACKET_DOUBLINGS = 60
 
 
@@ -161,35 +160,15 @@ def check_kl(beta: KLFunction, s_max: float = 10.0, t_max: float = 10.0,
     return SpotCheckReport("kl", True, 0.0, 0.0)
 
 
-def invert(g: GainFunction, y: float, tol: float = INVERT_TOL) -> float:
-    """Solve g(s) = y for s >= 0 by bracket doubling then bisection."""
-    if y < 0:
-        raise ValueError("target must be nonnegative")
-    if y == 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    cap = g.probe_max * 2.0 ** _BRACKET_DOUBLINGS
-    while float(g(hi)) < y:
-        hi *= 2.0
-        if hi > cap:
-            raise BracketNotFoundError(
-                f"g({hi!r}) still below {y!r}; gain looks bounded on probed range")
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        r = float(g(mid)) - y
-        if abs(r) <= tol:
-            return mid
-        if r < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1.0e-16 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+def invert(g: GainFunction, y: float) -> float:
+    """Solve g(s) = y for s >= 0: `_invert_array` on one target."""
+    return float(_invert_array(g, y))
 
 
 def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:
-    """Vectorized bisection; same contract as `invert` per element, NaN for NaN."""
+    """Solve g(s) = y for s >= 0 elementwise: bracket doubling from [0, 1],
+    then bisection to a bracket of 1e-15 relative.  A negative target raises
+    ValueError, a zero one gives 0 and a NaN one NaN."""
     y = np.asarray(y, dtype=float)
     if (y < 0.0).any():
         raise ValueError("target must be nonnegative")

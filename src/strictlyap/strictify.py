@@ -30,7 +30,7 @@ import numpy as np
 
 from . import decay as decay_mod
 from . import verify
-from .decay import DecayRate, PETriple
+from .decay import PASS_TOL, DecayRate, PETriple
 from ._numerics import hermite_values
 from .dynsys import ControlSystem
 from .funcalc import GainFunction, compose, inverse_gain, scale_gain
@@ -39,6 +39,12 @@ from .verify import InequalityReport, SampleDomain
 GAIN_MARGIN = 1.25          # the 5/4 factor multiplying the disturbance gain
 DEFAULT_FACTOR_ISS = 0.25   # w = (factor/tau) * mu_tilde
 DEFAULT_FACTOR_DIS = 0.125
+SLOPE_GRID = 1024           # points on [0, probe_max] where build_w gates w'
+# the Omega envelope: s-values, draws per s-value, and the doubling
+# t-horizons an aperiodic system is scanned over
+OMEGA_S_GRID = np.concatenate([[0.0], np.geomspace(1.0e-3, 10.0, 63)])
+OMEGA_DRAWS = 4000
+OMEGA_HORIZONS = (10.0, 20.0, 40.0)
 
 
 class SlopeBoundViolatedError(RuntimeError):
@@ -273,26 +279,26 @@ def build_alpha2_tilde(alpha2: GainFunction, mu: GainFunction, tau: float,
 
 
 def build_w(mu_tilde: GainFunction, tau: float, pbar: float,
-            factor: float = DEFAULT_FACTOR_ISS, n_grid: int = 1024,
-            tol: float = 1.0e-9) -> GainFunction:
+            factor: float = DEFAULT_FACTOR_ISS) -> GainFunction:
     """w(s) = (factor/tau) * mu_tilde(s), gated by the slope bound.
 
-    Sampled w'(s) must stay within [0, 1/(2 tau^2 pbar)]; otherwise the
-    certificate would lose the coefficient bound 1 + xi w' <= 5/4 and the
-    construction is refused.
+    w'(s), sampled at SLOPE_GRID points of [0, probe_max], must stay within
+    [0, 1/(2 tau^2 pbar)] up to PASS_TOL; otherwise the certificate would
+    lose the coefficient bound 1 + xi w' <= 5/4 and the construction is
+    refused.
     """
     if not 0.0 < factor <= 0.25 + 1.0e-12:
         raise ValueError("factor must lie in (0, 1/4]")
     w = scale_gain(factor / tau, mu_tilde)
     bound = 1.0 / (2.0 * tau * tau * pbar)
-    s = np.linspace(0.0, mu_tilde.probe_max, n_grid)
+    s = np.linspace(0.0, mu_tilde.probe_max, SLOPE_GRID)
     slopes = np.asarray(w.deriv(s), dtype=float)
-    if float(slopes.max()) > bound + tol:
+    if float(slopes.max()) > bound + PASS_TOL:
         j = int(np.argmax(slopes))
         raise SlopeBoundViolatedError(
             f"w'({s[j]!r}) = {slopes[j]!r} exceeds 1/(2 tau^2 pbar) = {bound!r}; "
             f"retry with factor < {factor * bound / float(slopes.max()):.6g}")
-    if float(slopes.min()) < -tol:
+    if float(slopes.min()) < -PASS_TOL:
         j = int(np.argmin(slopes))
         raise SlopeBoundViolatedError(f"w'({s[j]!r}) = {slopes[j]!r} is negative")
     return w
@@ -340,8 +346,7 @@ def _require(report: InequalityReport) -> InequalityReport:
 def _certify(kind: str, candidate: LyapunovCandidate, system: ControlSystem,
              p: DecayRate, domain: SampleDomain, premises: list[InequalityReport],
              mu_tilde: GainFunction, factor: float, n_samples: int, seed: int,
-             tol: float, mask_fn: Callable | None = None,
-             **extra) -> StrictCertificate:
+             mask_fn: Callable | None = None, **extra) -> StrictCertificate:
     """The construction shared by every route, after its premises passed.
 
     Builds w = (factor/tau) mu_tilde, the decay gain and the certificate
@@ -377,9 +382,9 @@ def _certify(kind: str, candidate: LyapunovCandidate, system: ControlSystem,
         **extra)
     contract = verify._run_check(f"{kind.lower()}-contract", contract_fn,
                                  domain, candidate.n, system.m, n_samples, seed + 2,
-                                 tol, mask_fn=mask_fn)
+                                 mask_fn=mask_fn)
     bounds = verify._run_check("coefficient-bounds", bounds_fn, domain,
-                               candidate.n, 0, n_samples, seed + 3, tol)
+                               candidate.n, 0, n_samples, seed + 3)
     cert.validation.reports = [*premises, bounds, contract]
     if not cert.passed:
         raise ValidationFailedError(cert.validation.worst(), cert)
@@ -390,8 +395,8 @@ def strictify_issp(candidate: LyapunovCandidate, system: ControlSystem,
                    p: DecayRate, chi: GainFunction, mu: GainFunction,
                    factor: float = DEFAULT_FACTOR_ISS,
                    domain: SampleDomain | None = None,
-                   n_samples: int = verify.DEFAULT_SAMPLES, seed: int = 0,
-                   tol: float = verify.DEFAULT_TOL) -> StrictCertificate:
+                   n_samples: int = verify.DEFAULT_SAMPLES,
+                   seed: int = 0) -> StrictCertificate:
     """Strict-ISS certificate from a rate-dependent implication premise.
 
     Requires p to carry a certified PE triple and (V, p, chi, mu) to pass
@@ -400,9 +405,9 @@ def strictify_issp(candidate: LyapunovCandidate, system: ControlSystem,
         |x| >= chi(|u|)  =>  d/dt V# <= -epsilon * w(alpha1(|x|)).
     """
     pe, domain = _prepare(candidate, system, p, domain)
-    uppd = _require(verify.check_uppd(candidate, domain, n_samples, seed, tol))
+    uppd = _require(verify.check_uppd(candidate, domain, n_samples, seed))
     premise = _require(verify.check_issp_lyap(candidate, system, p, mu, chi, domain,
-                                              n_samples, seed + 1, tol))
+                                              n_samples, seed + 1))
     a2t = build_alpha2_tilde(candidate.alpha2, mu, pe.tau, pe.pbar)
     mu_tilde = compose(mu, inverse_gain(a2t))
 
@@ -410,7 +415,7 @@ def strictify_issp(candidate: LyapunovCandidate, system: ControlSystem,
         return np.linalg.norm(x, axis=1) >= chi(np.linalg.norm(u, axis=1))
 
     return _certify("strict-ISS", candidate, system, p, domain, [uppd, premise],
-                    mu_tilde, factor, n_samples, seed, tol,
+                    mu_tilde, factor, n_samples, seed,
                     mask_fn=mask_fn, alpha2_tilde=a2t, chi=chi)
 
 
@@ -418,8 +423,8 @@ def strictify_disp(candidate: LyapunovCandidate, system: ControlSystem,
                    p: DecayRate, mu_tilde: GainFunction, omega: GainFunction,
                    factor: float = DEFAULT_FACTOR_DIS,
                    domain: SampleDomain | None = None,
-                   n_samples: int = verify.DEFAULT_SAMPLES, seed: int = 0,
-                   tol: float = verify.DEFAULT_TOL) -> StrictCertificate:
+                   n_samples: int = verify.DEFAULT_SAMPLES,
+                   seed: int = 0) -> StrictCertificate:
     """Strict-DIS certificate from a dissipation premise in value form.
 
     Requires the sampled premise Vdot <= -p(t) mu_tilde(V) + Omega(|u|).
@@ -428,11 +433,11 @@ def strictify_disp(candidate: LyapunovCandidate, system: ControlSystem,
         d/dt V# <= -epsilon * w(alpha1(|x|)) + (5/4) Omega(|u|).
     """
     _, domain = _prepare(candidate, system, p, domain)
-    uppd = _require(verify.check_uppd(candidate, domain, n_samples, seed, tol))
+    uppd = _require(verify.check_uppd(candidate, domain, n_samples, seed))
     premise = _require(verify.check_disp_lyap(candidate, system, p, mu_tilde, omega,
-                                              "value", domain, n_samples, seed + 1, tol))
+                                              "value", domain, n_samples, seed + 1))
     return _certify("strict-DIS", candidate, system, p, domain, [uppd, premise],
-                    mu_tilde, factor, n_samples, seed, tol,
+                    mu_tilde, factor, n_samples, seed,
                     omega=omega, gain_margin=GAIN_MARGIN)
 
 
@@ -441,8 +446,7 @@ def strictify_from_state_form(candidate: LyapunovCandidate, system: ControlSyste
                               factor: float = DEFAULT_FACTOR_ISS,
                               domain: SampleDomain | None = None,
                               n_samples: int = verify.DEFAULT_SAMPLES,
-                              seed: int = 0,
-                              tol: float = verify.DEFAULT_TOL) -> StrictCertificate:
+                              seed: int = 0) -> StrictCertificate:
     """Strict-DIS certificate from the state-form dissipation premise.
 
     Checks Vdot <= -p(t) mu(|x|) + Omega(|u|) first, then rewrites the decay
@@ -451,15 +455,15 @@ def strictify_from_state_form(candidate: LyapunovCandidate, system: ControlSyste
     """
     pe, domain = _prepare(candidate, system, p, domain)
     state_premise = _require(verify.check_disp_lyap(
-        candidate, system, p, mu, omega, "state", domain, n_samples, seed + 7, tol))
+        candidate, system, p, mu, omega, "state", domain, n_samples, seed + 7))
     a2t = build_alpha2_tilde(candidate.alpha2, mu, pe.tau, pe.pbar)
     mu_tilde = compose(mu, inverse_gain(a2t))
-    uppd = _require(verify.check_uppd(candidate, domain, n_samples, seed, tol))
+    uppd = _require(verify.check_uppd(candidate, domain, n_samples, seed))
     premise = _require(verify.check_disp_lyap(candidate, system, p, mu_tilde, omega,
-                                              "value", domain, n_samples, seed + 1, tol))
+                                              "value", domain, n_samples, seed + 1))
     return _certify("strict-DIS", candidate, system, p, domain,
                     [uppd, state_premise, premise], mu_tilde, factor,
-                    n_samples, seed, tol, omega=omega, gain_margin=GAIN_MARGIN,
+                    n_samples, seed, omega=omega, gain_margin=GAIN_MARGIN,
                     alpha2_tilde=a2t)
 
 
@@ -473,29 +477,32 @@ def _decay_gain(epsilon: float, w: GainFunction, alpha1: GainFunction) -> GainFu
 # ---------------------------------------------------------------------------
 # The disturbance envelope of the strict route (Omega construction)
 
+def _horizon_growth(m1, m2, m4):
+    """Whether sups over the horizons H, 2H and 4H keep growing: the second
+    gain m4 - m2 is at least 0.4 times the first, m2 - m1, and the first
+    exceeds 1e-6 max(1, |m1|).  Elementwise on arrays."""
+    g1, g2 = m2 - m1, m4 - m2
+    return (g2 >= 0.4 * g1) & (g1 > 1.0e-6 * np.maximum(1.0, np.abs(m1)))
+
+
 def construct_omega(system: ControlSystem, candidate: LyapunovCandidate,
                     mu: GainFunction, chi: GainFunction,
-                    s_grid: np.ndarray | None = None, n_per_s: int = 4000,
-                    seed: int = 0, t_horizon: float = 10.0,
-                    growth_tol: float = 1.0e-6) -> GainFunction:
+                    seed: int = 0) -> GainFunction:
     """Monotone envelope dominating M(s) = sup {Vdot + mu(|x|)} over
-    t, |x| <= chi(s), |u| <= s.
+    t, |x| <= chi(s), |u| <= s, at each s of OMEGA_S_GRID.
 
-    Sampled over t in [0, T] for periodic systems; aperiodic systems get a
-    doubling t-horizon scan, and persistent growth raises UnboundedSupError
-    (the uniform-boundedness premise fails).  Each s-value draws one batch
-    with t in [0, 1], which every horizon T reads as T * t.
+    Sampled over t in [0, T] for periodic systems; aperiodic systems get
+    the doubling OMEGA_HORIZONS scan, and growth by `_horizon_growth` raises
+    UnboundedSupError (the uniform-boundedness premise fails).  Each s-value
+    draws one batch of OMEGA_DRAWS points with t in [0, 1], which every
+    horizon T reads as T * t.
     """
-    if s_grid is None:
-        s_grid = np.concatenate([[0.0], np.geomspace(1.0e-3, 10.0, 63)])
-    s_grid = np.asarray(s_grid, dtype=float)
-    horizons = ([system.period] if system.period is not None
-                else [t_horizon, 2.0 * t_horizon, 4.0 * t_horizon])
+    horizons = [system.period] if system.period is not None else OMEGA_HORIZONS
 
-    sups = np.empty((len(horizons), s_grid.size))
-    for i, s in enumerate(s_grid):
+    sups = np.empty((len(horizons), OMEGA_S_GRID.size))
+    for i, s in enumerate(OMEGA_S_GRID):
         dom = SampleDomain((0.0, 1.0), float(chi(s)), float(s))
-        t01, x, u = dom.sample(n_per_s, candidate.n, system.m, seed + i)
+        t01, x, u = dom.sample(OMEGA_DRAWS, candidate.n, system.m, seed + i)
         mu_x = mu(np.linalg.norm(x, axis=1))
         for k, T in enumerate(horizons):
             vd = verify.vdot(candidate, system, T * t01, x, u)
@@ -504,14 +511,11 @@ def construct_omega(system: ControlSystem, candidate: LyapunovCandidate,
     M = sups[-1]
     if system.period is None:
         m1, m2, m4 = sups
-        g1 = m2 - m1
-        g2 = m4 - m2
-        scale = np.maximum(1.0, np.abs(m1))
-        growing = (g2 >= 0.4 * g1) & (g1 > growth_tol * scale)
+        growing = _horizon_growth(m1, m2, m4)
         if growing.any():
-            j = int(np.argmax(np.where(growing, g2, -np.inf)))
+            j = int(np.argmax(np.where(growing, m4 - m2, -np.inf)))
             raise UnboundedSupError(
-                f"sup of Vdot + mu at s = {float(s_grid[j]):g} grows without bound "
+                f"sup of Vdot + mu at s = {float(OMEGA_S_GRID[j]):g} grows without bound "
                 f"({float(m1[j]):.6g} -> {float(m2[j]):.6g} -> {float(m4[j]):.6g} "
                 f"as the horizon doubles)")
 
@@ -520,15 +524,13 @@ def construct_omega(system: ControlSystem, candidate: LyapunovCandidate,
     vals = 1.05 * np.maximum.accumulate(np.maximum(M, 0.0))
     if M[0] > 0.0:
         vals[0] = 1.05 * M[0]  # not class-Kinf; spot checks downstream flag it
-    last_slope = 0.0
-    if s_grid[-1] > s_grid[-2]:
-        last_slope = (vals[-1] - vals[-2]) / (s_grid[-1] - s_grid[-2])
+    last_slope = (vals[-1] - vals[-2]) / (OMEGA_S_GRID[-1] - OMEGA_S_GRID[-2])
 
     def fn(s):
         s = np.asarray(s, dtype=float)
-        base = np.interp(s, s_grid, vals)
-        over = np.maximum(s - s_grid[-1], 0.0)
+        base = np.interp(s, OMEGA_S_GRID, vals)
+        over = np.maximum(s - OMEGA_S_GRID[-1], 0.0)
         return np.maximum(base + (last_slope + 1.0) * over, 1.0e-6 * s)
 
-    return GainFunction(fn, None, probe_max=float(s_grid[-1]),
+    return GainFunction(fn, None, probe_max=float(OMEGA_S_GRID[-1]),
                         label="envelope(Vdot + mu)")

@@ -19,12 +19,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._numerics import cumulative_trapezoid, halton
-from .decay import DecayRate, _rate_values
+from .decay import PASS_TOL, DecayRate, _rate_values
 from .dynsys import Trajectory
 from .funcalc import GainFunction, KLFunction
 
-DEFAULT_TOL = 1.0e-9
 DEFAULT_SAMPLES = 10_000
+REFINE_PASSES = 8       # coordinate-descent passes, each halving the steps
+ISS_POINTS = 200        # points read per held-out run by check_iss_estimate
 
 
 class FitFailedError(RuntimeError):
@@ -91,7 +92,6 @@ class InequalityReport:
     worst_margin: float
     worst_point: tuple[float, np.ndarray, np.ndarray]
     passed: bool
-    tol: float = DEFAULT_TOL
     notes: str = ""
     margin_fn: Callable | None = field(default=None, repr=False, compare=False)
 
@@ -117,8 +117,7 @@ def vdot(candidate, system, t, x, u):
     return dt + np.einsum("ij,ij->i", g, fx)
 
 
-def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None,
-                        passes: int = 8):
+def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None):
     """Locally minimize the margin around ``point`` (deterministic); probes
     outside the batch mask ``accept`` count as +inf."""
     t, x, u = point
@@ -135,7 +134,7 @@ def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None,
     dt0 = 0.1 * (domain.t_range[1] - domain.t_range[0])
     dx0 = 0.1 * max(domain.x_radius, 1.0e-6)
     du0 = 0.1 * max(domain.u_radius, 1.0e-6)
-    for p in range(passes):
+    for p in range(REFINE_PASSES):
         shrink = 0.5 ** p
         for idx in range(1 + x.size + u.size):
             for sign in (+1.0, -1.0):
@@ -159,8 +158,9 @@ def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None,
 
 
 def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
-               n: int, seed: int, tol: float, mask_fn=None,
-               refine: bool = True, notes: str = "") -> InequalityReport:
+               n: int, seed: int, *, mask_fn=None,
+               notes: str = "") -> InequalityReport:
+    """Sample, mask, evaluate and refine one margin; it passes at >= -PASS_TOL."""
     t, x, u = domain.sample(n, nx, nu, seed)
     # samples outside a field's domain give nan or inf, which fail by name below
     with np.errstate(all="ignore"):
@@ -169,7 +169,7 @@ def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
             t, x, u = t[keep], x[keep], u[keep]
         if t.size == 0:
             return InequalityReport(name, 0, np.inf, (0.0, np.zeros(nx), np.zeros(nu)),
-                                    False, tol, notes="no samples in implication region",
+                                    False, notes="no samples in implication region",
                                     margin_fn=margin_fn)
         margins = np.asarray(margin_fn(t, x, u), dtype=float)
     bad = ~np.isfinite(margins)
@@ -178,22 +178,21 @@ def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
         worst, point = float(margins[j]), (float(t[j]), x[j], u[j])
         notes = (f"{int(bad.sum())} non-finite margins; first {worst!r} at "
                  f"t={point[0]!r}, x={point[1]!r}, u={point[2]!r}")
-        return InequalityReport(name, int(t.size), worst, point, False, tol,
+        return InequalityReport(name, int(t.size), worst, point, False,
                                 notes=notes, margin_fn=margin_fn)
     j = int(np.argmin(margins))
     worst = float(margins[j])
     point = (float(t[j]), x[j], u[j])
-    if refine:
-        worst, point = _coordinate_descent(margin_fn, domain, point, mask_fn)
-    return InequalityReport(name, int(t.size), worst, point, worst >= -tol,
-                            tol, notes=notes, margin_fn=margin_fn)
+    worst, point = _coordinate_descent(margin_fn, domain, point, mask_fn)
+    return InequalityReport(name, int(t.size), worst, point, worst >= -PASS_TOL,
+                            notes=notes, margin_fn=margin_fn)
 
 
 # ---------------------------------------------------------------------------
 # Named checks
 
 def check_uppd(candidate, domain: SampleDomain, n: int = DEFAULT_SAMPLES,
-               seed: int = 0, tol: float = DEFAULT_TOL) -> InequalityReport:
+               seed: int = 0) -> InequalityReport:
     """Envelope check: a1(|x|) <= V <= a2(|x|), |full grad V| <= a3(|x|)."""
     a1, a2, a3 = candidate.alpha1, candidate.alpha2, candidate.alpha3
 
@@ -205,13 +204,12 @@ def check_uppd(candidate, domain: SampleDomain, n: int = DEFAULT_SAMPLES,
         full = np.sqrt((g ** 2).sum(axis=1) + gt ** 2)
         return np.minimum(np.minimum(v - a1(r), a2(r) - v), a3(r) - full)
 
-    return _run_check("uppd", margin_fn, domain, candidate.n, 0, n, seed, tol)
+    return _run_check("uppd", margin_fn, domain, candidate.n, 0, n, seed)
 
 
 def check_issp_lyap(candidate, system, p: DecayRate, mu: GainFunction,
                     chi: GainFunction, domain: SampleDomain,
-                    n: int = DEFAULT_SAMPLES, seed: int = 0,
-                    tol: float = DEFAULT_TOL) -> InequalityReport:
+                    n: int = DEFAULT_SAMPLES, seed: int = 0) -> InequalityReport:
     """|x| >= chi(|u|)  =>  Vdot <= -p(t) mu(|x|)."""
 
     def mask_fn(t, x, u):
@@ -223,13 +221,12 @@ def check_issp_lyap(candidate, system, p: DecayRate, mu: GainFunction,
 
     notes = "" if p.period is not None else "horizon-limited (aperiodic rate)"
     return _run_check("issp-lyapunov", margin_fn, domain, candidate.n, system.m,
-                      n, seed, tol, mask_fn=mask_fn, notes=notes)
+                      n, seed, mask_fn=mask_fn, notes=notes)
 
 
 def check_disp_lyap(candidate, system, p: DecayRate, term_gain: GainFunction,
                     omega: GainFunction, form: str, domain: SampleDomain,
-                    n: int = DEFAULT_SAMPLES, seed: int = 0,
-                    tol: float = DEFAULT_TOL) -> InequalityReport:
+                    n: int = DEFAULT_SAMPLES, seed: int = 0) -> InequalityReport:
     """Dissipation check; ``form`` picks the decay term:
 
     'state':  Vdot <= -p(t) mu(|x|)   + Omega(|u|)
@@ -249,23 +246,21 @@ def check_disp_lyap(candidate, system, p: DecayRate, term_gain: GainFunction,
 
     notes = "" if p.period is not None else "horizon-limited (aperiodic rate)"
     return _run_check(f"disp-lyapunov[{form}]", margin_fn, domain,
-                      candidate.n, system.m, n, seed, tol, notes=notes)
+                      candidate.n, system.m, n, seed, notes=notes)
 
 
 def check_strict_iss_lyap(candidate, system, mu: GainFunction,
                           chi: GainFunction, domain: SampleDomain,
-                          n: int = DEFAULT_SAMPLES, seed: int = 0,
-                          tol: float = DEFAULT_TOL) -> InequalityReport:
+                          n: int = DEFAULT_SAMPLES, seed: int = 0) -> InequalityReport:
     """Strict version: the ISS(p) check with the rate pinned to 1."""
     one = DecayRate(lambda t: np.ones_like(np.asarray(t, dtype=float)),
                     period=1.0, label="1")
-    rep = check_issp_lyap(candidate, system, one, mu, chi, domain, n, seed, tol)
+    rep = check_issp_lyap(candidate, system, one, mu, chi, domain, n, seed)
     return dataclasses.replace(rep, name="strict-iss-lyapunov")
 
 
 def falsify(predicate, domain: SampleDomain, nx: int, nu: int,
-            budget: int = 2_000, seed: int = 0,
-            tol: float = DEFAULT_TOL) -> InequalityReport:
+            budget: int = 2_000, seed: int = 0) -> InequalityReport:
     """Randomized search for a violation of ``predicate(t, x, u) >= 0``.
 
     Uniform exploration followed by coordinate descent around the best
@@ -277,8 +272,8 @@ def falsify(predicate, domain: SampleDomain, nx: int, nu: int,
     margins = np.asarray(predicate(t, x, u), dtype=float)
     j = int(np.argmin(margins))
     worst, point = _coordinate_descent(predicate, domain, (t[j], x[j], u[j]))
-    return InequalityReport("falsify", budget, worst, point, worst >= -tol,
-                            tol, margin_fn=predicate)
+    return InequalityReport("falsify", budget, worst, point, worst >= -PASS_TOL,
+                            margin_fn=predicate)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +286,9 @@ def _running_input_sup(traj: Trajectory) -> np.ndarray:
 
 
 def check_iss_estimate(trajs: Sequence[Trajectory], p: DecayRate,
-                       beta: KLFunction, gamma: GainFunction,
-                       n_h: int = 200, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """|phi(t0+h)| <= beta(|x0|, int_{t0}^{t0+h} p) + gamma(sup |u|)."""
+                       beta: KLFunction, gamma: GainFunction) -> InequalityReport:
+    """|phi(t0+h)| <= beta(|x0|, int_{t0}^{t0+h} p) + gamma(sup |u|), read at
+    ISS_POINTS evenly spaced steps of each run."""
     worst = np.inf
     worst_point = (0.0, np.zeros(trajs[0].states.shape[1]), np.zeros(trajs[0].inputs.shape[1]))
     total = 0
@@ -302,7 +297,7 @@ def check_iss_estimate(trajs: Sequence[Trajectory], p: DecayRate,
         sup_u = _running_input_sup(traj)
         nrm = traj.norms()
         x0 = float(nrm[0])
-        idxs = np.unique(np.linspace(0, traj.times.size - 1, n_h).astype(int))
+        idxs = np.unique(np.linspace(0, traj.times.size - 1, ISS_POINTS).astype(int))
         m = beta(x0, r[idxs]) + gamma(sup_u[idxs]) - nrm[idxs]
         total += idxs.size
         j = int(np.argmin(m))
@@ -311,12 +306,12 @@ def check_iss_estimate(trajs: Sequence[Trajectory], p: DecayRate,
             worst_point = (float(traj.times[idxs[j]]), traj.states[idxs[j]],
                            traj.inputs[idxs[j]])
     return InequalityReport("iss-estimate", total, worst, worst_point,
-                            worst >= -tol, tol)
+                            worst >= -PASS_TOL)
 
 
 def fit_iss_envelope(trajs: Sequence[Trajectory], p: DecayRate,
-                     holdout: Sequence[Trajectory] | None = None,
-                     tol: float = DEFAULT_TOL) -> tuple[KLFunction, GainFunction]:
+                     holdout: Sequence[Trajectory] | None = None
+                     ) -> tuple[KLFunction, GainFunction]:
     """Fit beta(s, r) = C s exp(-lambda r) and a monotone gain from runs.
 
     Zero-input runs drive the exponential fit; constant-amplitude runs set
@@ -378,7 +373,7 @@ def fit_iss_envelope(trajs: Sequence[Trajectory], p: DecayRate,
                          label="ultimate-bound hull")
 
     held = holdout if holdout is not None else trajs
-    rep = check_iss_estimate(held, p, beta, gamma, tol=tol)
+    rep = check_iss_estimate(held, p, beta, gamma)
     if not rep.passed:
         raise FitFailedError(
             f"held-out check failed with margin {rep.worst_margin!r} at t={rep.worst_point[0]!r}")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 import strictlyap
 from strictlyap import cli
 from strictlyap.config import ConfigError, load_problem, strictify_problem
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SCALAR_CONFIG = """\
 [problem]
@@ -218,6 +221,11 @@ class TestCommands:
     def test_example_rigid_body_zero_reference(self, capsys):
         assert cli.main(["example", "rigid-body", "--reference", "0; 0; 0"]) == 1
 
+    @pytest.mark.parametrize("w3r", ["garbage(((", "x1"])
+    def test_example_rigid_body_bad_third_reference(self, capsys, w3r):
+        assert cli.main(["example", "rigid-body", "--reference", f"sin(t); 0; {w3r}"]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[problem]\nn = 1\n", encoding="utf-8")
@@ -267,6 +275,14 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     line = [l for l in proc.stdout.splitlines() if l.startswith("epsilon (raw)")][0]
     assert float(line.split(":")[1]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["strictify", "simulate"])
+def test_readme_ini_example_runs(tmp_path, capsys, command):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(block.group(1), encoding="utf-8")
+    assert cli.main([command, "--config", str(cfg)]) == 0
 
 
 def test_cli_import_loads_no_heavy_scipy():
@@ -490,6 +506,23 @@ class TestDiagnostics:
                          "scalar-linear"]) == 0
         out = capsys.readouterr().out
         assert "fitted beta" in out and "iss-estimate" in out
+
+    @pytest.mark.parametrize("t0, tf", [(-30.0, -10.0), (5.0, 10.0)])
+    def test_verify_iss_estimate_runs_end_at_tf(self, tmp_path, monkeypatch, capsys,
+                                                t0, tf):
+        cfg = tmp_path / "window.ini"
+        cfg.write_text(SCALAR_CONFIG.replace("t0 = 0.0", f"t0 = {t0}")
+                       .replace("tf = 5.0", f"tf = {tf}"), encoding="utf-8")
+        spans, integrate = [], cli.integrate
+
+        def spy(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            spans.append((float(traj.times[0]), float(traj.times[-1])))
+            return traj
+
+        monkeypatch.setattr(cli, "integrate", spy)
+        assert cli.main(["verify", "iss-estimate", "--config", str(cfg)]) == 0
+        assert spans == [(t0, tf)] * 6
 
     def test_example_rigid_body_end_to_end(self, monkeypatch, capsys, tmp_path):
         built = []

@@ -479,8 +479,7 @@ def test_trajectory_csv_matches_csv_writer(tmp_path, m, k):
     states[0, 0], states[-1, 1] = np.inf, -np.inf
     v = rng.random(k)
     v[k // 2] = np.nan
-    traj = Trajectory(np.linspace(0.0, 1.0, k), states, rng.normal(size=(k, m)),
-                      Signal.zero(m))
+    traj = Trajectory(np.linspace(0.0, 1.0, k), states, rng.normal(size=(k, m)))
     extra = {"V": v, "Vsharp": -v}
     dynsys.write_trajectory_csv(tmp_path / "fast.csv", traj, extra)
     _csv_writer_reference(tmp_path / "ref.csv", traj, extra)

@@ -106,7 +106,7 @@ def test_empty_implication_region_fails():
         return np.zeros(t.size, dtype=bool)
 
     rep = verify._run_check("empty", lambda t, x, u: np.ones(t.size),
-                            SampleDomain(), 2, 1, 50, 0, 1e-9, mask_fn=never)
+                            SampleDomain(), 2, 1, 50, 0, mask_fn=never)
     assert rep.n_samples == 0
     assert not rep.passed
     assert rep.notes == "no samples in implication region"
@@ -122,7 +122,7 @@ def test_non_finite_margin_fails_by_name(bad):
         m[[3, 11, 12]] = bad
         return m
 
-    rep = verify._run_check("nonfinite", margin_fn, SampleDomain(), 2, 1, 50, 0, 1e-9)
+    rep = verify._run_check("nonfinite", margin_fn, SampleDomain(), 2, 1, 50, 0)
     t, x, u = SampleDomain().sample(50, 2, 1, 0)
     assert calls == [50]                     # no refinement probes
     assert not rep.passed and rep.n_samples == 50
@@ -136,7 +136,7 @@ def test_non_finite_margin_fails_by_name(bad):
 
 def test_finite_failure_message_keeps_the_margin():
     rep = verify._run_check("neg", lambda t, x, u: -1.0 - x[:, 0] ** 2, SampleDomain(),
-                            2, 1, 50, 0, 1e-9, refine=False)
+                            2, 1, 50, 0)
     assert str(ValidationFailedError(rep)).startswith(
         f"check 'neg' failed: margin {rep.worst_margin!r} at t=")
 
@@ -247,7 +247,7 @@ class TestCheckDispLyap:
         mu = gain_from_expr("s^2")
         om = gain_from_expr("s^2")
         rep = verify.check_disp_lyap(cand, zero_sys, ONE, mu, om, "state", dom,
-                                     n=2000, seed=7, tol=1e-9)
+                                     n=2000, seed=7)
         # with Vdot = 0 the margin is exactly min(Omega(|u|) - p mu(|x|))
         t, x, u = dom.sample(2000, 2, 1, seed=7)
         direct = float((om(np.linalg.norm(u, axis=1))
