@@ -23,6 +23,7 @@ from .verify import (InequalityReport, SampleDomain, check_disp_lyap,
                      check_strict_iss_lyap, check_uppd, falsify,
                      fit_iss_envelope, FitFailedError)
 from .config import (ConfigError, Problem, load_problem, strictify_problem)
+from .errors import ValidationFailure
 from .fixtures import get_fixture, FIXTURES, check_reference_admissibility
 
 __version__ = "0.1.0"
@@ -34,6 +35,7 @@ __all__ = [
     "NotPersistentlyExcitingError", "PEEstimate", "PETriple", "Problem",
     "SampleDomain", "Signal", "SlopeBoundViolatedError", "StrictCertificate",
     "Trajectory", "UnboundedSupError", "ValidationFailedError",
+    "ValidationFailure",
     "build_alpha2_tilde", "build_w", "check_disp_lyap", "check_iss_estimate",
     "check_issp_lyap", "check_kinf", "check_reference_admissibility",
     "check_strict_iss_lyap", "check_uppd", "close_loop", "compose",

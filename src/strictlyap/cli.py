@@ -6,7 +6,8 @@
     strictlyap simulate  [--config FILE | --example NAME] ...
     strictlyap example NAME [--reference "w1r; w2r; w3r"] [--out DIR]
 
-Exit codes: 0 = all requested checks passed, 1 = a validation failed,
+Exit codes: 0 = all requested checks passed, 1 = a validation failed (a
+check reported FAIL, or an ``errors.ValidationFailure`` was raised),
 2 = configuration or usage error, 3 = internal error (any other exception;
 its type, message and traceback go to stderr).  All file output is
 deterministic for a fixed config and seed.
@@ -27,12 +28,12 @@ from . import decay as decay_mod
 from . import exprparse
 from . import verify as verify_mod
 from .config import ROUTES, ConfigError, Problem, load_problem, strictify_problem
-from .decay import NotPersistentlyExcitingError, estimate_pe
+from .decay import estimate_pe
 from .dynsys import BlowUpError, Signal, integrate, write_trajectory_csv
+from .errors import ValidationFailure
 from .exprparse import ExpressionError
 from .fixtures import FIXTURES, check_reference_admissibility, get_fixture
-from .strictify import (SlopeBoundViolatedError, UnboundedSupError,
-                        ValidationFailedError, construct_omega)
+from .strictify import UnboundedSupError, ValidationFailedError, construct_omega
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,8 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ExpressionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NotPersistentlyExcitingError, ValidationFailedError,
-            SlopeBoundViolatedError, UnboundedSupError, BlowUpError) as exc:
+    except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except Exception as exc:
@@ -188,7 +188,7 @@ def _strictify(problem: Problem, out: Path | None):
         if exc.report.n_samples:
             _diagnose_omega(problem)
         return EXIT_FAIL, None
-    except (SlopeBoundViolatedError, UnboundedSupError) as exc:
+    except ValidationFailure as exc:
         print(f"strictification failed: {exc}")
         return EXIT_FAIL, None
 
@@ -326,8 +326,7 @@ def cmd_simulate(args) -> int:
     try:
         _ensure_pe(problem)
         cert = strictify_problem(problem)
-    except (ValidationFailedError, SlopeBoundViolatedError, UnboundedSupError,
-            NotPersistentlyExcitingError, ConfigError) as exc:
+    except (ValidationFailure, ConfigError) as exc:
         print(f"V# unavailable: {exc}")  # simulate still runs; only V is reported
     return _simulate(problem, out, cert)
 

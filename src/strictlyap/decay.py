@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ._numerics import CubicHermite, cumulative_simpson, hermite_values
+from .errors import ValidationFailure
 
 SIMPSON_SUBINTERVALS = 2048
 PE_SAFETY = 0.01  # 1% shrink/inflation between raw and certified values
@@ -36,7 +37,7 @@ def _rate_values(p, nodes) -> np.ndarray:
     return np.broadcast_to(np.asarray(p(nodes), dtype=float), np.shape(nodes))
 
 
-class NotPersistentlyExcitingError(RuntimeError):
+class NotPersistentlyExcitingError(ValidationFailure):
     """Sampled window integral came out nonpositive for the given tau."""
 
 

@@ -5,27 +5,31 @@ step shortened to land exactly on the requested final time; a norm guard
 aborts on likely finite escape.  Reproducibility beats adaptivity here, so
 no step-size control is attempted.
 
-One state is stepped at a time, on Python floats: the state is a list of
-floats and each stage is one call of the field's point kernel
-``f.point(t, x1..xn, u1..um) -> tuple``.  Fields built from expressions
-(``config.field_from_exprs``) carry one, a fused ``math`` lambda, and
-``close_loop`` composes the kernels of a field and its feedback.  Any other
-callable gets one adapter that calls ``f(t, x, u)`` on ``(n,)`` arrays.  The
-exogenous input is read once per run, on all stage times, and its rows are
-converted to floats a chunk of steps at a time; finished states go into one
-preallocated array.  The runs of ``simulate`` and ``iss-estimate`` are few
-(at most six), too few to step as one batch.
+One state is stepped at a time, on Python floats.  A step is one call of a
+function generated once per (n, m), which calls the field's point kernel
+``f.point(t, x1..xn, u1..um) -> tuple`` four times on positional floats.
+Fields built from expressions (``config.field_from_exprs``) carry a kernel,
+a fused ``math`` lambda, and ``close_loop`` composes the kernels of a field
+and its feedback.  Any other callable gets one adapter, with the kernel's
+signature, that calls ``f(t, x, u)`` on ``(n,)`` arrays.  A step that
+overflows or leaves a domain on floats is repeated through that adapter.
+The exogenous input is read once per run, on all stage times, and its rows
+are converted to floats a chunk of steps at a time; finished states go into
+one preallocated array.  The runs of ``simulate`` and ``iss-estimate`` are
+few (at most six), too few to step as one batch.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ValidationFailure
 from .exprparse import FLOAT_ERRORS, EvalDomainError
 
 BLOWUP_GUARD = 1.0e8
@@ -37,7 +41,7 @@ _CHUNK = 4096              # RK4 steps whose input rows are converted at a time
 _CSV_CHUNK = 4096          # trajectory rows formatted per write
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(ValidationFailure):
     """State norm exceeded the guard; possible finite escape time."""
 
     def __init__(self, time: float, norm: float):
@@ -122,31 +126,57 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
-def _stage(f: Callable, n: int) -> Callable:
-    """RK4 stage (t, x, u) -> n floats, with x and u sequences of floats.
+def _on_arrays(f: Callable, n: int) -> Callable:
+    """Adapter (t, x1..xn, u1..um) -> n floats calling ``f(t, x, u)`` on arrays.
 
-    ``f.point`` (t, x1..xn, u1..um) -> tuple is called directly.  A stage it
-    cannot evaluate on floats (one of ``FLOAT_ERRORS``) is repeated through
-    ``f`` on (n,) arrays, where an expression field retries on 0-d arrays
-    under ``np.errstate(all="ignore")``, so an inf or nan reaches the norm
-    guard.  A callable without a kernel is always called on (n,) arrays.
+    An expression field evaluates an (n,) point on floats and, where that
+    raises, on 0-d arrays under ``np.errstate(all="ignore")``, so an inf or
+    nan reaches the norm guard.
     """
 
-    def on_arrays(t, x, u):
-        k = np.asarray(f(t, np.array(x), np.array(u)), dtype=float)
+    def adapter(t, *xu):
+        k = np.asarray(f(t, np.array(xu[:n]), np.array(xu[n:])), dtype=float)
         return (k if k.shape == (n,) else np.broadcast_to(k, (n,))).tolist()
 
-    point = getattr(f, "point", None)
-    if point is None:
-        return on_arrays
+    return adapter
 
-    def stage(t, x, u):
-        try:
-            return point(t, *x, *u)
-        except FLOAT_ERRORS:
-            return on_arrays(t, x, u)
 
-    return stage
+# One RK4 step on positional floats; each {name} becomes a list "v0, v1, ..., "
+_STEP_SOURCE = """\
+def step(f, t, tm, tn, {x}{a}{b}{c}):
+    h = tn - t
+    hh = 0.5 * h
+    {p}= f(t, {x}{a})
+    {q}= f(tm, {x_p}{b})
+    {r}= f(tm, {x_q}{b})
+    {s}= f(tn, {x_r}{c})
+    h6 = h / 6.0
+    return ({x_next})
+"""
+
+
+@functools.cache
+def _rk4_step(n: int, m: int) -> Callable:
+    """The RK4 step for n states and m inputs, generated on first use and kept.
+
+    ``step(f, t, tm, tn, x0..x{n-1}, a0.., b0.., c0..) -> tuple`` with a, b,
+    c the input rows at t, tm = t + h/2 and tn = t + h, and ``f`` a kernel
+    (t, x1..xn, u1..um) -> n floats.  Each component is written out in the
+    order of operations of the vector form, so the states are bit for bit
+    those of an (n,) array loop.
+    """
+    def each(fmt: str, k: int) -> str:
+        return "".join(fmt.format(i=i) + ", " for i in range(k))
+
+    src = _STEP_SOURCE.format(
+        x=each("x{i}", n), a=each("a{i}", m), b=each("b{i}", m), c=each("c{i}", m),
+        p=each("p{i}", n), q=each("q{i}", n), r=each("r{i}", n), s=each("s{i}", n),
+        x_p=each("x{i} + hh * p{i}", n), x_q=each("x{i} + hh * q{i}", n),
+        x_r=each("x{i} + h * r{i}", n),
+        x_next=each("x{i} + h6 * (((p{i} + 2.0 * q{i}) + 2.0 * r{i}) + s{i})", n))
+    ns: dict = {}
+    exec(src, ns)  # noqa: S102 - source built from the template above only
+    return ns["step"]
 
 
 def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
@@ -156,16 +186,19 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
 
     ``u`` is called once, on all stage times; its rows are converted to
     Python floats a chunk of steps at a time, and each chunk's states are
-    written into one preallocated (steps + 1, n) array.  ``stop_when(t, x)``,
-    with x an (n,) array, may end the run early (the point that triggered it
-    is still recorded).  Raises EvalDomainError on a non-finite input and
-    BlowUpError when |x| exceeds the guard.
+    written into one preallocated (steps + 1, n) array.  A step raising one
+    of ``FLOAT_ERRORS`` on the field's kernel is repeated through the array
+    adapter; a callable without a kernel is called on arrays only, and what
+    it raises propagates.  ``stop_when(t, x)``, with x an (n,) array, may end
+    the run early (the point that triggered it is still recorded).  Raises
+    EvalDomainError on a non-finite input and BlowUpError when |x| exceeds
+    the guard.
     """
     if tf <= t0:
         raise ValueError("tf must exceed t0")
     if step <= 0:
         raise ValueError("step must be positive")
-    n = system.n
+    n, m = system.n, system.m
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
@@ -174,12 +207,14 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
     grid = np.empty(2 * n_steps + 1)                          # t0, t0 + h/2, t1, ..., tf
     grid[0::2], grid[1::2] = nodes, nodes[:-1] + 0.5 * np.diff(nodes)
     with np.errstate(all="ignore"):
-        rows = np.asarray(u(grid), dtype=float).reshape(grid.size, system.m)
+        rows = np.asarray(u(grid), dtype=float).reshape(grid.size, m)
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise EvalDomainError(f"input is not finite at t={float(grid[bad[0]])!r}: "
                               f"u = {rows[bad[0]]}")
-    stage = _stage(system.f, n)
+    rk4 = _rk4_step(n, m)
+    adapter = _on_arrays(system.f, n)
+    kernel = getattr(system.f, "point", adapter)
     states = np.empty((n_steps + 1, n))
     states[0] = x0
     x = x0.tolist()
@@ -187,20 +222,16 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
     while done < n_steps and not stopped:
         end = min(done + _CHUNK, n_steps)
         ts = grid[2 * done:2 * end + 1].tolist()
-        us = rows[2 * done:2 * end + 1].tolist()
+        us = rows[2 * done:2 * end + 1].ravel().tolist()
         chunk = []
         for j in range(0, 2 * (end - done), 2):
-            t, t_mid, t_next = ts[j:j + 3]
-            u0, um, u1 = us[j:j + 3]
-            h = t_next - t
-            hh = 0.5 * h
-            k1 = stage(t, x, u0)
-            k2 = stage(t_mid, [a + hh * b for a, b in zip(x, k1)], um)
-            k3 = stage(t_mid, [a + hh * b for a, b in zip(x, k2)], um)
-            k4 = stage(t_next, [a + h * b for a, b in zip(x, k3)], u1)
-            h6 = h / 6.0
-            x = [a + h6 * (((p + 2.0 * q) + 2.0 * r) + s)
-                 for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+            t_next = ts[j + 2]
+            try:
+                x = rk4(kernel, *ts[j:j + 3], *x, *us[m * j:m * (j + 3)])
+            except FLOAT_ERRORS:
+                if kernel is adapter:
+                    raise
+                x = rk4(adapter, *ts[j:j + 3], *x, *us[m * j:m * (j + 3)])
             if not math.hypot(*x) <= _GUARD_FAST:     # also true for nan
                 xa = np.array(x)
                 nrm = math.sqrt(float(xa @ xa))       # np.linalg.norm's value

@@ -33,6 +33,7 @@ from . import verify
 from .decay import PASS_TOL, DecayRate, PETriple
 from ._numerics import hermite_values
 from .dynsys import ControlSystem
+from .errors import ValidationFailure
 from .funcalc import GainFunction, compose, inverse_gain, scale_gain
 from .verify import InequalityReport, SampleDomain
 
@@ -47,15 +48,15 @@ OMEGA_DRAWS = 4000
 OMEGA_HORIZONS = (10.0, 20.0, 40.0)
 
 
-class SlopeBoundViolatedError(RuntimeError):
+class SlopeBoundViolatedError(ValidationFailure):
     """w'(s) exceeded 1/(2 tau^2 pbar); use a smaller factor."""
 
 
-class UnboundedSupError(RuntimeError):
+class UnboundedSupError(ValidationFailure):
     """The sampled sup defining the disturbance envelope keeps growing."""
 
 
-class ValidationFailedError(RuntimeError):
+class ValidationFailedError(ValidationFailure):
     """A required sampled inequality failed; carries the offending report."""
 
     def __init__(self, report: InequalityReport, certificate=None):

@@ -21,6 +21,7 @@ from scipy.special import ndtri
 from ._numerics import cumulative_trapezoid, halton
 from .decay import PASS_TOL, DecayRate, _rate_values
 from .dynsys import Trajectory
+from .errors import ValidationFailure
 from .funcalc import GainFunction, KLFunction
 
 DEFAULT_SAMPLES = 10_000
@@ -28,7 +29,7 @@ REFINE_PASSES = 8       # coordinate-descent passes, each halving the steps
 ISS_POINTS = 200        # points read per held-out run by check_iss_estimate
 
 
-class FitFailedError(RuntimeError):
+class FitFailedError(ValidationFailure):
     """The fitted ISS envelope failed its held-out validation."""
 
 

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -394,6 +397,71 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal error: IndexError: index 7 is out of bounds" in err
     assert "Traceback" in err
+
+
+# Every exception class the package defines, by module, and the exit code
+# cli.main gives it; a class missing here fails test_exit_code_table_is_complete
+EXIT_CODES = {
+    "config.ConfigError": 2,
+    "exprparse.ExpressionError": 2,
+    "exprparse.ExpressionSyntaxError": 2,
+    "exprparse.UnknownIdentifierError": 2,
+    "exprparse.ArityError": 2,
+    "exprparse.UnboundVariableError": 2,
+    "exprparse.EvalDomainError": 2,
+    "exprparse.NonSmoothPrimitiveError": 2,
+    "errors.ValidationFailure": 1,
+    "decay.NotPersistentlyExcitingError": 1,
+    "strictify.SlopeBoundViolatedError": 1,
+    "strictify.UnboundedSupError": 1,
+    "strictify.ValidationFailedError": 1,
+    "dynsys.BlowUpError": 1,
+    "verify.FitFailedError": 1,
+    # a failed bracket or an inadmissible reference escaping a command is a
+    # defect of the command, not a verdict: internal error on purpose
+    "funcalc.BracketNotFoundError": 3,
+    "fixtures.AdmissibilityError": 3,
+}
+
+
+def _package_exceptions() -> dict[str, type]:
+    found = {}
+    for info in pkgutil.iter_modules(strictlyap.__path__):
+        mod = importlib.import_module(f"strictlyap.{info.name}")
+        for name, cls in inspect.getmembers(mod, inspect.isclass):
+            if issubclass(cls, Exception) and cls.__module__ == mod.__name__:
+                found[f"{info.name}.{name}"] = cls
+    return found
+
+
+def test_exit_code_table_is_complete():
+    assert sorted(_package_exceptions()) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_one_exit_code_per_exception_class(name, monkeypatch, capsys):
+    cls = _package_exceptions()[name]
+
+    def entry(args):
+        raise cls.__new__(cls, "stub failure")    # no __init__: any signature
+
+    monkeypatch.setattr(cli, "cmd_pe", entry)
+    code = EXIT_CODES[name]
+    assert cli.main(["pe", "--example", "scalar-linear"]) == code
+    err = capsys.readouterr().err
+    assert ("Traceback" in err) == (code == 3)
+    prefix = {1: "validation failure", 2: "config error", 3: "internal error"}[code]
+    assert err.startswith(prefix + ": ")
+
+
+def test_failed_iss_fit_is_a_validation_failure(tmp_path, capsys):
+    # dx = -x^3 + u decays too slowly for the fitted envelope's held-out check
+    cfg = tmp_path / "cubic.ini"
+    cfg.write_text(SCALAR_CONFIG.replace('"-x1 + u1"', '"-x1^3 + u1"'), encoding="utf-8")
+    assert cli.main(["verify", "iss-estimate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: held-out check failed with margin -")
+    assert "Traceback" not in err
 
 
 class TestSeed:

@@ -398,6 +398,71 @@ class TestChunkedLoop:
         assert seen == [(np.ndarray, (3,))] * 10
 
 
+class TestGeneratedStep:
+    @pytest.mark.parametrize("x1, raises_at", [(0.0, 0.0), (STEP / 2, STEP / 2),
+                                               (STEP, STEP)],
+                             ids=["stage-1", "stages-2-3", "stage-4"])
+    def test_step_retried_through_arrays(self, x1, raises_at):
+        # x1' = -1 reaches x1 = 0 inside the first step, where -1/x1^2 divides
+        # by zero on floats and exp(-1/x1^2) is exp(-inf) = 0 on numpy scalars
+        system = field_from_exprs(["-1", "exp(-1/x1^2)"], 2, 0)
+        f, raised = system.f, []
+
+        def point(t, *x):
+            try:
+                return f.point(t, *x)
+            except ZeroDivisionError:
+                raised.append(t)
+                raise
+
+        def field(t, x, u):
+            return f(t, x, u)
+
+        field.point = point
+        traced = dataclasses.replace(system, f=field)
+        k = 8
+        tr = integrate(traced, [x1, 0.0], 0.0, k * STEP, Signal.zero(0), STEP)
+        assert raised[0] == raises_at     # the first float stage to raise
+        _assert_same(tr, _ndarray_rk4(system, [x1, 0.0], 0.0, k * STEP, Signal.zero(0),
+                                      STEP))
+
+    @pytest.mark.parametrize("texts, m, x0", [
+        (["-x1 + sin(t)*u1"], 1, [1.0]),
+        (["x2", "-x1 + x3", "-x1*x3"], 0, [1.0, -0.5, 0.25]),
+    ], ids=["n1-m1", "n3-m0"])
+    def test_shapes_match_ndarray_loop(self, texts, m, x0):
+        system = field_from_exprs(texts, len(texts), m)
+        u = signal_from_exprs(["cos(3*t)"][:m])
+        k = 300
+        tr = integrate(system, x0, 0.0, k * STEP, u, STEP)
+        assert tr.states.shape == (k + 1, len(texts)) and tr.inputs.shape == (k + 1, m)
+        _assert_same(tr, _ndarray_rk4(system, x0, 0.0, k * STEP, u, STEP))
+
+    def test_callable_without_kernel_is_called_four_times_per_step(self):
+        calls = []
+
+        def f(t, x, u):
+            calls.append(t)
+            return -x + u
+
+        k = 37
+        tr = integrate(ControlSystem(1, 1, f), [1.0], 0.0, k * STEP, Signal.constant([0.5]),
+                       STEP)
+        assert tr.times.size == k + 1
+        assert len(calls) == 4 * k
+
+    def test_callable_without_kernel_is_never_retried(self):
+        calls = []
+
+        def f(t, x, u):
+            calls.append(t)
+            raise ZeroDivisionError("raised by the field itself")
+
+        with pytest.raises(ZeroDivisionError, match="by the field itself"):
+            integrate(ControlSystem(1, 0, f), [1.0], 0.0, 1.0, Signal.zero(0), STEP)
+        assert calls == [0.0]
+
+
 RB_OPEN_CONFIG = """\
 [problem]
 name = rigid-body-ini
