@@ -217,10 +217,6 @@ class AdmissibilityResult:
     sup_cross_integral: float | None = None
 
 
-class AdmissibilityError(RuntimeError):
-    """The supplied reference trajectory violates an admissibility condition."""
-
-
 def check_reference_admissibility(w1r_text: str, w2r_text: str,
                                   horizon: float = 40.0,
                                   tau_ladder=(PI, PI / 2.0, 2.0 * PI, 4.0 * PI),

@@ -4,7 +4,8 @@ A GainFunction bundles a nonnegative scalar map with derivative access and a
 probe interval for numeric spot checks.  Membership in the K-infinity class
 cannot be proven by sampling, so `check_kinf` reports the worst violation
 found on a grid instead of claiming a proof.  Numeric inversion is bracket
-doubling followed by bisection, which only needs monotonicity.
+doubling followed by bisection, which only needs monotonicity.  An inverse
+gain answers a target equal to its last one from its last bisection.
 """
 
 from __future__ import annotations
@@ -202,12 +203,24 @@ def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:
 def inverse_gain(g: GainFunction) -> GainFunction:
     """Numeric inverse of an increasing gain, as a GainFunction.
 
-    Every argument goes through the vectorized bisection, so a float gives
-    a 0-d array.  The derivative uses the inverse-function rule
-    1/g'(g^{-1}(y)).
+    Arguments go through the vectorized bisection, so a float gives a 0-d
+    array.  The gain keeps its last target and answer: a target of the same
+    shape and equal values (NaN equal to NaN, -0.0 to 0.0) gets a copy of
+    the last answer without a new bisection, so ``deriv(y)`` followed by
+    ``fn(y)`` inverts ``y`` once.  The derivative uses the inverse-function
+    rule 1/g'(g^{-1}(y)).
     """
+    last = None     # (target, answer) of the last bisection, both copies
+
     def fn(y):
-        return _invert_array(g, y)
+        nonlocal last
+        y = np.asarray(y, dtype=float)
+        prev = last     # one read: target and answer always belong together
+        if prev is not None and np.array_equal(prev[0], y, equal_nan=True):
+            return prev[1].copy()
+        out = _invert_array(g, y)
+        last = (y.copy(), out.copy())
+        return out
 
     def deriv(y):
         s = fn(y)

@@ -86,7 +86,13 @@ class SampleDomain:
 
 @dataclass
 class InequalityReport:
-    """Worst sampled margin of one inequality (positive = slack)."""
+    """Worst sampled margin of one inequality (positive = slack).
+
+    ``sampled_worst`` is the worst margin among the samples, before
+    coordinate descent refines it into ``worst_margin`` (inf when no sample
+    was kept); ``n_nonfinite`` counts the samples whose margin was nan or
+    inf.
+    """
 
     name: str
     n_samples: int
@@ -94,6 +100,8 @@ class InequalityReport:
     worst_point: tuple[float, np.ndarray, np.ndarray]
     passed: bool
     notes: str = ""
+    sampled_worst: float = np.nan
+    n_nonfinite: int = 0
     margin_fn: Callable | None = field(default=None, repr=False, compare=False)
 
     def reevaluate(self) -> float:
@@ -171,7 +179,7 @@ def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
         if t.size == 0:
             return InequalityReport(name, 0, np.inf, (0.0, np.zeros(nx), np.zeros(nu)),
                                     False, notes="no samples in implication region",
-                                    margin_fn=margin_fn)
+                                    sampled_worst=np.inf, margin_fn=margin_fn)
         margins = np.asarray(margin_fn(t, x, u), dtype=float)
     bad = ~np.isfinite(margins)
     if bad.any():
@@ -179,14 +187,14 @@ def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
         worst, point = float(margins[j]), (float(t[j]), x[j], u[j])
         notes = (f"{int(bad.sum())} non-finite margins; first {worst!r} at "
                  f"t={point[0]!r}, x={point[1]!r}, u={point[2]!r}")
-        return InequalityReport(name, int(t.size), worst, point, False,
-                                notes=notes, margin_fn=margin_fn)
+        return InequalityReport(name, int(t.size), worst, point, False, notes=notes,
+                                sampled_worst=worst, n_nonfinite=int(bad.sum()),
+                                margin_fn=margin_fn)
     j = int(np.argmin(margins))
-    worst = float(margins[j])
-    point = (float(t[j]), x[j], u[j])
-    worst, point = _coordinate_descent(margin_fn, domain, point, mask_fn)
+    sampled = float(margins[j])
+    worst, point = _coordinate_descent(margin_fn, domain, (float(t[j]), x[j], u[j]), mask_fn)
     return InequalityReport(name, int(t.size), worst, point, worst >= -PASS_TOL,
-                            notes=notes, margin_fn=margin_fn)
+                            notes=notes, sampled_worst=sampled, margin_fn=margin_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +282,7 @@ def falsify(predicate, domain: SampleDomain, nx: int, nu: int,
     j = int(np.argmin(margins))
     worst, point = _coordinate_descent(predicate, domain, (t[j], x[j], u[j]))
     return InequalityReport("falsify", budget, worst, point, worst >= -PASS_TOL,
-                            margin_fn=predicate)
+                            sampled_worst=float(margins[j]), margin_fn=predicate)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +315,7 @@ def check_iss_estimate(trajs: Sequence[Trajectory], p: DecayRate,
             worst_point = (float(traj.times[idxs[j]]), traj.states[idxs[j]],
                            traj.inputs[idxs[j]])
     return InequalityReport("iss-estimate", total, worst, worst_point,
-                            worst >= -PASS_TOL)
+                            worst >= -PASS_TOL, sampled_worst=worst)
 
 
 def fit_iss_envelope(trajs: Sequence[Trajectory], p: DecayRate,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import strictlyap
-from strictlyap import cli
+from strictlyap import cli, funcalc
 from strictlyap.config import ConfigError, load_problem, strictify_problem
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -280,12 +280,33 @@ def test_module_entry_point_runs():
     assert float(line.split(":")[1]) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("command", ["strictify", "simulate"])
-def test_readme_ini_example_runs(tmp_path, capsys, command):
+def _readme_ini(tmp_path) -> Path:
     block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     cfg = tmp_path / "readme.ini"
     cfg.write_text(block.group(1), encoding="utf-8")
-    assert cli.main([command, "--config", str(cfg)]) == 0
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["strictify", "simulate"])
+def test_readme_ini_example_runs(tmp_path, capsys, command):
+    assert cli.main([command, "--config", str(_readme_ini(tmp_path))]) == 0
+
+
+def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, capsys):
+    # the README's issp route inverts alpha2_tilde behind every w and decay
+    # call; an inverse gain that reuses its last answer bisects 46 times here,
+    # against 222 when each call bisected anew
+    cfg = _readme_ini(tmp_path)
+    calls = []
+    original = funcalc._invert_array
+
+    def counted(g, y):
+        calls.append(np.shape(y))
+        return original(g, y)
+
+    monkeypatch.setattr(funcalc, "_invert_array", counted)
+    assert cli.main(["strictify", "--config", str(cfg)]) == 0
+    assert len(calls) == 46
 
 
 def test_cli_import_loads_no_heavy_scipy():
@@ -417,10 +438,9 @@ EXIT_CODES = {
     "strictify.ValidationFailedError": 1,
     "dynsys.BlowUpError": 1,
     "verify.FitFailedError": 1,
-    # a failed bracket or an inadmissible reference escaping a command is a
-    # defect of the command, not a verdict: internal error on purpose
+    # a failed bracket escaping a command is a defect of the command, not a
+    # verdict: internal error on purpose
     "funcalc.BracketNotFoundError": 3,
-    "fixtures.AdmissibilityError": 3,
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from strictlyap import funcalc as fc
 from strictlyap.decay import DecayRate, underline_p_gain
+from strictlyap.strictify import DEFAULT_FACTOR_ISS, build_alpha2_tilde, build_w
 
 
 def test_invert_identity():
@@ -53,7 +54,7 @@ def test_inverse_gain_float_equals_batch_element(text):
     inv = fc.inverse_gain(fc.gain_from_expr(text))
     for y in (0.0, 1.0e-3, 0.3, 1.7, 12.5, 900.0):
         got = inv(y)
-        assert np.shape(got) == ()
+        assert np.shape(got) == () and np.shape(inv(y)) == ()     # bisected, then reused
         assert float(got) == inv(np.array([y]))[0]
         assert float(inv.deriv(y)) == np.broadcast_to(inv.deriv(np.array([y])), (1,))[0]
 
@@ -61,8 +62,9 @@ def test_inverse_gain_float_equals_batch_element(text):
 @pytest.mark.parametrize("y", [-1.0, np.array([2.0, -1.0e-12])])
 def test_inverse_gain_rejects_negative_target(y):
     inv = fc.inverse_gain(fc.gain_from_expr("s + s^3"))
-    with pytest.raises(ValueError, match="target must be nonnegative"):
-        inv(y)
+    for _ in range(2):      # a target that raised is never stored
+        with pytest.raises(ValueError, match="target must be nonnegative"):
+            inv(y)
 
 
 def test_inverse_gain_keeps_nan():
@@ -71,6 +73,80 @@ def test_inverse_gain_keeps_nan():
     got = inv(np.array([2.0, np.nan, 0.0]))
     assert np.isnan(got[1]) and got[2] == 0.0
     assert got[0] == pytest.approx(1.0, abs=1e-14)
+
+
+def _counting(monkeypatch):
+    """Count the bisections behind every inverse gain from here on."""
+    calls = []
+    original = fc._invert_array
+
+    def counted(g, y):
+        calls.append(np.shape(y))
+        return original(g, y)
+
+    monkeypatch.setattr(fc, "_invert_array", counted)
+    return calls, original
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+def test_issp_w_inverts_a_repeated_argument_once(monkeypatch):
+    # w = (factor/tau) mu o alpha2_tilde^-1 as strictify_issp builds it; the
+    # contract margin calls w.deriv(V) and then w(V) on one batch
+    mu, alpha2 = fc.gain_from_expr("s + s^3"), fc.gain_from_expr("2*s^2")
+    a2t = build_alpha2_tilde(alpha2, mu, 1.5, 0.8)
+    calls, original = _counting(monkeypatch)
+    w = build_w(fc.compose(mu, fc.inverse_gain(a2t)), 1.5, 0.8)
+    v = np.array([0.0, 0.2, 1.3, 7.0])
+    del calls[:]
+    slope, value = w.deriv(v), w(v)
+    assert calls == [(4,)]
+    s = original(a2t, v)
+    c = DEFAULT_FACTOR_ISS / 1.5
+    assert np.array_equal(slope, c * (mu.deriv(s) * (1.0 / a2t.deriv(s))))
+    assert np.array_equal(value, c * mu(s))
+
+
+def test_reused_answers_are_fresh_bisections_and_copies(monkeypatch):
+    g = fc.gain_from_expr("s + s^3")
+    inv = fc.inverse_gain(g)
+    calls, original = _counting(monkeypatch)
+    y = np.array([0.5, 2.0, 30.0])
+    for _ in range(2):       # the caller owns what it gets, bisected or reused
+        got = inv(y)
+        assert _bits(got) == _bits(original(g, y))
+        got[:] = -1.0
+    assert _bits(inv.deriv(y)) == _bits(1.0 / g.deriv(original(g, y)))
+    assert len(calls) == 1
+    y[1] = 3.0                               # the target changes in place
+    assert _bits(inv(y)) == _bits(original(g, y))
+    assert len(calls) == 2
+
+
+def test_reuse_keeps_nan_and_signed_zero_answers(monkeypatch):
+    g = fc.gain_from_expr("s + s^3")
+    inv = fc.inverse_gain(g)
+    calls, original = _counting(monkeypatch)
+    plus, minus = np.array([0.0, np.nan, 2.0]), np.array([-0.0, np.nan, 2.0])
+    assert _bits(inv(plus)) == _bits(original(g, plus))
+    assert _bits(inv(minus)) == _bits(original(g, minus))   # equal target, reused
+    assert _bits(inv(np.nan)) == _bits(original(g, np.nan))
+    assert _bits(inv(np.nan)) == _bits(original(g, np.nan))
+    assert calls == [(3,), ()]
+
+
+def test_raising_target_keeps_the_last_answer(monkeypatch):
+    g = fc.gain_from_expr("s + s^3")
+    inv = fc.inverse_gain(g)
+    calls, original = _counting(monkeypatch)
+    good = inv(2.0)
+    with pytest.raises(ValueError, match="target must be nonnegative"):
+        inv(-2.0)
+    assert _bits(inv(2.0)) == _bits(good)
+    assert calls == [(), ()]
 
 
 @pytest.mark.parametrize("text, c", [("s", 1.0), ("2*s", 2.0), ("3*s + 1", 3.0)])

@@ -110,6 +110,7 @@ def test_empty_implication_region_fails():
     assert rep.n_samples == 0
     assert not rep.passed
     assert rep.notes == "no samples in implication region"
+    assert rep.sampled_worst == np.inf and rep.n_nonfinite == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -127,11 +128,24 @@ def test_non_finite_margin_fails_by_name(bad):
     assert calls == [50]                     # no refinement probes
     assert not rep.passed and rep.n_samples == 50
     assert rep.worst_margin == bad or (np.isnan(bad) and np.isnan(rep.worst_margin))
+    assert rep.n_nonfinite == 3
+    assert np.array_equal(rep.sampled_worst, rep.worst_margin, equal_nan=True)
     assert rep.worst_point[0] == t[3] and np.array_equal(rep.worst_point[1], x[3])
     assert rep.notes.startswith(f"3 non-finite margins; first {bad!r} at t={float(t[3])!r}, ")
     msg = str(ValidationFailedError(rep))
     assert msg == f"check 'nonfinite' failed: {rep.notes}"
     assert "horizon" not in msg
+
+
+def test_sampled_worst_is_the_worst_sample_before_refinement():
+    def margin_fn(t, x, u):
+        return (x[:, 0] - 0.3) ** 2 + 0.1 * t
+
+    rep = verify._run_check("bowl", margin_fn, SampleDomain(), 2, 1, 50, 0)
+    t, x, u = SampleDomain().sample(50, 2, 1, 0)
+    assert rep.sampled_worst == margin_fn(t, x, u).min()
+    assert rep.worst_margin < rep.sampled_worst      # refinement improved on it
+    assert rep.n_nonfinite == 0
 
 
 def test_finite_failure_message_keeps_the_margin():
@@ -306,6 +320,7 @@ class TestFalsify:
                              budget=500, seed=11)
         assert not rep.passed
         assert abs(rep.worst_point[1][0]) > 1.9  # pushed to the boundary
+        assert rep.sampled_worst > rep.worst_margin
 
     def test_counterexample_violation_at_top_of_time_range(self):
         ce = counterexample_elw()
@@ -395,6 +410,7 @@ class TestDeterminismAndReports:
                                      rb.mu_tilde, rb.omega, "value", rb.domain,
                                      n=4000, seed=21)
         assert rep.reevaluate() == pytest.approx(rep.worst_margin, abs=1e-12)
+        assert rep.sampled_worst >= rep.worst_margin and rep.n_nonfinite == 0
 
     def test_same_seed_same_report(self):
         sc = scalar_linear()
