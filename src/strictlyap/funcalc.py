@@ -4,8 +4,9 @@ A GainFunction bundles a nonnegative scalar map with derivative access and a
 probe interval for numeric spot checks.  Membership in the K-infinity class
 cannot be proven by sampling, so `check_kinf` reports the worst violation
 found on a grid instead of claiming a proof.  Numeric inversion is bracket
-doubling followed by bisection, which only needs monotonicity.  An inverse
-gain answers a target equal to its last one from its last bisection.
+doubling followed by safeguarded Newton steps that fall back on bisection,
+which only needs monotonicity.  An inverse gain answers a target equal to
+its last one from its last answer.
 """
 
 from __future__ import annotations
@@ -162,55 +163,88 @@ def check_kl(beta: KLFunction, s_max: float = 10.0, t_max: float = 10.0,
 
 
 def invert(g: GainFunction, y: float) -> float:
-    """Solve g(s) = y for s >= 0: `_invert_array` on one target."""
+    """Solve g(s) = y for s >= 0: `_invert_array` on one target, which is
+    the answer that target gets inside any batch."""
     return float(_invert_array(g, y))
 
 
 def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:
-    """Solve g(s) = y for s >= 0 elementwise: bracket doubling from [0, 1],
-    then bisection to a bracket of 1e-15 relative.  A negative target raises
-    ValueError, a zero one gives 0 and a NaN one NaN."""
+    """Solve g(s) = y for s >= 0 elementwise, each target on its own.
+
+    The bracket doubles from [0, 1] until g(hi) >= y; its last doubling
+    leaves g(lo) < y.  Each step then starts from the last iterate x (first
+    hi) and goes to the Newton point x - (g(x) - y)/g'(x), overshot by a
+    quarter of the tolerance so that a converged iterate closes the bracket
+    from the far side, when that point is finite, strictly inside the
+    bracket and at most half as far from x as the step before; otherwise it
+    bisects.  A target leaves the loop once its bracket is at most
+    1e-15 * max(1, hi) wide and gets the midpoint, so its answer does not
+    depend on the other targets of its batch.  A negative target raises
+    ValueError, a zero one gives 0 and a NaN one NaN.
+    """
     y = np.asarray(y, dtype=float)
     if (y < 0.0).any():
         raise ValueError("target must be nonnegative")
-    out_shape = y.shape
-    y = y.ravel()
+    shape, y = y.shape, y.ravel()
+    out = np.where(y == 0.0, 0.0, np.nan)
+    pos = np.flatnonzero(y > 0.0)
+    if pos.size == 0:
+        return out.reshape(shape)
+    y = y[pos]
     lo = np.zeros_like(y)
     hi = np.ones_like(y)
-    cap = g.probe_max * 2.0 ** _BRACKET_DOUBLINGS
     for _ in range(_BRACKET_DOUBLINGS + 20):
-        low = np.asarray(g(hi)) < y
+        f = np.asarray(g(hi), dtype=float) - y      # g(x) - y at the iterate x
+        low = f < 0.0
         if not low.any():
             break
+        lo[low] = hi[low]
         hi[low] *= 2.0
     else:
         raise BracketNotFoundError("gain looks bounded on probed range")
-    if hi.max() > cap:
+    if hi.max() > g.probe_max * 2.0 ** _BRACKET_DOUBLINGS:
         raise BracketNotFoundError("gain looks bounded on probed range")
+    # the open targets only, compacted whenever one closes
+    x = hi
+    moved = np.full_like(y, np.inf)     # length of each target's last step
     for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(g(mid)) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if float((hi - lo).max()) <= 1.0e-15 * max(1.0, float(hi.max())):
-            break
-    out = 0.5 * (lo + hi)
-    out[y == 0.0] = 0.0
-    out[np.isnan(y)] = np.nan
-    return out.reshape(out_shape)
+        tol = 1.0e-15 * np.maximum(1.0, hi)
+        closed = hi - lo <= tol
+        if closed.any():
+            out[pos[closed]] = 0.5 * (lo[closed] + hi[closed])
+            keep = ~closed
+            pos, y, lo, hi, x, f, moved, tol = (
+                a[keep] for a in (pos, y, lo, hi, x, f, moved, tol))
+            if pos.size == 0:
+                break
+        with np.errstate(all="ignore"):
+            step = f / np.asarray(g.deriv(x), dtype=float)
+            s = x - step - np.copysign(0.25 * tol, step)
+            newton = (np.isfinite(s) & (s > lo) & (s < hi)
+                      & (np.abs(s - x) <= 0.5 * moved))
+        s = np.where(newton, s, 0.5 * (lo + hi))
+        f = np.asarray(g(s), dtype=float) - y
+        below = f < 0.0
+        lo = np.where(below, s, lo)
+        hi = np.where(below, hi, s)
+        moved = np.abs(s - x)
+        x = s
+    else:
+        out[pos] = 0.5 * (lo + hi)
+    return out.reshape(shape)
 
 
 def inverse_gain(g: GainFunction) -> GainFunction:
     """Numeric inverse of an increasing gain, as a GainFunction.
 
-    Arguments go through the vectorized bisection, so a float gives a 0-d
-    array.  The gain keeps its last target and answer: a target of the same
-    shape and equal values (NaN equal to NaN, -0.0 to 0.0) gets a copy of
-    the last answer without a new bisection, so ``deriv(y)`` followed by
-    ``fn(y)`` inverts ``y`` once.  The derivative uses the inverse-function
-    rule 1/g'(g^{-1}(y)).
+    Arguments go through `_invert_array`, so a float gives a 0-d array and
+    each element the answer it would get alone.  The gain keeps its last
+    target and answer: a target of the same shape and equal values (NaN
+    equal to NaN, -0.0 to 0.0) gets a copy of the last answer without a new
+    inversion, so ``deriv(y)`` followed by ``fn(y)`` inverts ``y`` once.  The
+    derivative uses the inverse-function rule 1/g'(g^{-1}(y)).
     """
-    last = None     # (target, answer) of the last bisection, both copies
+    last = None     # (target, answer) of the last inversion, both copies
 
     def fn(y):
         nonlocal last

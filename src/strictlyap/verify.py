@@ -3,7 +3,8 @@
 Every check draws a deterministic batch of points (unit-cube rows from
 scrambled Halton for coverage plus seeded uniform noise, sent into the domain
 by one map), evaluates a vectorized margin whose nonnegativity expresses the
-inequality, then polishes the worst point with coordinate descent.  A passing
+inequality, then polishes the worst point with coordinate descent, which
+evaluates the probes of a pass as one batch.  A passing
 report means "no violation found on this domain with this budget", never a
 proof; an implication region that kept no sample fails, and so does a
 non-finite sampled margin, without refinement.
@@ -105,7 +106,9 @@ class InequalityReport:
     margin_fn: Callable | None = field(default=None, repr=False, compare=False)
 
     def reevaluate(self) -> float:
-        """Margin at the recorded worst point; matches worst_margin."""
+        """Margin at the recorded worst point; matches worst_margin, up to
+        the last bits on an aperiodic rate, whose window table spans the
+        batch a margin was evaluated in."""
         if self.margin_fn is None:
             raise ValueError(f"report '{self.name}' carries no margin function")
         return float(_at_point(self.margin_fn, *self.worst_point))
@@ -128,42 +131,68 @@ def vdot(candidate, system, t, x, u):
 
 def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None):
     """Locally minimize the margin around ``point`` (deterministic); probes
-    outside the batch mask ``accept`` count as +inf."""
+    outside the batch mask ``accept`` count as +inf.
+
+    A pass probes t, x1..xn, u1..um in turn, each +step before -step, and
+    moves to the first probe that lowers the margin.  The probes left in a
+    pass are evaluated as one batch from the current point; after a move the
+    ones behind it are rebuilt from the new point, so the search takes the
+    path that probing one point at a time takes.
+    """
     t, x, u = point
-    t = float(t)
-    x = np.array(x, dtype=float)
-    u = np.array(u, dtype=float)
+    nx = np.size(x)
+    z = np.concatenate(([float(t)], np.array(x, dtype=float), np.array(u, dtype=float)))
+    d = z.size
+    # probe q moves coordinate q // 2 of z = (t, x, u), by +step before -step
+    steps = np.repeat([0.1 * (domain.t_range[1] - domain.t_range[0]),
+                       0.1 * max(domain.x_radius, 1.0e-6),
+                       0.1 * max(domain.u_radius, 1.0e-6)], [1, nx, d - 1 - nx])
+    signed = np.tile([1.0, -1.0], d) * np.repeat(steps, 2)
+    balls = ((1, 1 + nx, domain.x_radius), (1 + nx, d, domain.u_radius))
 
-    def value(tt, xx, uu):
-        if accept is not None and not _at_point(accept, tt, xx, uu):
-            return np.inf
-        return float(_at_point(margin_fn, tt, xx, uu))
+    def probes(q, delta):
+        """Rows (t, x, u) of probes q, q+1, ... around z: t clipped to its
+        range, a moved x or u projected back onto its ball with a norm per
+        row, as for one point."""
+        k = delta.size
+        rows = np.repeat(z[None, :], k, axis=0)
+        rows[np.arange(k), (q + np.arange(k)) // 2] += delta
+        n_t = max(0, 2 - q)
+        rows[:n_t, 0] = np.clip(rows[:n_t, 0], *domain.t_range)
+        for lo, hi, radius in balls:
+            for i in range(max(0, 2 * lo - q), max(0, 2 * hi - q)):
+                v = rows[i, lo:hi]
+                nrm = np.linalg.norm(v)
+                if nrm > radius:
+                    v *= radius / nrm
+        return rows
 
-    best = value(t, x, u)
-    dt0 = 0.1 * (domain.t_range[1] - domain.t_range[0])
-    dx0 = 0.1 * max(domain.x_radius, 1.0e-6)
-    du0 = 0.1 * max(domain.u_radius, 1.0e-6)
+    def values(rows):
+        # contiguous arrays, as one point is passed
+        tt, xx, uu = rows[:, 0].copy(), rows[:, 1:1 + nx].copy(), rows[:, 1 + nx:].copy()
+        with np.errstate(all="ignore"):
+            if accept is None:
+                return np.asarray(margin_fn(tt, xx, uu), dtype=float)
+            keep = np.asarray(accept(tt, xx, uu), dtype=bool)
+            out = np.full(tt.size, np.inf)
+            if keep.any():
+                out[keep] = margin_fn(tt[keep], xx[keep], uu[keep])
+        return out
+
+    best = float(values(z[None, :])[0])
     for p in range(REFINE_PASSES):
-        shrink = 0.5 ** p
-        for idx in range(1 + x.size + u.size):
-            for sign in (+1.0, -1.0):
-                tt, xx, uu = t, x.copy(), u.copy()
-                if idx == 0:
-                    tt = float(np.clip(t + sign * dt0 * shrink, *domain.t_range))
-                elif idx <= x.size:
-                    xx[idx - 1] += sign * dx0 * shrink
-                    nrm = np.linalg.norm(xx)
-                    if nrm > domain.x_radius:
-                        xx *= domain.x_radius / nrm
-                else:
-                    uu[idx - 1 - x.size] += sign * du0 * shrink
-                    nrm = np.linalg.norm(uu)
-                    if nrm > domain.u_radius:
-                        uu *= domain.u_radius / nrm
-                cand = value(tt, xx, uu)
-                if cand < best:
-                    best, t, x, u = cand, tt, xx, uu
-    return best, (t, x, u)
+        delta = signed * 0.5 ** p
+        q = 0
+        while q < 2 * d:
+            rows = probes(q, delta[q:])
+            vals = values(rows)
+            better = np.flatnonzero(vals < best)
+            if better.size == 0:
+                break
+            j = int(better[0])
+            best, z = float(vals[j]), rows[j]
+            q += j + 1
+    return best, (float(z[0]), z[1:1 + nx].copy(), z[1 + nx:].copy())
 
 
 def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,

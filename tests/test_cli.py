@@ -294,8 +294,9 @@ def test_readme_ini_example_runs(tmp_path, capsys, command):
 
 def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, capsys):
     # the README's issp route inverts alpha2_tilde behind every w and decay
-    # call; an inverse gain that reuses its last answer bisects 46 times here,
-    # against 222 when each call bisected anew
+    # call; an inverse gain that reuses its last answer, probed a descent pass
+    # at a time, inverts 21 times here, against 46 with one-point probes and
+    # 222 when each call inverted anew
     cfg = _readme_ini(tmp_path)
     calls = []
     original = funcalc._invert_array
@@ -306,7 +307,7 @@ def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(funcalc, "_invert_array", counted)
     assert cli.main(["strictify", "--config", str(cfg)]) == 0
-    assert len(calls) == 46
+    assert len(calls) == 21
 
 
 def test_cli_import_loads_no_heavy_scipy():

@@ -75,6 +75,88 @@ def test_inverse_gain_keeps_nan():
     assert got[0] == pytest.approx(1.0, abs=1e-14)
 
 
+def _bisection_oracle(g, y):
+    """The plain bisection the Newton inversion replaced: doubling from
+    [0, 1], then halving the bracket to 1e-15 * max(1, hi)."""
+    y = np.asarray(y, dtype=float).ravel()
+    lo, hi = np.zeros_like(y), np.ones_like(y)
+    for _ in range(80):
+        low = np.asarray(g(hi)) < y
+        if not low.any():
+            break
+        hi[low] *= 2.0
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(g(mid)) < y
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        if float((hi - lo).max()) <= 1.0e-15 * max(1.0, float(hi.max())):
+            break
+    out = 0.5 * (lo + hi)
+    out[y == 0.0] = 0.0
+    out[np.isnan(y)] = np.nan
+    return out
+
+
+INVERSION_GAINS = [
+    "s^2",            # zero slope at 0
+    "s + s^3",
+    "max(s, s^2)",    # finite-difference derivative
+    "2*s",            # constant np.full_like derivative
+    "exp(s) - 1",
+]
+
+
+def _inversion_targets():
+    draws = np.random.default_rng(5).uniform(0.0, 50.0, 200)
+    return np.concatenate([[0.0, np.nan, 1.0e-300, 1.0e-8, 1.0e6], draws])
+
+
+@pytest.mark.parametrize("text", INVERSION_GAINS)
+def test_invert_array_is_batch_invariant(text):
+    # each target stops on its own bracket, so an answer does not depend on
+    # the batch around it, bit for bit
+    g = fc.gain_from_expr(text)
+    ys = _inversion_targets()
+    batch = fc._invert_array(g, ys)
+    alone = np.array([fc._invert_array(g, ys[i:i + 1])[0] for i in range(ys.size)])
+    assert np.array_equal(batch, alone, equal_nan=True)
+    assert np.array_equal(fc._invert_array(g, ys[::-1]), batch[::-1], equal_nan=True)
+    assert np.array_equal(fc._invert_array(g, ys.reshape(5, 41)), batch.reshape(5, 41),
+                          equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text", INVERSION_GAINS)
+def test_invert_array_agrees_with_bisection(text):
+    g = fc.gain_from_expr(text)
+    ys = _inversion_targets()
+    got = fc._invert_array(g, ys)
+    ref = np.array([_bisection_oracle(g, y)[0] for y in ys])
+    assert got[0] == 0.0 and np.isnan(got[1])
+    assert np.all(np.abs(got[2:] - ref[2:]) <= 1.0e-15 * np.maximum(1.0, ref[2:]))
+
+
+def test_invert_array_converges_where_newton_crawls():
+    # Newton from above shrinks s^9 by 8/9 a step and, with a finite-difference
+    # slope near 0, s*abs(s) by far less; bisecting whenever a Newton step is
+    # not at most half the one before still closes each bracket
+    ys = np.array([1.0e-300, 1.0e-100, 1.0e-20, 0.3])
+    for text in ("s^9", "s*abs(s)"):
+        g = fc.gain_from_expr(text)
+        got = fc._invert_array(g, ys)
+        ref = np.array([_bisection_oracle(g, y)[0] for y in ys])
+        assert np.all(np.abs(got - ref) <= 1.0e-15 * np.maximum(1.0, ref))
+
+
+def test_invert_array_rejects_negative_and_bounded():
+    g = fc.gain_from_expr("s + s^3")
+    with pytest.raises(ValueError, match="target must be nonnegative"):
+        fc._invert_array(g, np.array([0.0, np.nan, 2.0, -1.0e-300]))
+    bounded = fc.GainFunction(np.tanh, probe_max=10.0)
+    with pytest.raises(fc.BracketNotFoundError):
+        fc._invert_array(bounded, np.array([0.0, np.nan, 0.5, 2.0]))
+
+
 def _counting(monkeypatch):
     """Count the bisections behind every inverse gain from here on."""
     calls = []

@@ -403,6 +403,120 @@ class TestIssEstimate:
             verify.fit_iss_envelope(batch, ONE)
 
 
+def _one_point_descent(margin_fn, domain, point, accept=None):
+    """The coordinate descent that probes one point per margin call, as it
+    was before passes were batched; returns (best, point) and its moves."""
+    t, x, u = point
+    t = float(t)
+    x = np.array(x, dtype=float)
+    u = np.array(u, dtype=float)
+    moves = 0
+
+    def value(tt, xx, uu):
+        if accept is not None and not verify._at_point(accept, tt, xx, uu):
+            return np.inf
+        return float(verify._at_point(margin_fn, tt, xx, uu))
+
+    best = value(t, x, u)
+    dt0 = 0.1 * (domain.t_range[1] - domain.t_range[0])
+    dx0 = 0.1 * max(domain.x_radius, 1.0e-6)
+    du0 = 0.1 * max(domain.u_radius, 1.0e-6)
+    for p in range(verify.REFINE_PASSES):
+        shrink = 0.5 ** p
+        for idx in range(1 + x.size + u.size):
+            for sign in (+1.0, -1.0):
+                tt, xx, uu = t, x.copy(), u.copy()
+                if idx == 0:
+                    tt = float(np.clip(t + sign * dt0 * shrink, *domain.t_range))
+                elif idx <= x.size:
+                    xx[idx - 1] += sign * dx0 * shrink
+                    nrm = np.linalg.norm(xx)
+                    if nrm > domain.x_radius:
+                        xx *= domain.x_radius / nrm
+                else:
+                    uu[idx - 1 - x.size] += sign * du0 * shrink
+                    nrm = np.linalg.norm(uu)
+                    if nrm > domain.u_radius:
+                        uu *= domain.u_radius / nrm
+                cand = value(tt, xx, uu)
+                if cand < best:
+                    best, t, x, u = cand, tt, xx, uu
+                    moves += 1
+    return (best, (t, x, u)), moves
+
+
+class TestCoordinateDescent:
+    @staticmethod
+    def _compare(margin_fn, domain, point, accept=None):
+        """Batched and one-point descents from ``point``: the same result,
+        bit for bit, within the margin-call bound; returns every probed row."""
+        rows = []
+
+        def recorded(t, x, u):
+            rows.append((t.copy(), x.copy(), u.copy()))
+            return margin_fn(t, x, u)
+
+        best, (t, x, u) = verify._coordinate_descent(recorded, domain, point, accept)
+        (ref_best, (ref_t, ref_x, ref_u)), moves = _one_point_descent(
+            margin_fn, domain, point, accept)
+        assert best == ref_best and t == ref_t
+        assert np.array_equal(x, ref_x) and np.array_equal(u, ref_u)
+        assert moves > 0
+        assert len(rows) <= 1 + verify.REFINE_PASSES + moves
+        return [np.concatenate(a) for a in zip(*rows)]
+
+    def test_uppd_margin(self):
+        rb = rigid_body()
+        margin_fn = verify.check_uppd(rb.candidate, rb.domain, n=200, seed=3).margin_fn
+        t, x, u = rb.domain.sample(4, rb.candidate.n, 0, seed=9)
+        for i in range(4):
+            self._compare(margin_fn, rb.domain, (t[i], x[i], u[i]))
+
+    def test_issp_margin_with_mask_through_the_inverse_gain(self):
+        cert = strictify_problem(scalar_linear(), n_samples=500)
+        (contract,) = [r for r in cert.validation.reports if r.name == "strict-iss-contract"]
+        chi = cert.chi
+        rejected = []
+
+        def mask_fn(t, x, u):
+            keep = np.linalg.norm(x, axis=1) >= chi(np.linalg.norm(u, axis=1))
+            rejected.append(int((~keep).sum()))
+            return keep
+
+        # just inside the implication region: raising |u| leaves it
+        for x0, u0, t0 in ((1.02, 0.5, 0.7), (-3.1, -1.5, 1.3), (0.4, 0.19, 0.1)):
+            self._compare(contract.margin_fn, cert.domain,
+                          (t0, np.array([x0]), np.array([u0])), mask_fn)
+        assert sum(rejected) > 0
+
+    def test_t_probe_clipped_to_the_range(self):
+        rb = rigid_body()
+        margin_fn = verify.check_uppd(rb.candidate, rb.domain, n=200, seed=3).margin_fn
+        t1 = rb.domain.t_range[1]
+        t, x, u = self._compare(margin_fn, rb.domain,
+                                (t1 - 1.0e-3, np.array([0.3, -1.2, 0.8]), np.zeros(0)))
+        assert (t == t1).any()
+
+    def test_x_probe_projected_onto_the_ball(self):
+        rb = rigid_body()
+        margin_fn = verify.check_uppd(rb.candidate, rb.domain, n=200, seed=3).margin_fn
+        radius = rb.domain.x_radius
+        x0 = 0.99 * radius * np.array([0.6, 0.0, 0.8])
+        t, x, u = self._compare(margin_fn, rb.domain, (1.0, x0, np.zeros(0)))
+        assert np.isclose(np.linalg.norm(x, axis=1), radius, rtol=1e-14, atol=0.0).any()
+
+    @pytest.mark.parametrize("fixture", [rigid_body, scalar_linear, counterexample_elw])
+    def test_refined_margin_reevaluates_exactly(self, fixture):
+        # each batch row is evaluated as that point alone would be, so the
+        # margin recorded from a batch is the margin at the recorded point
+        try:
+            reports = strictify_problem(fixture()).validation.reports
+        except ValidationFailedError as exc:     # counterexample-elw fails by design
+            reports = [exc.report]
+        for report in reports:
+            assert report.reevaluate() == report.worst_margin
+
+
 class TestDeterminismAndReports:
     def test_worst_point_reproduces_margin(self):
         rb = rigid_body()
