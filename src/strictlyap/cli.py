@@ -113,12 +113,12 @@ def _load(args) -> Problem:
 
 
 def _override(problem: Problem, args) -> Problem:
-    """Apply --seed and --samples; a negative seed or a sample count below 1
+    """Apply --seed and --samples; a negative seed or a sample count below 2
     is a config error."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    if args.samples is not None and args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples is not None and args.samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
     if args.seed is not None:
         problem.seed = args.seed
     if args.samples is not None:

@@ -256,6 +256,9 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     if "problem" not in cp:
         raise ConfigError("missing [problem] section")
     prob = cp["problem"]
+    for key in ("n", "m"):
+        if key not in prob:
+            raise ConfigError(f"[problem] {key} is required")
     n = prob.getint("n")
     m = prob.getint("m")
     mode = _strip(prob.get("mode", "disp-value"))
@@ -330,8 +333,8 @@ def _build(cp: configparser.ConfigParser) -> Problem:
                               _number(ds, "x_radius", 10.0, _NON_NEGATIVE),
                               _number(ds, "u_radius", 5.0, _NON_NEGATIVE))
         samples = ds.getint("samples", fallback=10_000)
-        if samples < 1:
-            raise ConfigError(f"samples must be at least 1, got {samples}")
+        if samples < 2:
+            raise ConfigError(f"samples must be at least 2, got {samples}")
 
     sim = SimSpec()
     m_closed = system.m

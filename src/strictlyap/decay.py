@@ -278,20 +278,6 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
     )
 
 
-def pe_scan(p: DecayRate, taus,
-            horizon: float | None = None) -> list[tuple[float, float]]:
-    """epsilon(tau) over a ladder of window lengths (256-point grids); 0
-    marks failures."""
-    out = []
-    for tau in taus:
-        try:
-            est = estimate_pe(p, float(tau), horizon, n_grid=256)
-            out.append((float(tau), est.epsilon))
-        except NotPersistentlyExcitingError:
-            out.append((float(tau), 0.0))
-    return out
-
-
 def check_pe(p: DecayRate) -> tuple[bool, float]:
     """Verify the attached triple on 400 window ends over estimate_pe's
     default horizon and 1600 rate samples; returns (ok, worst margin)."""
@@ -307,18 +293,15 @@ def check_pe(p: DecayRate) -> tuple[bool, float]:
     return worst >= -PASS_TOL, worst
 
 
-def underline_p(p: DecayRate, h: float, horizon: float | None = None,
-                n_grid: int = 512) -> float:
-    """inf over t in [0, horizon] of int_t^{t+h} p(r) dr.
-
-    Exact for periodic p as soon as the horizon covers a full period.
+def underline_p(p: DecayRate, h: float, n_grid: int = 512) -> float:
+    """inf over t in [0, horizon] of int_t^{t+h} p(r) dr, with the horizon
+    one period of p, or 20 max(h, 1) for an aperiodic p.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
     if h == 0.0:
         return 0.0
-    if horizon is None:
-        horizon = p.period if p.period is not None else 20.0 * max(h, 1.0)
+    horizon = p.period if p.period is not None else 20.0 * max(h, 1.0)
     ts = np.linspace(0.0, horizon, n_grid)
     vals = window_integral_vec(p, h, ts + h)
     return max(0.0, _refine_min(
@@ -327,7 +310,7 @@ def underline_p(p: DecayRate, h: float, horizon: float | None = None,
 
 def underline_p_gain(p: DecayRate, n_grid: int = 128):
     """pl as a gain-like callable of h on [0, 50] (used to rescale KL
-    estimates), each value over underline_p's default horizon."""
+    estimates), each value over underline_p's horizon."""
     from .funcalc import GainFunction
 
     def fn(h):

@@ -88,27 +88,6 @@ class Signal:
                       sup_bound=float(np.linalg.norm(v)),
                       label=",".join(repr(float(c)) for c in v))
 
-    @staticmethod
-    def piecewise(segments: Sequence[tuple[float, "Signal"]], m: int) -> "Signal":
-        """Signal switching at breakpoints: list of (t_end, signal); each t takes
-        the first segment with t < t_end, the last one regardless of its end."""
-        if not segments:
-            raise ValueError("need at least one segment")
-        ends = np.array([float(b) for b, _ in segments[:-1]])
-        sigs = [s for _, s in segments]
-
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            seg = np.column_stack([t[:, None] < ends, np.ones(t.shape, bool)]).argmax(axis=1)
-            out = np.empty((t.size, m))
-            for i, sig in enumerate(sigs):
-                out[seg == i] = sig(t[seg == i])
-            return out
-
-        bounds = [s.sup_bound for s in sigs]
-        sup = None if any(b is None for b in bounds) else max(bounds)
-        return Signal(fn, m, sup_bound=sup, label="piecewise")
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -117,10 +96,6 @@ class Trajectory:
     times: np.ndarray          # (k,)
     states: np.ndarray         # (k, n)
     inputs: np.ndarray         # (k, m): the rows the RK4 stages applied
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.states[0]
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
@@ -274,18 +249,6 @@ def close_loop(system: ControlSystem, feedback: Callable) -> ControlSystem:
 
     label = f"{system.label}+feedback" if system.label else "closed-loop"
     return ControlSystem(system.n, m_rest, f_closed, period=system.period, label=label)
-
-
-def lyapunov_along(traj: Trajectory, V: Callable) -> dict[str, np.ndarray]:
-    """Sample V(t, x(t)) along a trajectory with its finite-difference slope.
-
-    Central differences inside, one-sided at the ends (np.gradient).
-    """
-    if traj.times.size == 0:
-        raise ValueError("empty trajectory")
-    v = np.asarray(V(traj.times, traj.states), dtype=float)
-    dv = np.gradient(v, traj.times) if traj.times.size > 1 else np.zeros(1)
-    return {"t": traj.times, "V": v, "dV_fd": dv}
 
 
 def write_trajectory_csv(path, traj: Trajectory, extra: dict[str, np.ndarray] | None = None):

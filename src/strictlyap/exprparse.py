@@ -327,11 +327,6 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def evaluate(e: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate ``e`` with all free variables bound in ``env``."""
-    return e.eval(env)
-
-
 # ---------------------------------------------------------------------------
 # Printing (round-trips through parse)
 

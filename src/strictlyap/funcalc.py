@@ -1,12 +1,11 @@
 """Calculus of comparison functions (candidate class-K-infinity gains).
 
 A GainFunction bundles a nonnegative scalar map with derivative access and a
-probe interval for numeric spot checks.  Membership in the K-infinity class
-cannot be proven by sampling, so `check_kinf` reports the worst violation
-found on a grid instead of claiming a proof.  Numeric inversion is bracket
-doubling followed by safeguarded Newton steps that fall back on bisection,
-which only needs monotonicity.  An inverse gain answers a target equal to
-its last one from its last answer.
+probe interval.  Class membership cannot be proven by sampling, so `check_kl`
+reports the worst violation found on a grid instead of claiming a proof.
+Numeric inversion is bracket doubling followed by safeguarded Newton steps
+that fall back on bisection, which only needs monotonicity.  An inverse gain
+answers a target equal to its last one from its last answer.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 from . import exprparse
 
 DEFAULT_PROBE_MAX = 1.0e3
-DEFAULT_GRID = 10_000
 _BRACKET_DOUBLINGS = 60
 
 
@@ -80,12 +78,7 @@ def identity_gain() -> GainFunction:
     return GainFunction(lambda s: s * 1.0, lambda s: np.ones_like(s, dtype=float), label="s")
 
 
-def linear_gain(c: float, label: str | None = None) -> GainFunction:
-    return GainFunction(lambda s: c * s, lambda s: np.full_like(s, c, dtype=float),
-                        label=label or f"{c!r}*s")
-
-
-def gain_from_expr(text: str, probe_max: float = DEFAULT_PROBE_MAX) -> GainFunction:
+def gain_from_expr(text: str) -> GainFunction:
     """Build a gain from an expression in the variable ``s``.
 
     Uses the symbolic derivative when the expression is smooth, otherwise
@@ -103,33 +96,7 @@ def gain_from_expr(text: str, probe_max: float = DEFAULT_PROBE_MAX) -> GainFunct
         deriv = exprparse.compile_expr(d, ("s",))
         if not d.variables():
             deriv = partial(np.full_like, fill_value=float(deriv(0.0)), dtype=float)
-    return GainFunction(fn, deriv, probe_max=probe_max, label=text)
-
-
-def check_kinf(g: GainFunction, n_grid: int = DEFAULT_GRID) -> SpotCheckReport:
-    """Sampled spot check: g(0)=0, strictly increasing, g ends above start.
-
-    Failures are reported, never raised.
-    """
-    if n_grid < 2:
-        raise ValueError("n_grid must be at least 2")
-    s = np.linspace(0.0, g.probe_max, n_grid)
-    v = np.asarray(g(s), dtype=float)
-    problems = []
-    g0 = float(v[0])
-    if abs(g0) > 1.0e-12:
-        problems.append((-abs(g0), 0.0, f"g(0) = {g0!r} != 0"))
-    diffs = np.diff(v)
-    j = int(np.argmin(diffs))
-    if diffs[j] <= 0.0:
-        problems.append((float(diffs[j]), float(s[j + 1]),
-                         f"not strictly increasing near s = {s[j + 1]!r}"))
-    if v[-1] <= v[0]:
-        problems.append((float(v[-1] - v[0]), float(s[-1]), "no growth over probe range"))
-    if not problems:
-        return SpotCheckReport("kinf", True, float(diffs.min()), float(s[int(np.argmin(diffs)) + 1]))
-    worst = min(problems)
-    return SpotCheckReport("kinf", False, worst[0], worst[1], worst[2])
+    return GainFunction(fn, deriv, label=text)
 
 
 def check_kl(beta: KLFunction, s_max: float = 10.0, t_max: float = 10.0,

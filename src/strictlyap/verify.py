@@ -42,26 +42,24 @@ class SampleDomain:
     x_radius: float = 10.0
     u_radius: float = 5.0
 
-    def sample(self, n: int, nx: int, nu: int, seed: int = 0,
-               halton_fraction: float = 0.5):
+    def sample(self, n: int, nx: int, nu: int, seed: int = 0):
         """Deterministic batch: (t, x, u) arrays of shapes (n,), (n,nx), (n,nu).
 
         Unit-cube rows [t, |x|, x-direction, |u|, u-direction]: a block of
-        clipped Halton rows, then one of uniform rows drawn column by column.
+        round(n/2) clipped Halton rows (half to even, so none for n = 1), then
+        one of uniform rows drawn column by column.
         """
         if n < 1:
             raise ValueError(f"sample count must be at least 1, got {n!r}")
         widths = [1, 1, nx] + ([1, nu] if nu else [])
-        n_h = int(round(n * halton_fraction))
+        n_h = int(round(n * 0.5))
         # each block is mapped as soon as it is drawn, which bounds peak memory
         parts = []
         if n_h > 0:
             h = halton(sum(widths), n_h, seed)
             parts.append(self._map(np.clip(h, 1.0e-12, 1.0 - 1.0e-12), nx))
-        if n > n_h:
-            rng = np.random.default_rng(seed + 1)
-            parts.append(self._map(
-                np.hstack([rng.random((n - n_h, w)) for w in widths]), nx))
+        rng = np.random.default_rng(seed + 1)
+        parts.append(self._map(np.hstack([rng.random((n - n_h, w)) for w in widths]), nx))
         return tuple(np.concatenate(a) for a in zip(*parts))
 
     def _map(self, c: np.ndarray, nx: int):
@@ -295,23 +293,6 @@ def check_strict_iss_lyap(candidate, system, mu: GainFunction,
                     period=1.0, label="1")
     rep = check_issp_lyap(candidate, system, one, mu, chi, domain, n, seed)
     return dataclasses.replace(rep, name="strict-iss-lyapunov")
-
-
-def falsify(predicate, domain: SampleDomain, nx: int, nu: int,
-            budget: int = 2_000, seed: int = 0) -> InequalityReport:
-    """Randomized search for a violation of ``predicate(t, x, u) >= 0``.
-
-    Uniform exploration followed by coordinate descent around the best
-    candidate; deterministic for a fixed seed.
-    """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    t, x, u = domain.sample(budget, nx, nu, seed, halton_fraction=0.0)
-    margins = np.asarray(predicate(t, x, u), dtype=float)
-    j = int(np.argmin(margins))
-    worst, point = _coordinate_descent(predicate, domain, (t[j], x[j], u[j]))
-    return InequalityReport("falsify", budget, worst, point, worst >= -PASS_TOL,
-                            sampled_worst=float(margins[j]), margin_fn=predicate)
 
 
 # ---------------------------------------------------------------------------

@@ -233,8 +233,8 @@ def test_c08_derivative_cross_checks(rb_problem, rb_certificate):
                     env = {v: rng.uniform(0.2, 2.0) for v in e.variables()}
                     hi = dict(env, **{var: env[var] + h})
                     lo = dict(env, **{var: env[var] - h})
-                    fd = (exprparse.evaluate(e, hi) - exprparse.evaluate(e, lo)) / (2 * h)
-                    sym = exprparse.evaluate(d, env)
+                    fd = (e.eval(hi) - e.eval(lo)) / (2 * h)
+                    sym = d.eval(env)
                     assert abs(sym - fd) <= 1e-6 * max(abs(sym), abs(fd), 1e-2), \
                         f"{name}:{key} d/d{var}"
                 n_checked += 1

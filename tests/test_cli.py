@@ -161,6 +161,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_problem(tmp_path / "absent.ini")
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_missing_dimension_is_config_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(SCALAR_CONFIG.replace(f"\n{key} = 1\n", "\n"), encoding="utf-8")
+        assert cli.main(["strictify", "--config", str(cfg)]) == 2
+        assert f"config error: [problem] {key} is required" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_pe_on_fixture(self, capsys):
@@ -292,6 +299,44 @@ def test_readme_ini_example_runs(tmp_path, capsys, command):
     assert cli.main([command, "--config", str(_readme_ini(tmp_path))]) == 0
 
 
+def test_readme_python_blocks_run(capsys):
+    # the "Library use" blocks, in order, in one namespace: the second
+    # reuses the first one's problem and certificate
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)  # noqa: S102 - the README's own examples
+    assert capsys.readouterr().out.endswith("strict-iss-lyapunov True\nTrue\n")
+
+
+# Public names deleted because nothing but their tests reached them
+DELETED = {
+    "funcalc": ["linear_gain", "check_kinf", "DEFAULT_GRID"],
+    "dynsys": ["lyapunov_along"],
+    "verify": ["falsify"],
+    "decay": ["pe_scan"],
+    "exprparse": ["evaluate"],
+}
+
+
+def test_library_surface():
+    for name in strictlyap.__all__:
+        assert hasattr(strictlyap, name), name
+    for module, names in DELETED.items():
+        mod = importlib.import_module(f"strictlyap.{module}")
+        for name in names:
+            assert not hasattr(mod, name), f"{module}.{name}"
+            assert name not in strictlyap.__all__
+    assert not hasattr(strictlyap.Signal, "piecewise")
+    assert not hasattr(strictlyap.Trajectory, "x0")
+    # parameters that only deleted names, or no caller, set
+    for fn, param in ((strictlyap.SampleDomain.sample, "halton_fraction"),
+                      (strictlyap.gain_from_expr, "probe_max"),
+                      (strictlyap.underline_p, "horizon")):
+        assert param not in inspect.signature(fn).parameters
+
+
 def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, capsys):
     # the README's issp route inverts alpha2_tilde behind every w and decay
     # call; an inverse gain that reuses its last answer, probed a descent pass
@@ -387,21 +432,23 @@ class TestAperiodicRate:
 class TestSampleBudget:
     @pytest.mark.parametrize("argv", [["strictify", "--example", "scalar-linear"],
                                       ["example", "counterexample-elw"]])
-    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("samples", ["0", "-5", "1"])
     def test_budget_below_one_is_config_error(self, argv, samples, capsys):
+        # a budget of one sample can never pass
         assert cli.main(argv + ["--samples", samples]) == 2
         err = capsys.readouterr().err
-        assert f"config error: --samples must be at least 1, got {samples}" in err
+        assert f"config error: --samples must be at least 2, got {samples}" in err
 
     def test_ini_budget_below_one_is_config_error(self, tmp_path):
-        cfg = tmp_path / "zero.ini"
-        cfg.write_text(SCALAR_CONFIG.replace("samples = 3000", "samples = 0"),
-                       encoding="utf-8")
-        with pytest.raises(ConfigError, match="samples must be at least 1"):
-            load_problem(cfg)
+        cfg = tmp_path / "small.ini"
+        for samples in (0, 1):
+            cfg.write_text(SCALAR_CONFIG.replace("samples = 3000", f"samples = {samples}"),
+                           encoding="utf-8")
+            with pytest.raises(ConfigError, match="samples must be at least 2"):
+                load_problem(cfg)
 
     def test_empty_implication_region_fails(self, capsys):
-        code = cli.main(["strictify", "--example", "scalar-linear", "--samples", "1"])
+        code = cli.main(["strictify", "--example", "scalar-linear", "--samples", "2"])
         out = capsys.readouterr().out
         assert code == 1
         assert ("check 'strict-iss-contract' failed: "

@@ -68,14 +68,6 @@ class TestEstimatePE:
         with pytest.raises(ValueError):
             decay.estimate_pe(SIN2, 2.0, horizon=1.0)
 
-    def test_scan_mode(self):
-        out = decay.pe_scan(SIN2, [0.5, PI, 2 * PI], horizon=3 * PI)
-        assert [tau for tau, _ in out] == [0.5, PI, 2 * PI]
-        eps = dict(out)
-        assert eps[PI] == pytest.approx(PI / 2, abs=1e-6)
-        assert eps[2 * PI] == pytest.approx(PI, abs=1e-6)
-        assert 0 < eps[0.5] < eps[PI]
-
 
 class TestXi:
     def test_constant_rate_closed_form(self):
