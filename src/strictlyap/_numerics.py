@@ -6,7 +6,12 @@ pin every one against scipy with ``np.array_equal``):
 
 - ``halton(d, n, seed)``: ``scipy.stats.qmc.Halton(d, scramble=True,
   seed=seed).random(n)``, Owen-scrambled Halton points (Owen 2017,
-  arXiv:1706.02808);
+  arXiv:1706.02808).  scipy sums each point's digit terms in a loop over
+  the points; ``halton`` spends a few array passes per base instead, and
+  stays bit-identical because every point gets the same float additions in
+  the same order, ``Generator.permuted`` draws the same stream as one
+  ``shuffle`` per permutation, and the only terms it leaves out are +0.0
+  added to values >= +0.0;
 - ``cumulative_simpson(y, dx)``: ``scipy.integrate.cumulative_simpson(y,
   dx=dx, initial=0.0)``;
 - ``cumulative_trapezoid(y, x)``: ``scipy.integrate.cumulative_trapezoid(y,
@@ -46,31 +51,52 @@ def halton(d: int, n: int, seed: int) -> np.ndarray:
 
     Per base b (the first d primes), ``ceil(54 / log2 b) - 1`` permutations
     of ``range(b)`` are shuffled by ``default_rng(seed)``, base after base.
-    Point k sums ``perm[j][digit_j(k)] * b^-(j+1)`` over the rows j in
-    order.  Once every index has run out of digits, a row adds the same
+    Point k sums the terms ``perm[j][digit_j(k)] * b^-(j+1)`` over the rows
+    j in order, from 0.0; a row past the last digit of every index adds
     ``perm[j][0] * b^-(j+1)`` to every point.
+
+    scipy walks the points one by one; here each base costs a few array
+    passes, and every point still gets the same additions in the same order:
+
+    - ``permuted(..., axis=1)`` shuffles the rows one after the other, so it
+      draws the same stream as one ``shuffle`` per row;
+    - each row's terms are tabulated once, ``perm * b2r`` with ``b2r``
+      divided down by b row after row, as scipy computes them;
+    - with k = q b^r + s (r half the digit count), the low r rows depend on
+      s alone and are summed once over the b^r residues; each high row then
+      adds its term, read from the digit of q, to a (blocks, b^r) view;
+    - a row past the last digit whose ``perm[j][0]`` is 0 is skipped, since
+      adding +0.0 to a value >= +0.0 changes nothing.
     """
     rng = np.random.default_rng(seed)
-    out = np.zeros((d, n))
+    out = np.empty((d, n))
     for v, base in zip(out, _primes(d)):
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1,
-                          axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        n_rows = math.ceil(54 / math.log2(base)) - 1
+        perms = rng.permuted(np.repeat(np.arange(base)[None], n_rows, axis=0), axis=1)
+        b2r = [1.0 / base]
+        for _ in range(n_rows - 1):
+            b2r.append(b2r[-1] / base)
+        terms = perms * np.array(b2r)[:, None]
         n_digits, top = 0, max(n - 1, 0)
         while top:
             top //= base
             n_digits += 1
-        k = np.arange(n, dtype=np.int64)
-        digit = np.empty_like(k)
-        b2r = 1.0 / base
-        for j, perm in enumerate(perms):
-            if j < n_digits:
-                np.divmod(k, base, out=(k, digit))
-                v += perm.take(digit) * b2r
-            else:
-                v += perm[0] * b2r
-            b2r /= base
+        n_low = n_digits // 2
+        width = base ** n_low
+        s = np.arange(width)
+        low_sum = np.zeros(width)
+        for row in terms[:n_low]:
+            s, digit = np.divmod(s, base)
+            low_sum += row.take(digit)
+        grid = np.tile(low_sum, (-(-n // width), 1))
+        q = np.arange(grid.shape[0])
+        for row in terms[n_low:n_digits]:
+            q, digit = np.divmod(q, base)
+            grid += row.take(digit)[:, None]
+        v[:] = grid.ravel()[:n]
+        for term in terms[n_digits:, 0].tolist():
+            if term:        # perm[j][0] = 0 would add +0.0
+                v += term
     return out.T     # scipy's layout: the transpose of one row per base
 
 

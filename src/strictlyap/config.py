@@ -253,8 +253,9 @@ def load_problem(path) -> Problem:
 
 
 def _build(cp: configparser.ConfigParser) -> Problem:
-    if "problem" not in cp:
-        raise ConfigError("missing [problem] section")
+    for section in ("problem", "system", "lyapunov"):
+        if section not in cp:
+            raise ConfigError(f"missing [{section}] section")
     prob = cp["problem"]
     for key in ("n", "m"):
         if key not in prob:

@@ -310,13 +310,15 @@ def underline_p(p: DecayRate, h: float, n_grid: int = 512) -> float:
 
 def underline_p_gain(p: DecayRate, n_grid: int = 128):
     """pl as a gain-like callable of h on [0, 50] (used to rescale KL
-    estimates), each value over underline_p's horizon."""
+    estimates), each value over underline_p's horizon; a call evaluates
+    each distinct h once."""
     from .funcalc import GainFunction
 
     def fn(h):
         h = np.asarray(h, dtype=float)
-        return np.array([underline_p(p, float(v), n_grid=n_grid)
-                         for v in h.ravel()]).reshape(h.shape)
+        distinct, where = np.unique(h.ravel(), return_inverse=True)
+        values = np.array([underline_p(p, v, n_grid=n_grid) for v in distinct.tolist()])
+        return values[where].reshape(h.shape)
 
     return GainFunction(fn, None, probe_max=50.0,
                         label=f"pl[{p.label}]" if p.label else "pl")

@@ -168,6 +168,13 @@ class TestConfigLoading:
         assert cli.main(["strictify", "--config", str(cfg)]) == 2
         assert f"config error: [problem] {key} is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["system", "lyapunov"])
+    def test_missing_section_is_named(self, tmp_path, capsys, section):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(re.sub(rf"\[{section}\]\n[^\[]*", "", SCALAR_CONFIG), encoding="utf-8")
+        assert cli.main(["strictify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: missing [{section}] section"
+
 
 class TestCommands:
     def test_pe_on_fixture(self, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strictlyap import funcalc as fc
+from strictlyap import decay, funcalc as fc
 from strictlyap.decay import DecayRate, underline_p_gain
 from strictlyap.strictify import DEFAULT_FACTOR_ISS, build_alpha2_tilde, build_w
 
@@ -250,6 +250,23 @@ def test_underline_p_gain_float_and_array():
     pl = underline_p_gain(DecayRate(lambda t: np.sin(t) ** 2, period=math.pi), n_grid=64)
     assert float(pl(math.pi)) == pl(np.array([math.pi]))[0]
     assert pl(np.array([[1.0, 2.0]])).shape == (1, 2)
+
+
+def test_underline_p_gain_evaluates_each_distinct_h_once(monkeypatch):
+    p = DecayRate(lambda t: 1.0 + 0.5 * np.sin(t), period=2 * math.pi)
+    h = np.array([[2.0, 0.5, 2.0], [0.0, 0.5, 2.0]])
+    expected = [[decay.underline_p(p, float(v), n_grid=64) for v in row] for row in h]
+    calls = []
+    original = decay.underline_p
+
+    def counted(p, h, n_grid):
+        calls.append(h)
+        return original(p, h, n_grid=n_grid)
+
+    monkeypatch.setattr(decay, "underline_p", counted)
+    got = underline_p_gain(p, n_grid=64)(h)
+    assert sorted(calls) == [0.0, 0.5, 2.0]
+    assert np.array_equal(got, expected)
 
 
 @settings(max_examples=40, deadline=None)

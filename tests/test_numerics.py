@@ -26,6 +26,22 @@ class TestHalton:
             assert got.shape == (n, d)
             assert np.array_equal(got, expected), (d, seed, n)
 
+    # an index range ending just short of, at and just past a power of a base
+    # leaves the last (blocks, b^r) block partial or full
+    @pytest.mark.parametrize("n", [2**10 - 1, 2**10, 2**10 + 1, 2**16,
+                                   3**7 - 1, 3**7, 3**7 + 1, 5**5])
+    def test_matches_scipy_at_base_powers(self, n):
+        for seed in (0, 7):
+            expected = qmc.Halton(d=5, scramble=True, seed=seed).random(n)
+            assert np.array_equal(nm.halton(5, n, seed), expected), (n, seed)
+
+    @pytest.mark.parametrize("seed", range(2026, 2030))
+    def test_matches_scipy_at_certificate_shape(self, seed):
+        # SampleDomain draws 5e4 Halton rows of width 8 for a 1e5-sample
+        # certificate with nx = 3, nu = 2
+        expected = qmc.Halton(d=8, scramble=True, seed=seed).random(50_000)
+        assert np.array_equal(nm.halton(8, 50_000, seed), expected)
+
     def test_layout_matches_scipy(self):
         # reductions along a row sum in memory order, so the layout counts too
         assert nm.halton(5, 100, 0).strides == qmc.Halton(d=5, seed=0).random(100).strides
