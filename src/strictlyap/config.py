@@ -64,10 +64,11 @@ _NO_INPUT = np.zeros(0)
 
 
 def _scalar_call(point, fused, t, x, u=_NO_INPUT):
-    """One call of ``point``, the plain-float lambda of ``fused``, at a point.
+    """One call of ``point``, the plain-float function of ``fused``, at a point.
 
-    Floats raise on overflow, division by zero and domain errors where
-    numpy gives inf or nan, which the integrator's blow-up guard reports;
+    Floats raise on division by zero, domain errors and a general power
+    that overflows, where numpy gives inf or nan (a product that overflows
+    gives inf on both), which the integrator's blow-up guard reports;
     such a call is repeated through ``fused`` on 0-d arrays, which take the
     numpy path.
     """

@@ -9,9 +9,11 @@ One state is stepped at a time, on Python floats.  A step is one call of a
 function generated once per (n, m), which calls the field's point kernel
 ``f.point(t, x1..xn, u1..um) -> tuple`` four times on positional floats.
 Fields built from expressions (``config.field_from_exprs``) carry a kernel,
-a fused ``math`` lambda, and ``close_loop`` composes the kernels of a field
-and its feedback.  Any other callable gets one adapter, with the kernel's
-signature, that calls ``f(t, x, u)`` on ``(n,)`` arrays.  A step that
+the plain-float function that ``exprparse.compile_expr`` generates for all
+components at once (each shared subtree, such as ``sin(t)``, computed once),
+and ``close_loop`` composes the kernels of a field and its feedback.  Any
+other callable gets one adapter, with the kernel's signature, that calls
+``f(t, x, u)`` on ``(n,)`` arrays.  A step that
 overflows or leaves a domain on floats is repeated through that adapter.
 The exogenous input is read once per run, on all stage times, and its rows
 are converted to floats a chunk of steps at a time; finished states go into

@@ -7,12 +7,19 @@ abs max min tanh`` and the constants ``pi`` and ``e``.  Everything the rest
 of the package consumes (vector fields, Lyapunov candidates, decay rates,
 gains, signals) is declared in this language.
 
-``Expr.eval`` is the reference scalar evaluator with strict error reporting;
-``compile_expr`` emits a fast callable with a plain-float path (``math``) and
-an ndarray path (``numpy``), dispatched per call, and exposes the raw
-plain-float lambda as its ``math`` attribute for callers that only pass
-floats; a sequence of expressions (the components of a vector field)
-compiles to one callable returning a tuple.
+``Expr.eval`` is the reference scalar evaluator with strict error reporting.
+``compile_expr`` turns an expression, or a sequence of them (the components
+of a vector field, returned as a tuple), into one generated ``def`` whose
+source is compiled once and bound twice: to the ``math`` functions for plain
+floats and to the numpy functions for arrays, dispatched per call; the
+plain-float function is its ``math`` attribute.  The emitter numbers the
+subtrees by value, so a subtree that occurs more than once is computed once,
+and writes a constant exponent of 1, 2 or 3 as ``a``, ``a*a`` and
+``(a*a)*a``.  A point and a batch of one compile therefore give the same
+bits wherever the float operations and the ``math`` functions agree with
+numpy: always for ``+ - * /``, the small powers, ``abs`` and, at non-NaN
+arguments, ``max min``; for ``sin cos sqrt`` on common builds.  ``exp log
+tan tanh`` and the other powers may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -477,21 +484,17 @@ def _div(a: Expr, b: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # Compilation to fast callables
 
-_SCALAR_NS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-    "log": math.log, "sqrt": math.sqrt, "tanh": math.tanh,
-    "abs": abs, "max": max, "min": min, "_pow": None,  # placeholder, set below
-}
-
-
 def _scalar_pow(a, b):
     if a < 0.0 and b != round(b):
         raise EvalDomainError("negative base with fractional exponent")
     return a ** b
 
 
-_SCALAR_NS["_pow"] = _scalar_pow
-
+_SCALAR_NS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+    "log": math.log, "sqrt": math.sqrt, "tanh": math.tanh,
+    "abs": abs, "max": max, "min": min, "_pow": _scalar_pow,
+}
 _VECTOR_NS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": np.log, "sqrt": np.sqrt, "tanh": np.tanh,
@@ -500,20 +503,76 @@ _VECTOR_NS = {
 }
 
 
-def _emit(e: Expr) -> str:
-    if isinstance(e, Num):
-        return f"({e.value!r})"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{_emit(e.arg)})"
-    if isinstance(e, BinOp):
-        if e.op == "^":
-            return f"_pow({_emit(e.left)}, {_emit(e.right)})"
-        return f"({_emit(e.left)} {e.op} {_emit(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(_emit(a) for a in e.args)})"
-    raise TypeError(f"not an Expr: {e!r}")
+# Constant exponents written as products on both paths: np.power(a, 2.0)
+# is a*a, and the float path avoids a Python call and the guard's round()
+_SMALL_POWERS = {2.0: "({} * {})", 3.0: "(({} * {}) * {})"}
+
+
+def _source(exprs: Sequence[Expr], arg_names: tuple[str, ...], fused: bool) -> str:
+    """Source of ``def _f(*arg_names)`` returning ``exprs`` (a tuple if fused).
+
+    One post-order pass numbers the distinct subtrees, keyed on their
+    emitted text with operands as references (so ``x1*0.0`` and
+    ``x1*-0.0`` stay apart, which ``Expr`` equality would merge).  A subtree
+    referenced more than once, such as the base of a small power, becomes a
+    temporary ``_k`` computed once, in first-use order; the rest are inlined.
+    """
+    numbers: dict[str, int] = {}
+    nodes: list[tuple[str, list]] = []   # (format, operands: leaf text or number)
+    uses: list[int] = []
+
+    def ref(r) -> str:
+        return f"_{r}" if isinstance(r, int) else r
+
+    def visit(e: Expr):
+        if isinstance(e, Num):
+            return f"({e.value!r})"
+        if isinstance(e, Var):
+            return e.name
+        if isinstance(e, Neg):
+            fmt, ops = "(-{})", [visit(e.arg)]
+        elif isinstance(e, BinOp) and e.op == "^":
+            expo = e.right.value if isinstance(e.right, Num) else None
+            if expo == 1.0:
+                return visit(e.left)
+            if expo in _SMALL_POWERS:
+                fmt = _SMALL_POWERS[expo]
+                ops = [visit(e.left)] * fmt.count("{}")
+            else:
+                fmt, ops = "_pow({}, {})", [visit(e.left), visit(e.right)]
+        elif isinstance(e, BinOp):
+            fmt, ops = f"({{}} {e.op} {{}})", [visit(e.left), visit(e.right)]
+        elif isinstance(e, Call):
+            fmt = f"{e.func}({', '.join(['{}'] * len(e.args))})"
+            ops = [visit(a) for a in e.args]
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        key = fmt.format(*map(ref, ops))
+        if key not in numbers:
+            numbers[key] = len(nodes)
+            nodes.append((fmt, ops))
+            uses.append(0)
+            for r in ops:
+                if isinstance(r, int):
+                    uses[r] += 1
+        return numbers[key]
+
+    roots = [visit(x) for x in exprs]
+    for r in roots:
+        if isinstance(r, int):
+            uses[r] += 1
+    lines = [f"def _f({', '.join(arg_names)}):"]
+    text: list[str] = []
+    for k, (fmt, ops) in enumerate(nodes):
+        t = fmt.format(*(text[r] if isinstance(r, int) else r for r in ops))
+        if uses[k] > 1:
+            lines.append(f"    _{k} = {t}")
+            t = f"_{k}"
+        text.append(t)
+    out = [text[r] if isinstance(r, int) else r for r in roots]
+    lines.append(f"    return ({''.join(o + ', ' for o in out)})" if fused
+                 else f"    return {out[0]}")
+    return "\n".join(lines) + "\n"
 
 
 # What a plain-float evaluation raises where numpy gives inf or nan.
@@ -525,13 +584,17 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     """Compile ``e`` to a positional callable over ``arg_names``.
 
     The result takes plain floats (fast ``math`` path) or numpy arrays
-    (vectorized path); domain failures on the scalar path raise
-    EvalDomainError, while the array path follows numpy nan semantics.
-    A sequence of expressions compiles to one callable returning a tuple.
+    (vectorized path); both run one generated function (see the module
+    docstring).  A sequence of expressions compiles to one callable
+    returning a tuple.  On floats a division by zero, a domain error
+    (``log(-1)``, a negative base to a fractional power) or a general power
+    that overflows raises EvalDomainError or OverflowError; a product that
+    overflows gives inf, as on the array path, which follows numpy's inf
+    and nan semantics throughout.
 
-    ``call.math`` is the plain-float lambda without the dispatch: it takes
-    Python floats only and raises one of FLOAT_ERRORS where the dispatching
-    call raises EvalDomainError.
+    ``call.math`` is the plain-float function without the dispatch: it
+    takes Python floats only and raises one of FLOAT_ERRORS where the
+    dispatching call raises EvalDomainError or numpy gives inf or nan.
     """
     fused = not isinstance(e, (Expr, str))
     exprs = tuple(parse(x) if isinstance(x, str) else x for x in (e if fused else (e,)))
@@ -539,11 +602,11 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     if missing:
         raise UnboundVariableError(
             f"expression uses {sorted(missing)} not among arguments {list(arg_names)}")
-    body = f"({''.join(_emit(x) + ', ' for x in exprs)})" if fused else _emit(exprs[0])
-    e = exprs if fused else exprs[0]
-    src = f"lambda {', '.join(arg_names) or '_'}: {body}"
-    fn_s = eval(src, dict(_SCALAR_NS))  # noqa: S307 - source emitted by _emit only
-    fn_v = eval(src, dict(_VECTOR_NS))  # noqa: S307
+    code = compile(_source(exprs, arg_names, fused), "<compile_expr>", "exec")
+    ns_s, ns_v = dict(_SCALAR_NS), dict(_VECTOR_NS)
+    exec(code, ns_s)  # noqa: S102 - source emitted by _source only
+    exec(code, ns_v)  # noqa: S102
+    fn_s, fn_v = ns_s["_f"], ns_v["_f"]
 
     def call(*args):
         for a in args:
@@ -556,7 +619,7 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
         except ZeroDivisionError:
             raise EvalDomainError("division by zero") from None
 
-    call.expr = e  # type: ignore[attr-defined]
+    call.expr = exprs if fused else exprs[0]  # type: ignore[attr-defined]
     call.arg_names = arg_names  # type: ignore[attr-defined]
     call.math = fn_s  # type: ignore[attr-defined]
     return call

@@ -101,29 +101,34 @@ def gain_from_expr(text: str) -> GainFunction:
 
 def check_kl(beta: KLFunction, s_max: float = 10.0, t_max: float = 10.0,
              t_big: float = 50.0, n: int = 64) -> SpotCheckReport:
-    """Sampled spot check of the KL properties of beta."""
+    """Sampled spot check of the KL properties of beta.
+
+    beta is called once, on the grid of n values of s in [0, s_max] by the
+    n values of t in [0, t_max] and t_big; the checks read its rows and
+    columns.
+    """
     ss = np.linspace(0.0, s_max, n)
     ts = np.linspace(0.0, t_max, n)
+    s_grid, t_grid = np.meshgrid(ss, np.append(ts, t_big), indexing="ij")
+    grid = np.asarray(beta(s_grid, t_grid), dtype=float)   # (n, n + 1)
     worst = np.inf
     where = 0.0
     msg = ""
-    z = np.asarray(beta(np.zeros(n), ts), dtype=float)
+    z = grid[0, :n]                                        # beta(0, t)
     if np.abs(z).max() > 1.0e-12:
         worst, where, msg = -float(np.abs(z).max()), float(ts[int(np.argmax(np.abs(z)))]), "beta(0, t) != 0"
-    for t in ts[:: max(1, n // 8)]:
-        v = np.asarray(beta(ss, np.full(n, t)), dtype=float)
-        d = np.diff(v)
+    step = max(1, n // 8)
+    for j in range(0, n, step):
+        d = np.diff(grid[:, j])
         if d.min() <= 0 and worst > d.min():
-            worst, where, msg = float(d.min()), float(t), "not increasing in s"
-    for s in ss[1:: max(1, n // 8)]:
-        v = np.asarray(beta(np.full(n, s), ts), dtype=float)
-        d = np.diff(v)
+            worst, where, msg = float(d.min()), float(ts[j]), "not increasing in s"
+    for i in range(1, n, step):
+        d = np.diff(grid[i, :n])
         if d.max() > 1.0e-12 and worst > -d.max():
-            worst, where, msg = -float(d.max()), float(s), "increasing in t"
-        big = float(beta(s, t_big))
-        base = float(beta(s, 0.0))
+            worst, where, msg = -float(d.max()), float(ss[i]), "increasing in t"
+        big, base = float(grid[i, n]), float(grid[i, 0])
         if base > 0 and big >= 1.0e-3 * base and worst > 1.0e-3 * base - big:
-            worst, where, msg = float(1.0e-3 * base - big), float(s), "no decay to zero"
+            worst, where, msg = float(1.0e-3 * base - big), float(ss[i]), "no decay to zero"
     if msg:
         return SpotCheckReport("kl", False, worst, where, msg)
     return SpotCheckReport("kl", True, 0.0, 0.0)

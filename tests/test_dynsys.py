@@ -266,9 +266,11 @@ class TestBitIdentity:
         assert sig(np.linspace(0.0, 1.0, 4)).shape == (4, 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("text, x0", [("x1^400", 10.0), ("1/(x1 - x1)", 1.0)])
+    @pytest.mark.parametrize("text, x0", [("x1^400", 10.0), ("1/(x1 - x1)", 1.0),
+                                          ("x1^2", 1e160)])
     def test_float_overflow_still_trips_the_guard(self, text, x0):
-        # Python floats raise where numpy scalars give inf: still a blow-up
+        # Python floats raise where numpy scalars give inf, or give inf as
+        # a square does: either way a blow-up
         with pytest.raises(dynsys.BlowUpError) as ei:
             integrate(field_from_exprs([text], 1, 0), [x0], 0.0, 1.0,
                       Signal.zero(0), 1e-3)

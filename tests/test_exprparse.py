@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -251,6 +252,11 @@ class TestFusedCompile:
     def test_single_and_empty_sequences(self):
         assert ep.compile_expr(["x1 + 1"], ("x1",))(2.0) == (3.0,)
         assert ep.compile_expr([], ("t",))(0.5) == ()
+        assert ep.compile_expr([], ("t",)).math(0.5) == ()
+        # no arguments at all
+        assert ep.compile_expr("2.5*pi", ())() == 2.5 * math.pi
+        s = math.sin(0.5)
+        assert ep.compile_expr(["1", "sin(0.5)^2"], ())() == (1.0, s * s)
 
     def test_scalar_domain_error_and_missing_argument(self):
         fused = ep.compile_expr(["t", "log(t)"], ("t",))
@@ -258,3 +264,159 @@ class TestFusedCompile:
             fused(-1.0)
         with pytest.raises(ep.UnboundVariableError):
             ep.compile_expr(["x1", "x2"], ("x1",))
+
+
+class TestEmitter:
+    def test_signed_zeros_stay_apart(self):
+        # Num(0.0) == Num(-0.0): numbering on Expr equality would merge them
+        x1 = ep.Var("x1")
+        plus, minus = ep.BinOp("*", x1, ep.Num(0.0)), ep.BinOp("*", x1, ep.Num(-0.0))
+        both = ep.compile_expr(ep.BinOp("+", plus, minus), ("x1",))
+        assert math.copysign(1.0, both(-1.0)) == 1.0     # -0.0 + 0.0
+        assert math.copysign(1.0, both(np.array([-1.0]))[0]) == 1.0
+        pair = ep.compile_expr([plus, minus], ("x1",))
+        assert [math.copysign(1.0, v) for v in pair(1.0)] == [1.0, -1.0]
+        assert [math.copysign(1.0, v[0]) for v in pair(np.array([1.0]))] == [1.0, -1.0]
+
+    def test_shared_subtree_computed_once(self, monkeypatch):
+        # the rigid-body closed loop names sin(t) four times
+        from strictlyap.fixtures import rigid_body
+
+        texts = [rigid_body().expressions[f"f{i}"] for i in (1, 2, 3)]
+        args = ("t", "x1", "x2", "x3", "u1", "u2")
+        reference = ep.compile_expr(texts, args)
+        calls = []
+
+        def sin(a):
+            calls.append(a)
+            return math.sin(a)
+
+        monkeypatch.setitem(ep._SCALAR_NS, "sin", sin)
+        f = ep.compile_expr(texts, args)
+        point = (0.3, 1.0, -1.0, 2.0, 0.1, 0.2)
+        assert f.math(*point) == reference.math(*point)
+        assert calls == [0.3]
+        for value, text in zip(f(*point), texts):
+            env = dict(zip(args, point))
+            assert value == pytest.approx(ep.parse(text).eval(env), rel=1e-15, abs=1e-15)
+
+    def test_small_powers_are_products(self, monkeypatch):
+        def no_pow(a, b):
+            raise AssertionError("small powers must not call _pow")
+
+        monkeypatch.setitem(ep._SCALAR_NS, "_pow", no_pow)
+        monkeypatch.setitem(ep._VECTOR_NS, "_pow", no_pow)
+        f = ep.compile_expr("x1^1 + (x1 + 1)^2 + cos(x1)^3", ("x1",))
+        y = 1.0 + 1.0
+        c = math.cos(1.0)
+        assert f(1.0) == (1.0 + y * y) + (c * c) * c
+        assert f(np.array([1.0]))[0] == f(1.0)
+        with pytest.raises(AssertionError):
+            ep.compile_expr("x1^4", ("x1",))(1.0)
+
+    def test_fractional_power_of_negative_base_raises(self):
+        f = ep.compile_expr("x1^2.5", ("x1",))
+        with pytest.raises(ep.EvalDomainError):
+            f(-2.0)
+        with pytest.raises(ep.EvalDomainError):
+            f.math(-2.0)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(f(np.array([-2.0]))[0])
+        assert ep.compile_expr("x1^2", ("x1",))(-3.0) == 9.0
+
+    def test_square_overflows_to_inf_on_both_paths(self):
+        # a product overflows to inf where Python's float ** raised
+        f = ep.compile_expr("x1^2", ("x1",))
+        assert f(1e200) == math.inf and f.math(1e200) == math.inf
+        with np.errstate(over="ignore"):
+            assert f(np.array([1e200]))[0] == f(1e200)
+
+
+# ---------------------------------------------------------------------------
+# A point and a batch of one compile give the same bits
+
+# exp, log, tan and tanh are left out: math and numpy may differ in their
+# last bits (no fixture or sweep expression uses them)
+_DIFFERING = {"exp", "log", "tan", "tanh"}
+_ARGS = ("t", "s", "x1", "x2", "x3", "u1", "u2", "u3", "u4")
+_N_POINTS = 10_000
+
+
+def _fixture_texts(problem) -> list[str]:
+    texts = list(problem.expressions.values())
+    v = ep.parse(problem.expressions["V"])
+    if ep.is_smooth(v):
+        n = problem.system.n
+        texts += [ep.to_text(ep.differentiate(v, var))
+                  for var in ("t", *(f"x{i+1}" for i in range(n)))]
+    if problem.vsharp_coefficient_text:
+        texts.append(problem.vsharp_coefficient_text)
+    for run in problem.sim.runs:
+        if run.signal.label != "0":
+            texts += run.signal.label.split(", ")
+    return texts
+
+
+def _sweep_texts(tmp_path, monkeypatch) -> list[list[str]]:
+    import importlib.util
+    from pathlib import Path
+
+    from strictlyap.config import load_problem
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclasses
+    spec.loader.exec_module(workloads)
+    rng = np.random.default_rng([0, 0x5EED])
+    out = []
+    for i in range(workloads.FULL.sweep_problems):
+        ini = tmp_path / f"sweep-{i}.ini"
+        ini.write_text(workloads.sweep_config(i, rng, 0, 2000), encoding="utf-8")
+        out.append(_fixture_texts(load_problem(ini)))
+    return out
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def halton_points():
+    from strictlyap._numerics import halton
+
+    return 8.0 * halton(len(_ARGS), _N_POINTS, seed=16) - 4.0
+
+
+def _assert_point_equals_batch(texts, points):
+    used = set()
+    for text in texts:
+        e = ep.parse(text)
+        assert not e.variables() - set(_ARGS)
+        used |= {name for name in _DIFFERING if name + "(" in text}
+    assert not used, f"{sorted(used)} may differ between math and numpy"
+    cols = list(points.T)
+    rows = points.tolist()
+    for compiled in [ep.compile_expr(texts, _ARGS),
+                     *(ep.compile_expr(text, _ARGS) for text in texts)]:
+        fused = isinstance(compiled.expr, tuple)
+        batch = compiled(*cols) if fused else (compiled(*cols),)
+        batch = np.stack([np.broadcast_to(np.asarray(b, dtype=float), (len(rows),))
+                          for b in batch], axis=1)
+        point = [compiled.math(*row) for row in rows]
+        point = np.array(point if fused else [[v] for v in point], dtype=float)
+        assert point.shape == batch.shape
+        mismatch = np.flatnonzero((_bits(point) != _bits(batch)).any(axis=1))
+        assert mismatch.size == 0, (compiled.expr, rows[mismatch[0]])
+
+
+@pytest.mark.parametrize("name", ["rigid-body", "counterexample-elw", "scalar-linear"])
+def test_fixture_point_equals_batch(name, halton_points):
+    from strictlyap.fixtures import get_fixture
+
+    _assert_point_equals_batch(_fixture_texts(get_fixture(name)), halton_points)
+
+
+def test_sweep_point_equals_batch(tmp_path, monkeypatch, halton_points):
+    texts = {t: None for texts in _sweep_texts(tmp_path, monkeypatch) for t in texts}
+    _assert_point_equals_batch(list(texts), halton_points)

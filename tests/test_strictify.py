@@ -394,8 +394,7 @@ class TestCertificateInvariants:
         # a float time takes the table's Python Hermite path, a batch its
         # array path: both must give the same xi and W, bit for bit.  V itself is
         # evaluated on floats (math) at a point and on arrays (numpy) in a
-        # batch, which may differ in the last bit, so V# is compared where
-        # the two V values agree and otherwise through the point V.
+        # batch; its squares are products on both, so V and V# agree too.
         rb = rigid_body()
         cert = strictify_problem(rb, n_samples=2000)
         period = cert.rate.period
@@ -411,8 +410,7 @@ class TestCertificateInvariants:
             v = rb.candidate.V(t, x)
             point = cert.v_sharp(t, x)
             assert type(point) is float and point == v + xi[i] * cert.w(v)
-            if v == V[i]:
-                assert point == vs[i]
+            assert v == V[i] and point == vs[i]
 
     @pytest.mark.parametrize("fixture", [scalar_linear, rigid_body],
                              ids=["strict-ISS", "strict-DIS"])
