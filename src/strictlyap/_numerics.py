@@ -17,11 +17,14 @@ pin every one against scipy with ``np.array_equal``):
 - ``cumulative_trapezoid(y, x)``: ``scipy.integrate.cumulative_trapezoid(y,
   x, initial=0.0)``;
 - ``CubicHermite(x, y, dydx)``: ``scipy.interpolate.CubicHermiteSpline``,
-  evaluated as its ``PPoly`` is, extrapolation included.
+  evaluated as its ``PPoly`` is, extrapolation included;
+- ``minimize_bounded(fn, lo, hi, xatol)``: the ``x`` and ``fun`` of
+  ``scipy.optimize.minimize_scalar(fn, bounds=(lo, hi), method="bounded",
+  options={"xatol": xatol})``, Brent's bounded minimizer on Python floats.
 
-Importing scipy.stats, scipy.integrate and scipy.interpolate costs about a
-second, several times the run time of most commands; these few lines of
-numpy keep them off the import path.
+Importing scipy.stats, scipy.integrate, scipy.interpolate and scipy.optimize
+costs over a second, several times the run time of most commands; these few
+lines keep them off the run time.
 """
 
 from __future__ import annotations
@@ -229,3 +232,84 @@ def hermite_values(tables, s) -> tuple:
         for table, out in zip(tables, outs):
             table.at(i, d, out[a:a + _CHUNK])
     return tuple(out.reshape(s.shape) for out in outs)
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAX_EVALS = 500
+
+
+def _unit_sign(v: float) -> float:
+    """``np.sign(v) + (v == 0)`` for a finite v: -1.0 below zero, else 1.0."""
+    return -1.0 if v < 0.0 else 1.0
+
+
+def minimize_bounded(fn, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """(x, fn(x)) at a local minimum of fn on [lo, hi], by Brent's method.
+
+    Golden-section steps, replaced by a parabola through the three best
+    points when it falls inside the bracket (Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 5), until the bracket is
+    within about xatol of the best point or 500 evaluations are spent.  The
+    steps and comparisons are scipy's ``_minimize_scalar_bounded``, so fn
+    sees the same points.  A NaN value never replaces the best point, so
+    only a NaN at the first point is returned.
+    """
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"bounds must be finite with lo <= hi, got ({lo!r}, {hi!r})")
+    a, b = lo, hi
+    xf = fulc = nfc = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = fn(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:       # try a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _unit_sign(xm - xf)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        x = xf + _unit_sign(rat) * max(abs(rat), tol1)
+        fu = fn(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            break
+    return xf, fx

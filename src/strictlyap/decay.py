@@ -7,12 +7,12 @@ pl(h) = inf_t int_t^{t+h} p.
 
 W and xi at many times come from one primitive, `window_table`: two
 cumulative Simpson integrals on a single grid, read at their composite-
-Simpson nodes and joined by cubic Hermite pieces with the exact slopes
-(`_numerics`, numpy versions of scipy's routines, bit for bit).
+Simpson nodes and joined by cubic Hermite pieces with the exact slopes.
 Single windows (`simpson`, `window_integral`, `xi`, `xi_nested`) are plain
 composite Simpson; they serve as oracles and as the objective of the bounded
-scalar minimizer that polishes grid minima and maxima over t (scipy's,
-imported on first use).
+Brent minimizer that polishes grid minima and maxima over t.  The cumulative
+integrals, the Hermite pieces and the minimizer come from `_numerics`, which
+equals scipy's versions bit for bit without importing scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import CubicHermite, cumulative_simpson, hermite_values
+from ._numerics import CubicHermite, cumulative_simpson, hermite_values, minimize_bounded
 from .errors import ValidationFailure
 
 SIMPSON_SUBINTERVALS = 2048
@@ -217,11 +217,9 @@ def _refine_min(fn: Callable[[float], float], grid: np.ndarray,
                 vals: np.ndarray) -> float:
     """Polish the 3 best grid minima with bounded Brent; return the least.
 
-    scipy.optimize is imported here, on first use, so that a run that never
-    estimates PE constants (a fixture carries its own) does not load it.
+    Each runs `minimize_bounded` (scipy's bounded method, bit for bit) on
+    the two grid steps around its node, to an absolute tolerance of 1e-11.
     """
-    from scipy.optimize import minimize_scalar
-
     best = float(vals.min())
     order = np.argsort(vals)[:3]
     for j in order:
@@ -229,9 +227,7 @@ def _refine_min(fn: Callable[[float], float], grid: np.ndarray,
         hi = grid[min(len(grid) - 1, j + 1)]
         if hi <= lo:
             continue
-        r = minimize_scalar(fn, bounds=(lo, hi), method="bounded",
-                            options={"xatol": 1.0e-11})
-        best = min(best, float(r.fun))
+        best = min(best, minimize_bounded(fn, lo, hi, 1.0e-11)[1])
     return best
 
 
@@ -280,7 +276,8 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
 
 def check_pe(p: DecayRate) -> tuple[bool, float]:
     """Verify the attached triple on 400 window ends over estimate_pe's
-    default horizon and 1600 rate samples; returns (ok, worst margin)."""
+    default horizon and 1600 rate samples; returns (ok, worst margin), and
+    (False, nan) when any margin is not finite."""
     if p.pe is None:
         raise ValueError("decay rate has no attached PE triple")
     tau, eps, pbar = p.pe.tau, p.pe.epsilon, p.pe.pbar
@@ -289,6 +286,8 @@ def check_pe(p: DecayRate) -> tuple[bool, float]:
     margins = window_integral_vec(p, tau, ts) - eps
     pg = np.linspace(-tau, horizon, 1600)
     margins_p = pbar - _rate_values(p, pg)
+    if not (np.isfinite(margins).all() and np.isfinite(margins_p).all()):
+        return False, math.nan
     worst = float(min(margins.min(), margins_p.min()))
     return worst >= -PASS_TOL, worst
 

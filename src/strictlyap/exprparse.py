@@ -501,6 +501,10 @@ _VECTOR_NS = {
     "abs": np.abs, "max": np.maximum, "min": np.minimum,
     "_pow": np.power,
 }
+# A literal is emitted as its repr; the non-finite ones name these floats
+_SCALAR_NS["_inf"] = _VECTOR_NS["_inf"] = math.inf
+_SCALAR_NS["_nan"] = _VECTOR_NS["_nan"] = math.nan
+_NON_FINITE = {"inf": "_inf", "-inf": "(-_inf)", "nan": "_nan"}
 
 
 # Constant exponents written as products on both paths: np.power(a, 2.0)
@@ -526,7 +530,8 @@ def _source(exprs: Sequence[Expr], arg_names: tuple[str, ...], fused: bool) -> s
 
     def visit(e: Expr):
         if isinstance(e, Num):
-            return f"({e.value!r})"
+            text = repr(e.value)
+            return _NON_FINITE.get(text, f"({text})")
         if isinstance(e, Var):
             return e.name
         if isinstance(e, Neg):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._numerics import cumulative_trapezoid, halton
 from .decay import PASS_TOL, DecayRate, _rate_values
@@ -48,7 +47,15 @@ class SampleDomain:
         Unit-cube rows [t, |x|, x-direction, |u|, u-direction]: a block of
         round(n/2) clipped Halton rows (half to even, so none for n = 1), then
         one of uniform rows drawn column by column.
+
+        scipy.special (ndtri, for the ball directions) is imported here, so
+        that a run that samples nothing (`pe`, `verify iss-estimate`) does
+        not load it.  It is loaded before the first block is drawn: loaded
+        after it, among the block's arrays, it raised the peak RSS of the
+        trajectories benchmark by about 1.5 MiB (`BENCH_17.json`).
         """
+        from scipy.special import ndtri
+
         if n < 1:
             raise ValueError(f"sample count must be at least 1, got {n!r}")
         widths = [1, 1, nx] + ([1, nu] if nu else [])
@@ -57,20 +64,23 @@ class SampleDomain:
         parts = []
         if n_h > 0:
             h = halton(sum(widths), n_h, seed)
-            parts.append(self._map(np.clip(h, 1.0e-12, 1.0 - 1.0e-12), nx))
+            parts.append(self._map(np.clip(h, 1.0e-12, 1.0 - 1.0e-12), nx, ndtri))
         rng = np.random.default_rng(seed + 1)
-        parts.append(self._map(np.hstack([rng.random((n - n_h, w)) for w in widths]), nx))
+        parts.append(self._map(np.hstack([rng.random((n - n_h, w)) for w in widths]),
+                               nx, ndtri))
         return tuple(np.concatenate(a) for a in zip(*parts))
 
-    def _map(self, c: np.ndarray, nx: int):
+    def _map(self, c: np.ndarray, nx: int, ndtri: Callable):
         """Send unit-cube rows into the box."""
         t = self.t_range[0] + (self.t_range[1] - self.t_range[0]) * c[:, 0]
-        return (t, self._ball(c[:, 1:2 + nx], self.x_radius),
-                self._ball(c[:, 2 + nx:], self.u_radius))
+        return (t, self._ball(c[:, 1:2 + nx], self.x_radius, ndtri),
+                self._ball(c[:, 2 + nx:], self.u_radius, ndtri))
 
     @staticmethod
-    def _ball(c: np.ndarray, radius: float) -> np.ndarray:
-        """Uniform in the ball |x| <= radius from rows [|x|, direction]."""
+    def _ball(c: np.ndarray, radius: float, ndtri: Callable) -> np.ndarray:
+        """Uniform in the ball |x| <= radius from rows [|x|, direction],
+        the direction by the inverse normal CDF ndtri.
+        """
         k, d = c.shape[0], c.shape[1] - 1
         if d <= 0:
             return np.zeros((k, 0))

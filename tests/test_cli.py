@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -362,21 +363,38 @@ def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, 
     assert len(calls) == 21
 
 
-def test_cli_import_loads_no_heavy_scipy():
-    # scipy.stats, interpolate, integrate and optimize take over a second to
-    # import; the package needs numpy and scipy.special only until a PE
-    # estimate imports scipy.optimize
+_SCIPY_AFTER = (
+    "import contextlib, io, json, sys\n"
+    "from strictlyap import cli\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "if argv:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert cli.main(argv) == 0\n"
+    "print(json.dumps(sorted(m for m in sys.modules\n"
+    "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+
+
+def _scipy_modules_after(argv: list[str]) -> set[str]:
+    """The scipy modules a fresh process holds after ``cli.main(argv)``."""
     src = str(Path(strictlyap.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, strictlyap.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'stats'], ['scipy', 'interpolate'], ['scipy', 'integrate'], "
-            "['scipy', 'optimize'])))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=300, env=env)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    # the bounded minimizer and the quadrature, Halton and Hermite routines
+    # are numpy code in _numerics; scipy.special (ndtri) loads on the first
+    # ball draw, which importing, pe and iss-estimate never make
+    for argv in ([], ["pe", "--example", "rigid-body"],
+                 ["verify", "iss-estimate", "--example", "scalar-linear"]):
+        assert _scipy_modules_after(argv) == set(), argv
+    loaded = _scipy_modules_after(["strictify", "--example", "scalar-linear"])
+    assert "scipy.special" in loaded
+    assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]}
 
 
 SIN3_CONFIG = """\

@@ -169,6 +169,17 @@ class TestDecayRate:
         ok, worst = decay.check_pe(p)
         assert not ok and worst < -0.4
 
+    def test_check_pe_fails_on_a_nan_rate_sample(self):
+        # NaN at one of the 1600 rate nodes only: the window grid misses it,
+        # and min(finite, nan) would have returned the finite margin
+        node = np.linspace(-1.0, 20.0, 1600)[777]
+        p = DecayRate(lambda t: np.where(t == node, np.nan, 1.0),
+                      pe=PETriple(1.0, 0.5, 2.0))
+        ok, worst = decay.check_pe(p)
+        assert not ok and math.isnan(worst)
+        # without the NaN the triple holds
+        assert decay.check_pe(DecayRate(lambda t: 1.0, pe=PETriple(1.0, 0.5, 2.0))) == (True, 0.5)
+
 
 def test_simpson_polynomial_exact():
     # Simpson is exact through cubics

@@ -331,6 +331,26 @@ class TestEmitter:
         with np.errstate(over="ignore"):
             assert f(np.array([1e200]))[0] == f(1e200)
 
+    @pytest.mark.parametrize("text", ["1e400*t", "-1e400*t"])
+    def test_non_finite_literal(self, text):
+        # 1e400 parses to Num(inf), whose repr names no binding
+        f = ep.compile_expr(text, ("t",))
+        ts = [2.0, -0.5]
+        expected = [ep.parse(text).eval({"t": t}) for t in ts]
+        assert [f(t) for t in ts] == [f.math(t) for t in ts] == expected
+        assert f(np.array(ts)).tolist() == expected
+
+    def test_non_finite_constants_from_folding(self):
+        # constant folding in differentiate (Num(a) * Num(b)) can make
+        # Num(-inf) and Num(nan)
+        t = ep.Var("t")
+        f = ep.compile_expr([ep.BinOp("*", ep.Num(-math.inf), t),
+                             ep.BinOp("+", ep.Num(math.nan), t)], ("t",))
+        neg, nan = f(1.0)
+        assert neg == -math.inf and math.isnan(nan)
+        neg, nan = f(np.array([1.0]))
+        assert neg[0] == -math.inf and math.isnan(nan[0])
+
 
 # ---------------------------------------------------------------------------
 # A point and a batch of one compile give the same bits

@@ -5,15 +5,20 @@ Every case compares with ``np.array_equal`` (NaN positions with
 moves any output digest.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import minimize_scalar
 from scipy.stats import qmc
 
 from strictlyap import _numerics as nm
+from strictlyap import decay
 
 
 class TestHalton:
@@ -131,3 +136,120 @@ class TestCubicHermite:
     def test_non_finite_values_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             nm.CubicHermite([0.0, 1.0], [0.0, np.inf], [0.0, 0.0])
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _assert_matches_scipy(fn, lo, hi, xatol=1.0e-11):
+    r = minimize_scalar(fn, bounds=(lo, hi), method="bounded",
+                        options={"xatol": xatol})
+    x, fun = nm.minimize_bounded(fn, lo, hi, xatol)
+    assert type(x) is float
+    assert _same(fun, float(r.fun)) and _same(x, float(r.x)), (lo, hi, x, fun, r.x, r.fun)
+    return x, fun
+
+
+def _sweep_problems(tmp_path, monkeypatch, seed):
+    """The benchmark's generated sweep problems at one workload seed."""
+    from strictlyap.config import load_problem
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclasses
+    spec.loader.exec_module(workloads)
+    rng = np.random.default_rng([seed, 0x5EED])
+    problems = []
+    for i in range(workloads.FULL.sweep_problems):
+        ini = tmp_path / f"sweep-{seed}-{i}.ini"
+        ini.write_text(workloads.sweep_config(i, rng, seed, 2000), encoding="utf-8")
+        problems.append(load_problem(ini))
+    return problems
+
+
+class TestMinimizeBounded:
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        """Route every minimization of decay through the scipy comparison."""
+        calls = []
+
+        def compare(fn, lo, hi, xatol):
+            calls.append((lo, hi))
+            return _assert_matches_scipy(fn, lo, hi, xatol)
+
+        monkeypatch.setattr(decay, "minimize_bounded", compare)
+        return calls
+
+    @pytest.mark.parametrize("name", ["rigid-body", "counterexample-elw", "scalar-linear"])
+    def test_fixture_pe_estimates_match_scipy(self, name, pinned):
+        # the window-integral and -p objectives of estimate_pe, at the brackets
+        # it polishes
+        from strictlyap.fixtures import get_fixture
+
+        problem = get_fixture(name)
+        decay.estimate_pe(problem.rate, problem.tau)
+        assert len(pinned) == 6
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sweep_pe_estimates_match_scipy(self, seed, pinned, tmp_path, monkeypatch):
+        problems = _sweep_problems(tmp_path, monkeypatch, seed)
+        assert len(problems) == 12
+        for problem in problems:
+            decay.estimate_pe(problem.rate, problem.tau)
+        assert len(pinned) == 6 * len(problems)
+
+    def test_underline_p_matches_scipy(self, pinned):
+        from strictlyap.fixtures import get_fixture
+
+        rate = get_fixture("rigid-body").rate
+        for h in (0.5, math.pi, 7.0):
+            decay.underline_p(rate, h)
+        assert len(pinned) == 9
+
+    def test_random_objectives_and_intervals(self):
+        rng = np.random.default_rng(17)
+        fns = [lambda x: math.sin(3.0 * x) + 0.1 * x * x, lambda x: abs(x - 0.3),
+               lambda x: (x - 0.7) ** 4, lambda x: -math.exp(-x * x),
+               lambda x: math.floor(10.0 * x)]
+        for k in range(500):
+            lo = float(rng.uniform(-2.0, 2.0))
+            hi = lo + 10.0 ** float(rng.uniform(-6.0, 1.0))
+            _assert_matches_scipy(fns[k % len(fns)], lo, hi,
+                                  (1.0e-11, 1.0e-8, 1.0e-5)[k % 3])
+
+    def test_constant_objective(self):
+        x, fun = _assert_matches_scipy(lambda x: 2.5, -1.0, 3.0)
+        assert fun == 2.5 and -1.0 <= x <= 3.0
+
+    def test_nan_on_part_of_the_interval(self):
+        # a NaN value never replaces the best point, so a NaN at the first
+        # point (the golden section, 0.38) is what comes back
+        for cut in (0.5, 0.9):
+            x, fun = _assert_matches_scipy(
+                lambda x, cut=cut: math.nan if x > cut else (x - 0.2) ** 2, 0.0, 1.0)
+            assert x <= cut and not math.isnan(fun)
+        x, fun = _assert_matches_scipy(
+            lambda x: math.nan if x > 0.1 else (x - 0.05) ** 2, 0.0, 1.0)
+        assert math.isnan(fun)
+
+    def test_interval_shorter_than_xatol(self):
+        x, _ = _assert_matches_scipy(lambda x: (x - 1.0) ** 2, 1.0, 1.0 + 1.0e-13)
+        assert 1.0 <= x <= 1.0 + 1.0e-13
+        x, _ = _assert_matches_scipy(lambda x: x, 0.5, 0.5)
+        assert x == 0.5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_maximum_evaluations(self):
+        # golden sections shrinking 1e300 down to 1e-11 need over 1400 steps;
+        # both stop after 500 evaluations (scipy's parabola fit overflows on
+        # numpy scalars, and warns)
+        count = []
+        _assert_matches_scipy(lambda x: count.append(x) or x, 0.0, 1.0e300)
+        assert len(count) == 2 * 500
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_bad_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="bounds"):
+            nm.minimize_bounded(lambda x: x, lo, hi, 1.0e-11)
