@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -377,26 +376,6 @@ def _fixture_texts(problem) -> list[str]:
     return texts
 
 
-def _sweep_texts(tmp_path, monkeypatch) -> list[list[str]]:
-    import importlib.util
-    from pathlib import Path
-
-    from strictlyap.config import load_problem
-
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclasses
-    spec.loader.exec_module(workloads)
-    rng = np.random.default_rng([0, 0x5EED])
-    out = []
-    for i in range(workloads.FULL.sweep_problems):
-        ini = tmp_path / f"sweep-{i}.ini"
-        ini.write_text(workloads.sweep_config(i, rng, 0, 2000), encoding="utf-8")
-        out.append(_fixture_texts(load_problem(ini)))
-    return out
-
-
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
@@ -437,6 +416,6 @@ def test_fixture_point_equals_batch(name, halton_points):
     _assert_point_equals_batch(_fixture_texts(get_fixture(name)), halton_points)
 
 
-def test_sweep_point_equals_batch(tmp_path, monkeypatch, halton_points):
-    texts = {t: None for texts in _sweep_texts(tmp_path, monkeypatch) for t in texts}
+def test_sweep_point_equals_batch(sweep_problems, halton_points):
+    texts = {t: None for problem in sweep_problems(0) for t in _fixture_texts(problem)}
     _assert_point_equals_batch(list(texts), halton_points)

@@ -1,14 +1,12 @@
-"""The numpy-only routines of strictlyap._numerics equal scipy's bit for bit.
+"""The routines of strictlyap._numerics equal scipy's bit for bit.
 
-Every case compares with ``np.array_equal`` (NaN positions with
-``equal_nan``), so a reordered floating-point operation fails here before it
-moves any output digest.
+Every array case compares with ``np.array_equal`` (NaN positions with
+``equal_nan``), and the minimizer's ``x`` and ``fun`` with ``==``, so a
+reordered floating-point operation fails here before it moves any output
+digest.
 """
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,24 +149,6 @@ def _assert_matches_scipy(fn, lo, hi, xatol=1.0e-11):
     return x, fun
 
 
-def _sweep_problems(tmp_path, monkeypatch, seed):
-    """The benchmark's generated sweep problems at one workload seed."""
-    from strictlyap.config import load_problem
-
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclasses
-    spec.loader.exec_module(workloads)
-    rng = np.random.default_rng([seed, 0x5EED])
-    problems = []
-    for i in range(workloads.FULL.sweep_problems):
-        ini = tmp_path / f"sweep-{seed}-{i}.ini"
-        ini.write_text(workloads.sweep_config(i, rng, seed, 2000), encoding="utf-8")
-        problems.append(load_problem(ini))
-    return problems
-
-
 class TestMinimizeBounded:
     @pytest.fixture
     def pinned(self, monkeypatch):
@@ -193,8 +173,8 @@ class TestMinimizeBounded:
         assert len(pinned) == 6
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_sweep_pe_estimates_match_scipy(self, seed, pinned, tmp_path, monkeypatch):
-        problems = _sweep_problems(tmp_path, monkeypatch, seed)
+    def test_sweep_pe_estimates_match_scipy(self, seed, pinned, sweep_problems):
+        problems = sweep_problems(seed)
         assert len(problems) == 12
         for problem in problems:
             decay.estimate_pe(problem.rate, problem.tau)
