@@ -209,7 +209,8 @@ class CubicHermite:
     def __call__(self, s):
         if isinstance(s, float):
             knots, c0, c1, c2, c3 = self._lists
-            i = min(max(bisect_right(knots, s) - 1, 0), len(knots) - 2)
+            # bisect on knots[1:-1]: the clipped piece, also for a nan s
+            i = bisect_right(knots, s, 1, len(knots) - 1) - 1
             d = s - knots[i]
             return ((c3[i] + c2[i] * d) + c1[i] * (d * d)) + c0[i] * ((d * d) * d)
         return hermite_values((self,), s)[0]

@@ -10,14 +10,18 @@ Exit codes: 0 = all requested checks passed, 1 = a validation failed (a
 check reported FAIL, or an ``errors.ValidationFailure`` was raised),
 2 = configuration or usage error, 3 = internal error (any other exception;
 its type, message and traceback go to stderr).  All file output is
-deterministic for a fixed config and seed.
+deterministic for a fixed config and seed.  ``simulate`` and ``verify
+iss-estimate`` run their independent runs through ``dynsys.map_forked``, in
+up to one process per CPU, with the output of the runs one after another.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -29,7 +33,7 @@ from . import exprparse
 from . import verify as verify_mod
 from .config import ROUTES, ConfigError, Problem, load_problem, strictify_problem
 from .decay import estimate_pe
-from .dynsys import BlowUpError, Signal, integrate, write_trajectory_csv
+from .dynsys import BlowUpError, Signal, integrate, map_forked, write_trajectory_csv
 from .errors import ValidationFailure
 from .exprparse import ExpressionError
 from .fixtures import FIXTURES, check_reference_admissibility, get_fixture
@@ -296,21 +300,23 @@ def _need(problem: Problem, *names) -> None:
 
 def _iss_estimate_report(problem: Problem):
     sim = problem.sim
-    m = problem.system.m
+    n, m = problem.system.n, problem.system.m
     rng = np.random.default_rng(problem.seed)
     tf = min(sim.tf, sim.t0 + 20.0)
-    fit_batch, hold_batch = [], []
-    for k, scale in enumerate((1.0, 0.6, 0.3)):
-        x0 = rng.normal(size=problem.system.n)
+    starts = []           # three zero-input runs, then three constant inputs
+    for scale in (1.0, 0.6, 0.3):
+        x0 = rng.normal(size=n)
         x0 *= scale * 0.5 * problem.domain.x_radius / max(np.linalg.norm(x0), 1e-12)
-        tr = integrate(problem.system, x0, sim.t0, tf, Signal.zero(m), sim.step)
-        (fit_batch if k < 2 else hold_batch).append(tr)
-    for k, amp in enumerate((0.2, 0.5, 1.0)):
-        x0 = rng.normal(size=problem.system.n)
+        starts.append((x0, Signal.zero(m)))
+    for amp in (0.2, 0.5, 1.0):
+        x0 = rng.normal(size=n)
         x0 *= 0.3 * problem.domain.x_radius / max(np.linalg.norm(x0), 1e-12)
-        u = Signal.constant([amp] + [0.0] * (m - 1)) if m else Signal.zero(0)
-        tr = integrate(problem.system, x0, sim.t0, tf, u, sim.step)
-        (fit_batch if k < 2 else hold_batch).append(tr)
+        starts.append((x0, Signal.constant([amp] + [0.0] * (m - 1)) if m
+                       else Signal.zero(0)))
+    trajs = list(map_forked(
+        lambda start: integrate(problem.system, start[0], sim.t0, tf, start[1],
+                                sim.step), starts))
+    fit_batch, hold_batch = trajs[0:2] + trajs[3:5], [trajs[2], trajs[5]]
     beta, gamma = verify_mod.fit_iss_envelope(fit_batch, problem.rate,
                                               holdout=hold_batch)
     rep = verify_mod.check_iss_estimate(hold_batch, problem.rate, beta, gamma)
@@ -332,27 +338,49 @@ def cmd_simulate(args) -> int:
 
 
 def _simulate(problem: Problem, out: Path | None, cert) -> int:
-    """Integrate the configured runs; V# is reported when ``cert`` is given."""
+    """Integrate the configured runs; V# is reported when ``cert`` is given.
+
+    The runs go through ``map_forked``, so they run in up to one process per
+    CPU.  Output is that of the runs one after another: lines in run order,
+    and run k's CSV, written under a temporary name, renamed into place once
+    its line is printed, so a run that raises leaves no file of a later run.
+    """
     sim = problem.sim
-    code = EXIT_OK
-    for k, run in enumerate(sim.runs, start=1):
+    runs = list(enumerate(sim.runs, start=1))
+
+    def part(k: int) -> Path:
+        return out / f"sim_{k}.csv.part"
+
+    def one(k_run) -> tuple[int, str]:
+        k, run = k_run
         try:
             traj = integrate(problem.system, run.x0, sim.t0, sim.tf, run.signal,
                              sim.step)
         except BlowUpError as exc:
-            print(f"run {k}: blow-up at t = {exc.time:.6g} (|x| = {exc.norm:.3e})")
-            code = EXIT_FAIL
-            continue
+            return EXIT_FAIL, f"run {k}: blow-up at t = {exc.time:.6g} (|x| = {exc.norm:.3e})"
         v = np.asarray(problem.candidate.V(traj.times, traj.states), dtype=float)
         extra = {"V": v}
         if cert is not None:
             extra["Vsharp"] = np.asarray(cert.v_sharp(traj.times, traj.states),
                                          dtype=float)
-        print(f"run {k}: x0={run.x0.tolist()} final |x| = "
-              f"{float(np.linalg.norm(traj.states[-1])):.6e} "
-              f"V(tf) = {float(v[-1]):.6e}")
         if out is not None:
-            write_trajectory_csv(out / f"sim_{k}.csv", traj, extra)
+            write_trajectory_csv(part(k), traj, extra)
+        return EXIT_OK, (f"run {k}: x0={run.x0.tolist()} final |x| = "
+                         f"{float(np.linalg.norm(traj.states[-1])):.6e} "
+                         f"V(tf) = {float(v[-1]):.6e}")
+
+    code = EXIT_OK
+    try:
+        with contextlib.closing(map_forked(one, runs)) as results:
+            for (k, _), (run_code, line) in zip(runs, results):
+                print(line)
+                if out is not None and run_code == EXIT_OK:
+                    os.replace(part(k), out / f"sim_{k}.csv")
+                code = max(code, run_code)
+    finally:
+        if out is not None:
+            for k, _ in runs:
+                part(k).unlink(missing_ok=True)
     return code
 
 

@@ -17,8 +17,10 @@ other callable gets one adapter, with the kernel's signature, that calls
 overflows or leaves a domain on floats is repeated through that adapter.
 The exogenous input is read once per run, on all stage times, and its rows
 are converted to floats a chunk of steps at a time; finished states go into
-one preallocated array.  The runs of ``simulate`` and ``iss-estimate`` are
-few (at most six), too few to step as one batch.
+one preallocated array.  Runs are independent, so their parallelism lives
+one level up: ``map_forked`` spreads the few runs of ``simulate`` and
+``iss-estimate`` over forked processes, one per CPU, each stepping its
+runs one state at a time as above.
 """
 
 from __future__ import annotations
@@ -26,8 +28,13 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
+import pickle
+import signal
+import threading
+import traceback
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -270,3 +277,103 @@ def write_trajectory_csv(path, traj: Trajectory, extra: dict[str, np.ndarray] | 
         for i in range(0, traj.times.size, _CSV_CHUNK):
             block = np.hstack([c[i:i + _CSV_CHUNK] for c in cols])
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Independent runs in forked processes
+
+def map_forked(fn: Callable, items: Sequence) -> Iterator:
+    """Yield ``fn(item)`` for each item, in order, with the items spread over
+    the CPUs this process may run on.
+
+    The items are cut into one contiguous slice per CPU.  This process runs
+    the first slice itself; each other slice goes to a child made by
+    ``os.fork``, which sends back each result pickled over a pipe and ends
+    with ``os._exit``.  With one CPU, on a platform without ``os.fork`` or
+    ``os.sched_getaffinity``, or while another thread runs (forking then is
+    unsafe), every item runs here.  ``fn`` runs in a child as it would here,
+    but what it changes in memory stays in the child.
+
+    An exception raised by ``fn`` on item k is raised here, with its class,
+    args and attributes, after the results before it are yielded; a child's
+    traceback text is in its ``__cause__``.  Children still running then
+    are killed.  Every child is reaped before the generator returns, raises
+    or is closed.
+    """
+    items = list(items)
+    slots = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+            and threading.active_count() == 1:
+        slots = max(1, min(len(os.sched_getaffinity(0)), len(items)))
+    cuts = [len(items) * i // slots for i in range(slots + 1)]
+    children = []       # (pid, pipe, item count) of each child not yet reaped
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            children.append((*_fork_slice(fn, items[lo:hi]), hi - lo))
+        yield from map(fn, items[:cuts[1]])
+        while children:
+            pid, pipe, count = children[0]
+            for _ in range(count):
+                yield _receive(pipe, pid)
+            pipe.close()
+            os.waitpid(pid, 0)
+            del children[0]
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_slice(fn: Callable, items: list):
+    """Fork a child that sends ``(None, fn(item))`` for each item in turn, or
+    ``(failure, None)`` for the first item that raises; returns the child's
+    pid and the read end of its pipe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                for item in items:
+                    try:
+                        data = pickle.dumps((None, fn(item)))
+                    except Exception as exc:  # noqa: BLE001 - raised again by _receive
+                        pipe.write(_failure(exc))
+                        break
+                    pipe.write(data)
+                    pipe.flush()
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _failure(exc: Exception) -> bytes:
+    """``(failure, None)`` pickled, where failure is the class, args,
+    attributes and traceback text of exc."""
+    tb = "".join(traceback.format_exception(exc))
+    try:
+        return pickle.dumps(((type(exc), exc.args, vars(exc), tb), None))
+    except Exception:  # noqa: BLE001 - e.g. a class defined in a function
+        return pickle.dumps(((RuntimeError, (f"{type(exc).__name__}: {exc}",), {}, tb),
+                             None))
+
+
+def _receive(pipe, pid: int):
+    """The next result a child sent, or its exception raised here."""
+    try:
+        failure, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):    # the child died while sending
+        raise RuntimeError(f"worker process {pid} ended without a result") from None
+    if failure is None:
+        return value
+    cls, args, state, tb = failure
+    exc = cls.__new__(cls, *args)       # as pickle does, without __init__
+    exc.__dict__.update(state)
+    raise exc from RuntimeError(f"raised in worker process {pid}:\n{tb}")

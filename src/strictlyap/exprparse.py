@@ -338,12 +338,16 @@ def parse(text: str) -> Expr:
 # Printing (round-trips through parse)
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+# Non-finite literals (folded from, say, 1e400) have no name in the grammar:
+# 1e999 reads back as inf, and inf - inf is nan
+_NON_FINITE_TEXT = {"inf": "1e999", "-inf": "-1e999", "nan": "(1e999 - 1e999)"}
 
 
 def to_text(e: Expr) -> str:
     """Serialize an AST back to parseable text."""
     if isinstance(e, Num):
-        return repr(e.value)
+        text = repr(e.value)
+        return _NON_FINITE_TEXT.get(text, text)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):

@@ -1,6 +1,7 @@
 """Inputs shared by several test modules."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -31,3 +32,14 @@ def sweep_problems(tmp_path, monkeypatch):
         return problems
 
     return load
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """A function that sets the number of CPUs ``os.sched_getaffinity``
+    reports, so ``dynsys.map_forked`` cuts its items into that many slices."""
+
+    def set_cpus(k: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    return set_cpus

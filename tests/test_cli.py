@@ -14,6 +14,7 @@ import pytest
 import strictlyap
 from strictlyap import cli, funcalc
 from strictlyap.config import ConfigError, load_problem, strictify_problem
+from strictlyap.dynsys import BlowUpError, integrate, write_trajectory_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -674,14 +675,16 @@ class TestDiagnostics:
         cfg = tmp_path / "window.ini"
         cfg.write_text(SCALAR_CONFIG.replace("t0 = 0.0", f"t0 = {t0}")
                        .replace("tf = 5.0", f"tf = {tf}"), encoding="utf-8")
-        spans, integrate = [], cli.integrate
+        spans, fit = [], cli.verify_mod.fit_iss_envelope
 
-        def spy(*args, **kwargs):
-            traj = integrate(*args, **kwargs)
-            spans.append((float(traj.times[0]), float(traj.times[-1])))
-            return traj
+        # the runs may integrate in forked processes, so the spy sits where
+        # all six trajectories arrive: the fit, in this process
+        def spy(batch, rate, holdout):
+            spans.extend((float(tr.times[0]), float(tr.times[-1]))
+                         for tr in [*batch, *holdout])
+            return fit(batch, rate, holdout=holdout)
 
-        monkeypatch.setattr(cli, "integrate", spy)
+        monkeypatch.setattr(cli.verify_mod, "fit_iss_envelope", spy)
         assert cli.main(["verify", "iss-estimate", "--config", str(cfg)]) == 0
         assert spans == [(t0, tf)] * 6
 
@@ -725,3 +728,141 @@ def test_config_nonsmooth_v_requires_explicit_derivatives(tmp_path):
     problem = load_problem(p)
     assert float(problem.candidate.V(0.0, np.array([-2.0]))) == 2.0
     assert float(problem.candidate.grad_x(0.0, np.array([-2.0]))[0]) == -2.0
+
+
+# ---------------------------------------------------------------------------
+# simulate and iss-estimate run their runs in forked processes: output equals
+# the runs one after another, and no child outlives the command
+
+THREE_RUNS = SCALAR_CONFIG + 'x0.3 = 2.0\nu.3.1 = "cos(t)"\n'
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda k: f"{k}cpu")
+def cpus(request, set_cpus):
+    """The number of CPUs the runs may spread over (1: no child)."""
+    set_cpus(request.param)
+    return request.param
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial_reference(problem, cert, out: Path) -> list[str]:
+    """The stdout lines of simulate from one run after another, writing the
+    CSV files into out."""
+    sim, lines = problem.sim, []
+    for k, run in enumerate(sim.runs, start=1):
+        try:
+            traj = integrate(problem.system, run.x0, sim.t0, sim.tf, run.signal, sim.step)
+        except BlowUpError as exc:
+            lines.append(f"run {k}: blow-up at t = {exc.time:.6g} (|x| = {exc.norm:.3e})")
+            continue
+        v = np.asarray(problem.candidate.V(traj.times, traj.states), dtype=float)
+        extra = {"V": v, "Vsharp": np.asarray(cert.v_sharp(traj.times, traj.states))}
+        lines.append(f"run {k}: x0={run.x0.tolist()} final |x| = "
+                     f"{float(np.linalg.norm(traj.states[-1])):.6e} "
+                     f"V(tf) = {float(v[-1]):.6e}")
+        write_trajectory_csv(out / f"sim_{k}.csv", traj, extra)
+    return lines
+
+
+def _reference_for(argv, out: Path) -> list[str]:
+    problem = cli._load(cli._build_parser().parse_args(argv))
+    cli._ensure_pe(problem)
+    return _serial_reference(problem, strictify_problem(problem), out)
+
+
+def _same_files(a: Path, b: Path):
+    assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
+    for p in a.iterdir():
+        assert p.read_bytes() == (b / p.name).read_bytes(), p.name
+
+
+def test_simulate_rigid_body_equals_serial_runs(tmp_path, capsys, set_cpus):
+    set_cpus(2)
+    argv = ["simulate", "--example", "rigid-body", "--samples", "2000"]
+    assert cli.main(argv + ["--out", str(tmp_path / "forked")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    (tmp_path / "serial").mkdir()
+    assert out == _reference_for(argv, tmp_path / "serial")
+    _same_files(tmp_path / "forked", tmp_path / "serial")
+    _assert_no_child()
+
+
+def test_simulate_three_runs_equal_serial_runs(tmp_path, capsys, cpus):
+    cfg = tmp_path / "three.ini"
+    cfg.write_text(THREE_RUNS, encoding="utf-8")
+    argv = ["simulate", "--config", str(cfg)]
+    assert cli.main(argv + ["--out", str(tmp_path / "forked")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    (tmp_path / "serial").mkdir()
+    assert out == _reference_for(argv, tmp_path / "serial")
+    assert len(out) == 3
+    _same_files(tmp_path / "forked", tmp_path / "serial")
+    _assert_no_child()
+
+
+def test_simulate_blow_up_in_run_2_of_3(tmp_path, capsys, cpus):
+    # x' = -x + exp(5t) passes the guard 1e8 near t = 4
+    cfg = tmp_path / "three.ini"
+    cfg.write_text(THREE_RUNS.replace('"0.2*sin(t)"', '"exp(5*t)"'), encoding="utf-8")
+    argv = ["simulate", "--config", str(cfg)]
+    assert cli.main(argv + ["--out", str(tmp_path / "forked")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    (tmp_path / "serial").mkdir()
+    assert out == _reference_for(argv, tmp_path / "serial")
+    assert out[1].startswith("run 2: blow-up at t = 4.")
+    assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == ["sim_1.csv",
+                                                                      "sim_3.csv"]
+    _same_files(tmp_path / "forked", tmp_path / "serial")
+    _assert_no_child()
+
+
+def test_simulate_non_finite_input_in_run_2_of_3(tmp_path, capsys, cpus):
+    cfg = tmp_path / "three.ini"
+    cfg.write_text(THREE_RUNS.replace('"0.2*sin(t)"', '"log(1 - t)"'), encoding="utf-8")
+    out = tmp_path / "forked"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("run 1: x0=[1.0]")
+    assert "config error: input is not finite at t=1.0:" in captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in out.iterdir()) == ["sim_1.csv"]
+    _assert_no_child()
+
+
+def test_simulate_internal_error_in_run_2_of_3(tmp_path, monkeypatch, capsys, cpus):
+    # an unexpected error in run 2 reaches main with its class and message,
+    # after run 1's line; from a child, with the child's traceback
+    write = cli.write_trajectory_csv
+
+    def broken(path, *args):
+        if path.name.startswith("sim_2."):
+            raise IndexError("index 7 is out of bounds")
+        write(path, *args)
+
+    monkeypatch.setattr(cli, "write_trajectory_csv", broken)
+    cfg = tmp_path / "three.ini"
+    cfg.write_text(THREE_RUNS, encoding="utf-8")
+    out = tmp_path / "forked"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("run 1: x0=[1.0]")
+    assert "internal error: IndexError: index 7 is out of bounds" in captured.err
+    assert ("raised in worker process" in captured.err) == (cpus > 1)
+    assert 'raise IndexError("index 7 is out of bounds")' in captured.err
+    assert sorted(p.name for p in out.iterdir()) == ["sim_1.csv"]
+    _assert_no_child()
+
+
+def test_iss_estimate_scalar_linear_report(capsys, cpus):
+    assert cli.main(["verify", "iss-estimate", "--example", "scalar-linear"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "fitted beta: 1.02*s*exp(-0.98*r)",
+        "fitted gamma: ultimate-bound hull",
+        "iss-estimate: margin=1.339284e-05 n=400 PASS",
+        "  worst point: t=10 x=[5.447991571498626e-05] u=[0.0]",
+    ]
+    _assert_no_child()

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import math
+import os
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -521,3 +524,102 @@ def test_trajectory_csv_matches_csv_writer(tmp_path, m, k):
     dynsys.write_trajectory_csv(tmp_path / "bare.csv", traj)
     _csv_writer_reference(tmp_path / "bare_ref.csv", traj, {})
     assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "bare_ref.csv").read_bytes()
+
+
+class TestMapForked:
+    @staticmethod
+    def _assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_in_order_from_contiguous_slices(self, set_cpus):
+        set_cpus(3)
+        got = list(dynsys.map_forked(lambda i: (i * i, os.getpid()), range(7)))
+        assert [v for v, _ in got] == [i * i for i in range(7)]
+        pids = [pid for _, pid in got]
+        assert pids[:2] == [os.getpid()] * 2           # this process: items 0, 1
+        assert len({*pids[2:4]}) == 1 and len({*pids[4:]}) == 1
+        assert len({*pids}) == 3
+        self._assert_no_child()
+
+    def test_one_cpu_forks_nothing(self, set_cpus, monkeypatch):
+        set_cpus(1)
+
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert list(dynsys.map_forked(lambda i: i + 1, [1, 2, 3])) == [2, 3, 4]
+
+    def test_child_exception_keeps_class_args_and_attributes(self, set_cpus):
+        set_cpus(2)
+
+        def fn(i):
+            if i == 1:
+                raise dynsys.BlowUpError(2.5, 1.0e9)
+            return i
+
+        results = dynsys.map_forked(fn, [0, 1])
+        assert next(results) == 0
+        with pytest.raises(dynsys.BlowUpError) as info:
+            next(results)
+        exc = info.value
+        assert (exc.time, exc.norm) == (2.5, 1.0e9)
+        assert str(exc) == str(dynsys.BlowUpError(2.5, 1.0e9))
+        assert "Traceback" in str(exc.__cause__)
+        self._assert_no_child()
+
+    def test_child_exception_that_cannot_be_pickled(self, set_cpus):
+        set_cpus(2)
+
+        class Local(Exception):
+            pass
+
+        def fn(i):
+            if i:
+                raise Local("not importable")
+            return i
+
+        with pytest.raises(RuntimeError, match="^Local: not importable$"):
+            list(dynsys.map_forked(fn, [0, 1]))
+        self._assert_no_child()
+
+    def test_result_that_cannot_be_pickled_raises(self, set_cpus):
+        set_cpus(2)
+        with pytest.raises(Exception, match="pickle"):
+            list(dynsys.map_forked(lambda i: (lambda: i), [0, 1]))
+        self._assert_no_child()
+
+    def test_failure_here_kills_the_children(self, set_cpus):
+        set_cpus(2)
+
+        def fn(i):
+            if i == 0:
+                raise ValueError("first run fails")
+            time.sleep(60)
+
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="first run fails"):
+            list(dynsys.map_forked(fn, [0, 1]))
+        assert time.monotonic() - t0 < 30
+        self._assert_no_child()
+
+    def test_closing_early_reaps_the_children(self, set_cpus):
+        set_cpus(3)
+        results = dynsys.map_forked(lambda i: time.sleep(60 * i) or i, [0, 1, 2])
+        assert next(results) == 0
+        results.close()
+        self._assert_no_child()
+
+    def test_warning_as_error_in_a_child_reaches_the_caller(self, set_cpus):
+        # python -W error::RuntimeWarning must fail on a warning of any run
+        set_cpus(2)
+
+        def fn(i):
+            return float(np.exp(np.array([1000.0 * i]))[0])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                list(dynsys.map_forked(fn, [0, 1]))
+        self._assert_no_child()

@@ -118,6 +118,27 @@ class TestRoundTrip:
             env = {v: rng.uniform(0.1, 2.0) for v in e.variables()}
             assert e2.eval(env) == pytest.approx(e.eval(env), abs=1e-12)
 
+    @pytest.mark.parametrize("text", ["1e400*t", "-1e400*t"])
+    def test_infinite_literal_round_trip(self, text):
+        e = ep.parse(text)
+        assert ep.parse(ep.to_text(e)) == e
+        assert ep.parse(ep.to_text(e)).eval({"t": 2.0}) == e.eval({"t": 2.0})
+
+    def test_folded_nan_round_trip(self):
+        d = ep.differentiate(ep.parse("1e400*t - 1e400*t"), "t")
+        assert isinstance(d, ep.Num) and math.isnan(d.value)
+        back = ep.parse(ep.to_text(d))
+        assert math.isnan(back.eval({}))
+        assert math.isnan(ep.compile_expr(back, ("t",))(0.0))
+        assert ep.to_text(ep.parse(ep.to_text(back))) == ep.to_text(back)
+
+    def test_candidate_with_an_infinite_coefficient_loads(self):
+        from strictlyap.config import candidate_from_exprs
+
+        c = candidate_from_exprs("1e400*x1^2", 1, "s^2", "s^2", "s")
+        assert c.V(0.0, np.array([1.0])) == math.inf
+        assert c.grad_x(0.0, np.array([1.0]))[0] == math.inf
+
 
 # random AST strategy for the round-trip property
 def _exprs(depth):

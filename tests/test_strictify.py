@@ -450,6 +450,26 @@ class TestCertificateInvariants:
         assert np.abs(got - expected).max() < 1e-9
 
 
+# counterexample-elw issues no certificate: its premise fails by design
+@pytest.mark.parametrize("fixture", [rigid_body, scalar_linear])
+def test_point_v_sharp_is_a_float_equal_to_the_batch(fixture):
+    # the stop test of an RK4 run calls V# at a float t and an (n,) x
+    from strictlyap._numerics import halton
+
+    problem = fixture()
+    cert = strictify_problem(problem, n_samples=2000)
+    (t_lo, t_hi), r = cert.domain.t_range, cert.domain.x_radius
+    pts = halton(1 + problem.system.n, 10_000, seed=18)
+    ts = t_lo - 2.0 * (t_hi - t_lo) + 5.0 * (t_hi - t_lo) * pts[:, 0]
+    xs = r * (2.0 * pts[:, 1:] - 1.0)
+    point = [cert.v_sharp(t, x) for t, x in zip(ts.tolist(), xs)]
+    assert all(isinstance(v, float) for v in point)
+    batch = np.asarray(cert.v_sharp(ts, xs), dtype=float)
+    np.testing.assert_array_equal(np.array(point).view(np.uint64), batch.view(np.uint64))
+    for t, x, v in zip(ts[:100], xs[:100], point):
+        assert float(cert.v_sharp(np.array([t]), x[None])[0]) == v
+
+
 def test_strict_iss_contract_at_scale():
     """1e5 masked samples: the analytic expansion of d/dt V# stays below
     -decay(|x|) wherever |x| >= chi(|u|)."""
