@@ -8,11 +8,15 @@ pl(h) = inf_t int_t^{t+h} p.
 W and xi at many times come from one primitive, `window_table`: two
 cumulative Simpson integrals on a single grid, read at their composite-
 Simpson nodes and joined by cubic Hermite pieces with the exact slopes.
-Single windows (`simpson`, `window_integral`, `xi`, `xi_nested`) are plain
-composite Simpson; they serve as oracles and as the objective of the bounded
-Brent minimizer that polishes grid minima and maxima over t.  The cumulative
-integrals, the Hermite pieces and the minimizer come from `_numerics`, which
-equals scipy's versions bit for bit without importing scipy.
+`WindowTables` reads them from such tables on fixed blocks of time, each
+built once, so a time's values do not depend on the batch it comes in;
+`window_integral_vec`, `xi_vec`, the PE estimates and every certificate
+read W and xi through it.  Single windows (`simpson`, `window_integral`,
+`xi`, `xi_nested`) are plain composite Simpson; they serve as oracles and
+as the objective of the bounded Brent minimizer that polishes grid minima
+and maxima over t.  The cumulative integrals, the Hermite pieces and the
+minimizer come from `_numerics`, which equals scipy's versions bit for bit
+without importing scipy.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .errors import ValidationFailure
 SIMPSON_SUBINTERVALS = 2048
 PE_SAFETY = 0.01  # 1% shrink/inflation between raw and certified values
 PASS_TOL = 1.0e-9  # least accepted epsilon; a sampled margin >= -PASS_TOL passes
+BLOCK_WINDOWS = 4  # a block of W/xi tables spans this many windows tau
+MAX_BLOCKS = 8     # blocks a WindowTables keeps
 
 
 def _rate_values(p, nodes) -> np.ndarray:
@@ -157,31 +163,86 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float):
             CubicHermite(knots, xi_vals, tau * y[now] - W))
 
 
-def _tabulate(p: DecayRate, tau: float, t):
-    """W and xi at the times t, one table per run of overlapping windows.
+class WindowTables:
+    """W (column 0) and xi (column 1) of a rate for one window tau, read
+    from window tables on fixed blocks of time.
 
-    Times are folded into one period for periodic p and sorted; a gap wider
-    than tau starts a new run, so the grids never cover more than about
-    twice the nodes of separate windows.  A non-finite time raises ValueError
-    naming the first one.
+    Block k spans [kL, (k+1)L], L = BLOCK_WINDOWS * tau, and is
+    ``window_table(p, tau, kL, (k+1)L)``, built on first use; the MAX_BLOCKS
+    built last are kept.  A time t is read from block floor(t / L), so its
+    values depend on t alone, not on the other times of its batch, and a
+    float t gives the bits of its batch row.  A periodic rate folds t into
+    [0, period) first and ends its blocks at the period, so with L >= period
+    its one block is the one-period table.  Block k needs the rate on
+    [kL - tau, (k+1)L]: a time in [-L, 0) evaluates an aperiodic rate down
+    to -L - tau.  A non-finite time raises ValueError naming it.
     """
-    t = np.asarray(t, dtype=float)
-    bad = t[~np.isfinite(t)]
-    if bad.size:
-        raise ValueError(f"query time is not finite: t={float(bad[0])!r}")
-    s = (np.mod(t, p.period) if p.period is not None else t).ravel()
-    W, X = np.empty(s.shape), np.empty(s.shape)
-    order = np.argsort(s, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(s[order]) > tau) + 1):
-        if idx.size:
-            tables = window_table(p, tau, s[idx[0]], s[idx[-1]])
-            W[idx], X[idx] = hermite_values(tables, s[idx])
-    return W.reshape(t.shape), X.reshape(t.shape)
+
+    def __init__(self, p: DecayRate, tau: float):
+        if tau <= 0:
+            raise ValueError("tau must be positive")
+        self.rate, self.tau, self.period = p, tau, p.period
+        self.span = BLOCK_WINDOWS * tau
+        # a periodic rate's last block, the one that ends at its period
+        self._last = (None if p.period is None
+                      else max(0, math.ceil(p.period / self.span) - 1))
+        self.blocks: dict[int, tuple] = {}
+
+    def block(self, k: int) -> tuple:
+        """The (W, xi) tables of block k."""
+        tables = self.blocks.get(k)
+        if tables is None:
+            lo = k * self.span
+            hi = lo + self.span
+            if self.period is not None:
+                hi = min(hi, self.period)
+            tables = window_table(self.rate, self.tau, lo, hi)
+            if len(self.blocks) >= MAX_BLOCKS:
+                del self.blocks[next(iter(self.blocks))]
+            self.blocks[k] = tables
+        return tables
+
+    def column(self, j: int, t):
+        """Column j at t: a float at a float t, else an array of t's shape."""
+        if not isinstance(t, float):
+            return self(t, (j,))[0]
+        s = float(t)
+        if s - s != 0.0:        # inf or nan
+            raise ValueError(f"query time is not finite: t={s!r}")
+        if self.period is not None:
+            s %= self.period
+        if self._last == 0:
+            return (self.blocks.get(0) or self.block(0))[j](s)
+        k = math.floor(s / self.span)
+        return self.block(k if self._last is None else min(k, self._last))[j](s)
+
+    def __call__(self, t, columns=(0, 1)) -> tuple:
+        """The columns at t: floats at a float t, else arrays of t's shape."""
+        if isinstance(t, float):
+            return tuple(self.column(j, t) for j in columns)
+        t = np.asarray(t, dtype=float)
+        bad = t[~np.isfinite(t)]
+        if bad.size:
+            raise ValueError(f"query time is not finite: t={float(bad[0])!r}")
+        s = t if self.period is None else np.mod(t, self.period)
+        if self._last == 0:
+            return hermite_values([self.block(0)[j] for j in columns], s)
+        k = np.floor(s / self.span)
+        if self._last is not None:
+            np.minimum(k, self._last, out=k)
+        outs = tuple(np.empty(s.shape) for _ in columns)
+        for kk in np.unique(k).tolist():
+            rows = k == kk
+            tables = [self.block(int(kk))[j] for j in columns]
+            for out, vals in zip(outs, hermite_values(tables, s[rows])):
+                out[rows] = vals
+        return outs
 
 
 def window_integral_vec(p: DecayRate, tau: float, t: np.ndarray) -> np.ndarray:
-    """Window integral for an array of right endpoints."""
-    return _tabulate(p, tau, t)[0]
+    """Window integral for an array of right endpoints, through a
+    WindowTables of its own."""
+    return WindowTables(p, tau).column(0, t)
 
 
 def xi(p: DecayRate, tau: float, t: float) -> float:
@@ -199,8 +260,9 @@ def xi(p: DecayRate, tau: float, t: float) -> float:
 
 
 def xi_vec(p: DecayRate, tau: float, t: np.ndarray) -> np.ndarray:
-    """Vectorized xi over an array of times."""
-    return _tabulate(p, tau, t)[1]
+    """Vectorized xi over an array of times, through a WindowTables of its
+    own."""
+    return WindowTables(p, tau).column(1, t)
 
 
 def xi_nested(p: DecayRate, tau: float, t: float, n: int = 256) -> float:

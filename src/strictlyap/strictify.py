@@ -31,7 +31,6 @@ import numpy as np
 from . import decay as decay_mod
 from . import verify
 from .decay import PASS_TOL, DecayRate, PETriple
-from ._numerics import hermite_values
 from .dynsys import ControlSystem
 from .errors import ValidationFailure
 from .funcalc import GainFunction, compose, inverse_gain, scale_gain
@@ -126,29 +125,29 @@ class StrictCertificate:
     gain_margin: float | None = None
     domain: SampleDomain | None = None
     validation: CertificateValidation = field(default_factory=CertificateValidation)
-    _table: tuple | None = field(default=None, repr=False)
+    _windows: decay_mod.WindowTables | None = field(default=None, repr=False)
 
     # -- time-dependent coefficients ---------------------------------------
 
     def xi_fn(self, t):
         """xi(t): an array of the shape of t, or a float at a float t."""
-        return _column(self.rate, self.pe.tau, self._table, 1, t)
+        return self._windows.column(1, t)
 
     def window_fn(self, t):
         """W(t) = int_{t-tau}^t p: an array of the shape of t, or a float at a
         float t."""
-        return _column(self.rate, self.pe.tau, self._table, 0, t)
+        return self._windows.column(0, t)
 
     # -- the strictified function -------------------------------------------
 
     def v_sharp(self, t, x):
+        xi = self.xi_fn(t)       # first, so a non-finite t is named here
         v = self.candidate.V(t, x)
-        return v + self.xi_fn(t) * self.w(v)
+        return v + xi * self.w(v)
 
     def vdot_sharp(self, t, x, u):
         """Analytic expansion of d/dt V# along the system."""
-        return _dvsharp_dt(self.rate, self.pe.tau, self._table, self.w, t,
-                           self.candidate.V(t, x),
+        return _dvsharp_dt(self._windows, self.w, t, self.candidate.V(t, x),
                            verify.vdot(self.candidate, self.system, t, x, u))
 
     @property
@@ -169,8 +168,7 @@ class StrictCertificate:
         dxi_max = 2.0 * self.pe.tau * self.pe.pbar
 
         def dV_dt(t, x):
-            return _dvsharp_dt(self.rate, self.pe.tau, self._table, w, t,
-                               cand.V(t, x), cand.dV_dt(t, x))
+            return _dvsharp_dt(self._windows, w, t, cand.V(t, x), cand.dV_dt(t, x))
 
         def grad_x(t, x):
             coef = np.asarray(1.0 + self.xi_fn(t) * w.deriv(cand.V(t, x)))
@@ -231,31 +229,15 @@ class StrictCertificate:
 
 
 # ---------------------------------------------------------------------------
-# The time-dependent coefficients, from the rate, tau and the one-period
-# (W, xi) table of a periodic rate (None otherwise).  Certificate checks call
-# these directly, so a report's margin function holds no reference to its
-# certificate, which would put every certificate in a reference cycle.
+# The time derivative of V#, from the certificate's (W, xi) lookup of its
+# rate.  Certificate checks call it and the lookup directly, so a report's
+# margin function holds no reference to its certificate, which would put
+# every certificate in a reference cycle.
 
-def _fold(period: float, t):
-    """t folded into [0, period); a float stays a Python float, which the
-    table answers in Python."""
-    return float(t) % period if isinstance(t, float) else np.mod(t, period)
-
-
-def _column(rate: DecayRate, tau: float, table, j: int, t):
-    """W(t) (j = 0) or xi(t) (j = 1), from that table column alone."""
-    if table is not None:
-        return table[j](_fold(rate.period, t))
-    return decay_mod._tabulate(rate, tau, t)[j]
-
-
-def _dvsharp_dt(rate: DecayRate, tau: float, table, w: GainFunction, t, v, vd):
+def _dvsharp_dt(windows: decay_mod.WindowTables, w: GainFunction, t, v, vd):
     """d/dt V# = (1 + xi w'(V)) vd + (tau p - W) w(V), with vd = d/dt V."""
-    if table is not None:
-        W, xi = hermite_values(table, _fold(rate.period, t))
-    else:
-        W, xi = decay_mod._tabulate(rate, tau, t)
-    return (1.0 + xi * w.deriv(v)) * vd + (tau * rate(t) - W) * w(v)
+    W, xi = windows(t)
+    return (1.0 + xi * w.deriv(v)) * vd + (windows.tau * windows.rate(t) - W) * w(v)
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +298,18 @@ def default_domain(candidate: LyapunovCandidate, system: ControlSystem,
     return SampleDomain((0.0, max(period, tau) + tau), 10.0, 5.0)
 
 
-def _xi_splines(p: DecayRate, tau: float):
-    """The one-period (W, xi) table of a periodic rate; None otherwise.
+def _xi_splines(p: DecayRate, tau: float) -> decay_mod.WindowTables:
+    """The certificate's (W, xi) lookup, with the first block of a periodic
+    rate built: its one-period table when the rate's period is at most
+    BLOCK_WINDOWS * tau.
 
-    Each entry answers a float query in Python, so V# at a point, as in an
-    RK4 stop test, makes no array call.
+    A table answers a float query in Python, so V# at a point, as in an RK4
+    stop test, makes no array call.
     """
-    if p.period is None:
-        return None
-    return decay_mod.window_table(p, tau, 0.0, p.period)
+    windows = decay_mod.WindowTables(p, tau)
+    if p.period is not None:
+        windows.block(0)
+    return windows
 
 
 def _prepare(candidate: LyapunovCandidate, system: ControlSystem, p: DecayRate,
@@ -361,12 +346,12 @@ def _certify(kind: str, candidate: LyapunovCandidate, system: ControlSystem,
     pe = p.pe
     tau = pe.tau
     w = build_w(mu_tilde, tau, pe.pbar, factor)
-    table = _xi_splines(p, tau)
+    windows = _xi_splines(p, tau)
     decay = _decay_gain(pe.epsilon, w, candidate.alpha1)
     omega, gain_margin = extra.get("omega"), extra.get("gain_margin")
 
     def contract_fn(t, x, u):
-        vdot_sharp = _dvsharp_dt(p, tau, table, w, t, candidate.V(t, x),
+        vdot_sharp = _dvsharp_dt(windows, w, t, candidate.V(t, x),
                                  verify.vdot(candidate, system, t, x, u))
         margin = -vdot_sharp - decay(np.linalg.norm(x, axis=1))
         if kind == "strict-DIS":
@@ -374,12 +359,12 @@ def _certify(kind: str, candidate: LyapunovCandidate, system: ControlSystem,
         return margin
 
     def bounds_fn(t, x, u):
-        q = _column(p, tau, table, 1, t) * w.deriv(candidate.V(t, x))
+        q = windows.column(1, t) * w.deriv(candidate.V(t, x))
         return np.minimum(q, 0.25 - q)
 
     cert = StrictCertificate(
         kind=kind, candidate=candidate, system=system, rate=p, pe=pe, w=w,
-        mu_tilde=mu_tilde, decay=decay, factor=factor, domain=domain, _table=table,
+        mu_tilde=mu_tilde, decay=decay, factor=factor, domain=domain, _windows=windows,
         **extra)
     contract = verify._run_check(f"{kind.lower()}-contract", contract_fn,
                                  domain, candidate.n, system.m, n_samples, seed + 2,

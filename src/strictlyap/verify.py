@@ -114,9 +114,8 @@ class InequalityReport:
     margin_fn: Callable | None = field(default=None, repr=False, compare=False)
 
     def reevaluate(self) -> float:
-        """Margin at the recorded worst point; matches worst_margin, up to
-        the last bits on an aperiodic rate, whose window table spans the
-        batch a margin was evaluated in."""
+        """Margin at the recorded worst point; equals worst_margin, since
+        every margin evaluates each batch row as that point alone."""
         if self.margin_fn is None:
             raise ValueError(f"report '{self.name}' carries no margin function")
         return float(_at_point(self.margin_fn, *self.worst_point))

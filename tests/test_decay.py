@@ -19,6 +19,9 @@ SIN3_EPS = 1.333333335371483
 SIN3_PBAR = 131.97278714792367
 # aperiodic: the two frequencies are incommensurate
 MIXED = rate_from_expr("1 + sin(t)^2 + 0.5*sin(sqrt(2)*t)^2")
+# most rate nodes of one block: the window tau before it on a grid of step
+# tau/(2n), n = SIMPSON_SUBINTERVALS, and one more even step past its end
+BLOCK_NODES = 2 * (decay.BLOCK_WINDOWS + 1) * decay.SIMPSON_SUBINTERVALS + 3
 
 
 def counting(rate):
@@ -88,11 +91,13 @@ class TestXi:
             assert single == pytest.approx(nested, abs=1e-8)
 
     def test_vectorized_matches_scalar(self):
-        # negative times fold into the period
+        # negative times fold into the period; with tau = 0.5 the period
+        # spans two blocks of tables
         ts = np.concatenate([np.linspace(0.0, 6.0, 13), [-7.0, -PI / 2, -0.1]])
-        vec = decay.xi_vec(SIN2, PI, ts)
-        for t, v in zip(ts, vec):
-            assert v == pytest.approx(decay.xi(SIN2, PI, float(t)), abs=1e-12)
+        for tau in (PI, 0.5):
+            vec = decay.xi_vec(SIN2, tau, ts)
+            for t, v in zip(ts, vec):
+                assert v == pytest.approx(decay.xi(SIN2, tau, float(t)), abs=1e-12)
         zero_d = decay.xi_vec(MIXED, 2.0, 1.5)
         assert np.shape(zero_d) == ()
         assert float(zero_d) == pytest.approx(decay.xi(MIXED, 2.0, 1.5), abs=1e-12)
@@ -200,10 +205,14 @@ def test_window_integral_vec_matches_scalar():
 class TestWindowTable:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_query_time_named(self, bad):
-        with pytest.raises(ValueError, match=f"query time is not finite: t={bad!r}"):
-            decay.xi_vec(SIN2, 1.0, [0.0, bad])
-        with pytest.raises(ValueError, match="query time is not finite"):
-            decay.window_integral_vec(SIN2, 1.0, np.array([[0.0, 2.0], [-bad, bad]]))
+        # periodic and aperiodic rates, batch and float queries alike
+        for rate in (SIN2, MIXED):
+            with pytest.raises(ValueError, match=f"query time is not finite: t={bad!r}"):
+                decay.xi_vec(rate, 1.0, [0.0, bad])
+            with pytest.raises(ValueError, match="query time is not finite"):
+                decay.window_integral_vec(rate, 1.0, np.array([[0.0, 2.0], [-bad, bad]]))
+            with pytest.raises(ValueError, match=f"query time is not finite: t={bad!r}"):
+                decay.xi_vec(rate, 1.0, bad)
 
     def test_rigid_body_closed_form_dense(self):
         ts = np.linspace(0.0, 4 * PI, 20001)
@@ -244,22 +253,37 @@ class TestWindowTable:
             with pytest.raises(ValueError):
                 PETriple(1.0, eps, pbar)
 
-    def test_sparse_underline_p_node_budget(self):
-        """Isolated windows: at most 2x the nodes of one (n+1)-node window
-        per grid time, next to the same scalar polish."""
-        n, n_grid, h = decay.SIMPSON_SUBINTERVALS, 512, 1e-6
+    def test_sparse_underline_p_builds_one_block_per_time(self):
+        """Isolated windows: one block of tables per grid time, next to the
+        same scalar polish."""
+        n_grid, h = 64, 1e-6
         p, nodes = counting(MIXED)
-        decay.underline_p(p, h)
+        decay.underline_p(p, h, n_grid=n_grid)
         total = nodes[0]
         nodes[0] = 0
-        decay.window_integral_vec(p, h, np.linspace(0.0, 20.0, n_grid) + h)
-        polish = total - nodes[0]
-        assert total <= 2 * (n_grid * (n + 1) + polish)
+        ts = np.linspace(0.0, 20.0, n_grid) + h
+        decay.window_integral_vec(p, h, ts)
+        windows, polish = nodes[0], total - nodes[0]
+        assert np.unique(np.floor(ts / (decay.BLOCK_WINDOWS * h))).size == n_grid
+        assert n_grid * BLOCK_NODES - 2 * n_grid <= windows <= n_grid * BLOCK_NODES
+        assert 0 < polish < windows
 
-    def test_sparse_xi_vec_node_budget(self):
-        """Each isolated window costs 2n + 3 nodes: twice the n + 1 of the
-        single-window Simpson sum, plus the second knot of its table."""
-        n = decay.SIMPSON_SUBINTERVALS
+    def test_sparse_xi_vec_builds_one_block_per_time(self):
+        """Each isolated time builds the one block it falls in."""
         p, nodes = counting(MIXED)
         decay.xi_vec(p, 2.0, np.linspace(0.0, 200.0, 13))
-        assert nodes[0] <= 13 * (2 * (n + 1) + 1)
+        assert 13 * BLOCK_NODES - 2 * 13 <= nodes[0] <= 13 * BLOCK_NODES
+
+    def test_blocks_are_built_once_and_bounded(self):
+        # a lookup builds a block on first use and keeps the last MAX_BLOCKS
+        p, nodes = counting(MIXED)
+        windows = decay.WindowTables(p, 2.0)
+        ts = windows.span * (np.arange(decay.MAX_BLOCKS + 2) + 0.5)
+        first = windows(ts)
+        assert nodes[0] <= ts.size * BLOCK_NODES
+        assert len(windows.blocks) == decay.MAX_BLOCKS
+        nodes[0] = 0
+        again = windows(ts[2:])
+        assert nodes[0] == 0
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a[2:], b)

@@ -17,6 +17,17 @@ from strictlyap.verify import SampleDomain
 PI = math.pi
 
 
+def _aperiodic_certificate():
+    """A strict-DIS certificate whose rate declares no period."""
+    system = field_from_exprs(["-x1 + 0.5*u1"], 1, 1)
+    candidate = candidate_from_exprs("0.5*x1^2", 1, "0.5*s^2", "0.5*s^2", "s")
+    rate = rate_from_expr("1 + 0.5*sin(t)^2", pe=PETriple(1.0, 1.0, 1.5))
+    return st.strictify_disp(candidate, system, rate, mu_tilde=identity_gain(),
+                             omega=gain_from_expr("0.5*s^2"), factor=0.125,
+                             domain=SampleDomain((0.0, 3.0), 4.0, 1.0),
+                             n_samples=400, seed=4)
+
+
 class TestBuildAlpha2Tilde:
     def test_identity_gains_pi(self):
         g = st.build_alpha2_tilde(identity_gain(), identity_gain(), PI, 1.0)
@@ -335,16 +346,11 @@ class TestCertificateInvariants:
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
     def test_one_table_per_aperiodic_margin_evaluation(self, monkeypatch):
+        # each block of an aperiodic certificate's lookup is built once, on
+        # first use; later margin calls read the kept blocks
         from strictlyap import decay as dmod
-        system = field_from_exprs(["-x1 + 0.5*u1"], 1, 1)
-        candidate = candidate_from_exprs("0.5*x1^2", 1, "0.5*s^2", "0.5*s^2", "s")
-        rate = rate_from_expr("1 + 0.5*sin(t)^2", pe=PETriple(1.0, 1.0, 1.5))
-        cert = st.strictify_disp(candidate, system, rate,
-                                 mu_tilde=identity_gain(),
-                                 omega=gain_from_expr("0.5*s^2"), factor=0.125,
-                                 domain=SampleDomain((0.0, 3.0), 4.0, 1.0),
-                                 n_samples=400, seed=4)
-        assert cert._table is None
+        cert = _aperiodic_certificate()
+        windows = cert._windows
         tables = []
         window_table = dmod.window_table
 
@@ -353,13 +359,17 @@ class TestCertificateInvariants:
             return window_table(*args, **kwargs)
 
         monkeypatch.setattr(dmod, "window_table", counting)
-        t = np.linspace(0.0, 3.0, 50)
+        windows.blocks.clear()
+        span = windows.span
+        t = np.linspace(-0.5 * span, 2.5 * span, 50)     # blocks -1 to 2
         x = np.linspace(-1.0, 1.0, 50)[:, None]
         u = np.full((50, 1), 0.3)
         cert.vdot_sharp(t, x, u)
-        assert len(tables) == 1
+        assert sorted(tables) == [(k * span, k * span + span) for k in (-1, 0, 1, 2)]
+        cert.vdot_sharp(t, x, u)
         cert.sharp_candidate().dV_dt(t, x)
-        assert len(tables) == 2
+        cert.v_sharp(t, x)
+        assert len(tables) == 4
 
     def test_one_spline_per_periodic_coefficient_call(self):
         system = field_from_exprs(["-x1 + 0.5*u1"], 1, 1, period=1.0)
@@ -374,14 +384,28 @@ class TestCertificateInvariants:
                                  n_samples=400, seed=4)
         calls = []
 
-        def counting(name, spline):
-            def call(s):
-                calls.append(name)
-                return spline(s)
-            return call
+        class Counting:
+            """A table that records its name at each evaluation."""
 
-        W, xi = cert._table
-        cert._table = (counting("W", W), counting("xi", xi))
+            def __init__(self, name, table):
+                self.name, self.table = name, table
+
+            def __call__(self, s):
+                calls.append(self.name)
+                return self.table(s)
+
+            def locate(self, s):
+                return self.table.locate(s)
+
+            def at(self, i, d, out):
+                calls.append(self.name)
+                self.table.at(i, d, out)
+
+        # the period is at most BLOCK_WINDOWS * tau: one block, the
+        # one-period table
+        assert list(cert._windows.blocks) == [0]
+        W, xi = cert._windows.blocks[0]
+        cert._windows.blocks[0] = (Counting("W", W), Counting("xi", xi))
         t = np.linspace(-1.0, 3.0, 9)
         assert np.array_equal(cert.xi_fn(t), xi(np.mod(t, 1.0)))
         assert calls == ["xi"]
@@ -398,7 +422,7 @@ class TestCertificateInvariants:
         rb = rigid_body()
         cert = strictify_problem(rb, n_samples=2000)
         period = cert.rate.period
-        knots = cert._table[1].knots
+        knots = cert._windows.blocks[0][1].knots
         fixed = np.concatenate([knots, -knots[1::2], period * np.arange(-20.0, 21.0)])
         rng = np.random.default_rng(21)
         times = np.concatenate([fixed, rng.uniform(-50.0, 100.0, 10_000 - fixed.size)])
@@ -412,15 +436,18 @@ class TestCertificateInvariants:
             assert type(point) is float and point == v + xi[i] * cert.w(v)
             assert v == V[i] and point == vs[i]
 
-    @pytest.mark.parametrize("fixture", [scalar_linear, rigid_body],
-                             ids=["strict-ISS", "strict-DIS"])
-    def test_certificate_is_freed_without_the_cycle_collector(self, fixture):
-        # no report's margin function refers back to its certificate, so
-        # reference counting alone frees a certificate
+    @pytest.mark.parametrize("build", [
+        lambda: strictify_problem(scalar_linear(), n_samples=500),
+        lambda: strictify_problem(rigid_body(), n_samples=500),
+        lambda: _aperiodic_certificate()], ids=["strict-ISS", "strict-DIS", "aperiodic"])
+    def test_certificate_is_freed_without_the_cycle_collector(self, build):
+        # no report's margin function refers back to its certificate, nor
+        # does the certificate's table lookup, so reference counting alone
+        # frees a certificate
         gc.collect()
         gc.disable()
         try:
-            cert = strictify_problem(fixture(), n_samples=500)
+            cert = build()
             reports = cert.validation.reports
             for report in reports:
                 assert report.reevaluate() == report.worst_margin
@@ -491,3 +518,45 @@ def test_strict_iss_contract_at_scale():
         cert.decay(np.linalg.norm(x, axis=1)))
     assert t.size > 10_000
     assert float(margin.min()) >= -1e-9
+
+
+def test_aperiodic_values_depend_on_the_time_alone():
+    # W and xi of a time come from its block alone: a batch row equals the
+    # time queried alone, as a float and as a batch of one, and V# at a
+    # float time equals its batch row, bit for bit
+    cert = _aperiodic_certificate()
+    span, tau = cert._windows.span, cert.pe.tau
+    edges = span * np.arange(-1.0, 4.0)
+    rng = np.random.default_rng(20)
+    times = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        np.linspace(-tau, 0.0, 16, endpoint=False),
+        rng.uniform(-span, 3.5 * span, 200)])
+    assert np.unique(np.floor(times / span)).size >= 3
+    states = rng.normal(size=(times.size, 1))
+    xi, W, vs = cert.xi_fn(times), cert.window_fn(times), cert.v_sharp(times, states)
+    for i, (t, x) in enumerate(zip(times.tolist(), states)):
+        assert cert.xi_fn(t) == xi[i] and cert.window_fn(t) == W[i]
+        assert cert.xi_fn(np.array([t]))[0] == xi[i]
+        assert cert.window_fn(np.array([t]))[0] == W[i]
+        assert float(cert.v_sharp(t, x)) == vs[i]
+    order = rng.permutation(times.size)[:times.size // 3]
+    assert np.array_equal(cert.xi_fn(times[order]), xi[order])
+    assert np.array_equal(cert.window_fn(times[order]), W[order])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda: strictify_problem(rigid_body(), n_samples=500),
+    _aperiodic_certificate], ids=["periodic", "aperiodic"])
+def test_non_finite_time_raises(build, bad):
+    # one message on every path: float and batch, W, xi and V#
+    cert = build()
+    x = np.ones(cert.candidate.n)
+    match = f"query time is not finite: t={bad!r}"
+    for t in (bad, np.array([0.0, bad]), np.array([[bad]])):
+        for call in (cert.xi_fn, cert.window_fn):
+            with pytest.raises(ValueError, match=match):
+                call(t)
+        with pytest.raises(ValueError, match=match):
+            cert.v_sharp(t, x if isinstance(t, float) else np.ones((t.size, x.size)))

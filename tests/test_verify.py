@@ -7,7 +7,7 @@ import pytest
 
 from strictlyap import verify
 from strictlyap.config import strictify_problem
-from strictlyap.decay import DecayRate, PETriple
+from strictlyap.decay import DecayRate, PETriple, estimate_pe
 from strictlyap.dynsys import ControlSystem, Signal, integrate
 from strictlyap.fixtures import counterexample_elw, rigid_body, scalar_linear
 from strictlyap.funcalc import (GainFunction, KLFunction, gain_from_expr,
@@ -490,6 +490,19 @@ class TestCoordinateDescent:
             reports = [exc.report]
         for report in reports:
             assert report.reevaluate() == report.worst_margin
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_refined_margin_reevaluates_exactly_on_sweep(self, seed, sweep_problems):
+        # the aperiodic problems too: a time's W and xi do not depend on the
+        # batch it was evaluated in
+        missed = []
+        for problem in sweep_problems(seed):
+            est = estimate_pe(problem.rate, problem.tau)
+            problem.rate = problem.rate.with_pe(est.triple(certified=True))
+            for report in strictify_problem(problem).validation.reports:
+                if report.reevaluate() != report.worst_margin:
+                    missed.append((problem.name, report.name))
+        assert missed == []
 
 
 class TestDeterminismAndReports:
