@@ -9,17 +9,17 @@
 Exit codes: 0 = all requested checks passed, 1 = a validation failed (a
 check reported FAIL, or an ``errors.ValidationFailure`` was raised),
 2 = configuration or usage error, 3 = internal error (any other exception;
-its type, message and traceback go to stderr).  All file output is
-deterministic for a fixed config and seed.  ``simulate`` and ``verify
-iss-estimate`` run their independent runs through ``dynsys.map_forked``, in
-up to one process per CPU, with the output of the runs one after another.
+its type, message and traceback go to stderr).  Files written under ``--out``
+are CSV in ``dynsys._write_columns``'s format, deterministic for a fixed
+config and seed.  ``simulate`` and ``verify iss-estimate`` run their
+independent runs through ``dynsys.map_forked``, in up to one process per
+CPU, with the output of the runs one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import os
 import sys
@@ -33,7 +33,8 @@ from . import exprparse
 from . import verify as verify_mod
 from .config import ROUTES, ConfigError, Problem, load_problem, strictify_problem
 from .decay import estimate_pe
-from .dynsys import BlowUpError, Signal, integrate, map_forked, write_trajectory_csv
+from .dynsys import (BlowUpError, Signal, _write_columns, integrate, map_forked,
+                     write_trajectory_csv)
 from .errors import ValidationFailure
 from .exprparse import ExpressionError
 from .fixtures import FIXTURES, check_reference_admissibility, get_fixture
@@ -69,40 +70,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="strictlyap", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        g = sp.add_mutually_exclusive_group()
-        g.add_argument("--config", type=Path, help="problem config (INI)")
-        g.add_argument("--example", choices=sorted(FIXTURES), help="built-in fixture")
+    def subcommand(name, entry, text, source=True):
+        sp = sub.add_parser(name, help=text)
+        if source:
+            g = sp.add_mutually_exclusive_group()
+            g.add_argument("--config", type=Path, help="problem config (INI)")
+            g.add_argument("--example", choices=sorted(FIXTURES), help="built-in fixture")
         sp.add_argument("--out", type=Path, default=None, help="directory for CSV output")
         sp.add_argument("--seed", type=int, default=None, help="override the sampling seed")
         sp.add_argument("--samples", type=int, default=None, help="override the sample count")
+        sp.set_defaults(entry=entry)
+        return sp
 
-    sp = sub.add_parser("pe", help="estimate the excitation constants of p")
-    common(sp)
-    sp.set_defaults(entry=cmd_pe)
-
-    sp = sub.add_parser("strictify", help="build and validate the strict certificate")
-    common(sp)
-    sp.set_defaults(entry=cmd_strictify)
-
-    sp = sub.add_parser("verify", help="run one named inequality check")
-    sp.add_argument("check", help=f"one of {', '.join(VERIFY_CHECKS)}")
-    common(sp)
-    sp.set_defaults(entry=cmd_verify)
-
-    sp = sub.add_parser("simulate", help="integrate the configured runs")
-    common(sp)
-    sp.set_defaults(entry=cmd_simulate)
-
-    sp = sub.add_parser("example", help="run a built-in fixture end to end")
+    subcommand("pe", cmd_pe, "estimate the excitation constants of p")
+    subcommand("strictify", cmd_strictify, "build and validate the strict certificate")
+    subcommand("verify", cmd_verify, "run one named inequality check").add_argument(
+        "check", help=f"one of {', '.join(VERIFY_CHECKS)}")
+    subcommand("simulate", cmd_simulate, "integrate the configured runs")
+    sp = subcommand("example", cmd_example, "run a built-in fixture end to end",
+                    source=False)
     sp.add_argument("name", choices=sorted(FIXTURES))
     sp.add_argument("--reference", default=None,
                     help="rigid-body only: 'w1r; w2r; w3r' reference expressions")
-    sp.add_argument("--out", type=Path, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.set_defaults(entry=cmd_example)
-
     return p
 
 
@@ -138,11 +127,7 @@ def _outdir(args) -> Path | None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    _write_columns(path, header, list(zip(*rows)) or [()] * len(header))
 
 
 def _ensure_pe(problem: Problem) -> None:
@@ -241,13 +226,13 @@ def _diagnose_omega(problem: Problem) -> None:
 
 
 def cmd_verify(args) -> int:
-    problem = _load(args)
-    out = _outdir(args)
     name = args.check
     if name not in VERIFY_CHECKS:
         print(f"unknown check {name!r}; available: {', '.join(VERIFY_CHECKS)}",
               file=sys.stderr)
         return EXIT_CONFIG
+    problem = _load(args)
+    out = _outdir(args)
     reports = _run_named_check(problem, name)
     for rep in reports:
         print(f"{rep.name}: margin={rep.worst_margin:.6e} n={rep.n_samples} "
@@ -261,9 +246,8 @@ def cmd_verify(args) -> int:
         _write_csv(out / "verify.csv",
                    ["name", "n_samples", "worst_margin", "passed", "t", "x", "u"],
                    [(r.name, r.n_samples, float(r.worst_margin), int(r.passed),
-                     float(r.worst_point[0]),
-                     " ".join(f"{v:.17g}" for v in np.atleast_1d(r.worst_point[1])),
-                     " ".join(f"{v:.17g}" for v in np.atleast_1d(r.worst_point[2])))
+                     float(r.worst_point[0]), np.atleast_1d(r.worst_point[1]),
+                     np.atleast_1d(r.worst_point[2]))
                     for r in reports])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
@@ -386,9 +370,7 @@ def _simulate(problem: Problem, out: Path | None, cert) -> int:
 
 def cmd_example(args) -> int:
     problem = _override(get_fixture(args.name), args)
-    out = args.out
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(args)
 
     print(f"fixture: {problem.name}")
     if args.name == "rigid-body":

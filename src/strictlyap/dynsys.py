@@ -25,7 +25,6 @@ runs one state at a time as above.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import os
@@ -47,7 +46,7 @@ BLOWUP_GUARD = 1.0e8
 _GUARD_FAST = BLOWUP_GUARD * (1.0 - 1.0e-9)
 DEFAULT_STEP = 1.0e-3
 _CHUNK = 4096              # RK4 steps whose input rows are converted at a time
-_CSV_CHUNK = 4096          # trajectory rows formatted per write
+_CSV_CHUNK = 4096          # CSV rows formatted per write
 
 
 class BlowUpError(ValidationFailure):
@@ -261,21 +260,38 @@ def close_loop(system: ControlSystem, feedback: Callable) -> ControlSystem:
 
 
 def write_trajectory_csv(path, traj: Trajectory, extra: dict[str, np.ndarray] | None = None):
-    """CSV export: t,x1..xn,u1..um plus optional named columns (V, Vsharp).
-
-    Cells are ``%.17g``; rows end in CRLF like ``csv.writer``'s.  Rows are
-    formatted a chunk at a time, so no full copy of the table is made.
-    """
-    cols = [traj.times[:, None], traj.states, traj.inputs]
-    cols += [np.asarray(c, dtype=float)[:, None] for c in (extra or {}).values()]
-    width = sum(c.shape[1] for c in cols)
+    """CSV export: t,x1..xn,u1..um plus optional named columns (V, Vsharp),
+    one row per time, in ``_write_columns``'s byte format."""
+    extra = extra or {}
     header = (["t"] + [f"x{i+1}" for i in range(traj.states.shape[1])]
-              + [f"u{j+1}" for j in range(traj.inputs.shape[1])] + list(extra or ()))
-    row = ",".join(["%.17g"] * width) + "\r\n"
+              + [f"u{j+1}" for j in range(traj.inputs.shape[1])] + list(extra))
+    _write_columns(path, header, [traj.times, *traj.states.T, *traj.inputs.T,
+                                  *(np.asarray(c, dtype=float) for c in extra.values())])
+
+
+def _write_columns(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write the ``header`` row, then one row per index of the equal-length
+    ``columns``, in the one CSV format of the package: UTF-8, CRLF row ends,
+    and cells as ``csv.writer`` writes them in a row of two or more, except
+    that a float is ``%.17g`` and an array cell its values' ``%.17g`` joined
+    by spaces.  Float columns go straight into the ``%`` operation that
+    formats a chunk of rows; other columns become text cell by cell.
+    """
+    def text(v) -> str:
+        if isinstance(v, np.ndarray):
+            s = " ".join(["%.17g"] * v.size) % tuple(v.ravel().tolist())
+        else:
+            s = "%.17g" % v if isinstance(v, float) else str(v)
+        return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
+
+    cols = [c if isinstance(c, np.ndarray) and c.dtype == float
+            else np.array(c, dtype=float) if all(isinstance(v, float) for v in c)
+            else np.array([text(v) for v in c], dtype=object) for c in columns]
+    row = ",".join("%.17g" if c.dtype == float else "%s" for c in cols) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for i in range(0, traj.times.size, _CSV_CHUNK):
-            block = np.hstack([c[i:i + _CSV_CHUNK] for c in cols])
+        fh.write(",".join(map(text, header)) + "\r\n")
+        for i in range(0, len(cols[0]), _CSV_CHUNK):
+            block = np.column_stack([c[i:i + _CSV_CHUNK] for c in cols])
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -207,6 +207,37 @@ class TestCommands:
         assert cli.main(["verify", "issp", "--config", str(scalar_config)]) == 0
         assert cli.main(["verify", "nonsense", "--config", str(scalar_config)]) == 2
 
+    def test_verify_unknown_check_creates_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "vout"
+        assert cli.main(["verify", "nonsense", "--example", "scalar-linear",
+                         "--out", str(out)]) == 2
+        assert "unknown check 'nonsense'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("check, example, name, n, m", [
+        ("uppd", "rigid-body", "uppd", 3, 0),
+        ("issp", None, "issp-lyapunov", 1, 1),
+    ], ids=["uppd-rigid-body", "issp-scalar-config"])
+    def test_verify_writes_verify_csv(self, scalar_config, tmp_path, capsys,
+                                      check, example, name, n, m):
+        out = tmp_path / "out"
+        source = ["--example", example] if example else ["--config", str(scalar_config)]
+        assert cli.main(["verify", check, *source, "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        margin, count = re.search(r"margin=(\S+) n=(\d+)", text).groups()
+        point = re.search(r"worst point: t=(\S+) x=\[(.*)\] u=\[(.*)\]", text)
+        t = float(point.group(1))
+        x, u = ([float(v) for v in g.split(",") if v] for g in point.group(2, 3))
+        assert (len(x), len(u)) == (n, m)
+        header, row, end = (out / "verify.csv").read_bytes().split(b"\r\n")
+        assert header == b"name,n_samples,worst_margin,passed,t,x,u" and end == b""
+        cells = row.decode().split(",")
+        assert cells[:2] == [name, count] and cells[3:5] == ["1", f"{t:.17g}"]
+        assert float(cells[2]) == pytest.approx(float(margin), rel=1e-6)
+        assert cells[5] == " ".join(f"{v:.17g}" for v in x)
+        # no input: the u cell is empty and the row ends in a comma
+        assert cells[6] == ("" if m == 0 else f"{u[0]:.17g}")
+
     def test_verify_failure_exit_code(self, capsys):
         # the counterexample cannot satisfy the dissipation form
         assert cli.main(["verify", "disp-state", "--example",
@@ -278,6 +309,13 @@ class TestDeterminism:
         a = self._run(["strictify", "--config", str(scalar_config), "--seed", "3"],
                       tmp_path / "a")
         b = self._run(["strictify", "--config", str(scalar_config), "--seed", "3"],
+                      tmp_path / "b")
+        assert a == b
+
+    def test_verify_outputs_byte_identical(self, scalar_config, tmp_path):
+        a = self._run(["verify", "issp", "--config", str(scalar_config), "--seed", "4"],
+                      tmp_path / "a")
+        b = self._run(["verify", "issp", "--config", str(scalar_config), "--seed", "4"],
                       tmp_path / "b")
         assert a == b
 

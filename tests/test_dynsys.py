@@ -497,15 +497,26 @@ class TestKernelPaths:
         _assert_same(tr, (ref.times, ref.states, ref.inputs))
 
 
-def _csv_writer_reference(path, traj, extra):
+def _csv_writer_reference(path, header, rows):
+    """What csv.writer writes for ``rows``, with a float cell as %.17g and an
+    array cell as its values' %.17g joined by spaces."""
+    def cell(v):
+        if isinstance(v, np.ndarray):
+            return " ".join(f"{c:.17g}" for c in v)
+        return f"{v:.17g}" if isinstance(v, float) else v
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["t"] + [f"x{i+1}" for i in range(traj.states.shape[1])]
-                    + [f"u{j+1}" for j in range(traj.inputs.shape[1])] + list(extra))
-        for i in range(traj.times.size):
-            wr.writerow([f"{v:.17g}" for v in
-                         [traj.times[i], *traj.states[i], *traj.inputs[i],
-                          *(col[i] for col in extra.values())]])
+        wr.writerow(header)
+        wr.writerows([cell(v) for v in row] for row in rows)
+
+
+def _trajectory_reference(path, traj, extra):
+    _csv_writer_reference(
+        path, ["t"] + [f"x{i+1}" for i in range(traj.states.shape[1])]
+        + [f"u{j+1}" for j in range(traj.inputs.shape[1])] + list(extra),
+        ([traj.times[i], *traj.states[i], *traj.inputs[i],
+          *(col[i] for col in extra.values())] for i in range(traj.times.size)))
 
 
 @pytest.mark.parametrize("m", [0, 2])
@@ -519,11 +530,33 @@ def test_trajectory_csv_matches_csv_writer(tmp_path, m, k):
     traj = Trajectory(np.linspace(0.0, 1.0, k), states, rng.normal(size=(k, m)))
     extra = {"V": v, "Vsharp": -v}
     dynsys.write_trajectory_csv(tmp_path / "fast.csv", traj, extra)
-    _csv_writer_reference(tmp_path / "ref.csv", traj, extra)
+    _trajectory_reference(tmp_path / "ref.csv", traj, extra)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     dynsys.write_trajectory_csv(tmp_path / "bare.csv", traj)
-    _csv_writer_reference(tmp_path / "bare_ref.csv", traj, {})
+    _trajectory_reference(tmp_path / "bare_ref.csv", traj, {})
     assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "bare_ref.csv").read_bytes()
+
+
+_STRINGS = ["a,b", 'say "hi"', "two words", "", "plain", '",', "line\nbreak"]
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300]
+
+
+@pytest.mark.parametrize("k", [0, 1, 4096, 4097, 9000])
+def test_mixed_cells_match_csv_writer(tmp_path, k):
+    # the columns of the CLI's files: strings, ints, floats as a list and as
+    # an array, a column mixing the three, and array cells (verify's x and u)
+    rng = np.random.default_rng(k)
+    floats = (rng.normal(size=k) * 10.0 ** rng.integers(-300, 300, size=k)).tolist()
+    floats[::2] = [_SPECIAL[i % len(_SPECIAL)] for i in range(len(floats[::2]))]
+    mixed = _STRINGS + [7, -3, 0] + _SPECIAL
+    vectors = [rng.normal(size=i % 4) for i in range(k)]
+    columns = [[_STRINGS[i % len(_STRINGS)] for i in range(k)], [i - k // 2 for i in range(k)],
+               floats, np.array(floats[::-1]), [mixed[i % len(mixed)] for i in range(k)],
+               vectors]
+    header = ["name", "n,count", 'q"uote', "", "plain", "x"]
+    dynsys._write_columns(tmp_path / "fast.csv", header, columns)
+    _csv_writer_reference(tmp_path / "ref.csv", header, zip(*columns))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestMapForked:
