@@ -140,28 +140,31 @@ class CubicHermite:
     ``((c3 + c2 d) + c1 d^2) + c0 d^3`` with d = s - knot.  A Python float
     is placed by ``bisect_right`` on lists copied on its first use and
     returns a float; anything else is taken as an array and returns an
-    array of its shape.
+    array of its shape.  Values, slopes or coefficients that are not finite
+    raise ValueError, with no RuntimeWarning.
     """
 
     def __init__(self, x, y, dydx):
         x, y, dydx = (np.ascontiguousarray(a, dtype=float) for a in (x, y, dydx))
-        if not (np.isfinite(y).all() and np.isfinite(dydx).all()):
-            raise ValueError("Hermite values and slopes must be finite")
         dx = np.diff(x)
-        slope = np.diff(y) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        self.knots = x
-        # cubic .. constant; PPoly starts its sum from 0.0, so a -0.0 constant
-        # enters as 0.0
-        self.coef = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1] + 0.0)
+        with np.errstate(all="ignore"):
+            slope = np.diff(y) / dx
+            t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+            # cubic .. constant; PPoly starts its sum from 0.0, so a -0.0
+            # constant enters as 0.0
+            coef = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1] + 0.0)
+        # every value and slope enters a coefficient
+        if not all(np.isfinite(c).all() for c in coef):
+            raise ValueError("Hermite values, slopes and coefficients must be finite")
+        self.knots, self.coef = x, coef
         # the end of each piece; nan keeps queries past the last knot in the
         # last piece
         self._ends = np.append(x[1:-1], np.nan)
         # knots within a quarter step of an even grid let an array query
-        # guess its piece to within one
-        step = (x[-1] - x[0]) / dx.size
+        # guess its piece to within one, if the step has a finite inverse
+        step = float(x[-1] - x[0]) / dx.size
         even = np.abs(x - (x[0] + step * np.arange(x.size))).max() < 0.25 * step
-        self._per_step = 1.0 / step if even else None
+        self._per_step = 1.0 / step if even and 1.0 / step < math.inf else None
 
     @functools.cached_property
     def _lists(self):

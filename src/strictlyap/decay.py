@@ -5,18 +5,20 @@ its certified lower bound epsilon, the upper bound pbar, the double integral
 xi(t) = int_{t-tau}^t int_s^t p(r) dr ds, and the infimum function
 pl(h) = inf_t int_t^{t+h} p.
 
-W and xi at many times come from one primitive, `window_table`: two
-cumulative Simpson integrals on a single grid, read at their composite-
-Simpson nodes and joined by cubic Hermite pieces with the exact slopes.
-`WindowTables` reads them from such tables on fixed blocks of time, each
-built once, so a time's values do not depend on the batch it comes in;
-`window_integral_vec`, `xi_vec`, the PE estimates and every certificate
-read W and xi through it.  Single windows (`simpson`, `window_integral`,
-`xi`, `xi_nested`) are plain composite Simpson; they serve as oracles and
-as the objective of the bounded Brent minimizer that polishes grid minima
-and maxima over t.  The cumulative integrals, the Hermite pieces and the
-minimizer come from `_numerics`, which equals scipy's versions bit for bit
-without importing scipy.
+W and xi come from one primitive, `window_table`: two cumulative Simpson
+integrals on a single grid, read at their composite-Simpson nodes and
+joined by cubic Hermite pieces with the exact slopes.  `WindowTables` reads
+them from such tables on fixed blocks of time, so a time's values do not
+depend on the batch it comes in.  `window_integral_vec`, `xi_vec`,
+`check_pe`, every certificate and the PE constants read W and xi through
+it: `estimate_pe` and `underline_p` take their grid minima from one lookup
+and polish them with the bounded Brent minimizer on that same lookup, so
+epsilon is a value of the very W that `check_pe` and the certificate read.
+Single windows (`simpson`, `window_integral`, `xi`, `xi_nested`) are plain
+composite Simpson; no path of the package calls them, and they stay as the
+oracles the tests compare the tables with.  The cumulative integrals, the
+Hermite pieces and the minimizer come from `_numerics`, which equals
+scipy's versions bit for bit without importing scipy.
 """
 
 from __future__ import annotations
@@ -114,7 +116,13 @@ def _simpson_weights(n: int) -> np.ndarray:
 
 
 def simpson(fn: Callable, a: float, b: float, n: int = SIMPSON_SUBINTERVALS) -> float:
-    """Composite Simpson integral of a vectorized callable on [a, b]."""
+    """Composite Simpson integral of a vectorized callable on [a, b].
+
+    An oracle: this and `window_integral`, `xi` and `xi_nested` call one
+    another and nothing else in the package calls them; the tests compare
+    the window tables with them, and the benchmark tracer wraps `simpson`,
+    `window_integral` and `xi` by name.
+    """
     if b == a:
         return 0.0
     x = np.linspace(a, b, n + 1)
@@ -123,7 +131,7 @@ def simpson(fn: Callable, a: float, b: float, n: int = SIMPSON_SUBINTERVALS) -> 
 
 
 def window_integral(p: DecayRate, tau: float, t: float) -> float:
-    """int_{t-tau}^t p(r) dr."""
+    """int_{t-tau}^t p(r) dr, one Simpson sum: an oracle (see `simpson`)."""
     return simpson(p, t - tau, t)
 
 
@@ -140,12 +148,18 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float):
     slopes W' = p(t) - p(t - tau) and xi' = tau p(t) - W(t); the two tables
     share their knots, so `hermite_values` places a batch once for both.  A
     non-finite rate value on the grid raises NotPersistentlyExcitingError
-    naming its time.
+    naming its time, and tables that are not finite (they overflow, or tau
+    is too short for a grid) raise it naming tau, with no RuntimeWarning.
+    The grid of a smaller t_hi is a prefix of this one, and the cumulative
+    sums run left to right over pieces that read only neighbouring samples,
+    so those tables equal these, bit for bit, before their last knot.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     n = SIMPSON_SUBINTERVALS
     h = tau / (2 * n)
+    if h == 0.0:
+        raise NotPersistentlyExcitingError(f"window tables are not finite for tau={tau!r}")
     m = 2 * n + 2 * max(1, math.ceil((t_hi - t_lo) / (2 * h)))
     x = (t_lo - tau) + h * np.arange(m + 1)
     y = _rate_values(p, x)
@@ -153,14 +167,19 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float):
     if bad.any():
         raise NotPersistentlyExcitingError(
             f"rate is not finite at t={float(x[np.argmax(bad)])!r}")
-    C = cumulative_simpson(y, h)
-    D = cumulative_simpson(C, h)
     now, back = slice(2 * n, None, 2), slice(0, m - 2 * n + 1, 2)
-    W = C[now] - C[back]
-    xi_vals = tau * C[now] - (D[now] - D[back])
-    knots = x[now]
-    return (CubicHermite(knots, W, y[now] - y[back]),
-            CubicHermite(knots, xi_vals, tau * y[now] - W))
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = cumulative_simpson(y, h)
+        D = cumulative_simpson(C, h)
+        W = C[now] - C[back]
+        xi_vals = tau * C[now] - (D[now] - D[back])
+        slopes = (y[now] - y[back], tau * y[now] - W)
+    try:
+        return (CubicHermite(x[now], W, slopes[0]),
+                CubicHermite(x[now], xi_vals, slopes[1]))
+    except ValueError:
+        raise NotPersistentlyExcitingError(
+            f"window tables are not finite for tau={tau!r}") from None
 
 
 class WindowTables:
@@ -168,12 +187,16 @@ class WindowTables:
     from window tables on fixed blocks of time.
 
     Block k spans [kL, (k+1)L], L = BLOCK_WINDOWS * tau, and is
-    ``window_table(p, tau, kL, (k+1)L)``, built on first use; the MAX_BLOCKS
-    built last are kept.  A time t is read from block floor(t / L), so its
-    values depend on t alone, not on the other times of its batch, and a
-    float t gives the bits of its batch row.  A periodic rate folds t into
-    [0, period) first and ends its blocks at the period, so with L >= period
-    its one block is the one-period table.  Block k needs the rate on
+    ``window_table(p, tau, kL, (k+1)L)``.  A time t is read from block
+    floor(t / L), so its values depend on t alone, not on the other times
+    of its batch, and a float t gives the bits of its batch row.  The first
+    times asked of a block build it from kL to one knot past the last of
+    them, about 2n + (t - kL)/h rate nodes (h = tau/2n, n =
+    SIMPSON_SUBINTERVALS), which is a prefix of the whole block's tables,
+    bit for bit; a later time builds the whole block.  The MAX_BLOCKS built
+    last are kept.  A periodic rate folds t into [0, period) first and ends
+    its blocks at the period, so with L >= period its one block is the
+    one-period table, always built whole.  Block k needs the rate on
     [kL - tau, (k+1)L]: a time in [-L, 0) evaluates an aperiodic rate down
     to -L - tau.  A non-finite time raises ValueError naming it.
     """
@@ -184,22 +207,35 @@ class WindowTables:
         self.rate, self.tau, self.period = p, tau, p.period
         self.span = BLOCK_WINDOWS * tau
         # a periodic rate's last block, the one that ends at its period
-        self._last = (None if p.period is None
-                      else max(0, math.ceil(p.period / self.span) - 1))
+        self._last = None
+        if p.period is not None:
+            blocks = p.period / self.span
+            if blocks == math.inf:
+                raise NotPersistentlyExcitingError(
+                    f"period {p.period!r} spans too many windows of tau={tau!r}")
+            self._last = max(0, math.ceil(blocks) - 1)
         self.blocks: dict[int, tuple] = {}
 
-    def block(self, k: int) -> tuple:
-        """The (W, xi) tables of block k."""
+    def block(self, k: int, s: float = math.inf) -> tuple:
+        """The (W, xi) tables of block k, built to serve time s, and the last
+        time they serve: inf for the whole block."""
         tables = self.blocks.get(k)
-        if tables is None:
-            lo = k * self.span
-            hi = lo + self.span
-            if self.period is not None:
-                hi = min(hi, self.period)
-            tables = window_table(self.rate, self.tau, lo, hi)
-            if len(self.blocks) >= MAX_BLOCKS:
-                del self.blocks[next(iter(self.blocks))]
-            self.blocks[k] = tables
+        if tables is not None and s <= tables[2]:
+            return tables
+        lo = k * self.span
+        hi = lo + self.span
+        if self.period is not None:
+            hi = min(hi, self.period)
+        part = s + self.tau / SIMPSON_SUBINTERVALS      # one knot (two steps) past s
+        if tables is None and part < hi:
+            W, X = window_table(self.rate, self.tau, lo, part)
+            tables = (W, X, math.nextafter(float(W.knots[-1]), -math.inf))
+        if tables is None or not s <= tables[2]:
+            tables = (*window_table(self.rate, self.tau, lo, hi), math.inf)
+        self.blocks.pop(k, None)
+        if len(self.blocks) >= MAX_BLOCKS:
+            del self.blocks[next(iter(self.blocks))]
+        self.blocks[k] = tables
         return tables
 
     def column(self, j: int, t):
@@ -214,7 +250,7 @@ class WindowTables:
         if self._last == 0:
             return (self.blocks.get(0) or self.block(0))[j](s)
         k = math.floor(s / self.span)
-        return self.block(k if self._last is None else min(k, self._last))[j](s)
+        return self.block(k if self._last is None else min(k, self._last), s)[j](s)
 
     def __call__(self, t, columns=(0, 1)) -> tuple:
         """The columns at t: floats at a float t, else arrays of t's shape."""
@@ -233,8 +269,9 @@ class WindowTables:
         outs = tuple(np.empty(s.shape) for _ in columns)
         for kk in np.unique(k).tolist():
             rows = k == kk
-            tables = [self.block(int(kk))[j] for j in columns]
-            for out, vals in zip(outs, hermite_values(tables, s[rows])):
+            times = s[rows]
+            tables = self.block(int(kk), float(times.max()))
+            for out, vals in zip(outs, hermite_values([tables[j] for j in columns], times)):
                 out[rows] = vals
         return outs
 
@@ -246,7 +283,8 @@ def window_integral_vec(p: DecayRate, tau: float, t: np.ndarray) -> np.ndarray:
 
 
 def xi(p: DecayRate, tau: float, t: float) -> float:
-    """Double integral int_{t-tau}^t int_s^t p(r) dr ds.
+    """Double integral int_{t-tau}^t int_s^t p(r) dr ds: an oracle (see
+    `simpson`).
 
     Computed via the single-integral identity
     xi(t) = int_{t-tau}^t (r - t + tau) p(r) dr.
@@ -266,7 +304,8 @@ def xi_vec(p: DecayRate, tau: float, t: np.ndarray) -> np.ndarray:
 
 
 def xi_nested(p: DecayRate, tau: float, t: float, n: int = 256) -> float:
-    """Direct nested-quadrature xi, used as an independent cross-check."""
+    """Direct nested-quadrature xi, an oracle (see `simpson`) independent of
+    the single-integral identity."""
     def inner(s_arr):
         return np.array([simpson(p, s, t, n) for s in np.atleast_1d(s_arr)])
     return simpson(inner, t - tau, t, n)
@@ -293,15 +332,28 @@ def _refine_min(fn: Callable[[float], float], grid: np.ndarray,
     return best
 
 
+def _window_min(look: WindowTables, ts: np.ndarray, shift: float = 0.0) -> float:
+    """Least W(t + shift) over t in [ts[0], ts[-1]], with W read from the
+    lookup both on the grid ts and at each point Brent polishes.
+
+    A polished point is read as a batch of one, which copies no table into
+    the Python lists of its float path.
+    """
+    return _refine_min(lambda t: float(look.column(0, np.array([t + shift]))[0]),
+                       ts, look.column(0, ts + shift))
+
+
 def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
                 n_grid: int = 512) -> PEEstimate:
     """Estimate (epsilon, pbar) for the window length tau.
 
-    epsilon is the sampled minimum over t in [0, horizon] of the window
-    integral, pbar the sampled maximum of p over [-tau, horizon]; both are
-    polished locally, and certified values carry a 1% safety margin
-    (epsilon shrunk, pbar inflated).  An epsilon not above PASS_TOL raises
-    NotPersistentlyExcitingError.
+    epsilon is the least window integral W over t in [0, horizon]: the
+    minima of W on a grid of n_grid times, polished by Brent on the same
+    WindowTables lookup, so it is a value of the W that `check_pe` and the
+    certificate read.  pbar is the greatest value of p on a grid over
+    [-tau, horizon], polished by Brent on the rate itself.  Certified
+    values carry a 1% safety margin (epsilon shrunk, pbar inflated).  An
+    epsilon not above PASS_TOL raises NotPersistentlyExcitingError.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -310,9 +362,7 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
     if horizon < tau:
         raise ValueError("horizon must be at least tau")
 
-    ts = np.linspace(0.0, horizon, n_grid)
-    Ws = window_integral_vec(p, tau, ts)
-    eps = _refine_min(lambda t: window_integral(p, tau, float(t)), ts, Ws)
+    eps = _window_min(WindowTables(p, tau), np.linspace(0.0, horizon, n_grid))
     if not eps > PASS_TOL:  # also catches NaN
         raise NotPersistentlyExcitingError(
             f"window integral reaches {eps!r} on [0, {horizon!r}] for tau={tau!r}")
@@ -356,7 +406,9 @@ def check_pe(p: DecayRate) -> tuple[bool, float]:
 
 def underline_p(p: DecayRate, h: float, n_grid: int = 512) -> float:
     """inf over t in [0, horizon] of int_t^{t+h} p(r) dr, with the horizon
-    one period of p, or 20 max(h, 1) for an aperiodic p.
+    one period of p, or 20 max(h, 1) for an aperiodic p: the window
+    integral W of window h at t + h, its grid minima polished by Brent on
+    the same WindowTables lookup.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -364,9 +416,7 @@ def underline_p(p: DecayRate, h: float, n_grid: int = 512) -> float:
         return 0.0
     horizon = p.period if p.period is not None else 20.0 * max(h, 1.0)
     ts = np.linspace(0.0, horizon, n_grid)
-    vals = window_integral_vec(p, h, ts + h)
-    return max(0.0, _refine_min(
-        lambda t: window_integral(p, h, float(t) + h), ts, vals))
+    return max(0.0, _window_min(WindowTables(p, h), ts, h))
 
 
 def underline_p_gain(p: DecayRate, n_grid: int = 128):

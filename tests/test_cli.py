@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,42 @@ def _readme_ini(tmp_path) -> Path:
 @pytest.mark.parametrize("command", ["strictify", "simulate"])
 def test_readme_ini_example_runs(tmp_path, capsys, command):
     assert cli.main([command, "--config", str(_readme_ini(tmp_path))]) == 0
+
+
+@pytest.mark.parametrize("old, new, tau", [
+    ("tau = 1.0", "tau = 1e160", 1e160),
+    ("tau = 1.0", "tau = 1e-310", 1e-310),
+    ('p = "1"', 'p = "1e308"', 1.0),
+])
+@pytest.mark.parametrize("aperiodic", [False, True])
+@pytest.mark.parametrize("command", ["pe", "strictify"])
+def test_tables_that_overflow_fail_by_tau(tmp_path, capsys, old, new, tau, aperiodic,
+                                          command):
+    """A finite tau or rate whose window tables are not finite is a
+    validation failure naming tau, raised with no RuntimeWarning."""
+    cfg = _readme_ini(tmp_path)
+    text = cfg.read_text(encoding="utf-8").replace(old, new, 1)
+    if aperiodic:
+        period = "; optional period of p\nperiod = 1.0\n"
+        assert period in text
+        text = text.replace(period, "")
+    cfg.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ") and err.rstrip().endswith(f"tau={tau!r}")
+
+
+def test_largest_finite_rate_runs_pe(tmp_path, capsys):
+    cfg = _readme_ini(tmp_path)
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace('p = "1"', 'p = "1e307"', 1),
+                   encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["pe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "pbar (raw): 9.9999999999999999e+306\n" in capsys.readouterr().out
+    assert (tmp_path / "out" / "pe_window.csv").is_file()
 
 
 def test_readme_python_blocks_run(capsys):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +35,27 @@ def counting(rate):
         return rate.fn(t)
 
     return DecayRate(fn, rate.period), nodes
+
+
+def recording(monkeypatch):
+    """A list that records (t_lo, t_hi) of each window_table call."""
+    calls = []
+    window_table = decay.window_table
+
+    def record(p, tau, t_lo, t_hi):
+        calls.append((t_lo, t_hi))
+        return window_table(p, tau, t_lo, t_hi)
+
+    monkeypatch.setattr(decay, "window_table", record)
+    return calls
+
+
+def isolated_nodes(ts, tau):
+    """2n + (t - kL)/h for each time t alone in its block k, h = tau/(2n):
+    the rate nodes of its block up to t, without the knot or two past it."""
+    n = decay.SIMPSON_SUBINTERVALS
+    span = decay.BLOCK_WINDOWS * tau
+    return 2 * n + (ts - np.floor(ts / span) * span) / (tau / (2 * n))
 
 
 class TestEstimatePE:
@@ -248,31 +271,101 @@ class TestWindowTable:
         with pytest.raises(decay.NotPersistentlyExcitingError, match="maximum"):
             decay.estimate_pe(p, 1.0)
 
+    @pytest.mark.parametrize("expr, tau", [
+        ("1", 1e160), ("1", 1e-310), ("1", 1e-320), ("1e308", 1.0)])
+    @pytest.mark.parametrize("period", [1.0, None])
+    def test_tables_that_overflow_name_tau(self, expr, tau, period):
+        """Tables too large, or a window too short for a grid, raise the
+        validation failure naming tau, with no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(decay.NotPersistentlyExcitingError, match=re.escape(f"tau={tau!r}") + "$"):
+                decay.estimate_pe(rate_from_expr(expr, period=period), tau)
+
+    def test_largest_finite_tables_are_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = decay.estimate_pe(rate_from_expr("1e307", period=1.0), 1.0)
+        assert est.epsilon == pytest.approx(1e307, rel=1e-12)
+
     def test_pe_triple_rejects_non_finite(self):
         for eps, pbar in ((math.nan, 1.0), (1.0, math.inf), (math.inf, 1.0)):
             with pytest.raises(ValueError):
                 PETriple(1.0, eps, pbar)
 
-    def test_sparse_underline_p_builds_one_block_per_time(self):
-        """Isolated windows: one block of tables per grid time, next to the
-        same scalar polish."""
+    def test_sparse_underline_p_builds_one_block_per_time(self, monkeypatch):
+        """Isolated windows: one block per grid time, built up to that time,
+        and the polish reads the same lookup: it builds the block of a time
+        up to that time, or whole when the block was built for an earlier
+        time."""
         n_grid, h = 64, 1e-6
-        p, nodes = counting(MIXED)
-        decay.underline_p(p, h, n_grid=n_grid)
-        total = nodes[0]
-        nodes[0] = 0
+        calls = recording(monkeypatch)
+        decay.underline_p(MIXED, h, n_grid=n_grid)
         ts = np.linspace(0.0, 20.0, n_grid) + h
-        decay.window_integral_vec(p, h, ts)
-        windows, polish = nodes[0], total - nodes[0]
-        assert np.unique(np.floor(ts / (decay.BLOCK_WINDOWS * h))).size == n_grid
-        assert n_grid * BLOCK_NODES - 2 * n_grid <= windows <= n_grid * BLOCK_NODES
-        assert 0 < polish < windows
+        span = decay.BLOCK_WINDOWS * h
+        k = np.floor(ts / span)
+        assert np.unique(k).size == n_grid
+        # one knot, two grid steps of h/(2n), past each time
+        assert calls[:n_grid] == list(zip(k * span, ts + h / decay.SIMPSON_SUBINTERVALS))
+        polish = calls[n_grid:]
+        assert polish
+        for i, (lo, hi) in enumerate(polish, n_grid):
+            assert lo == round(lo / span) * span
+            assert hi < lo + span or (hi == lo + span and any(
+                start == lo and end < hi for start, end in calls[:i]))
 
     def test_sparse_xi_vec_builds_one_block_per_time(self):
-        """Each isolated time builds the one block it falls in."""
+        """Each isolated time builds the block it falls in up to itself:
+        2n + (t - kL)/h rate nodes and one or two knots more."""
         p, nodes = counting(MIXED)
-        decay.xi_vec(p, 2.0, np.linspace(0.0, 200.0, 13))
-        assert 13 * BLOCK_NODES - 2 * 13 <= nodes[0] <= 13 * BLOCK_NODES
+        ts = np.linspace(0.0, 200.0, 13)
+        decay.xi_vec(p, 2.0, ts)
+        own = isolated_nodes(ts, 2.0).sum()
+        assert own + 3 * ts.size <= nodes[0] <= own + 5 * ts.size
+
+    @pytest.mark.parametrize("rate, tau", [(MIXED, 2.0), (SIN2, 0.3)])
+    def test_isolated_time_builds_its_block_up_to_itself(self, rate, tau):
+        span = decay.BLOCK_WINDOWS * tau
+        times = span * np.array([0.0, 0.25, 0.5, 1.5, 2.6])     # SIN2: 2.6 L < pi
+        for t, own in zip(times.tolist(), isolated_nodes(times, tau)):
+            for query in (t, np.array([t])):
+                p, nodes = counting(rate)
+                decay.WindowTables(p, tau).column(1, query)
+                assert own + 3 <= nodes[0] <= own + 5
+
+    @pytest.mark.parametrize("rate, tau", [(MIXED, 2.0), (SIN2, 0.3), (SIN3, 1.0)])
+    def test_blocks_built_as_prefixes_equal_whole_blocks(self, rate, tau):
+        """Values read from a block built only up to the times asked so far
+        equal those of the whole block, bit for bit, on float and array reads
+        and whatever the order of the times."""
+        span = decay.BLOCK_WINDOWS * tau
+        rng = np.random.default_rng(22)
+        inside = span * np.array([0.0, 1e-9, 0.1, 0.37, 0.5, 0.81, 0.999999])
+        knots = decay.window_table(rate, tau, 0.0, span)[0].knots
+        times = np.concatenate([inside, inside + span, knots[::512],
+                                knots[512::512] - 1e-12, rng.uniform(0.0, 3.0 * span, 40)])
+        whole = decay.WindowTables(rate, tau)
+        for k in range(3):
+            whole.block(k)
+        W, X = whole(times)
+        ascending = np.sort(times)
+        descending = ascending[::-1]
+        # a time, then the knots just past it, where its block ends
+        steps = [[knots[j] + 0.3 * (knots[j + 1] - knots[j]), *knots[j + 1:j + 4]]
+                 for j in (0, 1001, 8188)]
+        for order in [ascending, descending, rng.permutation(times), *steps]:
+            look, single = decay.WindowTables(rate, tau), decay.WindowTables(rate, tau)
+            for t in np.asarray(order).tolist():
+                assert look(t) == whole(t), t
+                assert single(np.array([t]))[0] == whole(t)[0], t
+            # descending times keep the blocks built for their first times
+            assert order is not descending or any(
+                end < math.inf for *_, end in look.blocks.values())
+        for size in (5, 17, times.size):
+            look = decay.WindowTables(rate, tau)
+            for a in range(0, times.size, size):
+                for col, vals in zip(look(times[a:a + size]), (W, X)):
+                    assert np.array_equal(col, vals[a:a + size])
 
     def test_blocks_are_built_once_and_bounded(self):
         # a lookup builds a block on first use and keeps the last MAX_BLOCKS
@@ -287,3 +380,55 @@ class TestWindowTable:
         assert nodes[0] == 0
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a[2:], b)
+
+
+@pytest.fixture
+def without_single_windows(monkeypatch):
+    """decay's single-window Simpson sums, made to raise when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-window Simpson sum was called")
+
+    for name in ("simpson", "window_integral", "xi"):
+        monkeypatch.setattr(decay, name, refuse)
+
+
+def test_no_path_takes_a_single_window_sum(without_single_windows, sweep_problems,
+                                           tmp_path, capsys):
+    """W, xi and the PE constants come from window tables alone."""
+    from strictlyap import cli
+    from strictlyap.fixtures import rigid_body
+
+    problems = sweep_problems(0) + [rigid_body()]
+    for problem in problems:
+        rate, tau = problem.rate, problem.tau
+        est = decay.estimate_pe(rate, tau)
+        assert decay.underline_p(rate, tau) > 0.0
+        assert decay.check_pe(rate.with_pe(est.triple(certified=True)))[0]
+    configs = [["--config", str(ini)] for ini in sorted(tmp_path.glob("sweep-0-*.ini"))]
+    assert len(configs) == len(problems) - 1
+    for source in configs + [["--example", "rigid-body"]]:
+        assert cli.main(["pe", *source, "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(["strictify", *source]) == 0
+    assert "epsilon (raw): 1.5707963267948961" in capsys.readouterr().out
+
+
+def _simpson_polished_epsilon(p, tau):
+    """estimate_pe's epsilon with each grid minimum polished on fresh
+    single-window Simpson sums: the oracle of the table polish."""
+    horizon = p.period + tau if p.period is not None else 20.0 * tau
+    ts = np.linspace(0.0, horizon, 512)
+    return decay._refine_min(lambda t: decay.window_integral(p, tau, t), ts,
+                             decay.window_integral_vec(p, tau, ts))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_epsilon_matches_the_simpson_polish(sweep_problems, seed):
+    from strictlyap.fixtures import FIXTURES, get_fixture
+
+    problems = sweep_problems(seed)
+    if seed == 0:
+        problems += [get_fixture(name) for name in FIXTURES]
+    for problem in problems:
+        eps = decay.estimate_pe(problem.rate, problem.tau).epsilon
+        oracle = _simpson_polished_epsilon(problem.rate, problem.tau)
+        assert eps == pytest.approx(oracle, rel=1e-11, abs=0.0)
