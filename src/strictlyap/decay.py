@@ -9,11 +9,14 @@ W and xi come from one primitive, `window_table`: two cumulative Simpson
 integrals on a single grid, read at their composite-Simpson nodes and
 joined by cubic Hermite pieces with the exact slopes.  `WindowTables` reads
 them from such tables on fixed blocks of time, so a time's values do not
-depend on the batch it comes in.  `window_integral_vec`, `xi_vec`,
+depend on the batch it comes in.  A rate owns its lookup:
+`DecayRate.windows(tau)` keeps the one of the last window asked, and
+`with_pe` hands it to the rate it returns.  `window_integral_vec`, `xi_vec`,
 `check_pe`, every certificate and the PE constants read W and xi through
-it: `estimate_pe` and `underline_p` take their grid minima from one lookup
-and polish them with the bounded Brent minimizer on that same lookup, so
-epsilon is a value of the very W that `check_pe` and the certificate read.
+it: `estimate_pe` and `underline_p` take their grid minima from the rate's
+lookup and polish them with the bounded Brent minimizer on that same
+lookup, so epsilon is a value of the very W, built once, that `check_pe`
+and the certificate read.
 Single windows (`simpson`, `window_integral`, `xi`, `xi_nested`) are plain
 composite Simpson; no path of the package calls them, and they stay as the
 oracles the tests compare the tables with.  The cumulative integrals, the
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -69,20 +72,37 @@ class DecayRate:
     A declared period folds every argument into [0, period).  An aperiodic
     rate is evaluated as given, also at t < 0, so its function must be
     defined on [-tau, infinity); a failure there propagates.
+
+    The rate keeps the W/xi lookup of the last window asked of `windows`;
+    it is no field of the constructor, equality or hash.
     """
 
     fn: Callable
     period: float | None = None
     pe: PETriple | None = None
     label: str = ""
+    _windows: WindowTables | None = field(default=None, init=False, compare=False,
+                                          repr=False)
 
     def __call__(self, t):
         if self.period is not None:
             t = np.mod(t, self.period)
         return self.fn(t)
 
+    def windows(self, tau: float) -> WindowTables:
+        """The W/xi lookup of window tau: the one kept for the same tau, else
+        a new one, which the rate then keeps in its place."""
+        look = self._windows
+        if look is None or look.tau != tau:
+            look = WindowTables(self, tau)
+            object.__setattr__(self, "_windows", look)
+        return look
+
     def with_pe(self, pe: PETriple) -> "DecayRate":
-        return dataclasses.replace(self, pe=pe)
+        """This rate with the triple pe attached, sharing its lookup."""
+        rate = dataclasses.replace(self, pe=pe)
+        object.__setattr__(rate, "_windows", self._windows)
+        return rate
 
 
 @dataclass(frozen=True)
@@ -184,7 +204,8 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float):
 
 class WindowTables:
     """W (column 0) and xi (column 1) of a rate for one window tau, read
-    from window tables on fixed blocks of time.
+    from window tables on fixed blocks of time.  Make one through
+    `DecayRate.windows`, so that every reader of the rate shares it.
 
     Block k spans [kL, (k+1)L], L = BLOCK_WINDOWS * tau, and is
     ``window_table(p, tau, kL, (k+1)L)``.  A time t is read from block
@@ -198,13 +219,15 @@ class WindowTables:
     its blocks at the period, so with L >= period its one block is the
     one-period table, always built whole.  Block k needs the rate on
     [kL - tau, (k+1)L]: a time in [-L, 0) evaluates an aperiodic rate down
-    to -L - tau.  A non-finite time raises ValueError naming it.
+    to -L - tau.  A non-finite time raises ValueError naming it.  `rate`
+    is a bare copy of p (its function and period), so a rate that keeps
+    this lookup is not in a reference cycle with it.
     """
 
     def __init__(self, p: DecayRate, tau: float):
         if tau <= 0:
             raise ValueError("tau must be positive")
-        self.rate, self.tau, self.period = p, tau, p.period
+        self.rate, self.tau, self.period = DecayRate(p.fn, p.period), tau, p.period
         self.span = BLOCK_WINDOWS * tau
         # a periodic rate's last block, the one that ends at its period
         self._last = None
@@ -277,9 +300,9 @@ class WindowTables:
 
 
 def window_integral_vec(p: DecayRate, tau: float, t: np.ndarray) -> np.ndarray:
-    """Window integral for an array of right endpoints, through a
-    WindowTables of its own."""
-    return WindowTables(p, tau).column(0, t)
+    """Window integral for an array of right endpoints, read from the
+    rate's lookup of window tau."""
+    return p.windows(tau).column(0, t)
 
 
 def xi(p: DecayRate, tau: float, t: float) -> float:
@@ -298,9 +321,9 @@ def xi(p: DecayRate, tau: float, t: float) -> float:
 
 
 def xi_vec(p: DecayRate, tau: float, t: np.ndarray) -> np.ndarray:
-    """Vectorized xi over an array of times, through a WindowTables of its
-    own."""
-    return WindowTables(p, tau).column(1, t)
+    """Vectorized xi over an array of times, read from the rate's lookup of
+    window tau."""
+    return p.windows(tau).column(1, t)
 
 
 def xi_nested(p: DecayRate, tau: float, t: float, n: int = 256) -> float:
@@ -332,6 +355,19 @@ def _refine_min(fn: Callable[[float], float], grid: np.ndarray,
     return best
 
 
+def _horizon(p: DecayRate, tau: float, horizon: float | None = None) -> float:
+    """The horizon sampled for window tau: ``horizon`` when given, else one
+    period and tau for a periodic p, or 20 tau for an aperiodic one.  One
+    that is not finite (20 tau overflows for tau above about 9e306) raises
+    NotPersistentlyExcitingError naming tau."""
+    if horizon is None:
+        horizon = p.period + tau if p.period is not None else 20.0 * tau
+    if not math.isfinite(horizon):
+        raise NotPersistentlyExcitingError(
+            f"horizon {horizon!r} is not finite for tau={tau!r}")
+    return horizon
+
+
 def _window_min(look: WindowTables, ts: np.ndarray, shift: float = 0.0) -> float:
     """Least W(t + shift) over t in [ts[0], ts[-1]], with W read from the
     lookup both on the grid ts and at each point Brent polishes.
@@ -349,20 +385,20 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
 
     epsilon is the least window integral W over t in [0, horizon]: the
     minima of W on a grid of n_grid times, polished by Brent on the same
-    WindowTables lookup, so it is a value of the W that `check_pe` and the
-    certificate read.  pbar is the greatest value of p on a grid over
-    [-tau, horizon], polished by Brent on the rate itself.  Certified
-    values carry a 1% safety margin (epsilon shrunk, pbar inflated).  An
-    epsilon not above PASS_TOL raises NotPersistentlyExcitingError.
+    lookup, the rate's for window tau, so it is a value of the W that
+    `check_pe` and the certificate read.  pbar is the greatest value of p
+    on a grid over [-tau, horizon], polished by Brent on the rate itself.
+    Certified values carry a 1% safety margin (epsilon shrunk, pbar
+    inflated).  An epsilon not above PASS_TOL raises
+    NotPersistentlyExcitingError.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if horizon is None:
-        horizon = p.period + tau if p.period is not None else 20.0 * tau
+    horizon = _horizon(p, tau, horizon)
     if horizon < tau:
         raise ValueError("horizon must be at least tau")
 
-    eps = _window_min(WindowTables(p, tau), np.linspace(0.0, horizon, n_grid))
+    eps = _window_min(p.windows(tau), np.linspace(0.0, horizon, n_grid))
     if not eps > PASS_TOL:  # also catches NaN
         raise NotPersistentlyExcitingError(
             f"window integral reaches {eps!r} on [0, {horizon!r}] for tau={tau!r}")
@@ -393,7 +429,7 @@ def check_pe(p: DecayRate) -> tuple[bool, float]:
     if p.pe is None:
         raise ValueError("decay rate has no attached PE triple")
     tau, eps, pbar = p.pe.tau, p.pe.epsilon, p.pe.pbar
-    horizon = p.period + tau if p.period is not None else 20.0 * tau
+    horizon = _horizon(p, tau)
     ts = np.linspace(0.0, horizon, 400)
     margins = window_integral_vec(p, tau, ts) - eps
     pg = np.linspace(-tau, horizon, 1600)
@@ -408,15 +444,15 @@ def underline_p(p: DecayRate, h: float, n_grid: int = 512) -> float:
     """inf over t in [0, horizon] of int_t^{t+h} p(r) dr, with the horizon
     one period of p, or 20 max(h, 1) for an aperiodic p: the window
     integral W of window h at t + h, its grid minima polished by Brent on
-    the same WindowTables lookup.
+    the same lookup, the rate's for window h.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
     if h == 0.0:
         return 0.0
-    horizon = p.period if p.period is not None else 20.0 * max(h, 1.0)
+    horizon = _horizon(p, h, p.period if p.period is not None else 20.0 * max(h, 1.0))
     ts = np.linspace(0.0, horizon, n_grid)
-    return max(0.0, _window_min(WindowTables(p, h), ts, h))
+    return max(0.0, _window_min(p.windows(h), ts, h))
 
 
 def underline_p_gain(p: DecayRate, n_grid: int = 128):

@@ -299,14 +299,15 @@ def default_domain(candidate: LyapunovCandidate, system: ControlSystem,
 
 
 def _xi_splines(p: DecayRate, tau: float) -> decay_mod.WindowTables:
-    """The certificate's (W, xi) lookup, with the first block of a periodic
-    rate built: its one-period table when the rate's period is at most
-    BLOCK_WINDOWS * tau.
+    """The certificate's (W, xi) lookup: the rate's own for window tau, so
+    the blocks `estimate_pe` built are read again, with the first block of a
+    periodic rate built: its one-period table when the rate's period is at
+    most BLOCK_WINDOWS * tau.
 
     A table answers a float query in Python, so V# at a point, as in an RK4
     stop test, makes no array call.
     """
-    windows = decay_mod.WindowTables(p, tau)
+    windows = p.windows(tau)
     if p.period is not None:
         windows.block(0)
     return windows

@@ -351,6 +351,7 @@ def test_readme_ini_example_runs(tmp_path, capsys, command):
     ("tau = 1.0", "tau = 1e160", 1e160),
     ("tau = 1.0", "tau = 1e-310", 1e-310),
     ('p = "1"', 'p = "1e308"', 1.0),
+    ("tau = 1.0", "tau = 1e307", 1e307),
 ])
 @pytest.mark.parametrize("aperiodic", [False, True])
 @pytest.mark.parametrize("command", ["pe", "strictify"])

@@ -1,6 +1,8 @@
+import gc
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -164,6 +166,13 @@ class TestUnderlineP:
             val = decay.underline_p(SIN2, k * PI)
             assert val >= k * est.epsilon - 1e-6
 
+    def test_horizon_that_overflows_names_h(self):
+        # 20 max(h, 1) overflows for an aperiodic rate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(decay.NotPersistentlyExcitingError, match=r"tau=1e\+307$"):
+                decay.underline_p(rate_from_expr("1"), 1e307)
+
 
 class TestDecayRate:
     def test_periodic_fold_negative_times(self):
@@ -196,6 +205,34 @@ class TestDecayRate:
         p = SIN2.with_pe(PETriple(PI, 2.0, 1.0))  # epsilon too large
         ok, worst = decay.check_pe(p)
         assert not ok and worst < -0.4
+
+    def test_windows_keeps_the_last_window_and_with_pe_shares_it(self):
+        p = DecayRate(MIXED.fn)
+        look = p.windows(2.0)
+        assert p.windows(2.0) is look
+        q = p.with_pe(PETriple(2.0, 1.0, 3.0))
+        assert q.windows(2.0) is look
+        other = p.windows(1.0)
+        assert other is not look and p.windows(1.0) is other and q.windows(2.0) is look
+        # the lookup is no setting: not a constructor argument, and not part
+        # of equality or hash; it holds a bare copy of the rate, not the rate
+        assert p == DecayRate(MIXED.fn) and hash(p) == hash(DecayRate(MIXED.fn))
+        assert look.rate == p and look.rate is not p
+        with pytest.raises(TypeError):
+            DecayRate(MIXED.fn, _windows=look)
+
+    def test_rate_and_its_with_pe_copy_are_freed_without_the_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            p = DecayRate(MIXED.fn)
+            q = p.with_pe(decay.estimate_pe(p, 2.0).triple(certified=True))
+            assert q.windows(2.0) is p.windows(2.0)
+            refs = [weakref.ref(obj) for obj in (p, q, p.windows(2.0))]
+            del p, q
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_check_pe_fails_on_a_nan_rate_sample(self):
         # NaN at one of the 1600 rate nodes only: the window grid misses it,
@@ -410,6 +447,47 @@ def test_no_path_takes_a_single_window_sum(without_single_windows, sweep_problem
         assert cli.main(["pe", *source, "--out", str(tmp_path / "out")]) == 0
         assert cli.main(["strictify", *source]) == 0
     assert "epsilon (raw): 1.5707963267948961" in capsys.readouterr().out
+
+
+def test_each_table_is_built_once(monkeypatch, sweep_problems, tmp_path, capsys):
+    """strictify --config builds a periodic rate's one-period table once, and
+    an aperiodic rate's blocks 0 to 5 (estimate_pe's grid on [0, 20 tau])
+    once each, as the certificate reads estimate_pe's lookup; pe --out
+    writes pe_window.csv from estimate_pe's table."""
+    from strictlyap import cli
+
+    calls = recording(monkeypatch)
+    for i, problem in enumerate(sweep_problems(0)):
+        calls.clear()
+        args = ["--config", str(tmp_path / f"sweep-0-{i}.ini"), "--out", str(tmp_path / "out")]
+        assert cli.main(["strictify", *args]) == 0
+        assert len(calls) == (1 if problem.rate.period is not None else 6)
+        assert len({lo for lo, _ in calls}) == len(calls)
+    calls.clear()
+    assert cli.main(["pe", "--example", "rigid-body", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_certificate_reads_what_a_fresh_lookup_reads(sweep_problems, seed):
+    """The certificate reads the lookup estimate_pe built, and its W and xi
+    equal those of a new lookup, bit for bit, on the xi.csv grid and at each
+    report's worst time."""
+    from strictlyap.config import strictify_problem
+
+    for problem in sweep_problems(seed):
+        tau = problem.tau
+        problem.rate = problem.rate.with_pe(
+            decay.estimate_pe(problem.rate, tau).triple(certified=True))
+        cert = strictify_problem(problem)
+        assert cert._windows is problem.rate.windows(tau)
+        worst = [float(r.worst_point[0]) for r in cert.validation.reports]
+        ts = np.concatenate([np.linspace(0.0, problem.domain.t_range[1], 513), worst])
+        fresh = decay.WindowTables(problem.rate, tau)
+        assert np.array_equal(cert.window_fn(ts), fresh.column(0, ts))
+        assert np.array_equal(cert.xi_fn(ts), fresh.column(1, ts))
+        for t in worst:
+            assert (cert.window_fn(t), cert.xi_fn(t)) == fresh(t)
 
 
 def _simpson_polished_epsilon(p, tau):
