@@ -220,14 +220,11 @@ class CubicHermite:
 
 
 def hermite_values(tables, s) -> tuple:
-    """Each table at s, for tables on the same knots.
+    """Each table at the array s, for tables on the same knots.
 
-    A float s goes to each table's float path.  An array s is placed once for
-    all the tables, _CHUNK queries at a time, so that the dozen passes over
-    each chunk stay in cache.
+    s is placed once for all the tables, _CHUNK queries at a time, so that
+    the dozen passes over each chunk stay in cache.
     """
-    if isinstance(s, float):
-        return tuple(table(s) for table in tables)
     s = np.asarray(s, dtype=float)
     flat = s.ravel()
     outs = [np.empty(flat.size) for _ in tables]

@@ -77,9 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
             g.add_argument("--config", type=Path, help="problem config (INI)")
             g.add_argument("--example", choices=sorted(FIXTURES), help="built-in fixture")
         sp.add_argument("--out", type=Path, default=None, help="directory for CSV output")
-        sp.add_argument("--seed", type=int, default=None, help="override the sampling seed")
-        sp.add_argument("--samples", type=int, default=None, help="override the sample count")
-        sp.set_defaults(entry=entry)
+        if name != "pe":        # the PE estimate samples nothing
+            sp.add_argument("--seed", type=int, help="override the sampling seed")
+            sp.add_argument("--samples", type=int, help="override the sample count")
+        sp.set_defaults(entry=entry, seed=None, samples=None)
         return sp
 
     subcommand("pe", cmd_pe, "estimate the excitation constants of p")

@@ -327,7 +327,8 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     if "domains" in cp:
         ds = cp["domains"]
         t_min = _number(ds, "t_min", 0.0)
-        t_max = _number(ds, "t_max", max(period or 0.0, tau) + tau)
+        t_max = _number(ds, "t_max",
+                        strictify.default_domain(candidate, system, rate, tau).t_range[1])
         if not t_max > t_min:
             raise ConfigError(f"[domains] t_max must exceed t_min, "
                               f"got t_min={t_min!r}, t_max={t_max!r}")

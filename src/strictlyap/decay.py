@@ -8,15 +8,15 @@ pl(h) = inf_t int_t^{t+h} p.
 W and xi come from one primitive, `window_table`: two cumulative Simpson
 integrals on a single grid, read at their composite-Simpson nodes and
 joined by cubic Hermite pieces with the exact slopes.  `WindowTables` reads
-them from such tables on fixed blocks of time, so a time's values do not
-depend on the batch it comes in.  A rate owns its lookup:
-`DecayRate.windows(tau)` keeps the one of the last window asked, and
-`with_pe` hands it to the rate it returns.  `window_integral_vec`, `xi_vec`,
-`check_pe`, every certificate and the PE constants read W and xi through
-it: `estimate_pe` and `underline_p` take their grid minima from the rate's
-lookup and polish them with the bounded Brent minimizer on that same
-lookup, so epsilon is a value of the very W, built once, that `check_pe`
-and the certificate read.
+them from such tables on fixed blocks of time, each built whole on first
+use, so a time's values do not depend on the batch it comes in.  A rate
+owns its lookup: `DecayRate.windows(tau)` keeps the one of the last window
+asked, and `with_pe` hands it to the rate it returns.
+`window_integral_vec`, `xi_vec`, `check_pe`, every certificate and the PE
+constants read W and xi through it: `estimate_pe` and `underline_p` take
+their grid minima from the rate's lookup and polish them with the bounded
+Brent minimizer on that same lookup, so epsilon is a value of the very W,
+built once, that `check_pe` and the certificate read.
 Single windows (`simpson`, `window_integral`, `xi`, `xi_nested`) are plain
 composite Simpson; no path of the package calls them, and they stay as the
 oracles the tests compare the tables with.  The cumulative integrals, the
@@ -170,9 +170,6 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float):
     non-finite rate value on the grid raises NotPersistentlyExcitingError
     naming its time, and tables that are not finite (they overflow, or tau
     is too short for a grid) raise it naming tau, with no RuntimeWarning.
-    The grid of a smaller t_hi is a prefix of this one, and the cumulative
-    sums run left to right over pieces that read only neighbouring samples,
-    so those tables equal these, bit for bit, before their last knot.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -208,20 +205,17 @@ class WindowTables:
     `DecayRate.windows`, so that every reader of the rate shares it.
 
     Block k spans [kL, (k+1)L], L = BLOCK_WINDOWS * tau, and is
-    ``window_table(p, tau, kL, (k+1)L)``.  A time t is read from block
+    ``window_table(p, tau, kL, (k+1)L)``, built whole on first use; the
+    MAX_BLOCKS built last are kept.  A time t is read from block
     floor(t / L), so its values depend on t alone, not on the other times
-    of its batch, and a float t gives the bits of its batch row.  The first
-    times asked of a block build it from kL to one knot past the last of
-    them, about 2n + (t - kL)/h rate nodes (h = tau/2n, n =
-    SIMPSON_SUBINTERVALS), which is a prefix of the whole block's tables,
-    bit for bit; a later time builds the whole block.  The MAX_BLOCKS built
-    last are kept.  A periodic rate folds t into [0, period) first and ends
-    its blocks at the period, so with L >= period its one block is the
-    one-period table, always built whole.  Block k needs the rate on
-    [kL - tau, (k+1)L]: a time in [-L, 0) evaluates an aperiodic rate down
-    to -L - tau.  A non-finite time raises ValueError naming it.  `rate`
-    is a bare copy of p (its function and period), so a rate that keeps
-    this lookup is not in a reference cycle with it.
+    of its batch or the times asked before it, and a float t gives the bits
+    of its batch row.  A periodic rate folds t into [0, period) first and
+    ends its blocks at the period, so with L >= period its one block is the
+    one-period table.  Block k needs the rate on [kL - tau, (k+1)L]: a time
+    in [-L, 0) evaluates an aperiodic rate down to -L - tau.  A non-finite
+    time raises ValueError naming it.  `rate` is a bare copy of p (its
+    function and period), so a rate that keeps this lookup is not in a
+    reference cycle with it.
     """
 
     def __init__(self, p: DecayRate, tau: float):
@@ -239,26 +233,18 @@ class WindowTables:
             self._last = max(0, math.ceil(blocks) - 1)
         self.blocks: dict[int, tuple] = {}
 
-    def block(self, k: int, s: float = math.inf) -> tuple:
-        """The (W, xi) tables of block k, built to serve time s, and the last
-        time they serve: inf for the whole block."""
+    def block(self, k: int) -> tuple:
+        """The (W, xi) tables of block k, built whole on first use."""
         tables = self.blocks.get(k)
-        if tables is not None and s <= tables[2]:
-            return tables
-        lo = k * self.span
-        hi = lo + self.span
-        if self.period is not None:
-            hi = min(hi, self.period)
-        part = s + self.tau / SIMPSON_SUBINTERVALS      # one knot (two steps) past s
-        if tables is None and part < hi:
-            W, X = window_table(self.rate, self.tau, lo, part)
-            tables = (W, X, math.nextafter(float(W.knots[-1]), -math.inf))
-        if tables is None or not s <= tables[2]:
-            tables = (*window_table(self.rate, self.tau, lo, hi), math.inf)
-        self.blocks.pop(k, None)
-        if len(self.blocks) >= MAX_BLOCKS:
-            del self.blocks[next(iter(self.blocks))]
-        self.blocks[k] = tables
+        if tables is None:
+            lo = k * self.span
+            hi = lo + self.span
+            if self.period is not None:
+                hi = min(hi, self.period)
+            tables = window_table(self.rate, self.tau, lo, hi)
+            if len(self.blocks) >= MAX_BLOCKS:
+                del self.blocks[next(iter(self.blocks))]
+            self.blocks[k] = tables
         return tables
 
     def column(self, j: int, t):
@@ -273,7 +259,7 @@ class WindowTables:
         if self._last == 0:
             return (self.blocks.get(0) or self.block(0))[j](s)
         k = math.floor(s / self.span)
-        return self.block(k if self._last is None else min(k, self._last), s)[j](s)
+        return self.block(k if self._last is None else min(k, self._last))[j](s)
 
     def __call__(self, t, columns=(0, 1)) -> tuple:
         """The columns at t: floats at a float t, else arrays of t's shape."""
@@ -292,9 +278,8 @@ class WindowTables:
         outs = tuple(np.empty(s.shape) for _ in columns)
         for kk in np.unique(k).tolist():
             rows = k == kk
-            times = s[rows]
-            tables = self.block(int(kk), float(times.max()))
-            for out, vals in zip(outs, hermite_values([tables[j] for j in columns], times)):
+            tables = self.block(int(kk))
+            for out, vals in zip(outs, hermite_values([tables[j] for j in columns], s[rows])):
                 out[rows] = vals
         return outs
 

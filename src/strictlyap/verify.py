@@ -79,7 +79,8 @@ class SampleDomain:
     @staticmethod
     def _ball(c: np.ndarray, radius: float, ndtri: Callable) -> np.ndarray:
         """Uniform in the ball |x| <= radius from rows [|x|, direction],
-        the direction by the inverse normal CDF ndtri.
+        the direction by the inverse normal CDF ndtri.  A radius whose d-th
+        power overflows scales the root of the fraction instead.
         """
         k, d = c.shape[0], c.shape[1] - 1
         if d <= 0:
@@ -89,7 +90,10 @@ class SampleDomain:
         z = ndtri(np.clip(c[:, 1:], 1.0e-12, 1.0 - 1.0e-12))
         nrm = np.linalg.norm(z, axis=1)
         nrm[nrm == 0.0] = 1.0
-        rad = (c[:, 0] * radius ** d) ** (1.0 / d)
+        try:
+            rad = (c[:, 0] * radius ** d) ** (1.0 / d)
+        except OverflowError:
+            rad = c[:, 0] ** (1.0 / d) * radius
         return z / nrm[:, None] * rad[:, None]
 
 

@@ -16,6 +16,7 @@ import strictlyap
 from strictlyap import cli, funcalc
 from strictlyap.config import ConfigError, load_problem, strictify_problem
 from strictlyap.dynsys import BlowUpError, integrate, write_trajectory_csv
+from strictlyap.strictify import default_domain
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -60,6 +61,41 @@ x0.1 = 1.0
 u.1.1 = "0"
 x0.2 = -0.5
 u.2.1 = "0.2*sin(t)"
+"""
+
+# two states and two inputs, so that a radius enters the ball sampler
+# squared; dV/dt = -|x|^2 + x.u <= -V + |u|^2/2
+TWO_STATE_CONFIG = """\
+[problem]
+n = 2
+m = 2
+mode = disp-value
+tau = 1.0
+period = 1.0
+
+[system]
+f1 = "-x1 + u1"
+f2 = "-x2 + u2"
+
+[lyapunov]
+V = "0.5*x1^2 + 0.5*x2^2"
+alpha1 = "0.5*s^2"
+alpha2 = "0.5*s^2"
+alpha3 = "s"
+
+[decay]
+p = "1"
+period = 1.0
+
+[gains]
+mu_tilde = "s"
+omega = "0.5*s^2"
+
+[domains]
+t_max = 2.0
+x_radius = 1.0
+u_radius = 1.0
+samples = 500
 """
 
 
@@ -293,10 +329,8 @@ class TestDeterminism:
         return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
     def test_pe_outputs_byte_identical(self, scalar_config, tmp_path):
-        a = self._run(["pe", "--config", str(scalar_config), "--seed", "9"],
-                      tmp_path / "a")
-        b = self._run(["pe", "--config", str(scalar_config), "--seed", "9"],
-                      tmp_path / "b")
+        a = self._run(["pe", "--config", str(scalar_config)], tmp_path / "a")
+        b = self._run(["pe", "--config", str(scalar_config)], tmp_path / "b")
         assert a == b
 
     def test_simulate_outputs_byte_identical(self, scalar_config, tmp_path):
@@ -371,6 +405,24 @@ def test_tables_that_overflow_fail_by_tau(tmp_path, capsys, old, new, tau, aperi
         assert cli.main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation failure: ") and err.rstrip().endswith(f"tau={tau!r}")
+
+
+def test_domains_without_t_max_take_the_library_default(tmp_path):
+    """A [domains] section without t_max samples times up to the end of
+    strictify.default_domain: here the [decay] period 3 exceeds the
+    [problem] period and tau, so the times cover a whole period of xi."""
+    cfg = _readme_ini(tmp_path)
+    text = cfg.read_text(encoding="utf-8")
+    for old, new in [('p = "1"\n', 'p = "1 + sin(2*pi*t/3)^2"\n'),
+                     ("; optional period of p\nperiod = 1.0\n",
+                      "; optional period of p\nperiod = 3.0\n"),
+                     ("t_max = 2.0\n", "")]:
+        assert old in text
+        text = text.replace(old, new, 1)
+    cfg.write_text(text, encoding="utf-8")
+    problem = load_problem(cfg)
+    library = default_domain(problem.candidate, problem.system, problem.rate, problem.tau)
+    assert problem.domain.t_range == library.t_range == (0.0, 4.0)
 
 
 def test_largest_finite_rate_runs_pe(tmp_path, capsys):
@@ -643,6 +695,15 @@ class TestSeed:
         assert "config error: --seed must be non-negative, got -5" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("option", [["--seed", "9"], ["--seed", "-1"],
+                                        ["--samples", "100"]])
+    def test_pe_takes_no_sampling_option(self, option, capsys):
+        # the PE estimate samples nothing, so pe offers neither option
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pe", "--example", "rigid-body", *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
     def test_ini_negative_seed_is_config_error(self, tmp_path):
         cfg = tmp_path / "neg.ini"
         cfg.write_text(SCALAR_CONFIG.replace("seed = 5", "seed = -1"), encoding="utf-8")
@@ -728,6 +789,22 @@ class TestDiagnostics:
         cfg.write_text(SCALAR_CONFIG.replace('"-x1 + u1"', '"log(x1) - 2 + u1"')
                        .replace("samples = 3000", "samples = 500"), encoding="utf-8")
         assert cli.main(["verify", "issp", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "non-finite margins" in captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key, command", [
+        ("x_radius", ["strictify"]), ("x_radius", ["verify", "uppd"]),
+        ("u_radius", ["strictify"]), ("u_radius", ["verify", "disp-value"])])
+    def test_radius_whose_power_overflows_fails_by_its_margins(self, tmp_path, capsys,
+                                                               key, command):
+        # 1e200 is finite but its square is not: the samples are drawn, and
+        # the margins they give are not finite
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text(TWO_STATE_CONFIG.replace(f"{key} = 1.0", f"{key} = 1e200"),
+                       encoding="utf-8")
+        assert cli.main([*command, "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert "non-finite margins" in captured.out
         assert "Traceback" not in captured.err

@@ -52,14 +52,6 @@ def recording(monkeypatch):
     return calls
 
 
-def isolated_nodes(ts, tau):
-    """2n + (t - kL)/h for each time t alone in its block k, h = tau/(2n):
-    the rate nodes of its block up to t, without the knot or two past it."""
-    n = decay.SIMPSON_SUBINTERVALS
-    span = decay.BLOCK_WINDOWS * tau
-    return 2 * n + (ts - np.floor(ts / span) * span) / (tau / (2 * n))
-
-
 class TestEstimatePE:
     def test_sin_squared(self):
         est = decay.estimate_pe(SIN2, PI)
@@ -331,10 +323,9 @@ class TestWindowTable:
                 PETriple(1.0, eps, pbar)
 
     def test_sparse_underline_p_builds_one_block_per_time(self, monkeypatch):
-        """Isolated windows: one block per grid time, built up to that time,
-        and the polish reads the same lookup: it builds the block of a time
-        up to that time, or whole when the block was built for an earlier
-        time."""
+        """Isolated windows: one whole block per grid time, and the polish
+        reads the same lookup, which builds a block whole and only when it
+        is not kept."""
         n_grid, h = 64, 1e-6
         calls = recording(monkeypatch)
         decay.underline_p(MIXED, h, n_grid=n_grid)
@@ -342,39 +333,30 @@ class TestWindowTable:
         span = decay.BLOCK_WINDOWS * h
         k = np.floor(ts / span)
         assert np.unique(k).size == n_grid
-        # one knot, two grid steps of h/(2n), past each time
-        assert calls[:n_grid] == list(zip(k * span, ts + h / decay.SIMPSON_SUBINTERVALS))
-        polish = calls[n_grid:]
-        assert polish
-        for i, (lo, hi) in enumerate(polish, n_grid):
-            assert lo == round(lo / span) * span
-            assert hi < lo + span or (hi == lo + span and any(
-                start == lo and end < hi for start, end in calls[:i]))
+        assert calls[:n_grid] == [(lo, lo + span) for lo in (k * span).tolist()]
+        assert len(calls) > n_grid
+        for i, (lo, hi) in enumerate(calls):
+            assert lo == round(lo / span) * span and hi == lo + span
+            # the lookup keeps the MAX_BLOCKS blocks built last
+            assert (lo, hi) not in calls[max(0, i - decay.MAX_BLOCKS):i]
 
     def test_sparse_xi_vec_builds_one_block_per_time(self):
-        """Each isolated time builds the block it falls in up to itself:
-        2n + (t - kL)/h rate nodes and one or two knots more."""
+        """Each isolated time builds the whole block it falls in, once."""
         p, nodes = counting(MIXED)
         ts = np.linspace(0.0, 200.0, 13)
         decay.xi_vec(p, 2.0, ts)
-        own = isolated_nodes(ts, 2.0).sum()
-        assert own + 3 * ts.size <= nodes[0] <= own + 5 * ts.size
-
-    @pytest.mark.parametrize("rate, tau", [(MIXED, 2.0), (SIN2, 0.3)])
-    def test_isolated_time_builds_its_block_up_to_itself(self, rate, tau):
-        span = decay.BLOCK_WINDOWS * tau
-        times = span * np.array([0.0, 0.25, 0.5, 1.5, 2.6])     # SIN2: 2.6 L < pi
-        for t, own in zip(times.tolist(), isolated_nodes(times, tau)):
-            for query in (t, np.array([t])):
-                p, nodes = counting(rate)
-                decay.WindowTables(p, tau).column(1, query)
-                assert own + 3 <= nodes[0] <= own + 5
+        # L = 8 and h = tau/2n = 1/2048 are exact: a whole block is
+        # 2n + L/h + 1 = 10n + 1 rate nodes
+        assert nodes[0] == ts.size * (10 * decay.SIMPSON_SUBINTERVALS + 1)
+        nodes[0] = 0
+        decay.xi_vec(p, 2.0, ts[-decay.MAX_BLOCKS:])
+        assert nodes[0] == 0
 
     @pytest.mark.parametrize("rate, tau", [(MIXED, 2.0), (SIN2, 0.3), (SIN3, 1.0)])
     def test_blocks_built_as_prefixes_equal_whole_blocks(self, rate, tau):
-        """Values read from a block built only up to the times asked so far
-        equal those of the whole block, bit for bit, on float and array reads
-        and whatever the order of the times."""
+        """Values read time by time, in any order, or in batches of any size,
+        equal those of a lookup whose blocks were all built first, bit for
+        bit, on float and array reads."""
         span = decay.BLOCK_WINDOWS * tau
         rng = np.random.default_rng(22)
         inside = span * np.array([0.0, 1e-9, 0.1, 0.37, 0.5, 0.81, 0.999999])
@@ -386,18 +368,11 @@ class TestWindowTable:
             whole.block(k)
         W, X = whole(times)
         ascending = np.sort(times)
-        descending = ascending[::-1]
-        # a time, then the knots just past it, where its block ends
-        steps = [[knots[j] + 0.3 * (knots[j + 1] - knots[j]), *knots[j + 1:j + 4]]
-                 for j in (0, 1001, 8188)]
-        for order in [ascending, descending, rng.permutation(times), *steps]:
+        for order in [ascending, ascending[::-1], rng.permutation(times)]:
             look, single = decay.WindowTables(rate, tau), decay.WindowTables(rate, tau)
-            for t in np.asarray(order).tolist():
+            for t in order.tolist():
                 assert look(t) == whole(t), t
                 assert single(np.array([t]))[0] == whole(t)[0], t
-            # descending times keep the blocks built for their first times
-            assert order is not descending or any(
-                end < math.inf for *_, end in look.blocks.values())
         for size in (5, 17, times.size):
             look = decay.WindowTables(rate, tau)
             for a in range(0, times.size, size):
@@ -466,6 +441,46 @@ def test_each_table_is_built_once(monkeypatch, sweep_problems, tmp_path, capsys)
     calls.clear()
     assert cli.main(["pe", "--example", "rigid-body", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+def test_every_block_is_built_to_its_end(monkeypatch, sweep_problems, tmp_path, capsys):
+    """pe --out and strictify --out on the sweep INIs build no partial
+    block: each window_table call spans [kL, min((k+1)L, period)], and
+    each block a lookup keeps ends at that end, within one knot."""
+    from strictlyap import cli
+
+    spans, looks = [], []
+    window_table, init = decay.window_table, decay.WindowTables.__init__
+
+    def record(p, tau, t_lo, t_hi):
+        spans.append((p.period, tau, t_lo, t_hi))
+        return window_table(p, tau, t_lo, t_hi)
+
+    def keep(self, p, tau):
+        init(self, p, tau)
+        looks.append(self)
+
+    monkeypatch.setattr(decay, "window_table", record)
+    monkeypatch.setattr(decay.WindowTables, "__init__", keep)
+    for i, _ in enumerate(sweep_problems(0)):
+        for command in ("pe", "strictify"):
+            args = ["--config", str(tmp_path / f"sweep-0-{i}.ini"), "--out", str(tmp_path / "out")]
+            assert cli.main([command, *args]) == 0
+    assert spans and looks
+
+    def block_end(period, tau, lo):
+        end = lo + decay.BLOCK_WINDOWS * tau
+        return end if period is None else min(end, period)
+
+    for period, tau, lo, hi in spans:
+        span = decay.BLOCK_WINDOWS * tau
+        assert lo == round(lo / span) * span and hi == block_end(period, tau, lo)
+    for look in looks:
+        step = look.tau / decay.SIMPSON_SUBINTERVALS      # one knot
+        for k, (W, X) in look.blocks.items():
+            end = block_end(look.period, look.tau, k * look.span)
+            assert np.array_equal(W.knots, X.knots)
+            assert end - 1e-9 * step <= W.knots[-1] <= end + step
 
 
 @pytest.mark.parametrize("seed", [0, 1])

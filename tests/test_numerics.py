@@ -129,7 +129,6 @@ class TestCubicHermite:
         got = nm.hermite_values(tables, q)
         for table, values in zip(tables, got):
             assert np.array_equal(values, table(q), equal_nan=True)
-        assert nm.hermite_values(tables, 0.5) == tuple(t(0.5) for t in tables)
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -346,10 +346,9 @@ class TestCertificateInvariants:
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
     def test_one_table_per_aperiodic_margin_evaluation(self, monkeypatch):
-        # each block of an aperiodic certificate's lookup is built on first
-        # use up to one knot past the last time asked, and later margin calls
-        # at those times read the kept blocks; a later time builds its block
-        # whole, once
+        # each block of an aperiodic certificate's lookup is built whole on
+        # first use, and later margin calls in those blocks, at the same
+        # times or later ones, read the kept blocks
         from strictlyap import decay as dmod
         cert = _aperiodic_certificate()
         windows = cert._windows
@@ -367,18 +366,15 @@ class TestCertificateInvariants:
         x = np.linspace(-1.0, 1.0, 50)[:, None]
         u = np.full((50, 1), 0.3)
         cert.vdot_sharp(t, x, u)
-        step = windows.tau / dmod.SIMPSON_SUBINTERVALS       # one knot
-        last = [t[np.floor(t / span) == k].max() for k in (-1, 0, 1, 2)]
-        assert sorted(tables) == [(k * span, s + step) for k, s in zip((-1, 0, 1, 2), last)]
+        assert sorted(tables) == [(k * span, k * span + span) for k in (-1, 0, 1, 2)]
         cert.vdot_sharp(t, x, u)
         cert.sharp_candidate().dV_dt(t, x)
         cert.v_sharp(t, x)
-        assert len(tables) == 4
-        later = np.array([0.5 * (last[1] + span)])
+        later = np.array([0.5 * (t[np.floor(t / span) == 0].max() + span)])
         cert.v_sharp(later, x[:1])
         cert.v_sharp(float(later[0]), x[0])
         cert.vdot_sharp(t, x, u)
-        assert tables[4:] == [(0.0, span)]
+        assert len(tables) == 4
 
     def test_one_spline_per_periodic_coefficient_call(self):
         system = field_from_exprs(["-x1 + 0.5*u1"], 1, 1, period=1.0)
@@ -413,9 +409,8 @@ class TestCertificateInvariants:
         # the period is at most BLOCK_WINDOWS * tau: one block, the
         # one-period table
         assert list(cert._windows.blocks) == [0]
-        W, xi, end = cert._windows.blocks[0]
-        assert end == math.inf          # the one-period table is built whole
-        cert._windows.blocks[0] = (Counting("W", W), Counting("xi", xi), end)
+        W, xi = cert._windows.blocks[0]
+        cert._windows.blocks[0] = (Counting("W", W), Counting("xi", xi))
         t = np.linspace(-1.0, 3.0, 9)
         assert np.array_equal(cert.xi_fn(t), xi(np.mod(t, 1.0)))
         assert calls == ["xi"]

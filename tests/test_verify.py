@@ -102,6 +102,16 @@ class TestSampleDomain:
         assert digest.hexdigest() == (
             "a2801bb0ac76f44f1531085e99b66010aceb6fbe23cab1bd3334349148fc5bdb")
 
+    def test_radius_whose_power_overflows_scales_the_root(self):
+        # 1e200 ** 2 overflows a float, so each fraction's root is scaled
+        # instead, which differs from a unit ball scaled by rounding alone
+        big = SampleDomain((0.0, 1.0), 1e200, 1e200).sample(501, 2, 2, seed=1)
+        unit = SampleDomain((0.0, 1.0), 1.0, 1.0).sample(501, 2, 2, seed=1)
+        assert np.array_equal(big[0], unit[0])
+        for b, u in zip(big[1:], unit[1:]):
+            assert np.isfinite(b).all()
+            np.testing.assert_allclose(b, 1e200 * u, rtol=1e-14)
+
     @pytest.mark.parametrize("n", [0, -5])
     def test_empty_budget_rejected(self, n):
         with pytest.raises(ValueError, match="at least 1"):
