@@ -31,7 +31,8 @@ import numpy as np
 from . import decay as decay_mod
 from . import exprparse
 from . import verify as verify_mod
-from .config import ROUTES, ConfigError, Problem, load_problem, strictify_problem
+from .config import (ROUTES, ConfigError, Problem, check_run_settings, load_problem,
+                     require_gains, strictify_problem)
 from .decay import estimate_pe
 from .dynsys import (BlowUpError, Signal, _write_columns, integrate, map_forked,
                      write_trajectory_csv)
@@ -107,12 +108,8 @@ def _load(args) -> Problem:
 
 
 def _override(problem: Problem, args) -> Problem:
-    """Apply --seed and --samples; a negative seed or a sample count below 2
-    is a config error."""
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    if args.samples is not None and args.samples < 2:
-        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
+    """Apply --seed and --samples, held to the rules of the config keys."""
+    check_run_settings(args.seed, args.samples, "--")
     if args.seed is not None:
         problem.seed = args.seed
     if args.samples is not None:
@@ -121,9 +118,14 @@ def _override(problem: Problem, args) -> Problem:
 
 
 def _outdir(args) -> Path | None:
+    """The --out directory, made if missing; a config error if it cannot be."""
     if args.out is None:
         return None
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {str(args.out)!r} is not a usable directory: "
+                          f"{exc.strerror}") from None
     return args.out
 
 
@@ -232,6 +234,9 @@ def cmd_verify(args) -> int:
         print(f"unknown check {name!r}; available: {', '.join(VERIFY_CHECKS)}",
               file=sys.stderr)
         return EXIT_CONFIG
+    if name == "iss-estimate" and args.samples is not None:
+        raise ConfigError("--samples does not apply to iss-estimate, which reads "
+                          f"{verify_mod.ISS_POINTS} points per held-out run")
     problem = _load(args)
     out = _outdir(args)
     reports = _run_named_check(problem, name)
@@ -259,7 +264,7 @@ def _run_named_check(problem: Problem, name: str):
     if name == "uppd":
         return [verify_mod.check_uppd(c, d, n, seed)]
     if name in ROUTES:
-        _need(problem, *ROUTES[name][1])
+        require_gains(problem, ROUTES[name][1], "check needs")
     if name == "issp":
         return [verify_mod.check_issp_lyap(c, s, problem.rate, problem.mu,
                                            problem.chi, d, n, seed)]
@@ -270,17 +275,11 @@ def _run_named_check(problem: Problem, name: str):
         return [verify_mod.check_disp_lyap(c, s, problem.rate, problem.mu_tilde,
                                            problem.omega, "value", d, n, seed)]
     if name == "strict-iss":
-        _need(problem, "mu", "chi")
+        require_gains(problem, ("mu", "chi"), "check needs")
         return [verify_mod.check_strict_iss_lyap(c, s, problem.mu, problem.chi,
                                                  d, n, seed)]
     # iss-estimate: fit an envelope on generated runs, check on the holdout
     return [_iss_estimate_report(problem)]
-
-
-def _need(problem: Problem, *names) -> None:
-    missing = [g for g in names if getattr(problem, g) is None]
-    if missing:
-        raise ConfigError(f"check needs gains: {', '.join(missing)}")
 
 
 def _iss_estimate_report(problem: Problem):

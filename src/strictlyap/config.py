@@ -18,24 +18,33 @@ import numpy as np
 
 from . import exprparse, strictify
 from .decay import DecayRate, PETriple
-from .dynsys import ControlSystem, Signal
+from .dynsys import DEFAULT_STEP, ControlSystem, Signal, close_loop
 from .funcalc import GainFunction, gain_from_expr
-from .strictify import DEFAULT_FACTOR_DIS, DEFAULT_FACTOR_ISS, LyapunovCandidate
-from .verify import SampleDomain
+from .strictify import LyapunovCandidate
+from .verify import DEFAULT_SAMPLES, SampleDomain
 
-# mode -> (strictify route, its gain fields in call order, default factor).
-# The route is named, not bound, so that wrappers installed on the strictify
-# module at run time are the ones called.
+# mode -> (strictify route, its gain fields in call order); the route's own
+# signature holds its default factor.  The route is named, not bound, so that
+# wrappers installed on the strictify module at run time are the ones called.
 ROUTES = {
-    "issp": ("strictify_issp", ("chi", "mu"), DEFAULT_FACTOR_ISS),
-    "disp-state": ("strictify_from_state_form", ("mu", "omega"), DEFAULT_FACTOR_ISS),
-    "disp-value": ("strictify_disp", ("mu_tilde", "omega"), DEFAULT_FACTOR_DIS),
+    "issp": ("strictify_issp", ("chi", "mu")),
+    "disp-state": ("strictify_from_state_form", ("mu", "omega")),
+    "disp-value": ("strictify_disp", ("mu_tilde", "omega")),
 }
 MODES = tuple(ROUTES)
 
 
 class ConfigError(Exception):
     """Malformed problem configuration."""
+
+
+def check_run_settings(seed: int | None, samples: int | None, prefix: str = "") -> None:
+    """The sampling rules, seed >= 0 and samples >= 2, for each value given;
+    ``prefix`` ("--" for an option) goes before the name in the message."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"{prefix}seed must be non-negative, got {seed}")
+    if samples is not None and samples < 2:
+        raise ConfigError(f"{prefix}samples must be at least 2, got {samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +192,12 @@ class SimRun:
 
 @dataclass
 class SimSpec:
+    """RK4 runs from t0 to tf with a fixed step; a `[sim]` key left out of
+    an INI takes its default here."""
+
     t0: float = 0.0
     tf: float = 10.0
-    step: float = 1.0e-3
+    step: float = DEFAULT_STEP
     runs: list[SimRun] = field(default_factory=list)
 
 
@@ -197,13 +209,13 @@ class Problem:
     rate: DecayRate
     mode: str
     tau: float
+    domain: SampleDomain
     factor: float | None = None
     mu: GainFunction | None = None
     chi: GainFunction | None = None
     mu_tilde: GainFunction | None = None
     omega: GainFunction | None = None
-    domain: SampleDomain = field(default_factory=SampleDomain)
-    samples: int = 10_000
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
     sim: SimSpec = field(default_factory=SimSpec)
     open_system: ControlSystem | None = None
@@ -244,8 +256,7 @@ def load_problem(path) -> Problem:
     """Parse an INI problem description; see the README for the schema."""
     cp = configparser.ConfigParser(inline_comment_prefixes=None, interpolation=None)
     cp.optionxform = str
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
     try:
         return _build(cp)
@@ -254,25 +265,29 @@ def load_problem(path) -> Problem:
 
 
 def _build(cp: configparser.ConfigParser) -> Problem:
+    """The Problem of a parsed INI.  A key left out takes its default from
+    the setting's one owner: the box from ``strictify.default_domain``, the
+    budget from ``verify.DEFAULT_SAMPLES``, the plan from ``SimSpec``, the
+    factor from the route's signature; a missing optional section is empty."""
     for section in ("problem", "system", "lyapunov"):
         if section not in cp:
             raise ConfigError(f"missing [{section}] section")
+    for section in ("gains", "domains", "sim"):
+        if section not in cp:
+            cp.add_section(section)
     prob = cp["problem"]
-    for key in ("n", "m"):
+    for key in ("n", "m", "tau"):
         if key not in prob:
             raise ConfigError(f"[problem] {key} is required")
-    n = prob.getint("n")
-    m = prob.getint("m")
+    n, m = prob.getint("n"), prob.getint("m")
     mode = _strip(prob.get("mode", "disp-value"))
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     tau = _number(prob, "tau", rule=_POSITIVE)
-    if tau is None:
-        raise ConfigError("[problem] tau is required")
     period = _number(prob, "period", rule=_POSITIVE)
-    seed = prob.getint("seed", fallback=0)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    seed = prob.getint("seed", fallback=Problem.seed)
+    samples = cp["domains"].getint("samples", fallback=DEFAULT_SAMPLES)
+    check_run_settings(seed, samples)
     factor = _number(prob, "factor", rule=_FACTOR)
     name = _strip(prob.get("name", "problem"))
 
@@ -287,20 +302,14 @@ def _build(cp: configparser.ConfigParser) -> Problem:
         k += 1
 
     open_system = field_from_exprs(f_texts, n, m, period=period, label=name)
-    feedback = None
-    system = open_system
-    if fb_texts:
-        from .dynsys import close_loop
-        feedback = feedback_from_exprs(fb_texts, n)
-        system = close_loop(open_system, feedback)
+    feedback = feedback_from_exprs(fb_texts, n) if fb_texts else None
+    system = close_loop(open_system, feedback) if fb_texts else open_system
 
     lyap = cp["lyapunov"]
     v_text = _strip(lyap["V"])
     expressions["V"] = v_text
     dv_dt = _strip(lyap["dV_dt"]) if "dV_dt" in lyap else None
-    grads = None
-    if f"dV_dx1" in lyap:
-        grads = [_strip(lyap[f"dV_dx{i+1}"]) for i in range(n)]
+    grads = [_strip(lyap[f"dV_dx{i+1}"]) for i in range(n)] if "dV_dx1" in lyap else None
     a_texts = {k: _strip(lyap[k]) for k in ("alpha1", "alpha2", "alpha3")}
     expressions.update(a_texts)
     candidate = candidate_from_exprs(v_text, n, a_texts["alpha1"], a_texts["alpha2"],
@@ -313,62 +322,48 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     p_period = _number(dec, "period", rule=_POSITIVE)
     rate = rate_from_expr(p_text, period=p_period)
 
-    gains: dict[str, GainFunction | None] = {g: None for g in ("mu", "chi", "mu_tilde", "omega")}
-    if "gains" in cp:
-        for key in gains:
-            if key in cp["gains"]:
-                txt = _strip(cp["gains"][key])
-                expressions[key] = txt
-                gains[key] = gain_from_expr(txt)
-    _require_gains(mode, gains)
+    gs = cp["gains"]
+    given = {g: _strip(gs[g]) for g in ("mu", "chi", "mu_tilde", "omega") if g in gs}
+    expressions.update(given)
 
-    domain = SampleDomain()
-    samples = 10_000
-    if "domains" in cp:
-        ds = cp["domains"]
-        t_min = _number(ds, "t_min", 0.0)
-        t_max = _number(ds, "t_max",
-                        strictify.default_domain(candidate, system, rate, tau).t_range[1])
-        if not t_max > t_min:
-            raise ConfigError(f"[domains] t_max must exceed t_min, "
-                              f"got t_min={t_min!r}, t_max={t_max!r}")
-        domain = SampleDomain((t_min, t_max),
-                              _number(ds, "x_radius", 10.0, _NON_NEGATIVE),
-                              _number(ds, "u_radius", 5.0, _NON_NEGATIVE))
-        samples = ds.getint("samples", fallback=10_000)
-        if samples < 2:
-            raise ConfigError(f"samples must be at least 2, got {samples}")
+    ds = cp["domains"]
+    box = strictify.default_domain(candidate, system, rate, tau)
+    t_min = _number(ds, "t_min", box.t_range[0])
+    t_max = _number(ds, "t_max", box.t_range[1])
+    if not math.isfinite(t_max):    # the default max(P, tau) + tau overflows
+        raise ConfigError(f"[domains] t_max is required: its default is {t_max!r}")
+    if not t_max > t_min:
+        raise ConfigError(f"[domains] t_max must exceed t_min, "
+                          f"got t_min={t_min!r}, t_max={t_max!r}")
+    domain = SampleDomain((t_min, t_max),
+                          _number(ds, "x_radius", box.x_radius, _NON_NEGATIVE),
+                          _number(ds, "u_radius", box.u_radius, _NON_NEGATIVE))
 
-    sim = SimSpec()
-    m_closed = system.m
-    if "sim" in cp:
-        ss = cp["sim"]
-        sim.t0 = _number(ss, "t0", 0.0)
-        sim.tf = _number(ss, "tf", 10.0)
-        sim.step = _number(ss, "step", 1.0e-3, _POSITIVE)
-        if not sim.tf > sim.t0:
-            raise ConfigError(f"[sim] tf must exceed t0, got t0={sim.t0!r}, tf={sim.tf!r}")
-        k = 1
-        while f"x0.{k}" in ss:
-            raw = _strip(ss[f"x0.{k}"]).replace(",", " ")
-            x0 = np.array([float(v) for v in raw.split()])
-            if x0.size != n or not np.isfinite(x0).all():
-                raise ConfigError(f"[sim] x0.{k} must be {n} finite numbers, got {raw!r}")
-            texts = []
-            for j in range(m_closed):
-                key = f"u.{k}.{j+1}"
-                texts.append(_strip(ss[key]) if key in ss else "0")
-            sim.runs.append(SimRun(x0, signal_from_exprs(texts)))
-            k += 1
+    ss, sim = cp["sim"], SimSpec()
+    sim.t0 = _number(ss, "t0", sim.t0)
+    sim.tf = _number(ss, "tf", sim.tf)
+    sim.step = _number(ss, "step", sim.step, _POSITIVE)
+    if not sim.tf > sim.t0:
+        raise ConfigError(f"[sim] tf must exceed t0, got t0={sim.t0!r}, tf={sim.tf!r}")
+    k = 1
+    while f"x0.{k}" in ss:
+        raw = _strip(ss[f"x0.{k}"]).replace(",", " ")
+        x0 = np.array([float(v) for v in raw.split()])
+        if x0.size != n or not np.isfinite(x0).all():
+            raise ConfigError(f"[sim] x0.{k} must be {n} finite numbers, got {raw!r}")
+        texts = [_strip(ss.get(f"u.{k}.{j+1}", "0")) for j in range(system.m)]
+        sim.runs.append(SimRun(x0, signal_from_exprs(texts)))
+        k += 1
     if not sim.runs:
-        sim.runs.append(SimRun(np.zeros(n), Signal.zero(m_closed)))
+        sim.runs.append(SimRun(np.zeros(n), Signal.zero(system.m)))
 
-    return Problem(name=name, system=system, candidate=candidate, rate=rate,
-                   mode=mode, tau=tau, factor=factor, mu=gains["mu"],
-                   chi=gains["chi"], mu_tilde=gains["mu_tilde"],
-                   omega=gains["omega"], domain=domain, samples=samples,
-                   seed=seed, sim=sim, open_system=open_system,
-                   feedback=feedback, expressions=expressions)
+    problem = Problem(name=name, system=system, candidate=candidate, rate=rate,
+                      mode=mode, tau=tau, factor=factor, domain=domain,
+                      samples=samples, seed=seed, sim=sim, open_system=open_system,
+                      feedback=feedback, expressions=expressions,
+                      **{g: gain_from_expr(v) for g, v in given.items()})
+    require_gains(problem, ROUTES[mode][1], f"mode '{mode}' requires")
+    return problem
 
 
 def strictify_problem(problem: Problem, n_samples: int | None = None,
@@ -378,16 +373,17 @@ def strictify_problem(problem: Problem, n_samples: int | None = None,
     The decay rate must already carry its PE triple (the CLI attaches one
     from estimate_pe when the problem comes from a config file).
     """
-    route, gains, default_factor = ROUTES[problem.mode]
-    factor = problem.factor if problem.factor is not None else default_factor
+    route, gains = ROUTES[problem.mode]
+    factor = {} if problem.factor is None else {"factor": problem.factor}
     return getattr(strictify, route)(
         problem.candidate, problem.system, problem.rate,
-        *(getattr(problem, g) for g in gains), factor, domain=problem.domain,
+        *(getattr(problem, g) for g in gains), domain=problem.domain,
         n_samples=n_samples if n_samples is not None else problem.samples,
-        seed=seed if seed is not None else problem.seed)
+        seed=seed if seed is not None else problem.seed, **factor)
 
 
-def _require_gains(mode: str, gains: dict) -> None:
-    missing = [g for g in ROUTES[mode][1] if gains.get(g) is None]
+def require_gains(problem: Problem, names, who: str) -> None:
+    """A config error naming the gains in ``names`` that ``problem`` lacks."""
+    missing = [g for g in names if getattr(problem, g) is None]
     if missing:
-        raise ConfigError(f"mode '{mode}' requires gains: {', '.join(missing)}")
+        raise ConfigError(f"{who} gains: {', '.join(missing)}")

@@ -34,6 +34,8 @@ from .strictify import _horizon_growth
 from .verify import SampleDomain
 
 PI = math.pi
+ADMISSIBILITY_HORIZON = 40.0   # reference cross integral: sups over H, 2H and 4H
+ADMISSIBILITY_TAUS = (PI, PI / 2.0, 2.0 * PI, 4.0 * PI)   # PE windows, in order
 
 
 def rigid_body() -> Problem:
@@ -217,31 +219,24 @@ class AdmissibilityResult:
     sup_cross_integral: float | None = None
 
 
-def check_reference_admissibility(w1r_text: str, w2r_text: str,
-                                  horizon: float = 40.0,
-                                  tau_ladder=(PI, PI / 2.0, 2.0 * PI, 4.0 * PI),
-                                  ) -> AdmissibilityResult:
+def check_reference_admissibility(w1r_text: str, w2r_text: str) -> AdmissibilityResult:
     """Admissibility of a reference (w1r, w2r, .): the running cross integral
     int_0^t w1r w2r must stay bounded and w1r^2 + w2r^2 must be persistently
     exciting for some window length on the ladder.
 
     Boundedness is judged by horizon doubling: growth of the running sup
-    across [0,H] -> [0,2H] -> [0,4H], by the rule of
-    `strictify._horizon_growth`, marks the reference inadmissible.
+    across [0,H] -> [0,2H] -> [0,4H], H = ADMISSIBILITY_HORIZON, by the rule
+    of `strictify._horizon_growth`, marks the reference inadmissible.  The
+    windows are tried in the order of ADMISSIBILITY_TAUS.
     """
-    e1 = exprparse.parse(w1r_text)
-    e2 = exprparse.parse(w2r_text)
-    f1 = exprparse.compile_expr(e1, ("t",))
-    f2 = exprparse.compile_expr(e2, ("t",))
+    f1, f2 = (exprparse.compile_expr(text, ("t",)) for text in (w1r_text, w2r_text))
 
     def sup_cross(H: float) -> float:
         t = np.linspace(0.0, H, 32_001)
         y = _rate_values(f1, t) * _rate_values(f2, t)
         return float(np.abs(cumulative_trapezoid(y, t)).max())
 
-    s1 = sup_cross(horizon)
-    s2 = sup_cross(2.0 * horizon)
-    s4 = sup_cross(4.0 * horizon)
+    s1, s2, s4 = (sup_cross(k * ADMISSIBILITY_HORIZON) for k in (1.0, 2.0, 4.0))
     if _horizon_growth(s1, s2, s4):
         return AdmissibilityResult(False,
                                    f"cross integral grows without bound "
@@ -250,14 +245,15 @@ def check_reference_admissibility(w1r_text: str, w2r_text: str,
 
     pe_rate = DecayRate(lambda t: _rate_values(f1, t) ** 2 + _rate_values(f2, t) ** 2,
                         label=f"({w1r_text})^2 + ({w2r_text})^2")
-    for tau in tau_ladder:
+    for tau in ADMISSIBILITY_TAUS:
         try:
-            est = estimate_pe(pe_rate, float(tau), horizon=4.0 * horizon, n_grid=256)
+            est = estimate_pe(pe_rate, float(tau), horizon=4.0 * ADMISSIBILITY_HORIZON,
+                              n_grid=256)
         except NotPersistentlyExcitingError:
             continue
         return AdmissibilityResult(True, "admissible", tau=float(tau),
                                    epsilon=est.epsilon, sup_cross_integral=s4)
     return AdmissibilityResult(False,
                                "w1r^2 + w2r^2 is not persistently exciting "
-                               f"for any window on the ladder {list(tau_ladder)}",
+                               f"for any window on the ladder {list(ADMISSIBILITY_TAUS)}",
                                sup_cross_integral=s4)

@@ -60,8 +60,7 @@ class ValidationFailedError(ValidationFailure):
 
     def __init__(self, report: InequalityReport, certificate=None):
         detail = report.notes if not np.isfinite(report.worst_margin) else (
-            f"margin {report.worst_margin!r} at t={report.worst_point[0]!r}, "
-            f"x={report.worst_point[1]!r}, u={report.worst_point[2]!r}")
+            f"margin {report.worst_margin!r} at {verify.point_text(report.worst_point)}")
         super().__init__(f"check '{report.name}' failed: {detail}")
         self.report = report
         self.certificate = certificate
@@ -294,8 +293,12 @@ def dis_to_issp_chi(mu: GainFunction, omega: GainFunction) -> GainFunction:
 
 def default_domain(candidate: LyapunovCandidate, system: ControlSystem,
                    p: DecayRate, tau: float) -> SampleDomain:
+    """The box a route samples when given none, which an INI's `[domains]`
+    keys override: ``SampleDomain``'s radii, and ``t`` in ``[0, max(P, tau)
+    + tau]``, one period of ``xi`` (that of ``p``) plus one window, with ``P``
+    the largest of the candidate's, system's and rate's periods (0 if none)."""
     period = max(candidate.period or 0.0, system.period or 0.0, p.period or 0.0)
-    return SampleDomain((0.0, max(period, tau) + tau), 10.0, 5.0)
+    return SampleDomain((0.0, max(period, tau) + tau))
 
 
 def _xi_splines(p: DecayRate, tau: float) -> decay_mod.WindowTables:

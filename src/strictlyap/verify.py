@@ -125,6 +125,12 @@ class InequalityReport:
         return float(_at_point(self.margin_fn, *self.worst_point))
 
 
+def point_text(point) -> str:
+    """A worst point (t, x, u) as failure messages print it, x and u as lists."""
+    t, x, u = point
+    return f"t={float(t)!r}, x={np.asarray(x).tolist()}, u={np.asarray(u).tolist()}"
+
+
 def _at_point(fn, t, x, u):
     """A batch function of (t, x, u) evaluated at one point; a point outside
     a field's domain gives nan or inf, without a warning."""
@@ -225,8 +231,7 @@ def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
     if bad.any():
         j = int(np.argmax(bad))
         worst, point = float(margins[j]), (float(t[j]), x[j], u[j])
-        notes = (f"{int(bad.sum())} non-finite margins; first {worst!r} at "
-                 f"t={point[0]!r}, x={point[1]!r}, u={point[2]!r}")
+        notes = f"{int(bad.sum())} non-finite margins; first {worst!r} at {point_text(point)}"
         return InequalityReport(name, int(t.size), worst, point, False, notes=notes,
                                 sampled_worst=worst, n_nonfinite=int(bad.sum()),
                                 margin_fn=margin_fn)

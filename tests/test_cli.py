@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import strictlyap
-from strictlyap import cli, funcalc
-from strictlyap.config import ConfigError, load_problem, strictify_problem
-from strictlyap.dynsys import BlowUpError, integrate, write_trajectory_csv
+from strictlyap import cli, funcalc, strictify
+from strictlyap.config import ConfigError, SimSpec, load_problem, strictify_problem
+from strictlyap.dynsys import DEFAULT_STEP, BlowUpError, integrate, write_trajectory_csv
 from strictlyap.strictify import default_domain
+from strictlyap.verify import SampleDomain
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -200,10 +201,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_problem(tmp_path / "absent.ini")
 
-    @pytest.mark.parametrize("key", ["n", "m"])
+    @pytest.mark.parametrize("key", ["n", "m", "tau"])
     def test_missing_dimension_is_config_error(self, tmp_path, capsys, key):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(SCALAR_CONFIG.replace(f"\n{key} = 1\n", "\n"), encoding="utf-8")
+        text = re.sub(rf"\n{key} = [^\n]*\n", "\n", SCALAR_CONFIG)
+        assert text != SCALAR_CONFIG
+        cfg.write_text(text, encoding="utf-8")
         assert cli.main(["strictify", "--config", str(cfg)]) == 2
         assert f"config error: [problem] {key} is required" in capsys.readouterr().err
 
@@ -250,6 +253,32 @@ class TestCommands:
                          "--out", str(out)]) == 2
         assert "unknown check 'nonsense'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    @pytest.mark.parametrize("argv", [["pe", "--example", "rigid-body"],
+                                      ["strictify", "--example", "scalar-linear"]])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys, argv, sub):
+        # a file, or a path under one, cannot be made a directory
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = blocker / sub if sub else blocker
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: --out {str(out)!r} ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""             # refused before any work
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+    def test_iss_estimate_refuses_samples(self, tmp_path, capsys):
+        # the held-out check reads verify.ISS_POINTS points per run, whatever
+        # the budget, so a --samples it would ignore is refused
+        out = tmp_path / "vout"
+        assert cli.main(["verify", "iss-estimate", "--example", "scalar-linear",
+                         "--samples", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --samples does not apply to "
+                                "iss-estimate, which reads 200 points per held-out run\n")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("check, example, name, n, m", [
         ("uppd", "rigid-body", "uppd", 3, 0),
@@ -407,22 +436,125 @@ def test_tables_that_overflow_fail_by_tau(tmp_path, capsys, old, new, tau, aperi
     assert err.startswith("validation failure: ") and err.rstrip().endswith(f"tau={tau!r}")
 
 
-def test_domains_without_t_max_take_the_library_default(tmp_path):
-    """A [domains] section without t_max samples times up to the end of
-    strictify.default_domain: here the [decay] period 3 exceeds the
-    [problem] period and tau, so the times cover a whole period of xi."""
-    cfg = _readme_ini(tmp_path)
-    text = cfg.read_text(encoding="utf-8")
-    for old, new in [('p = "1"\n', 'p = "1 + sin(2*pi*t/3)^2"\n'),
-                     ("; optional period of p\nperiod = 1.0\n",
-                      "; optional period of p\nperiod = 3.0\n"),
-                     ("t_max = 2.0\n", "")]:
+def _edited(text: str, *changes) -> str:
+    """``text`` with each (old, new) pair replaced once; each old must occur."""
+    for old, new in changes:
         assert old in text
         text = text.replace(old, new, 1)
+    return text
+
+
+def _without_section(text: str, name: str) -> str:
+    """INI ``text`` with section ``name`` cut out, up to the next section."""
+    start = text.index(f"[{name}]")
+    end = text.find("\n[", start)
+    return text[:start] + (text[end + 1:] if end >= 0 else "")
+
+
+_P_PERIOD = "; optional period of p\nperiod = 1.0\n"
+
+
+def test_domains_without_t_max_take_the_library_default(tmp_path):
+    """Times the INI leaves out, t_max or the whole [domains] section, are
+    sampled up to the end of strictify.default_domain, so they cover a whole
+    period of xi.  With the [decay] period 3 above the [problem] period and
+    tau, t_max is 4.  With no [domains] section the box is the library's:
+    t in (0, 2), or (0, 13) with a [decay] period of 12, the radii of
+    SampleDomain and verify.DEFAULT_SAMPLES samples."""
+    cfg = _readme_ini(tmp_path)
+    readme = cfg.read_text(encoding="utf-8")
+    no_domains = _without_section(readme, "domains")
+    cases = [
+        (_edited(readme, ('p = "1"\n', 'p = "1 + sin(2*pi*t/3)^2"\n'),
+                 (_P_PERIOD, _P_PERIOD.replace("1.0", "3.0")), ("t_max = 2.0\n", "")),
+         SampleDomain((0.0, 4.0), 6.0, 2.0), 3000),
+        (no_domains, SampleDomain((0.0, 2.0), 10.0, 5.0), 10_000),
+        (_edited(no_domains, (_P_PERIOD, _P_PERIOD.replace("1.0", "12.0"))),
+         SampleDomain((0.0, 13.0), 10.0, 5.0), 10_000),
+    ]
+    for text, domain, samples in cases:
+        cfg.write_text(text, encoding="utf-8")
+        problem = load_problem(cfg)
+        library = default_domain(problem.candidate, problem.system, problem.rate,
+                                 problem.tau)
+        assert problem.domain == domain and problem.samples == samples
+        assert problem.domain.t_range == library.t_range
+    assert problem.domain == library
+
+
+def test_default_t_max_that_overflows_is_config_error(tmp_path, capsys):
+    # max(P, tau) + tau is inf for tau = 1e308: no check may sample t = inf
+    cfg = _readme_ini(tmp_path)
+    readme = _edited(cfg.read_text(encoding="utf-8"), ("tau = 1.0\n", "tau = 1e308\n"))
+    for text in (_without_section(readme, "domains"), _edited(readme, ("t_max = 2.0\n", ""))):
+        cfg.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^\[domains\] t_max is required: "
+                                              r"its default is inf$"):
+            load_problem(cfg)
+        assert cli.main(["verify", "uppd", "--config", str(cfg)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sim_section_left_out_takes_the_simspec_defaults(tmp_path):
+    cfg = _readme_ini(tmp_path)
+    cfg.write_text(_without_section(cfg.read_text(encoding="utf-8"), "sim"),
+                   encoding="utf-8")
+    sim, default = load_problem(cfg).sim, SimSpec()
+    assert (sim.t0, sim.tf, sim.step) == (default.t0, default.tf, default.step)
+    assert default.step == DEFAULT_STEP
+    [run] = sim.runs                     # one run, from zero, with no input
+    assert run.x0.tolist() == [0.0] and run.signal.m == 1 and run.signal.label == "0"
+
+
+# What these INIs loaded while the loader restated its defaults in literals:
+# ((t_range, x_radius, u_radius), samples, seed, (t0, tf, step, runs), factor),
+# a run as (x0, input label).  The sweep problems are the benchmark's, seed 0.
+_ZERO_RUN = (0.0, 10.0, 0.001, [([0.0], "0")])
+_LOADED = {
+    "readme": (((0.0, 2.0), 6.0, 2.0), 3000, 5, (0.0, 5.0, 0.001, [([1.0], "0")]), 0.25),
+    "scalar": (((0.0, 2.0), 6.0, 2.0), 3000, 5,
+               (0.0, 5.0, 0.001, [([1.0], "0"), ([-0.5], "0.2*sin(t)")]), None),
+    "two-state": (((0.0, 2.0), 1.0, 1.0), 500, 0,
+                  (0.0, 10.0, 0.001, [([0.0, 0.0], "0")]), None),
+    **{f"sweep-{i}": (((0.0, t_max), 5.0, 1.5), 2000, i, _ZERO_RUN, factor)
+       for i, (t_max, factor) in enumerate([
+           (4 * np.pi, None), (4 * np.pi, 0.07487237319329147),
+           (8 * np.pi, None), (8 * np.pi, 0.017102105873920914),
+           (2 * np.pi, None), (2 * np.pi, 0.0742258578818844),
+           (4 * np.pi, None), (4 * np.pi, 0.03137148113630424),
+           (np.pi, None), (np.pi, 0.125),
+           (2 * np.pi, None), (2 * np.pi, 0.0511700896420338)])},
+}
+
+
+def test_loaded_settings_are_unchanged(tmp_path, sweep_problems):
+    def settings(p):
+        d, s = p.domain, p.sim
+        return ((d.t_range, d.x_radius, d.u_radius), p.samples, p.seed,
+                (s.t0, s.tf, s.step, [(r.x0.tolist(), r.signal.label) for r in s.runs]),
+                p.factor)
+
+    loaded = {}
+    for name, text in [("scalar", SCALAR_CONFIG), ("two-state", TWO_STATE_CONFIG)]:
+        (tmp_path / f"{name}.ini").write_text(text, encoding="utf-8")
+        loaded[name] = load_problem(tmp_path / f"{name}.ini")
+    loaded["readme"] = load_problem(_readme_ini(tmp_path))
+    loaded.update((p.name, p) for p in sweep_problems(0))
+    assert {name: settings(p) for name, p in loaded.items()} == _LOADED
+
+
+@pytest.mark.parametrize("text, route", [(SCALAR_CONFIG, "strictify_issp"),
+                                         (TWO_STATE_CONFIG, "strictify_disp")],
+                         ids=["issp", "disp-value"])
+def test_factor_left_out_is_the_route_default(tmp_path, text, route):
+    cfg = tmp_path / "route.ini"
     cfg.write_text(text, encoding="utf-8")
     problem = load_problem(cfg)
-    library = default_domain(problem.candidate, problem.system, problem.rate, problem.tau)
-    assert problem.domain.t_range == library.t_range == (0.0, 4.0)
+    assert problem.factor is None
+    cli._ensure_pe(problem)
+    cert = strictify_problem(problem, n_samples=200)
+    default = inspect.signature(getattr(strictify, route)).parameters["factor"].default
+    assert cert.factor == default
 
 
 def test_largest_finite_rate_runs_pe(tmp_path, capsys):
@@ -762,7 +894,9 @@ def test_simulate_reports_unavailable_vsharp(tmp_path, capsys):
     out = tmp_path / "sim"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("V# unavailable: check 'issp-lyapunov' failed: margin -")
+    # the worst point's x and u print as lists
+    assert re.fullmatch(r"V# unavailable: check 'issp-lyapunov' failed: margin -\S+ "
+                        r"at t=\S+, x=\[\S+\], u=\[\S+\]", lines[0]), lines[0]
     assert lines[1].startswith("run 1:")
     assert (out / "sim_1.csv").read_text().splitlines()[0] == "t,x1,u1,V"
 

@@ -1,9 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from strictlyap import exprparse
+from strictlyap import exprparse, fixtures
 from strictlyap.fixtures import (FIXTURES, check_reference_admissibility,
                                  get_fixture)
 
@@ -88,3 +89,12 @@ class TestReferenceAdmissibility:
         # cos and sin together keep w1r^2 + w2r^2 = 1; cross integral bounded
         res = check_reference_admissibility("sin(t)", "cos(t)")
         assert res.admissible
+
+
+def test_admissibility_settings_are_module_constants():
+    # only the two reference texts are inputs; the horizon and the windows
+    # tried are fixed, as the README lists them
+    assert list(inspect.signature(check_reference_admissibility).parameters) == [
+        "w1r_text", "w2r_text"]
+    assert fixtures.ADMISSIBILITY_HORIZON == 40.0
+    assert fixtures.ADMISSIBILITY_TAUS == (PI, PI / 2.0, 2.0 * PI, 4.0 * PI)

@@ -151,6 +151,7 @@ def test_non_finite_margin_fails_by_name(bad):
     assert rep.notes.startswith(f"3 non-finite margins; first {bad!r} at t={float(t[3])!r}, ")
     msg = str(ValidationFailedError(rep))
     assert msg == f"check 'nonfinite' failed: {rep.notes}"
+    assert rep.notes.endswith(f"x={x[3].tolist()}, u={u[3].tolist()}")
     assert "horizon" not in msg
 
 
@@ -168,8 +169,10 @@ def test_sampled_worst_is_the_worst_sample_before_refinement():
 def test_finite_failure_message_keeps_the_margin():
     rep = verify._run_check("neg", lambda t, x, u: -1.0 - x[:, 0] ** 2, SampleDomain(),
                             2, 1, 50, 0)
-    assert str(ValidationFailedError(rep)).startswith(
-        f"check 'neg' failed: margin {rep.worst_margin!r} at t=")
+    t, x, u = rep.worst_point
+    assert str(ValidationFailedError(rep)) == (
+        f"check 'neg' failed: margin {rep.worst_margin!r} at "
+        f"t={t!r}, x={x.tolist()}, u={u.tolist()}")
 
 
 class TestCheckUppd:
