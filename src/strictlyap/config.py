@@ -236,7 +236,6 @@ def _strip(v: str) -> str:
 
 
 _POSITIVE = ("positive and finite", lambda v: 0.0 < v < math.inf)
-_NON_NEGATIVE = ("non-negative and finite", lambda v: 0.0 <= v < math.inf)
 _FINITE = ("finite", math.isfinite)
 _FACTOR = ("in (0, 1/4]", lambda v: 0.0 < v <= 0.25)
 
@@ -266,9 +265,10 @@ def load_problem(path) -> Problem:
 
 def _build(cp: configparser.ConfigParser) -> Problem:
     """The Problem of a parsed INI.  A key left out takes its default from
-    the setting's one owner: the box from ``strictify.default_domain``, the
-    budget from ``verify.DEFAULT_SAMPLES``, the plan from ``SimSpec``, the
-    factor from the route's signature; a missing optional section is empty."""
+    the setting's one owner: the times from ``strictify.default_t_range``,
+    the radii and the box's rules from ``SampleDomain``, the budget from
+    ``verify.DEFAULT_SAMPLES``, the plan from ``SimSpec``, the factor from
+    the route's signature; a missing optional section is empty."""
     for section in ("problem", "system", "lyapunov"):
         if section not in cp:
             raise ConfigError(f"missing [{section}] section")
@@ -327,17 +327,17 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     expressions.update(given)
 
     ds = cp["domains"]
-    box = strictify.default_domain(candidate, system, rate, tau)
-    t_min = _number(ds, "t_min", box.t_range[0])
-    t_max = _number(ds, "t_max", box.t_range[1])
+    t_min, t_max = strictify.default_t_range(candidate, system, rate, tau)
+    t_min, t_max = _number(ds, "t_min", t_min), _number(ds, "t_max", t_max)
     if not math.isfinite(t_max):    # the default max(P, tau) + tau overflows
         raise ConfigError(f"[domains] t_max is required: its default is {t_max!r}")
-    if not t_max > t_min:
-        raise ConfigError(f"[domains] t_max must exceed t_min, "
-                          f"got t_min={t_min!r}, t_max={t_max!r}")
-    domain = SampleDomain((t_min, t_max),
-                          _number(ds, "x_radius", box.x_radius, _NON_NEGATIVE),
-                          _number(ds, "u_radius", box.u_radius, _NON_NEGATIVE))
+    radii = {k: ds.getfloat(k) for k in ("x_radius", "u_radius") if k in ds}
+    try:
+        domain = SampleDomain((t_min, t_max), **radii)
+    except ValueError as exc:   # the type's rules, in the INI's keys
+        detail = (f"t_max must exceed t_min, got t_min={t_min!r}, t_max={t_max!r}"
+                  if str(exc).startswith("t_range") else exc)
+        raise ConfigError(f"[domains] {detail}") from None
 
     ss, sim = cp["sim"], SimSpec()
     sim.t0 = _number(ss, "t0", sim.t0)

@@ -17,9 +17,13 @@ subtrees by value, so a subtree that occurs more than once is computed once,
 and writes a constant exponent of 1, 2 or 3 as ``a``, ``a*a`` and
 ``(a*a)*a``.  A point and a batch of one compile therefore give the same
 bits wherever the float operations and the ``math`` functions agree with
-numpy: always for ``+ - * /``, the small powers, ``abs`` and, at non-NaN
-arguments, ``max min``; for ``sin cos sqrt`` on common builds.  ``exp log
-tan tanh`` and the other powers may differ in the last bits.
+numpy.  IEEE 754 rounds ``+ - * /`` and ``sqrt`` correctly, so both paths
+agree on them, on the small powers, on unary minus and on ``abs``; a tree
+built from these alone is *point-exact* (`is_point_exact`).  ``exp log tan
+tanh`` and the other powers are not correctly rounded and differ in the
+last bits between ``math`` and numpy.  ``sin cos`` agree on common builds,
+but IEEE does not guarantee it, and ``max min`` differ at NaN, so none of
+these is point-exact.
 """
 
 from __future__ import annotations
@@ -632,6 +636,28 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     call.arg_names = arg_names  # type: ignore[attr-defined]
     call.math = fn_s  # type: ignore[attr-defined]
     return call
+
+
+_POINT_EXACT_CALLS = {"abs", "sqrt"}
+
+
+def is_point_exact(e: Expr) -> bool:
+    """True when the tree uses only literals, variables, unary minus,
+    ``+ - * /``, the constant exponents 1, 2 and 3 and the calls ``abs``
+    and ``sqrt``: its compiled value at floats equals a batch row bit for
+    bit (see the module docstring)."""
+    if isinstance(e, (Num, Var)):
+        return True
+    if isinstance(e, Neg):
+        return is_point_exact(e.arg)
+    if isinstance(e, BinOp):
+        if e.op == "^":
+            return (isinstance(e.right, Num) and e.right.value in (1.0, 2.0, 3.0)
+                    and is_point_exact(e.left))
+        return is_point_exact(e.left) and is_point_exact(e.right)
+    if isinstance(e, Call):
+        return e.func in _POINT_EXACT_CALLS and is_point_exact(e.args[0])
+    raise TypeError(f"not an Expr: {e!r}")
 
 
 def is_smooth(e: Expr) -> bool:

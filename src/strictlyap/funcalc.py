@@ -4,12 +4,19 @@ A GainFunction bundles a nonnegative scalar map with derivative access and a
 probe interval.  Class membership cannot be proven by sampling, so `check_kl`
 reports the worst violation found on a grid instead of claiming a proof.
 Numeric inversion is bracket doubling followed by safeguarded Newton steps
-that fall back on bisection, which only needs monotonicity.  An inverse gain
-answers a target equal to its last one from its last answer.
+that fall back on bisection, which only needs monotonicity.  `_invert_array`
+takes these steps on numpy arrays and `invert` on Python floats.  A gain
+built from point-exact expressions (see `exprparse.is_point_exact`) and
+the constructions below carries ``point_exact``: its float value and its
+batch value agree bit for bit, so the float loop gives the batch answer,
+and an inverse gain answers a float, or a batch of at most `FLOAT_BATCH`
+targets, one target at a time on floats.  An inverse gain answers a target
+equal to its last one from its last answer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -20,6 +27,10 @@ from . import exprparse
 
 DEFAULT_PROBE_MAX = 1.0e3
 _BRACKET_DOUBLINGS = 60
+# the largest batch of a point-exact gain's targets inverted one by one on
+# floats: at 14 targets both routes take about 0.23 ms on the alpha2_tilde
+# of the benchmark's sweep problems, and from 16 up one array call is faster
+FLOAT_BATCH = 14
 
 
 class BracketNotFoundError(RuntimeError):
@@ -32,13 +43,18 @@ class GainFunction:
 
     ``fn`` must accept floats and numpy arrays.  When ``deriv_fn`` is not
     given, the derivative falls back to central differences with step
-    ``max(1e-6, 1e-6*s)`` (one-sided at 0).
+    ``max(1e-6, 1e-6*s)`` (one-sided at 0).  ``point_exact`` is derived,
+    never configured: `gain_from_expr` and `identity_gain` set it, and each
+    construction of this module and of `strictify` passes on the AND of its
+    parts.  It promises that the value and the derivative at a float equal,
+    bit for bit, the elements of a batch call.
     """
 
     fn: Callable
     deriv_fn: Callable | None = None
     probe_max: float = DEFAULT_PROBE_MAX
     label: str = ""
+    point_exact: bool = False
 
     def __call__(self, s):
         return self.fn(s)
@@ -75,7 +91,8 @@ class SpotCheckReport:
 
 
 def identity_gain() -> GainFunction:
-    return GainFunction(lambda s: s * 1.0, lambda s: np.ones_like(s, dtype=float), label="s")
+    return GainFunction(lambda s: s * 1.0, lambda s: np.ones_like(s, dtype=float), label="s",
+                        point_exact=True)
 
 
 def gain_from_expr(text: str) -> GainFunction:
@@ -91,12 +108,14 @@ def gain_from_expr(text: str) -> GainFunction:
         raise ValueError(f"gain expression may only use 's', found {sorted(extra)}")
     fn = exprparse.compile_expr(e, ("s",))
     deriv = None
+    exact = exprparse.is_point_exact(e)
     if exprparse.is_smooth(e):
         d = exprparse.differentiate(e, "s")
+        exact = exact and exprparse.is_point_exact(d)
         deriv = exprparse.compile_expr(d, ("s",))
         if not d.variables():
             deriv = partial(np.full_like, fill_value=float(deriv(0.0)), dtype=float)
-    return GainFunction(fn, deriv, label=text)
+    return GainFunction(fn, deriv, label=text, point_exact=exact)
 
 
 def check_kl(beta: KLFunction, s_max: float = 10.0, t_max: float = 10.0,
@@ -135,9 +154,58 @@ def check_kl(beta: KLFunction, s_max: float = 10.0, t_max: float = 10.0,
 
 
 def invert(g: GainFunction, y: float) -> float:
-    """Solve g(s) = y for s >= 0: `_invert_array` on one target, which is
-    the answer that target gets inside any batch."""
-    return float(_invert_array(g, y))
+    """Solve g(s) = y for s >= 0 on Python floats, by `_invert_array`'s
+    steps for one target: for a point-exact g, the answer that target gets
+    inside any batch, bit for bit.
+
+    A target where a float operation raises one of `exprparse.FLOAT_ERRORS`
+    (a division by zero in g, in g' or in the Newton step, a domain error),
+    where numpy gives inf or nan instead, is solved by `_invert_array`.
+    """
+    y = float(y)
+    if y < 0.0:
+        raise ValueError("target must be nonnegative")
+    if not y > 0.0:
+        return 0.0 if y == 0.0 else math.nan
+    try:
+        return _invert_float(g, y)
+    except exprparse.FLOAT_ERRORS:
+        return float(_invert_array(g, y))
+
+
+def _invert_float(g: GainFunction, y: float) -> float:
+    """`invert` at a target y > 0; the loop of `_invert_array` written for
+    one target, step by step."""
+    fn, deriv = g.fn, g.deriv
+    lo, hi = 0.0, 1.0
+    for _ in range(_BRACKET_DOUBLINGS + 20):
+        f = float(fn(hi)) - y       # g(x) - y at the iterate x
+        if not f < 0.0:
+            break
+        lo = hi
+        hi *= 2.0
+    else:
+        raise BracketNotFoundError("gain looks bounded on probed range")
+    if hi > g.probe_max * 2.0 ** _BRACKET_DOUBLINGS:
+        raise BracketNotFoundError("gain looks bounded on probed range")
+    x = hi
+    moved = math.inf
+    for _ in range(110):
+        tol = 1.0e-15 * max(1.0, hi)
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        step = f / float(deriv(x))
+        s = x - step - math.copysign(0.25 * tol, step)
+        if not (math.isfinite(s) and lo < s < hi and abs(s - x) <= 0.5 * moved):
+            s = 0.5 * (lo + hi)
+        f = float(fn(s)) - y
+        if f < 0.0:
+            lo = s
+        else:
+            hi = s
+        moved = abs(s - x)
+        x = s
+    return 0.5 * (lo + hi)
 
 
 def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:
@@ -209,31 +277,46 @@ def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:
 def inverse_gain(g: GainFunction) -> GainFunction:
     """Numeric inverse of an increasing gain, as a GainFunction.
 
-    Arguments go through `_invert_array`, so a float gives a 0-d array and
-    each element the answer it would get alone.  The gain keeps its last
-    target and answer: a target of the same shape and equal values (NaN
-    equal to NaN, -0.0 to 0.0) gets a copy of the last answer without a new
-    inversion, so ``deriv(y)`` followed by ``fn(y)`` inverts ``y`` once.  The
-    derivative uses the inverse-function rule 1/g'(g^{-1}(y)).
+    Each target gets the answer it would get alone.  For a point-exact g a
+    float goes through `invert` and gives a float, and a batch of at most
+    `FLOAT_BATCH` targets goes through `invert` one target at a time; every
+    other argument goes through `_invert_array`, so a float gives a 0-d
+    array.  The gain keeps its last target and answer: a float equal to the
+    last float, or an array of the same shape and equal values (NaN equal to
+    NaN, -0.0 to 0.0) to the last array, gets the last answer (arrays a
+    copy) without a new inversion, so ``deriv(y)`` followed by ``fn(y)``
+    inverts ``y`` once.  The derivative uses the inverse-function rule
+    1/g'(g^{-1}(y)), divided as numpy divides, so a zero slope gives inf.
     """
-    last = None     # (target, answer) of the last inversion, both copies
+    last = None     # (target, answer) of the last inversion, arrays as copies
 
     def fn(y):
         nonlocal last
-        y = np.asarray(y, dtype=float)
         prev = last     # one read: target and answer always belong together
-        if prev is not None and np.array_equal(prev[0], y, equal_nan=True):
+        if g.point_exact and isinstance(y, float):
+            if prev is not None and isinstance(prev[0], float) and (
+                    prev[0] == y or (prev[0] != prev[0] and y != y)):
+                return prev[1]
+            out = invert(g, y)
+            last = (float(y), out)
+            return out
+        y = np.asarray(y, dtype=float)
+        if (prev is not None and isinstance(prev[0], np.ndarray)
+                and np.array_equal(prev[0], y, equal_nan=True)):
             return prev[1].copy()
-        out = _invert_array(g, y)
+        if g.point_exact and y.size <= FLOAT_BATCH:
+            out = np.array([invert(g, v) for v in y.ravel().tolist()]).reshape(y.shape)
+        else:
+            out = _invert_array(g, y)
         last = (y.copy(), out.copy())
         return out
 
     def deriv(y):
-        s = fn(y)
-        return 1.0 / g.deriv(s)
+        return np.divide(1.0, g.deriv(fn(y)))
 
     top = float(g(g.probe_max))
-    return GainFunction(fn, deriv, probe_max=top, label=f"inv({g.label})" if g.label else "inv")
+    return GainFunction(fn, deriv, probe_max=top, label=f"inv({g.label})" if g.label else "inv",
+                        point_exact=g.point_exact)
 
 
 def compose(outer: GainFunction, inner: GainFunction) -> GainFunction:
@@ -247,7 +330,8 @@ def compose(outer: GainFunction, inner: GainFunction) -> GainFunction:
     label = ""
     if outer.label and inner.label:
         label = f"({outer.label}) o ({inner.label})"
-    return GainFunction(fn, deriv, probe_max=inner.probe_max, label=label)
+    return GainFunction(fn, deriv, probe_max=inner.probe_max, label=label,
+                        point_exact=outer.point_exact and inner.point_exact)
 
 
 def scale_gain(c: float, g: GainFunction) -> GainFunction:
@@ -256,7 +340,8 @@ def scale_gain(c: float, g: GainFunction) -> GainFunction:
         raise ValueError("scale must be positive")
     return GainFunction(lambda s: c * g(s), lambda s: c * g.deriv(s),
                         probe_max=g.probe_max,
-                        label=f"{c!r}*({g.label})" if g.label else "")
+                        label=f"{c!r}*({g.label})" if g.label else "",
+                        point_exact=g.point_exact)
 
 
 def rescale_kl(beta: KLFunction, pbar_fn: GainFunction) -> KLFunction:

@@ -257,7 +257,7 @@ def build_alpha2_tilde(alpha2: GainFunction, mu: GainFunction, tau: float,
 
     label = f"{c!r}*(({alpha2.label or 'a2'}) + ({mu.label or 'mu'}) + s)"
     return GainFunction(fn, deriv, probe_max=min(alpha2.probe_max, mu.probe_max),
-                        label=label)
+                        label=label, point_exact=alpha2.point_exact and mu.point_exact)
 
 
 def build_w(mu_tilde: GainFunction, tau: float, pbar: float,
@@ -293,12 +293,20 @@ def dis_to_issp_chi(mu: GainFunction, omega: GainFunction) -> GainFunction:
 
 def default_domain(candidate: LyapunovCandidate, system: ControlSystem,
                    p: DecayRate, tau: float) -> SampleDomain:
-    """The box a route samples when given none, which an INI's `[domains]`
-    keys override: ``SampleDomain``'s radii, and ``t`` in ``[0, max(P, tau)
-    + tau]``, one period of ``xi`` (that of ``p``) plus one window, with ``P``
-    the largest of the candidate's, system's and rate's periods (0 if none)."""
+    """The box a route samples when given none: ``SampleDomain``'s radii,
+    and ``t`` in `default_t_range`.  Raises ValueError, through
+    ``SampleDomain``, when that range's end overflows."""
+    return SampleDomain(default_t_range(candidate, system, p, tau))
+
+
+def default_t_range(candidate: LyapunovCandidate, system: ControlSystem,
+                    p: DecayRate, tau: float) -> tuple[float, float]:
+    """``[0, max(P, tau) + tau]``, which an INI's `[domains]` keys override:
+    one period of ``xi`` (that of ``p``) plus one window, with ``P`` the
+    largest of the candidate's, system's and rate's periods (0 if none).
+    The end is inf when the sum overflows."""
     period = max(candidate.period or 0.0, system.period or 0.0, p.period or 0.0)
-    return SampleDomain((0.0, max(period, tau) + tau))
+    return 0.0, max(period, tau) + tau
 
 
 def _xi_splines(p: DecayRate, tau: float) -> decay_mod.WindowTables:
@@ -456,7 +464,8 @@ def _decay_gain(epsilon: float, w: GainFunction, alpha1: GainFunction) -> GainFu
     g = compose(w, alpha1)
     return GainFunction(lambda s: epsilon * g(s), lambda s: epsilon * g.deriv(s),
                         probe_max=alpha1.probe_max,
-                        label=f"{epsilon!r}*({w.label or 'w'})(({alpha1.label or 'a1'}))")
+                        label=f"{epsilon!r}*({w.label or 'w'})(({alpha1.label or 'a1'}))",
+                        point_exact=g.point_exact)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ non-finite sampled margin, without refinement.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,11 +36,27 @@ class FitFailedError(ValidationFailure):
 
 @dataclass(frozen=True)
 class SampleDomain:
-    """Box of the form t in [t0, t1], |x| <= x_radius, |u| <= u_radius."""
+    """Box of the form t in [t0, t1], |x| <= x_radius, |u| <= u_radius.
+
+    A box is valid by construction: ``t_range`` must be finite and
+    increasing and each radius finite and non-negative (0 samples only the
+    origin), or ValueError names the field.
+    """
 
     t_range: tuple[float, float] = (0.0, 10.0)
     x_radius: float = 10.0
     u_radius: float = 5.0
+
+    def __post_init__(self):
+        t0, t1 = self.t_range
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ValueError(f"t_range must be finite, got {self.t_range!r}")
+        if not t0 < t1:
+            raise ValueError(f"t_range must be increasing, got {self.t_range!r}")
+        for name in ("x_radius", "u_radius"):
+            r = getattr(self, name)
+            if not 0.0 <= r < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {r!r}")
 
     def sample(self, n: int, nx: int, nu: int, seed: int = 0):
         """Deterministic batch: (t, x, u) arrays of shapes (n,), (n,nx), (n,nu).

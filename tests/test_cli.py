@@ -384,18 +384,45 @@ class TestDeterminism:
         assert a == b
 
 
-def test_module_entry_point_runs():
-    # the child imports the package under test, also when only pytest's
-    # `pythonpath` setting put it on the path
+def _child_env() -> dict:
+    """The environment of a child process that imports the package under
+    test, also when only pytest's `pythonpath` setting put it on the path."""
     src = str(Path(strictlyap.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "strictlyap.cli", "pe", "--example", "scalar-linear"],
-        capture_output=True, text=True, timeout=300, env=env)
+        capture_output=True, text=True, timeout=300, env=_child_env())
     assert proc.returncode == 0
     line = [l for l in proc.stdout.splitlines() if l.startswith("epsilon (raw)")][0]
     assert float(line.split(":")[1]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--example", "rigid-body"],
+    ["verify", "iss-estimate", "--example", "scalar-linear"],
+    ["strictify", "--config", "readme"],
+    ["strictify", "--example", "scalar-linear"],
+    ["example", "counterexample-elw"],
+    ["example", "rigid-body"],
+    # two aperiodic rates: the benchmark's sweep problems 2 and 5 at seed 0
+    ["pe", "--config", "sweep-2"],
+    ["strictify", "--config", "sweep-2"],
+    ["pe", "--config", "sweep-5"],
+    ["strictify", "--config", "sweep-5"],
+], ids=" ".join)
+def test_float_paths_raise_no_runtime_warning(tmp_path, sweep_inis, argv):
+    # whole commands in a fresh process, where every RuntimeWarning is an error
+    inis = sweep_inis(0)
+    configs = {"readme": _readme_ini(tmp_path), "sweep-2": inis[2], "sweep-5": inis[5]}
+    argv = [str(configs.get(a, a)) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "strictlyap.cli", *argv],
+        capture_output=True, text=True, timeout=300, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _readme_ini(tmp_path) -> Path:
@@ -609,19 +636,26 @@ def test_library_surface():
 def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, capsys):
     # the README's issp route inverts alpha2_tilde behind every w and decay
     # call; an inverse gain that reuses its last answer, probed a descent pass
-    # at a time, inverts 21 times here, against 46 with one-point probes and
-    # 222 when each call inverted anew
+    # at a time, inverts 21 times here: the slope grid and the two checks'
+    # samples as arrays, and 18 descent batches of 1 to 5 targets, 70 in
+    # all, one target at a time on floats
     cfg = _readme_ini(tmp_path)
     calls = []
-    original = funcalc._invert_array
+    original, original_invert = funcalc._invert_array, funcalc.invert
 
     def counted(g, y):
         calls.append(np.shape(y))
         return original(g, y)
 
+    def counted_invert(g, y):
+        calls.append("float")
+        return original_invert(g, y)
+
     monkeypatch.setattr(funcalc, "_invert_array", counted)
+    monkeypatch.setattr(funcalc, "invert", counted_invert)
     assert cli.main(["strictify", "--config", str(cfg)]) == 0
-    assert len(calls) == 21
+    assert sorted(c for c in calls if c != "float") == [(1024,), (2009,), (3000,)]
+    assert calls.count("float") == 70
 
 
 _SCIPY_AFTER = (
@@ -637,11 +671,8 @@ _SCIPY_AFTER = (
 
 def _scipy_modules_after(argv: list[str]) -> set[str]:
     """The scipy modules a fresh process holds after ``cli.main(argv)``."""
-    src = str(Path(strictlyap.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, json.dumps(argv)],
-                          capture_output=True, text=True, timeout=300, env=env)
+                          capture_output=True, text=True, timeout=300, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 

@@ -440,3 +440,17 @@ def test_fixture_point_equals_batch(name, halton_points):
 def test_sweep_point_equals_batch(sweep_problems, halton_points):
     texts = {t: None for problem in sweep_problems(0) for t in _fixture_texts(problem)}
     _assert_point_equals_batch(list(texts), halton_points)
+
+
+@pytest.mark.parametrize("text, exact", [
+    ("2.5", True), ("s", True), ("-s", True),
+    ("s + 1", True), ("s - 1", True), ("3*s", True), ("s/2", True),
+    ("s^1", True), ("s^2", True), ("(s + 1)^3", True), ("0.5*s^2 + s", True),
+    ("abs(s)", True), ("sqrt(s)", True), ("sqrt(abs(s)) + s/3", True),
+    ("s^4", False), ("s^0.5", False), ("s^s", False), ("s^(1 + 1)", False), ("s^-2", False),
+    ("exp(s)", False), ("log(s + 1)", False), ("tan(s)", False), ("tanh(s)", False),
+    ("sin(s)", False), ("cos(s)", False), ("max(s, 1)", False), ("min(s, 2*s)", False),
+    ("s + 2*exp(s)", False), ("-tanh(s)", False), ("sqrt(s^4)", False),
+])
+def test_is_point_exact(text, exact):
+    assert ep.is_point_exact(ep.parse(text)) is exact

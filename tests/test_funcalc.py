@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from strictlyap import decay, funcalc as fc
 from strictlyap.decay import DecayRate, underline_p_gain
-from strictlyap.strictify import DEFAULT_FACTOR_ISS, build_alpha2_tilde, build_w
+from strictlyap.strictify import (DEFAULT_FACTOR_ISS, _decay_gain, build_alpha2_tilde,
+                                  build_w)
 
 
 def test_invert_identity():
@@ -158,15 +160,22 @@ def test_invert_array_rejects_negative_and_bounded():
 
 
 def _counting(monkeypatch):
-    """Count the bisections behind every inverse gain from here on."""
+    """Count the inversions behind every inverse gain from here on: the
+    shape of each `_invert_array` batch, and "float" for each target that
+    `invert` solves on floats."""
     calls = []
-    original = fc._invert_array
+    original, original_invert = fc._invert_array, fc.invert
 
     def counted(g, y):
         calls.append(np.shape(y))
         return original(g, y)
 
+    def counted_invert(g, y):
+        calls.append("float")
+        return original_invert(g, y)
+
     monkeypatch.setattr(fc, "_invert_array", counted)
+    monkeypatch.setattr(fc, "invert", counted_invert)
     return calls, original
 
 
@@ -177,7 +186,8 @@ def _bits(a):
 
 def test_issp_w_inverts_a_repeated_argument_once(monkeypatch):
     # w = (factor/tau) mu o alpha2_tilde^-1 as strictify_issp builds it; the
-    # contract margin calls w.deriv(V) and then w(V) on one batch
+    # contract margin calls w.deriv(V) and then w(V) on one batch, here a
+    # refinement batch of a point-exact gain, solved one target at a time
     mu, alpha2 = fc.gain_from_expr("s + s^3"), fc.gain_from_expr("2*s^2")
     a2t = build_alpha2_tilde(alpha2, mu, 1.5, 0.8)
     calls, original = _counting(monkeypatch)
@@ -185,7 +195,7 @@ def test_issp_w_inverts_a_repeated_argument_once(monkeypatch):
     v = np.array([0.0, 0.2, 1.3, 7.0])
     del calls[:]
     slope, value = w.deriv(v), w(v)
-    assert calls == [(4,)]
+    assert calls == ["float"] * 4
     s = original(a2t, v)
     c = DEFAULT_FACTOR_ISS / 1.5
     assert np.array_equal(slope, c * (mu.deriv(s) * (1.0 / a2t.deriv(s))))
@@ -196,7 +206,7 @@ def test_reused_answers_are_fresh_bisections_and_copies(monkeypatch):
     g = fc.gain_from_expr("s + s^3")
     inv = fc.inverse_gain(g)
     calls, original = _counting(monkeypatch)
-    y = np.array([0.5, 2.0, 30.0])
+    y = np.linspace(0.5, 30.0, fc.FLOAT_BATCH + 1)     # a batch for `_invert_array`
     for _ in range(2):       # the caller owns what it gets, bisected or reused
         got = inv(y)
         assert _bits(got) == _bits(original(g, y))
@@ -209,15 +219,18 @@ def test_reused_answers_are_fresh_bisections_and_copies(monkeypatch):
 
 
 def test_reuse_keeps_nan_and_signed_zero_answers(monkeypatch):
+    # the float route: a small batch and a float each target on floats,
+    # every answer the bits of the array route's element
     g = fc.gain_from_expr("s + s^3")
     inv = fc.inverse_gain(g)
     calls, original = _counting(monkeypatch)
     plus, minus = np.array([0.0, np.nan, 2.0]), np.array([-0.0, np.nan, 2.0])
     assert _bits(inv(plus)) == _bits(original(g, plus))
     assert _bits(inv(minus)) == _bits(original(g, minus))   # equal target, reused
-    assert _bits(inv(np.nan)) == _bits(original(g, np.nan))
-    assert _bits(inv(np.nan)) == _bits(original(g, np.nan))
-    assert calls == [(3,), ()]
+    for y in (np.nan, np.nan, -0.0, 0.0):     # each second one reused
+        got = inv(y)
+        assert type(got) is float and _bits(got) == _bits(original(g, y))
+    assert calls == ["float"] * 5
 
 
 def test_raising_target_keeps_the_last_answer(monkeypatch):
@@ -225,10 +238,107 @@ def test_raising_target_keeps_the_last_answer(monkeypatch):
     inv = fc.inverse_gain(g)
     calls, original = _counting(monkeypatch)
     good = inv(2.0)
+    assert type(good) is float and _bits(good) == _bits(original(g, 2.0))
     with pytest.raises(ValueError, match="target must be nonnegative"):
         inv(-2.0)
     assert _bits(inv(2.0)) == _bits(good)
-    assert calls == [(), ()]
+    assert calls == ["float", "float"]
+
+
+def _inverted_gains(monkeypatch, problems):
+    """The gains the certificate routes of ``problems`` invert, one per
+    label, recorded at `strictify.inverse_gain`."""
+    from strictlyap import strictify
+    from strictlyap.config import strictify_problem
+    from strictlyap.decay import estimate_pe
+    from strictlyap.errors import ValidationFailure
+
+    seen = {}
+    original = strictify.inverse_gain
+
+    def recorded(g):
+        seen.setdefault(g.label, g)
+        return original(g)
+
+    monkeypatch.setattr(strictify, "inverse_gain", recorded)
+    for problem in problems:
+        if problem.rate.pe is None:
+            problem.rate = problem.rate.with_pe(
+                estimate_pe(problem.rate, problem.tau).triple(certified=True))
+        try:    # the gains are built before any check samples
+            strictify_problem(problem, n_samples=200)
+        except ValidationFailure:
+            pass
+    return list(seen.values())
+
+
+def test_float_inversion_is_the_batch_element(monkeypatch, sweep_problems):
+    # every gain that the fixtures and the benchmark's sweep problems invert
+    # (alpha2_tilde of scalar-linear, of counterexample-elw and of the 12 issp
+    # problems) is point-exact, and `invert` gives its `_invert_array`
+    # element bit for bit
+    from strictlyap.fixtures import FIXTURES, get_fixture
+
+    problems = [get_fixture(name) for name in FIXTURES] + sweep_problems(0) + sweep_problems(1)
+    gains = _inverted_gains(monkeypatch, problems)
+    assert len(gains) == 14 and all(g.point_exact for g in gains)
+    rng = np.random.default_rng(27)
+    ys = np.concatenate([rng.uniform(0.0, 50.0, 10_000), 10.0 ** rng.uniform(-8.0, 3.0, 10_000)])
+    for g in gains:
+        batch = fc._invert_array(g, ys)
+        floats = np.array([fc.invert(g, y) for y in ys.tolist()])
+        assert np.array_equal(floats.view(np.uint64), batch.view(np.uint64)), g.label
+
+
+@pytest.mark.parametrize("text", ["exp(s) - 1", "s + tanh(s)"])
+def test_inexact_gain_never_enters_the_float_loop(monkeypatch, text):
+    # probe_max 50: exp(1000) overflows on a float
+    g = dataclasses.replace(fc.gain_from_expr(text), probe_max=50.0)
+    inv = fc.inverse_gain(g)
+    loops = []
+    original = fc._invert_float
+
+    def counted(g, y):
+        loops.append(y)
+        return original(g, y)
+
+    monkeypatch.setattr(fc, "_invert_float", counted)
+    assert not g.point_exact and not inv.point_exact
+    ys = np.array([0.3, 1.7, 12.5])
+    assert np.array_equal(inv(ys), fc._invert_array(g, ys))
+    assert np.shape(inv(2.0)) == () and float(inv(2.0)) == fc._invert_array(g, 2.0)
+    w = fc.scale_gain(0.5, fc.compose(fc.identity_gain(), inv))
+    assert not w.point_exact
+    w(np.array([4.0]))
+    w.deriv(5.0)
+    assert loops == []
+
+
+def test_point_exact_is_the_and_of_the_parts():
+    exact, inexact = fc.gain_from_expr("s + s^3"), fc.gain_from_expr("s + tanh(s)")
+    assert fc.identity_gain().point_exact and exact.point_exact
+    assert not fc.GainFunction(np.tanh).point_exact
+    assert not fc.gain_from_expr("s^4").point_exact
+    assert fc.gain_from_expr("s*abs(s)").point_exact     # finite-difference slope
+    for a, b in ((exact, exact), (exact, inexact), (inexact, exact)):
+        both = a.point_exact and b.point_exact
+        assert fc.compose(a, b).point_exact is both
+        assert build_alpha2_tilde(a, b, 1.5, 0.8).point_exact is both
+        assert _decay_gain(0.5, a, b).point_exact is both
+    for g in (exact, inexact):
+        assert fc.scale_gain(2.0, g).point_exact is g.point_exact
+        assert fc.inverse_gain(g).point_exact is g.point_exact
+
+
+def test_float_error_target_takes_the_array_route(monkeypatch):
+    # g'(1) = 0 for (s - 1)^3 + 1: the Newton step at the first iterate
+    # divides by zero on floats, where numpy bisects instead
+    g = fc.gain_from_expr("(s - 1)^3 + 1")
+    inv = fc.inverse_gain(g)
+    calls, original = _counting(monkeypatch)
+    got = inv(1.0)
+    assert calls == ["float", ()]
+    assert _bits(got) == _bits(original(g, 1.0))
 
 
 @pytest.mark.parametrize("text, c", [("s", 1.0), ("2*s", 2.0), ("3*s + 1", 3.0)])

@@ -28,6 +28,17 @@ def _aperiodic_certificate():
                              n_samples=400, seed=4)
 
 
+def test_default_box_that_overflows_raises():
+    # max(P, tau) + tau is inf for tau = 1e308: no route may sample t = inf
+    sl = scalar_linear()
+    rate = rate_from_expr("1", period=1.0, pe=PETriple(1.0e308, 1.0e308, 1.0))
+    assert st.default_t_range(sl.candidate, sl.system, rate, 1.0e308) == (0.0, math.inf)
+    with pytest.raises(ValueError, match=r"^t_range must be finite, got \(0.0, inf\)$"):
+        st.default_domain(sl.candidate, sl.system, rate, 1.0e308)
+    with pytest.raises(ValueError, match="t_range must be finite"):
+        st.strictify_issp(sl.candidate, sl.system, rate, chi=sl.chi, mu=sl.mu, n_samples=200)
+
+
 class TestBuildAlpha2Tilde:
     def test_identity_gains_pi(self):
         g = st.build_alpha2_tilde(identity_gain(), identity_gain(), PI, 1.0)

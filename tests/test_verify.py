@@ -112,6 +112,30 @@ class TestSampleDomain:
             assert np.isfinite(b).all()
             np.testing.assert_allclose(b, 1e200 * u, rtol=1e-14)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"t_range": (0.0, math.inf)}, r"^t_range must be finite, got \(0.0, inf\)$"),
+        ({"t_range": (math.nan, 1.0)}, r"^t_range must be finite, got \(nan, 1.0\)$"),
+        ({"t_range": (5.0, 1.0)}, r"^t_range must be increasing, got \(5.0, 1.0\)$"),
+        ({"t_range": (2.0, 2.0)}, r"^t_range must be increasing, got \(2.0, 2.0\)$"),
+        ({"x_radius": -3.0}, r"^x_radius must be non-negative and finite, got -3.0$"),
+        ({"x_radius": math.inf}, r"^x_radius must be non-negative and finite, got inf$"),
+        ({"u_radius": math.nan}, r"^u_radius must be non-negative and finite, got nan$"),
+    ])
+    def test_invalid_box_names_the_field(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SampleDomain(**kwargs)
+
+    def test_zero_radius_is_a_valid_box(self):
+        _, x, u = SampleDomain((0.0, 1.0), 0.0, 0.0).sample(9, 2, 1)
+        assert not x.any() and not u.any()
+
+    @pytest.mark.parametrize("box", [((0.0, math.inf),), ((5.0, 1.0),), ((0.0, 2.0), -3.0)])
+    def test_box_that_passed_a_check_now_raises(self, box):
+        # each of these boxes once passed check_uppd on 200 samples: t = inf
+        # as the worst point, a reversed range, and x = 0 at every sample
+        with pytest.raises(ValueError, match="t_range" if len(box) == 1 else "x_radius"):
+            verify.check_uppd(scalar_linear().candidate, SampleDomain(*box), 200, 0)
+
     @pytest.mark.parametrize("n", [0, -5])
     def test_empty_budget_rejected(self, n):
         with pytest.raises(ValueError, match="at least 1"):
