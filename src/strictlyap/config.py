@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exprparse, strictify
 from .decay import DecayRate, PETriple
-from .dynsys import DEFAULT_STEP, ControlSystem, Signal, close_loop
+from .dynsys import DEFAULT_STEP, ControlSystem, Signal, close_loop, step_count
 from .funcalc import GainFunction, gain_from_expr
 from .strictify import LyapunovCandidate
 from .verify import DEFAULT_SAMPLES, SampleDomain
@@ -343,8 +343,10 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     sim.t0 = _number(ss, "t0", sim.t0)
     sim.tf = _number(ss, "tf", sim.tf)
     sim.step = _number(ss, "step", sim.step, _POSITIVE)
-    if not sim.tf > sim.t0:
-        raise ConfigError(f"[sim] tf must exceed t0, got t0={sim.t0!r}, tf={sim.tf!r}")
+    try:
+        step_count(sim.t0, sim.tf, sim.step)
+    except ValueError as exc:
+        raise ConfigError(f"[sim] {exc}") from None
     k = 1
     while f"x0.{k}" in ss:
         raw = _strip(ss[f"x0.{k}"]).replace(",", " ")

@@ -5,15 +5,17 @@ step shortened to land exactly on the requested final time; a norm guard
 aborts on likely finite escape.  Reproducibility beats adaptivity here, so
 no step-size control is attempted.
 
-One state is stepped at a time, on Python floats.  A step is one call of a
-function generated once per (n, m), which calls the field's point kernel
-``f.point(t, x1..xn, u1..um) -> tuple`` four times on positional floats.
-Fields built from expressions (``config.field_from_exprs``) carry a kernel,
-the plain-float function that ``exprparse.compile_expr`` generates for all
-components at once (each shared subtree, such as ``sin(t)``, computed once),
-and ``close_loop`` composes the kernels of a field and its feedback.  Any
-other callable gets one adapter, with the kernel's signature, that calls
-``f(t, x, u)`` on ``(n,)`` arrays.  A step that
+One state is stepped at a time, on Python floats, by one generated loop
+that takes a whole chunk of steps (``_chunk_loop``) with the state in
+local variables.  Fields built from expressions (``config.field_from_exprs``)
+carry a point kernel ``f.point(t, x1..xn, u1..um) -> tuple``, the
+plain-float function that ``exprparse.compile_expr`` generates for all
+components at once, and the loop writes its expressions out in each RK4
+stage, on the stage's time, state and input (each shared subtree, such as
+``sin(t)``, computed once a stage).  Any other kernel is called once a
+stage: ``close_loop``'s composition of a field's and its feedback's
+kernels, or, for any other callable, one adapter with the kernel's
+signature that calls ``f(t, x, u)`` on ``(n,)`` arrays.  A step that
 overflows or leaves a domain on floats is repeated through that adapter.
 The exogenous input is read once per run, on all stage times, and its rows
 are converted to floats a chunk of steps at a time; finished states go into
@@ -38,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationFailure
-from .exprparse import FLOAT_ERRORS, EvalDomainError
+from .exprparse import _SCALAR_NS, FLOAT_ERRORS, EvalDomainError, body_lines
 
 BLOWUP_GUARD = 1.0e8
 # math.hypot and np.linalg.norm may differ in the last bits: a state within
@@ -124,42 +126,122 @@ def _on_arrays(f: Callable, n: int) -> Callable:
     return adapter
 
 
-# One RK4 step on positional floats; each {name} becomes a list "v0, v1, ..., "
-_STEP_SOURCE = """\
-def step(f, t, tm, tn, {x}{a}{b}{c}):
-    h = tn - t
-    hh = 0.5 * h
-    {p}= f(t, {x}{a})
-    {q}= f(tm, {x_p}{b})
-    {r}= f(tm, {x_q}{b})
-    {s}= f(tn, {x_r}{c})
-    h6 = h / 6.0
-    return ({x_next})
-"""
+def _check_norm(t: float, x: tuple) -> None:
+    """Raise BlowUpError when |x|, by np.linalg.norm's formula, exceeds the guard."""
+    xa = np.array(x)
+    nrm = math.sqrt(float(xa @ xa))
+    if not nrm <= BLOWUP_GUARD:
+        raise BlowUpError(t, nrm)
+
+
+# The RK4 stages: (output, time, input row, coefficient, previous output)
+_STAGES = (("p", "t", "a", "", ""), ("q", "tm", "b", "hh", "p"),
+           ("r", "tm", "b", "hh", "q"), ("s", "tn", "c", "h", "r"))
+_LOOP_NS = {**_SCALAR_NS, "_hypot": math.hypot, "_GUARD_FAST": _GUARD_FAST,
+            "_check_norm": _check_norm, "_array": np.array}
+
+
+def _stage_lines(kernel: Callable, n: int, m: int, stage: tuple) -> list[str]:
+    """Statements setting stage outputs ``{out}0..`` from state, time and input.
+
+    A kernel from ``compile_expr`` is written out: the used stage arguments
+    become ``{out}x0..``, the kernel's temporaries ``_{out}0..``.  Any other
+    kernel is called as ``f(time, states.., inputs..)``.
+    """
+    out, time, row, coef, prev = stage
+    states = [f"x{i} + {coef} * {prev}{i}" if prev else f"x{i}" for i in range(n)]
+    inputs = [f"{row}{k}" for k in range(m)]
+    exprs, names = getattr(kernel, "expr", None), getattr(kernel, "arg_names", ())
+    if not (isinstance(exprs, tuple) and len(exprs) == n and len(names) == 1 + n + m):
+        outs = "".join(f"{out}{i}, " for i in range(n))
+        return [f"{outs}= f({', '.join([time, *states, *inputs])})"]
+    used = set().union(*(e.variables() for e in exprs))
+    lines, rename = [], {names[0]: time}
+    rename.update(zip(names[1 + n:], inputs))
+    for i, name in enumerate(names[1:1 + n]):
+        rename[name] = f"{out}x{i}" if prev else states[i]
+        if prev and name in used:
+            lines.append(f"{out}x{i} = {states[i]}")
+    body, results = body_lines(exprs, rename, f"_{out}")
+    return lines + body + [f"{out}{i} = {r}" for i, r in enumerate(results)]
+
+
+def _chunk_loop(kernel: Callable, n: int, m: int, errors: tuple) -> Callable:
+    """The RK4 loop over a chunk of steps, for n states, m inputs and ``kernel``.
+
+    ``run(ts, us, lo, hi, x0..x{n-1}, append, stop_when) -> (j, stopped, x)``
+    steps the state x0.. from step lo to step hi of a chunk whose stage
+    times are ``ts`` (t0, t0 + h/2, t1, ...) and whose input rows, one per
+    stage time, are concatenated in ``us``.  Each new state goes to
+    ``append`` as a tuple, after the norm guard; ``stop_when(t, x)``, with
+    x an (n,) array, ends the loop after it.  The loop returns the steps
+    done, whether ``stop_when`` fired and the last state; it returns at
+    step j, not done, when a stage raises one of ``errors``.  Each component
+    is written out in the order of operations of the vector form, so the
+    states are bit for bit those of an (n,) array loop.
+
+    The source is generated on each call and compiled once per text: it
+    names every state and input, so it holds (n, m), and it holds every
+    literal of an inlined kernel as its repr, so kernels differing in 0.0
+    against -0.0 get loops of their own.
+    """
+    xs = "".join(f"x{i}, " for i in range(n))
+    lines = [f"def run(ts, us, lo, hi, {xs}append, stop_when):",
+             "    tn = ts[2 * lo]",
+             "    for i in range(2 * lo, 2 * hi, 2):",
+             "        t = tn",
+             "        tm = ts[i + 1]",
+             "        tn = ts[i + 2]"]
+    if m:
+        rows = "".join(f"{r}{k}, " for r in "abc" for k in range(m))
+        lines.append(f"        {rows}= us[{m} * i:{m} * i + {3 * m}]")
+    lines += ["        h = tn - t", "        hh = 0.5 * h", "        try:"]
+    lines += ["            " + line for stage in _STAGES
+              for line in _stage_lines(kernel, n, m, stage)]
+    lines += ["        except errors:",
+              f"            return i // 2, False, ({xs})",
+              "        h6 = h / 6.0"]
+    lines += [f"        x{i} = x{i} + h6 * (((p{i} + 2.0 * q{i}) + 2.0 * r{i}) + s{i})"
+              for i in range(n)]
+    lines += [f"        x = ({xs})",
+              f"        if not _hypot({xs}) <= _GUARD_FAST:",      # also true for nan
+              "            _check_norm(tn, x)",
+              "        append(x)",
+              "        if stop_when is not None and stop_when(tn, _array(x)):",
+              "            return i // 2 + 1, True, x",
+              f"    return hi, False, ({xs})"]
+    src = "def make(f, errors):\n" + "".join(f"    {line}\n" for line in lines)
+    return _loop_factory(src + "    return run\n")(kernel, errors)
 
 
 @functools.cache
-def _rk4_step(n: int, m: int) -> Callable:
-    """The RK4 step for n states and m inputs, generated on first use and kept.
+def _loop_factory(src: str) -> Callable:
+    """``make(f, errors) -> run`` from ``src``, compiled once per text."""
+    ns = dict(_LOOP_NS)
+    exec(src, ns)  # noqa: S102 - source built by _chunk_loop only
+    return ns["make"]
 
-    ``step(f, t, tm, tn, x0..x{n-1}, a0.., b0.., c0..) -> tuple`` with a, b,
-    c the input rows at t, tm = t + h/2 and tn = t + h, and ``f`` a kernel
-    (t, x1..xn, u1..um) -> n floats.  Each component is written out in the
-    order of operations of the vector form, so the states are bit for bit
-    those of an (n,) array loop.
+
+def step_count(t0: float, tf: float, step: float) -> int:
+    """The steps `integrate` takes from t0 to tf: ceil((tf - t0)/step), at
+    least one, the last one shortened to land on tf.
+
+    Raises ValueError naming the argument when t0, tf or step is not
+    finite, when tf <= t0 or step <= 0, and when the stage-time grid, two
+    floats a step, would be larger than numpy can index.
     """
-    def each(fmt: str, k: int) -> str:
-        return "".join(fmt.format(i=i) + ", " for i in range(k))
-
-    src = _STEP_SOURCE.format(
-        x=each("x{i}", n), a=each("a{i}", m), b=each("b{i}", m), c=each("c{i}", m),
-        p=each("p{i}", n), q=each("q{i}", n), r=each("r{i}", n), s=each("s{i}", n),
-        x_p=each("x{i} + hh * p{i}", n), x_q=each("x{i} + hh * q{i}", n),
-        x_r=each("x{i} + h * r{i}", n),
-        x_next=each("x{i} + h6 * (((p{i} + 2.0 * q{i}) + 2.0 * r{i}) + s{i})", n))
-    ns: dict = {}
-    exec(src, ns)  # noqa: S102 - source built from the template above only
-    return ns["step"]
+    for name, value in (("t0", t0), ("tf", tf), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not tf > t0:
+        raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step!r}")
+    count = (tf - t0) / step - 1.0e-12      # inf when tf - t0 overflows
+    if not 2.0 * count * np.dtype(float).itemsize < np.iinfo(np.intp).max:
+        raise ValueError(f"step {step!r} from t0={t0!r} to tf={tf!r} gives "
+                         f"{count:.3g} steps, more than an array can index")
+    return max(1, math.ceil(count))
 
 
 def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
@@ -175,17 +257,13 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
     it raises propagates.  ``stop_when(t, x)``, with x an (n,) array, may end
     the run early (the point that triggered it is still recorded).  Raises
     EvalDomainError on a non-finite input and BlowUpError when |x| exceeds
-    the guard.
+    the guard; `step_count` refuses a bad time grid with ValueError.
     """
-    if tf <= t0:
-        raise ValueError("tf must exceed t0")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    n_steps = step_count(t0, tf, step)
     n, m = system.n, system.m
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
-    n_steps = max(1, int(np.ceil((tf - t0) / step - 1.0e-12)))
     nodes = np.append(t0 + np.arange(n_steps) * step, tf)     # t0 + k*step, then tf
     grid = np.empty(2 * n_steps + 1)                          # t0, t0 + h/2, t1, ..., tf
     grid[0::2], grid[1::2] = nodes, nodes[:-1] + 0.5 * np.diff(nodes)
@@ -195,35 +273,24 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
     if bad.size:
         raise EvalDomainError(f"input is not finite at t={float(grid[bad[0]])!r}: "
                               f"u = {rows[bad[0]]}")
-    rk4 = _rk4_step(n, m)
     adapter = _on_arrays(system.f, n)
     kernel = getattr(system.f, "point", adapter)
+    run = _chunk_loop(kernel, n, m, () if kernel is adapter else FLOAT_ERRORS)
+    retry = _chunk_loop(adapter, n, m, ())
     states = np.empty((n_steps + 1, n))
     states[0] = x0
-    x = x0.tolist()
+    x = tuple(x0.tolist())
     done, stopped = 0, False
     while done < n_steps and not stopped:
         end = min(done + _CHUNK, n_steps)
         ts = grid[2 * done:2 * end + 1].tolist()
         us = rows[2 * done:2 * end + 1].ravel().tolist()
-        chunk = []
-        for j in range(0, 2 * (end - done), 2):
-            t_next = ts[j + 2]
-            try:
-                x = rk4(kernel, *ts[j:j + 3], *x, *us[m * j:m * (j + 3)])
-            except FLOAT_ERRORS:
-                if kernel is adapter:
-                    raise
-                x = rk4(adapter, *ts[j:j + 3], *x, *us[m * j:m * (j + 3)])
-            if not math.hypot(*x) <= _GUARD_FAST:     # also true for nan
-                xa = np.array(x)
-                nrm = math.sqrt(float(xa @ xa))       # np.linalg.norm's value
-                if not nrm <= BLOWUP_GUARD:
-                    raise BlowUpError(t_next, nrm)
-            chunk.append(x)
-            if stop_when is not None and stop_when(t_next, np.array(x)):
-                stopped = True
-                break
+        chunk: list = []
+        j, hi = 0, end - done
+        while j < hi and not stopped:
+            j, stopped, x = run(ts, us, j, hi, *x, chunk.append, stop_when)
+            if j < hi and not stopped:      # step j raised on floats: redo it on arrays
+                j, stopped, x = retry(ts, us, j, j + 1, *x, chunk.append, stop_when)
         states[done + 1:done + 1 + len(chunk)] = chunk
         done += len(chunk)
     return Trajectory(nodes[:done + 1], states[:done + 1], rows[0::2][:done + 1])

@@ -12,12 +12,17 @@ gains, signals) is declared in this language.
 of a vector field, returned as a tuple), into one generated ``def`` whose
 source is compiled once and bound twice: to the ``math`` functions for plain
 floats and to the numpy functions for arrays, dispatched per call; the
-plain-float function is its ``math`` attribute.  The emitter numbers the
-subtrees by value, so a subtree that occurs more than once is computed once,
-and writes a constant exponent of 1, 2 or 3 as ``a``, ``a*a`` and
-``(a*a)*a``.  A point and a batch of one compile therefore give the same
-bits wherever the float operations and the ``math`` functions agree with
-numpy.  IEEE 754 rounds ``+ - * /`` and ``sqrt`` correctly, so both paths
+plain-float function is its ``math`` attribute, and carries the
+expressions and argument names as ``expr`` and ``arg_names``.  The
+emitter, `body_lines`, numbers the subtrees by value, so a subtree that
+occurs more than once is computed once, and writes a constant exponent of
+1, 2 or 3 as ``a``, ``a*a`` and ``(a*a)*a``.  A point and a batch of one
+compile therefore give the same bits wherever the float operations and the
+``math`` functions agree with numpy.  The emitter gives statements and
+result texts, with variables renamed and temporaries prefixed as asked, so
+the integrator writes a field's expressions out in its RK4 loop the way
+``compile_expr`` writes them in its function, with the same bits.
+IEEE 754 rounds ``+ - * /`` and ``sqrt`` correctly, so both paths
 agree on them, on the small powers, on unary minus and on ``abs``; a tree
 built from these alone is *point-exact* (`is_point_exact`).  ``exp log tan
 tanh`` and the other powers are not correctly rounded and differ in the
@@ -520,28 +525,31 @@ _NON_FINITE = {"inf": "_inf", "-inf": "(-_inf)", "nan": "_nan"}
 _SMALL_POWERS = {2.0: "({} * {})", 3.0: "(({} * {}) * {})"}
 
 
-def _source(exprs: Sequence[Expr], arg_names: tuple[str, ...], fused: bool) -> str:
-    """Source of ``def _f(*arg_names)`` returning ``exprs`` (a tuple if fused).
+def body_lines(exprs: Sequence[Expr], names: Mapping[str, str],
+               prefix: str) -> tuple[list[str], list[str]]:
+    """Statements and result texts that evaluate ``exprs`` in line.
 
-    One post-order pass numbers the distinct subtrees, keyed on their
-    emitted text with operands as references (so ``x1*0.0`` and
-    ``x1*-0.0`` stay apart, which ``Expr`` equality would merge).  A subtree
-    referenced more than once, such as the base of a small power, becomes a
-    temporary ``_k`` computed once, in first-use order; the rest are inlined.
+    Each variable ``v`` is written as ``names.get(v, v)``, and each
+    temporary as ``prefix`` and a number.  One post-order pass numbers the
+    distinct subtrees, keyed on their emitted text with operands as
+    references (so ``x1*0.0`` and ``x1*-0.0`` stay apart, which ``Expr``
+    equality would merge).  A subtree referenced more than once, such as the
+    base of a small power, becomes a temporary computed once, in first-use
+    order, by one of the statements; the rest are inlined.
     """
     numbers: dict[str, int] = {}
     nodes: list[tuple[str, list]] = []   # (format, operands: leaf text or number)
     uses: list[int] = []
 
     def ref(r) -> str:
-        return f"_{r}" if isinstance(r, int) else r
+        return f"{prefix}{r}" if isinstance(r, int) else r
 
     def visit(e: Expr):
         if isinstance(e, Num):
             text = repr(e.value)
             return _NON_FINITE.get(text, f"({text})")
         if isinstance(e, Var):
-            return e.name
+            return names.get(e.name, e.name)
         if isinstance(e, Neg):
             fmt, ops = "(-{})", [visit(e.arg)]
         elif isinstance(e, BinOp) and e.op == "^":
@@ -574,18 +582,25 @@ def _source(exprs: Sequence[Expr], arg_names: tuple[str, ...], fused: bool) -> s
     for r in roots:
         if isinstance(r, int):
             uses[r] += 1
-    lines = [f"def _f({', '.join(arg_names)}):"]
+    lines: list[str] = []
     text: list[str] = []
     for k, (fmt, ops) in enumerate(nodes):
         t = fmt.format(*(text[r] if isinstance(r, int) else r for r in ops))
         if uses[k] > 1:
-            lines.append(f"    _{k} = {t}")
-            t = f"_{k}"
+            lines.append(f"{prefix}{k} = {t}")
+            t = f"{prefix}{k}"
         text.append(t)
-    out = [text[r] if isinstance(r, int) else r for r in roots]
-    lines.append(f"    return ({''.join(o + ', ' for o in out)})" if fused
-                 else f"    return {out[0]}")
-    return "\n".join(lines) + "\n"
+    return lines, [text[r] if isinstance(r, int) else r for r in roots]
+
+
+def _source(exprs: Sequence[Expr], arg_names: tuple[str, ...], fused: bool) -> str:
+    """Source of ``def _f(*arg_names)`` returning ``exprs`` (a tuple if fused),
+    from `body_lines` with temporaries ``_0, _1, ...``."""
+    lines, out = body_lines(exprs, {}, "_")
+    body = [f"def _f({', '.join(arg_names)}):", *("    " + line for line in lines),
+            f"    return ({''.join(o + ', ' for o in out)})" if fused
+            else f"    return {out[0]}"]
+    return "\n".join(body) + "\n"
 
 
 # What a plain-float evaluation raises where numpy gives inf or nan.
@@ -635,6 +650,7 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     call.expr = exprs if fused else exprs[0]  # type: ignore[attr-defined]
     call.arg_names = arg_names  # type: ignore[attr-defined]
     call.math = fn_s  # type: ignore[attr-defined]
+    fn_s.expr, fn_s.arg_names = call.expr, arg_names
     return call
 
 

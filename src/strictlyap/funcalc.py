@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import exprparse
+from .errors import ValidationFailure
 
 DEFAULT_PROBE_MAX = 1.0e3
 _BRACKET_DOUBLINGS = 60
@@ -287,6 +288,8 @@ def inverse_gain(g: GainFunction) -> GainFunction:
     copy) without a new inversion, so ``deriv(y)`` followed by ``fn(y)``
     inverts ``y`` once.  The derivative uses the inverse-function rule
     1/g'(g^{-1}(y)), divided as numpy divides, so a zero slope gives inf.
+    The inverse is probed on [0, g(probe_max)]; a g not finite at probe_max
+    raises ValidationFailure naming it.
     """
     last = None     # (target, answer) of the last inversion, arrays as copies
 
@@ -314,7 +317,14 @@ def inverse_gain(g: GainFunction) -> GainFunction:
     def deriv(y):
         return np.divide(1.0, g.deriv(fn(y)))
 
-    top = float(g(g.probe_max))
+    try:
+        top = float(g(g.probe_max))
+    except exprparse.FLOAT_ERRORS:      # math raises where numpy gives inf or nan
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValidationFailure(f"gain {g.label or '(unnamed)'} is not finite at the top "
+                                f"of its probed range, s = {g.probe_max!r}: its inverse "
+                                f"has no finite range")
     return GainFunction(fn, deriv, probe_max=top, label=f"inv({g.label})" if g.label else "inv",
                         point_exact=g.point_exact)
 

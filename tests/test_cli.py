@@ -383,6 +383,23 @@ class TestDeterminism:
                       tmp_path / "b")
         assert a == b
 
+    def test_files_equal_across_string_hashing(self, tmp_path):
+        # the tests above run in one process, so they cannot see a dependence
+        # on string hashing; two processes with different PYTHONHASHSEED can
+        cfg = _readme_ini(tmp_path)
+        files = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"ini{seed}"
+            for command in (["pe"], ["strictify"], ["verify", "uppd"]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "strictlyap.cli", *command, "--config", str(cfg),
+                     "--out", str(out)], capture_output=True, text=True, timeout=300,
+                    env={**_child_env(), "PYTHONHASHSEED": seed})
+                assert proc.returncode == 0, proc.stderr
+            files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert list(files[0]) == ["checks.csv", "pe_window.csv", "verify.csv", "xi.csv"]
+        assert files[0] == files[1]
+
 
 def _child_env() -> dict:
     """The environment of a child process that imports the package under
@@ -839,6 +856,27 @@ def test_one_exit_code_per_exception_class(name, monkeypatch, capsys):
     assert err.startswith(prefix + ": ")
 
 
+def test_gain_not_finite_at_its_probe_bound_fails_by_name(tmp_path, capsys):
+    # mu overflows floats far below s = 1000, the top of the probed range of
+    # alpha2_tilde, whose inverse the issp route builds: no exit 3
+    cfg = _readme_ini(tmp_path)
+    cfg.write_text(_edited(cfg.read_text(encoding="utf-8"),
+                           ('f1 = "-x1 + u1"', 'f1 = "-(1 + sin(t)^2)*(x1 - u1)"'),
+                           ('p = "1"\n; optional period of p\nperiod = 1.0',
+                            'p = "1 + sin(t)^2"\n; optional period of p\n'
+                            'period = 3.141592653589793'),
+                           ('mu = "0.5*s^2"', 'mu = "0.1*(exp(s^2) - 1)"'),
+                           ("x_radius = 6.0", "x_radius = 1.0"),
+                           ("u_radius = 2.0", "u_radius = 0.5")), encoding="utf-8")
+    named = ("gain 1.01*((0.5*s^2) + (0.1*(exp(s^2) - 1)) + s) is not finite at the top "
+             "of its probed range, s = 1000.0")
+    assert cli.main(["strictify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert named in captured.out and "Traceback" not in captured.err
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("V# unavailable: " + named)
+
+
 def test_failed_iss_fit_is_a_validation_failure(tmp_path, capsys):
     # dx = -x^3 + u decays too slowly for the fitted envelope's held-out check
     cfg = tmp_path / "cubic.ini"
@@ -885,6 +923,9 @@ class TestSimSection:
         _edit_case("step = 0.001", "step = inf",
                    r"\[sim\] step must be positive and finite, got inf"),
         _edit_case("t0 = 0.0", "t0 = nan", r"\[sim\] t0 must be finite, got nan"),
+        _edit_case("step = 0.001", "step = 1e-300",
+                   r"\[sim\] step 1e-300 from t0=0.0 to tf=5.0 gives 5e\+300 steps, "
+                   "more than an array can index"),
     ])
     def test_bad_time_grid_is_config_error(self, tmp_path, capsys, old, new, match):
         cfg = tmp_path / "grid.ini"

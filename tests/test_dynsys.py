@@ -74,6 +74,24 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(_decay_system(), [1.0, 2.0], 0.0, 1.0, Signal.zero(0))
 
+    @pytest.mark.parametrize("t0, tf, step, match", [
+        (math.nan, 1.0, 1e-3, "t0 must be finite, got nan"),
+        (0.0, math.nan, 1e-3, "tf must be finite, got nan"),
+        (0.0, math.inf, 1e-3, "tf must be finite, got inf"),
+        (0.0, 1.0, math.nan, "step must be finite, got nan"),
+        (0.0, 1.0, math.inf, "step must be finite, got inf"),
+        (0.0, 1.0, -1e-3, "step must be positive, got -0.001"),
+        (0.0, 1.0, 1e-300, r"step 1e-300 from t0=0.0 to tf=1.0 gives 1e\+300 steps"),
+        (0.0, 1.0, 5e-324, r"step 5e-324 from t0=0.0 to tf=1.0 gives inf steps"),
+        (-1e308, 1e308, 1.0, r"step 1.0 from t0=-1e\+308 .* gives inf steps"),
+    ], ids=["t0-nan", "tf-nan", "tf-inf", "step-nan", "step-inf", "step-negative",
+            "count-past-index-range", "count-inf", "span-inf"])
+    def test_bad_time_grid_is_refused_by_name(self, t0, tf, step, match):
+        # counts past numpy's index range only: these are refused before any
+        # array is made
+        with pytest.raises(ValueError, match=match):
+            integrate(_decay_system(), [1.0], t0, tf, Signal.zero(0), step)
+
 
 class TestCloseLoop:
     def test_rigid_body_structure(self):
@@ -400,8 +418,9 @@ class TestGeneratedStep:
 
     @pytest.mark.parametrize("texts, m, x0", [
         (["-x1 + sin(t)*u1"], 1, [1.0]),
+        (["-x1*cos(t)"], 0, [1.0]),
         (["x2", "-x1 + x3", "-x1*x3"], 0, [1.0, -0.5, 0.25]),
-    ], ids=["n1-m1", "n3-m0"])
+    ], ids=["n1-m1", "n1-m0", "n3-m0"])
     def test_shapes_match_ndarray_loop(self, texts, m, x0):
         system = field_from_exprs(texts, len(texts), m)
         u = signal_from_exprs(["cos(3*t)"][:m])
@@ -409,6 +428,69 @@ class TestGeneratedStep:
         tr = integrate(system, x0, 0.0, k * STEP, u, STEP)
         assert tr.states.shape == (k + 1, len(texts)) and tr.inputs.shape == (k + 1, m)
         _assert_same(tr, _ndarray_rk4(system, x0, 0.0, k * STEP, u, STEP))
+
+    @pytest.mark.parametrize("offset, steps", [(0.0, [99, 100]), (STEP / 2, [100]),
+                                               (STEP, [100, 101])],
+                             ids=["zero-at-step-100", "zero-inside-step-100", "zero-at-step-101"])
+    def test_inlined_stages_raising_mid_chunk(self, monkeypatch, offset, steps):
+        # as above, but x1 reaches 0 near step 100 and the field is the
+        # expression kernel itself, written out in the loop: only the steps
+        # that raise go through the adapter, at their four stage times
+        system = field_from_exprs(["-1", "exp(-1/x1^2)"], 2, 0)
+        redone, on_arrays = [], dynsys._on_arrays
+
+        def counting(f, n):
+            adapter = on_arrays(f, n)
+
+            def counted(t, *xu):
+                redone.append(t)
+                return adapter(t, *xu)
+
+            return counted
+
+        monkeypatch.setattr(dynsys, "_on_arrays", counting)
+        x0, k = [100 * STEP + offset, 0.0], 300
+        tr = integrate(system, x0, 0.0, k * STEP, Signal.zero(0), STEP)
+        assert redone == [STEP * (j + d) for j in steps for d in (0.0, 0.5, 0.5, 1.0)]
+        _assert_same(tr, _ndarray_rk4(system, x0, 0.0, k * STEP, Signal.zero(0), STEP))
+
+    @pytest.mark.parametrize("text, x0, blows_up", [
+        ("1", dynsys.BLOWUP_GUARD - 200 * STEP, True),
+        ("0", dynsys.BLOWUP_GUARD, False),
+        ("x1^2", 1.0, True),
+    ], ids=["crosses-the-guard", "on-the-guard", "escape"])
+    def test_guard_trip_mid_chunk(self, text, x0, blows_up):
+        # |x| passes the fast hypot bound inside the chunk; the exact norm
+        # decides, as in the array loop
+        system = field_from_exprs([text], 1, 0)
+        k = 2 * CHUNK
+        if not blows_up:
+            tr = integrate(system, [x0], 0.0, k * STEP, Signal.zero(0), STEP)
+            _assert_same(tr, _ndarray_rk4(system, [x0], 0.0, k * STEP, Signal.zero(0),
+                                          STEP))
+            return
+        with pytest.raises(dynsys.BlowUpError) as got:
+            integrate(system, [x0], 0.0, k * STEP, Signal.zero(0), STEP)
+        with pytest.raises(dynsys.BlowUpError) as ref:
+            _ndarray_rk4(system, [x0], 0.0, k * STEP, Signal.zero(0), STEP)
+        assert (got.value.time, got.value.norm) == (ref.value.time, ref.value.norm)
+        assert 0.0 < got.value.time < CHUNK * STEP
+
+    def test_signed_zero_literals_get_loops_of_their_own(self):
+        # Expr equality has Num(0.0) == Num(-0.0); the loops are told apart
+        # by their source, so each field keeps its own sign of zero
+        fields = [field_from_exprs([exprparse.BinOp("*", exprparse.Var("x1"),
+                                                    exprparse.Num(z))], 1, 0)
+                  for z in (0.0, -0.0)]
+        assert fields[0].f.point.expr == fields[1].f.point.expr
+        signs = []
+        for system in fields:
+            tr = integrate(system, [-0.0], 0.0, 4 * STEP, Signal.zero(0), STEP)
+            _, states, _ = _ndarray_rk4(system, [-0.0], 0.0, 4 * STEP, Signal.zero(0),
+                                        STEP)
+            assert np.signbit(tr.states).tolist() == np.signbit(states).tolist()
+            signs.append(np.signbit(tr.states[-1, 0]))
+        assert signs == [True, False]
 
     def test_callable_without_kernel_is_called_four_times_per_step(self):
         calls = []
@@ -483,6 +565,7 @@ class TestKernelPaths:
         tr = integrate(rb.system, run.x0, 0.0, 2.0, run.signal, 1e-3)
         ref = integrate(wrapped, run.x0, 0.0, 2.0, run.signal, 1e-3)
         _assert_same(tr, (ref.times, ref.states, ref.inputs))
+        _assert_same(ref, _ndarray_rk4(wrapped, run.x0, 0.0, 2.0, run.signal, 1e-3))
 
     def test_ini_feedback_matches_generic_composition(self, tmp_path):
         path = tmp_path / "rb.ini"
@@ -495,6 +578,7 @@ class TestKernelPaths:
         tr = integrate(problem.system, run.x0, 0.0, 2.0, run.signal, 1e-3)
         ref = integrate(generic, run.x0, 0.0, 2.0, run.signal, 1e-3)
         _assert_same(tr, (ref.times, ref.states, ref.inputs))
+        _assert_same(tr, _ndarray_rk4(problem.system, run.x0, 0.0, 2.0, run.signal, 1e-3))
 
 
 def _csv_writer_reference(path, header, rows):
