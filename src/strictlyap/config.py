@@ -72,29 +72,13 @@ def _columns(values, shape) -> np.ndarray:
 _NO_INPUT = np.zeros(0)
 
 
-def _scalar_call(point, fused, t, x, u=_NO_INPUT):
-    """One call of ``point``, the plain-float function of ``fused``, at a point.
-
-    Floats raise on division by zero, domain errors and a general power
-    that overflows, where numpy gives inf or nan (a product that overflows
-    gives inf on both), which the integrator's blow-up guard reports;
-    such a call is repeated through ``fused`` on 0-d arrays, which take the
-    numpy path.
-    """
-    try:
-        return point(float(t), *x.tolist(), *u.tolist())
-    except exprparse.FLOAT_ERRORS:
-        with np.errstate(all="ignore"):
-            return fused(*(np.asarray(v) for v in (t, *x, *u)))
-
-
 def _vector_field(texts: Sequence[str], n: int, m: int = 0) -> Callable:
     """One fused compile of ``texts`` over t, x1..xn, u1..um as f(t, x[, u]).
 
-    A point (x of shape (n,)) is one call on Python floats and gives shape
-    (len(texts),); a batch (x of shape (k, n), u of shape (k, m)) gives
-    (k, len(texts)).  ``f.point`` is the plain-float kernel
-    (t, x1..xn, u1..um) -> tuple that the integrator calls directly.
+    A point (x of shape (n,)) is one call of the float path ``f.point``,
+    the compile's ``math`` (t, x1..xn, u1..um) -> tuple, which the
+    integrator also writes out in its loop; it gives shape (len(texts),).
+    A batch (x of shape (k, n), u of shape (k, m)) gives (k, len(texts)).
     """
     fused = exprparse.compile_expr(texts, _state_args(n, m))
     point = getattr(fused, "math", fused)   # a wrapped compile may carry none
@@ -103,7 +87,7 @@ def _vector_field(texts: Sequence[str], n: int, m: int = 0) -> Callable:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         if x.ndim == 1:
-            return np.array(_scalar_call(point, fused, t, x, u))
+            return np.array(point(float(t), *x.tolist(), *u.tolist()))
         return _columns(fused(*_split(t, x), *u.T), (len(x),))
 
     f.point = point
@@ -131,7 +115,7 @@ def _scalar_field(text: str, n: int):
     def g(t, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return float(_scalar_call(point, fn, t, x))
+            return float(point(float(t), *x.tolist()))
         return np.broadcast_to(np.asarray(fn(*_split(t, x)), dtype=float), (len(x),))
 
     return g
@@ -240,6 +224,13 @@ _FINITE = ("finite", math.isfinite)
 _FACTOR = ("in (0, 1/4]", lambda v: 0.0 < v <= 0.25)
 
 
+def _required(section, key: str) -> str:
+    """``section[key]`` without its quotes; a config error naming both if absent."""
+    if key not in section:
+        raise ConfigError(f"[{section.name}] {key} is required")
+    return _strip(section[key])
+
+
 def _number(section, key: str, fallback: float | None = None,
             rule: tuple = _FINITE) -> float | None:
     """``section[key]`` as a float held to ``rule``; ``fallback`` if absent."""
@@ -269,7 +260,7 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     the radii and the box's rules from ``SampleDomain``, the budget from
     ``verify.DEFAULT_SAMPLES``, the plan from ``SimSpec``, the factor from
     the route's signature; a missing optional section is empty."""
-    for section in ("problem", "system", "lyapunov"):
+    for section in ("problem", "system", "lyapunov", "decay"):
         if section not in cp:
             raise ConfigError(f"missing [{section}] section")
     for section in ("gains", "domains", "sim"):
@@ -277,8 +268,7 @@ def _build(cp: configparser.ConfigParser) -> Problem:
             cp.add_section(section)
     prob = cp["problem"]
     for key in ("n", "m", "tau"):
-        if key not in prob:
-            raise ConfigError(f"[problem] {key} is required")
+        _required(prob, key)
     n, m = prob.getint("n"), prob.getint("m")
     mode = _strip(prob.get("mode", "disp-value"))
     if mode not in MODES:
@@ -292,7 +282,7 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     name = _strip(prob.get("name", "problem"))
 
     sys_sec = cp["system"]
-    f_texts = [_strip(sys_sec[f"f{i+1}"]) for i in range(n)]
+    f_texts = [_required(sys_sec, f"f{i+1}") for i in range(n)]
     expressions = {f"f{i+1}": txt for i, txt in enumerate(f_texts)}
     fb_texts = []
     k = 1
@@ -306,18 +296,18 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     system = close_loop(open_system, feedback) if fb_texts else open_system
 
     lyap = cp["lyapunov"]
-    v_text = _strip(lyap["V"])
+    v_text = _required(lyap, "V")
     expressions["V"] = v_text
     dv_dt = _strip(lyap["dV_dt"]) if "dV_dt" in lyap else None
-    grads = [_strip(lyap[f"dV_dx{i+1}"]) for i in range(n)] if "dV_dx1" in lyap else None
-    a_texts = {k: _strip(lyap[k]) for k in ("alpha1", "alpha2", "alpha3")}
+    grads = [_required(lyap, f"dV_dx{i+1}") for i in range(n)] if "dV_dx1" in lyap else None
+    a_texts = {k: _required(lyap, k) for k in ("alpha1", "alpha2", "alpha3")}
     expressions.update(a_texts)
     candidate = candidate_from_exprs(v_text, n, a_texts["alpha1"], a_texts["alpha2"],
                                      a_texts["alpha3"], period=period,
                                      dv_dt_text=dv_dt, grad_texts=grads, label=name)
 
     dec = cp["decay"]
-    p_text = _strip(dec["p"])
+    p_text = _required(dec, "p")
     expressions["p"] = p_text
     p_period = _number(dec, "period", rule=_POSITIVE)
     rate = rate_from_expr(p_text, period=p_period)

@@ -71,7 +71,9 @@ class DecayRate:
 
     A declared period folds every argument into [0, period).  An aperiodic
     rate is evaluated as given, also at t < 0, so its function must be
-    defined on [-tau, infinity); a failure there propagates.
+    defined on [-tau, infinity): a compiled rate gives numpy's inf or nan
+    where it is not, also at a float, and what any other function raises
+    propagates.
 
     The rate keeps the W/xi lookup of the last window asked of `windows`;
     it is no field of the constructor, equality or hash.

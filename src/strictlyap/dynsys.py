@@ -114,9 +114,8 @@ class Trajectory:
 def _on_arrays(f: Callable, n: int) -> Callable:
     """Adapter (t, x1..xn, u1..um) -> n floats calling ``f(t, x, u)`` on arrays.
 
-    An expression field evaluates an (n,) point on floats and, where that
-    raises, on 0-d arrays under ``np.errstate(all="ignore")``, so an inf or
-    nan reaches the norm guard.
+    An expression field evaluates an (n,) point on floats, where
+    ``compile_expr`` gives numpy's inf or nan, so they reach the norm guard.
     """
 
     def adapter(t, *xu):

@@ -11,9 +11,11 @@ gains, signals) is declared in this language.
 ``compile_expr`` turns an expression, or a sequence of them (the components
 of a vector field, returned as a tuple), into one generated ``def`` whose
 source is compiled once and bound twice: to the ``math`` functions for plain
-floats and to the numpy functions for arrays, dispatched per call; the
-plain-float function is its ``math`` attribute, and carries the
-expressions and argument names as ``expr`` and ``arg_names``.  The
+floats and to the numpy functions for arrays, dispatched per call.  A float
+call that ``math`` refuses (``FLOAT_ERRORS``) runs again on numpy scalars
+and gives its batch row's values, inf or nan, so no caller handles these
+errors.  The float path alone is the ``math`` attribute; both carry
+the expressions and argument names as ``expr`` and ``arg_names``.  The
 emitter, `body_lines`, numbers the subtrees by value, so a subtree that
 occurs more than once is computed once, and writes a constant exponent of
 1, 2 or 3 as ``a``, ``a*a`` and ``(a*a)*a``.  A point and a batch of one
@@ -42,10 +44,12 @@ import numpy as np
 
 
 class ExpressionError(Exception):
-    """Base class for parse/eval failures; carries 1-based line/column."""
+    """Base class for parse/eval failures.  A parse error carries its 1-based
+    line and column and names them in its message; any other carries None."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None
+                         else f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
 
@@ -498,8 +502,8 @@ def _div(a: Expr, b: Expr) -> Expr:
 # Compilation to fast callables
 
 def _scalar_pow(a, b):
-    if a < 0.0 and b != round(b):
-        raise EvalDomainError("negative base with fractional exponent")
+    if a < 0.0 and b != round(b):      # a float ** would give a complex number
+        raise ValueError("negative base with fractional exponent")
     return a ** b
 
 
@@ -604,7 +608,7 @@ def _source(exprs: Sequence[Expr], arg_names: tuple[str, ...], fused: bool) -> s
 
 
 # What a plain-float evaluation raises where numpy gives inf or nan.
-FLOAT_ERRORS = (ArithmeticError, ValueError, EvalDomainError)
+FLOAT_ERRORS = (ArithmeticError, ValueError)
 
 
 def compile_expr(e: Expr | str | Sequence[Expr | str],
@@ -612,17 +616,11 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     """Compile ``e`` to a positional callable over ``arg_names``.
 
     The result takes plain floats (fast ``math`` path) or numpy arrays
-    (vectorized path); both run one generated function (see the module
-    docstring).  A sequence of expressions compiles to one callable
-    returning a tuple.  On floats a division by zero, a domain error
-    (``log(-1)``, a negative base to a fractional power) or a general power
-    that overflows raises EvalDomainError or OverflowError; a product that
-    overflows gives inf, as on the array path, which follows numpy's inf
-    and nan semantics throughout.
-
-    ``call.math`` is the plain-float function without the dispatch: it
-    takes Python floats only and raises one of FLOAT_ERRORS where the
-    dispatching call raises EvalDomainError or numpy gives inf or nan.
+    (vectorized path); both run one generated function, and a sequence of
+    expressions gives a tuple (see the module docstring).  A float call that
+    raises one of FLOAT_ERRORS runs once more on numpy scalars, warnings
+    off, and returns numpy's values as Python floats.  ``call.math`` is the
+    float path alone, for Python floats.
     """
     fused = not isinstance(e, (Expr, str))
     exprs = tuple(parse(x) if isinstance(x, str) else x for x in (e if fused else (e,)))
@@ -636,21 +634,30 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     exec(code, ns_v)  # noqa: S102
     fn_s, fn_v = ns_s["_f"], ns_v["_f"]
 
+    def on_numpy(args):
+        with np.errstate(all="ignore"):
+            out = fn_v(*map(np.float64, args))
+        return tuple(map(float, out)) if fused else float(out)
+
+    def point(*args):
+        try:
+            return fn_s(*args)
+        except FLOAT_ERRORS:
+            return on_numpy(args)
+
     def call(*args):
         for a in args:
             if isinstance(a, np.ndarray):
                 return fn_v(*args)
         try:
             return fn_s(*args)
-        except ValueError as exc:
-            raise EvalDomainError(str(exc)) from None
-        except ZeroDivisionError:
-            raise EvalDomainError("division by zero") from None
+        except FLOAT_ERRORS:
+            return on_numpy(args)
 
-    call.expr = exprs if fused else exprs[0]  # type: ignore[attr-defined]
-    call.arg_names = arg_names  # type: ignore[attr-defined]
-    call.math = fn_s  # type: ignore[attr-defined]
-    fn_s.expr, fn_s.arg_names = call.expr, arg_names
+    for f in (call, point):
+        f.expr = exprs if fused else exprs[0]  # type: ignore[attr-defined]
+        f.arg_names = arg_names  # type: ignore[attr-defined]
+    call.math = point  # type: ignore[attr-defined]
     return call
 
 

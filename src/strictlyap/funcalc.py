@@ -5,9 +5,10 @@ probe interval.  Class membership cannot be proven by sampling, so `check_kl`
 reports the worst violation found on a grid instead of claiming a proof.
 Numeric inversion is bracket doubling followed by safeguarded Newton steps
 that fall back on bisection, which only needs monotonicity.  `_invert_array`
-takes these steps on numpy arrays and `invert` on Python floats.  A gain
-built from point-exact expressions (see `exprparse.is_point_exact`) and
-the constructions below carries ``point_exact``: its float value and its
+takes these steps on numpy arrays and `invert` on Python floats, where a
+compiled gain gives what numpy gives, so no float error needs handling.  A
+gain built from point-exact expressions (see `exprparse.is_point_exact`)
+and the constructions below carries ``point_exact``: its float value and its
 batch value agree bit for bit, so the float loop gives the batch answer,
 and an inverse gain answers a float, or a batch of at most `FLOAT_BATCH`
 targets, one target at a time on floats.  An inverse gain answers a target
@@ -155,28 +156,16 @@ def check_kl(beta: KLFunction, s_max: float = 10.0, t_max: float = 10.0,
 
 
 def invert(g: GainFunction, y: float) -> float:
-    """Solve g(s) = y for s >= 0 on Python floats, by `_invert_array`'s
-    steps for one target: for a point-exact g, the answer that target gets
-    inside any batch, bit for bit.
-
-    A target where a float operation raises one of `exprparse.FLOAT_ERRORS`
-    (a division by zero in g, in g' or in the Newton step, a domain error),
-    where numpy gives inf or nan instead, is solved by `_invert_array`.
+    """Solve g(s) = y for s >= 0 on Python floats: the loop of
+    `_invert_array` written for one target, step by step, so for a
+    point-exact g the answer that target gets inside any batch, bit for bit.
+    A zero slope bisects, as numpy's inf or nan Newton step does.
     """
     y = float(y)
     if y < 0.0:
         raise ValueError("target must be nonnegative")
     if not y > 0.0:
         return 0.0 if y == 0.0 else math.nan
-    try:
-        return _invert_float(g, y)
-    except exprparse.FLOAT_ERRORS:
-        return float(_invert_array(g, y))
-
-
-def _invert_float(g: GainFunction, y: float) -> float:
-    """`invert` at a target y > 0; the loop of `_invert_array` written for
-    one target, step by step."""
     fn, deriv = g.fn, g.deriv
     lo, hi = 0.0, 1.0
     for _ in range(_BRACKET_DOUBLINGS + 20):
@@ -195,7 +184,8 @@ def _invert_float(g: GainFunction, y: float) -> float:
         tol = 1.0e-15 * max(1.0, hi)
         if hi - lo <= tol:
             return 0.5 * (lo + hi)
-        step = f / float(deriv(x))
+        slope = float(deriv(x))
+        step = f / slope if slope else math.inf     # s = -inf: numpy's bisection
         s = x - step - math.copysign(0.25 * tol, step)
         if not (math.isfinite(s) and lo < s < hi and abs(s - x) <= 0.5 * moved):
             s = 0.5 * (lo + hi)
@@ -319,7 +309,7 @@ def inverse_gain(g: GainFunction) -> GainFunction:
 
     try:
         top = float(g(g.probe_max))
-    except exprparse.FLOAT_ERRORS:      # math raises where numpy gives inf or nan
+    except exprparse.FLOAT_ERRORS:      # a gain written by hand may raise on floats
         top = math.inf
     if not math.isfinite(top):
         raise ValidationFailure(f"gain {g.label or '(unnamed)'} is not finite at the top "

@@ -487,20 +487,30 @@ def construct_omega(system: ControlSystem, candidate: LyapunovCandidate,
 
     Sampled over t in [0, T] for periodic systems; aperiodic systems get
     the doubling OMEGA_HORIZONS scan, and growth by `_horizon_growth` raises
-    UnboundedSupError (the uniform-boundedness premise fails).  Each s-value
-    draws one batch of OMEGA_DRAWS points with t in [0, 1], which every
-    horizon T reads as T * t.
+    UnboundedSupError (the uniform-boundedness premise fails), as does a
+    sup that is not finite; a chi(s) that is not a finite, non-negative
+    radius raises ValidationFailure naming s.  Each s-value draws one
+    batch of OMEGA_DRAWS points with t in [0, 1], which every horizon T
+    reads as T * t.
     """
     horizons = [system.period] if system.period is not None else OMEGA_HORIZONS
 
     sups = np.empty((len(horizons), OMEGA_S_GRID.size))
-    for i, s in enumerate(OMEGA_S_GRID):
-        dom = SampleDomain((0.0, 1.0), float(chi(s)), float(s))
-        t01, x, u = dom.sample(OMEGA_DRAWS, candidate.n, system.m, seed + i)
-        mu_x = mu(np.linalg.norm(x, axis=1))
-        for k, T in enumerate(horizons):
-            vd = verify.vdot(candidate, system, T * t01, x, u)
-            sups[k, i] = float((vd + mu_x).max())
+    for i, s in enumerate(OMEGA_S_GRID.tolist()):
+        radius = float(chi(s))
+        if not 0.0 <= radius < np.inf:
+            raise ValidationFailure(f"chi(s) = {radius!r} at s = {s!r} is not a finite, "
+                                    f"non-negative radius")
+        t01, x, u = SampleDomain((0.0, 1.0), radius, s).sample(
+            OMEGA_DRAWS, candidate.n, system.m, seed + i)
+        with np.errstate(all="ignore"):
+            mu_x = mu(np.linalg.norm(x, axis=1))
+            for k, T in enumerate(horizons):
+                vd = verify.vdot(candidate, system, T * t01, x, u)
+                sups[k, i] = float((vd + mu_x).max())
+        if not np.isfinite(sups[:, i]).all():
+            raise UnboundedSupError(f"sup of Vdot + mu at s = {s:g} is not finite: "
+                                    f"{sups[:, i].tolist()}")
 
     M = sups[-1]
     if system.period is None:

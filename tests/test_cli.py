@@ -210,7 +210,7 @@ class TestConfigLoading:
         assert cli.main(["strictify", "--config", str(cfg)]) == 2
         assert f"config error: [problem] {key} is required" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section", ["system", "lyapunov"])
+    @pytest.mark.parametrize("section", ["system", "lyapunov", "decay"])
     def test_missing_section_is_named(self, tmp_path, capsys, section):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(re.sub(rf"\[{section}\]\n[^\[]*", "", SCALAR_CONFIG), encoding="utf-8")
@@ -447,6 +447,59 @@ def _readme_ini(tmp_path) -> Path:
     cfg = tmp_path / "readme.ini"
     cfg.write_text(block.group(1), encoding="utf-8")
     return cfg
+
+
+# Whole commands in a fresh process where every RuntimeWarning is an error:
+# (argv, with "INI" for the README INI; (old, new) edits of that INI; exit
+# code; a line stdout holds; a text stdout must not hold).  Cases of the
+# same kind run in process elsewhere: --out naming a file
+# (test_out_naming_a_file_is_config_error), window tables that overflow
+# (test_tables_that_overflow_fail_by_tau) and a radius whose square
+# overflows (test_radius_whose_power_overflows_fails_by_its_margins).
+_README_DOMAINS = ("[domains]\nt_max = 2.0\nx_radius = 6.0\nu_radius = 2.0\n"
+                   "samples = 3000\n\n")
+_DRIVEN = ('f1 = "-x1 + u1"', 'f1 = "-x1 + 10*u1"')    # fails the issp premise
+_ENVELOPE = "a dominating envelope exists"
+_SUBPROCESS_CASES = [
+    pytest.param(["pe", "--example", "rigid-body", "--seed", "1"], [], 2, None, None,
+                 id="pe-takes-no-seed"),
+    pytest.param(["verify", "iss-estimate", "--example", "scalar-linear", "--samples", "5"],
+                 [], 2, None, None, id="iss-estimate-refuses-samples"),
+    pytest.param(["strictify", "--config", "INI"], [(_README_DOMAINS, "")], 0,
+                 "domain.t: [0, 2]", None, id="no-domains-section"),
+    pytest.param(["pe", "--config", "INI"], [('p = "1"', 'p = "1e307"')], 0, None, None,
+                 id="largest-finite-rate"),
+    *(pytest.param(["strictify", "--config", "INI"],
+                   [_DRIVEN, ('chi = "2*s"', f'chi = "{chi}"')], 1, None, _ENVELOPE,
+                   id=f"chi-{chi}")
+      for chi in ("exp(s^3)", "log(s)", "exp(4*s^2)")),
+]
+
+
+@pytest.mark.parametrize("argv, edits, code, line, absent", _SUBPROCESS_CASES)
+def test_command_in_fresh_process(tmp_path, argv, edits, code, line, absent):
+    cfg = _readme_ini(tmp_path)
+    cfg.write_text(_edited(cfg.read_text(encoding="utf-8"), *edits), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "strictlyap.cli",
+         *(str(cfg) if a == "INI" else a for a in argv)],
+        capture_output=True, text=True, timeout=300, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert line is None or line in proc.stdout.splitlines()
+    assert absent is None or absent not in proc.stdout
+
+
+@pytest.mark.parametrize("section, key", [("decay", "p"), ("lyapunov", "V"),
+                                          ("lyapunov", "alpha3"), ("system", "f1")])
+def test_missing_required_key_is_named(tmp_path, capsys, section, key):
+    cfg = _readme_ini(tmp_path)
+    text = cfg.read_text(encoding="utf-8")
+    edited = re.sub(rf"\n{key} = [^\n]*\n", "\n", text)
+    assert edited != text
+    cfg.write_text(edited, encoding="utf-8")
+    assert cli.main(["pe", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: [{section}] {key} is required\n"
 
 
 @pytest.mark.parametrize("command", ["strictify", "simulate"])

@@ -393,25 +393,26 @@ class TestGeneratedStep:
                                                (STEP, STEP)],
                              ids=["stage-1", "stages-2-3", "stage-4"])
     def test_step_retried_through_arrays(self, x1, raises_at):
-        # x1' = -1 reaches x1 = 0 inside the first step, where -1/x1^2 divides
-        # by zero on floats and exp(-1/x1^2) is exp(-inf) = 0 on numpy scalars
+        # x1' = -1 reaches x1 = 0 inside the first step, where the written
+        # kernel's -1/x1^2 divides by zero on floats; the step is repeated
+        # through the array adapter, where exp(-1/x1^2) is exp(-inf) = 0
         system = field_from_exprs(["-1", "exp(-1/x1^2)"], 2, 0)
-        f, raised = system.f, []
+        raised = []
 
-        def point(t, *x):
+        def point(t, x1, x2):
             try:
-                return f.point(t, *x)
+                return -1.0, math.exp(-1.0 / (x1 * x1))
             except ZeroDivisionError:
                 raised.append(t)
                 raise
 
         def field(t, x, u):
-            return f(t, x, u)
+            return system.f(t, x, u)
 
         field.point = point
-        traced = dataclasses.replace(system, f=field)
+        written = dataclasses.replace(system, f=field)
         k = 8
-        tr = integrate(traced, [x1, 0.0], 0.0, k * STEP, Signal.zero(0), STEP)
+        tr = integrate(written, [x1, 0.0], 0.0, k * STEP, Signal.zero(0), STEP)
         assert raised[0] == raises_at     # the first float stage to raise
         _assert_same(tr, _ndarray_rk4(system, [x1, 0.0], 0.0, k * STEP, Signal.zero(0),
                                       STEP))

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,9 +239,13 @@ class TestCompile:
             ep.compile_expr("x1 + x2", ("x1",))
 
     def test_scalar_domain_error(self):
+        # math.log refuses -1: the float call gives the batch row's nan
         f = ep.compile_expr("log(t)", ("t",))
-        with pytest.raises(ep.EvalDomainError):
-            f(-1.0)
+        with np.errstate(invalid="ignore"):
+            row = f(np.array([-1.0]))
+        assert math.isnan(row[0])
+        for value in (f(-1.0), f.math(-1.0)):
+            assert type(value) is float and math.isnan(value)
 
 
 class TestFusedCompile:
@@ -280,8 +286,12 @@ class TestFusedCompile:
 
     def test_scalar_domain_error_and_missing_argument(self):
         fused = ep.compile_expr(["t", "log(t)"], ("t",))
-        with pytest.raises(ep.EvalDomainError):
-            fused(-1.0)
+        with np.errstate(invalid="ignore"):
+            row = [c[0] for c in fused(np.array([-1.0]))]
+        for values in (fused(-1.0), fused.math(-1.0)):
+            assert [type(v) for v in values] == [float, float]
+            assert values[0] == row[0] == -1.0
+            assert math.isnan(values[1]) and math.isnan(row[1])
         with pytest.raises(ep.UnboundVariableError):
             ep.compile_expr(["x1", "x2"], ("x1",))
 
@@ -335,11 +345,10 @@ class TestEmitter:
             ep.compile_expr("x1^4", ("x1",))(1.0)
 
     def test_fractional_power_of_negative_base_raises(self):
+        # a float ** would give a complex number: the float call gives the
+        # batch row's nan
         f = ep.compile_expr("x1^2.5", ("x1",))
-        with pytest.raises(ep.EvalDomainError):
-            f(-2.0)
-        with pytest.raises(ep.EvalDomainError):
-            f.math(-2.0)
+        assert math.isnan(f(-2.0)) and math.isnan(f.math(-2.0))
         with np.errstate(invalid="ignore"):
             assert np.isnan(f(np.array([-2.0]))[0])
         assert ep.compile_expr("x1^2", ("x1",))(-3.0) == 9.0
@@ -454,3 +463,56 @@ def test_sweep_point_equals_batch(sweep_problems, halton_points):
 ])
 def test_is_point_exact(text, exact):
     assert ep.is_point_exact(ep.parse(text)) is exact
+
+
+def _same_value(a: float, b: float) -> bool:
+    """Equal bit for bit, or both NaN."""
+    return _bits(a) == _bits(b) or (math.isnan(a) and math.isnan(b))
+
+
+def _package_texts(source, tmp_path, sweep_inis) -> list[str]:
+    """Every expression of ``source``: the three fixtures, the README INI or
+    the benchmark's 12 seed-0 sweep INIs."""
+    from strictlyap.config import load_problem
+    from strictlyap.fixtures import FIXTURES, get_fixture
+
+    if source == "fixtures":
+        problems = [get_fixture(name) for name in FIXTURES]
+    elif source == "readme":
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        ini = tmp_path / "readme.ini"
+        ini.write_text(re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                                 re.S).group(1), encoding="utf-8")
+        problems = [load_problem(ini)]
+    else:
+        problems = [load_problem(ini) for ini in sweep_inis(0)]
+    return list({t: None for problem in problems for t in _fixture_texts(problem)})
+
+
+# where math raises (domain, division by zero, overflow) and numpy does not
+_EDGE_POINTS = [("log(x1)", -1.0), ("log(x1)", 0.0), ("1/x1", 0.0), ("x1/x1", 0.0),
+                ("exp(x1)", 1000.0), ("x1^2.5", -2.0), ("sqrt(x1)", -1.0)]
+
+
+@pytest.mark.parametrize("source", ["fixtures", "readme", "sweep-seed-0", "edge-points"])
+def test_float_call_is_the_batch_row(source, tmp_path, sweep_inis, halton_points):
+    """A call on floats, dispatched or through ``.math``, returns Python
+    floats equal to the batch row, also where ``math`` refuses the value."""
+    if source == "edge-points":
+        cases = [(text, [[x] + [0.0] * (len(_ARGS) - 1)]) for text, x in _EDGE_POINTS]
+        args = ("x1", *(a for a in _ARGS if a != "x1"))
+    else:
+        extremes = [[v] * len(_ARGS) for v in (0.0, 1.0e200, -1.0e200)]
+        rows = extremes + halton_points[:64].tolist()
+        cases = [(text, rows) for text in _package_texts(source, tmp_path, sweep_inis)]
+        args = _ARGS
+    assert cases
+    for text, rows in cases:
+        f = ep.compile_expr(text, args)
+        with np.errstate(all="ignore"):
+            batch = np.broadcast_to(np.asarray(f(*np.array(rows).T), dtype=float),
+                                    (len(rows),))
+        for row, expected in zip(rows, batch.tolist()):
+            for value in (f(*row), f.math(*row)):
+                assert type(value) is float, (text, row)
+                assert _same_value(value, expected), (text, row, value, expected)
