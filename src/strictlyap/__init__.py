@@ -11,8 +11,8 @@ from .decay import (DecayRate, PEEstimate, PETriple, estimate_pe,
 from .dynsys import (BlowUpError, ControlSystem, Signal, Trajectory,
                      close_loop, integrate)
 from .funcalc import (GainFunction, KLFunction, BracketNotFoundError,
-                      compose, gain_from_expr, identity_gain, inverse_gain,
-                      invert, rescale_kl)
+                      TargetOutOfRangeError, compose, gain_from_expr,
+                      identity_gain, inverse_gain, invert, rescale_kl)
 from .strictify import (LyapunovCandidate, SlopeBoundViolatedError,
                         StrictCertificate, UnboundedSupError,
                         ValidationFailedError, build_alpha2_tilde, build_w,
@@ -34,7 +34,8 @@ __all__ = [
     "InequalityReport", "KLFunction", "LyapunovCandidate",
     "NotPersistentlyExcitingError", "PEEstimate", "PETriple", "Problem",
     "SampleDomain", "Signal", "SlopeBoundViolatedError", "StrictCertificate",
-    "Trajectory", "UnboundedSupError", "ValidationFailedError",
+    "TargetOutOfRangeError", "Trajectory", "UnboundedSupError",
+    "ValidationFailedError",
     "ValidationFailure",
     "build_alpha2_tilde", "build_w", "check_disp_lyap", "check_iss_estimate",
     "check_issp_lyap", "check_reference_admissibility",

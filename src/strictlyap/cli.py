@@ -191,7 +191,7 @@ def _strictify(problem: Problem, out: Path | None):
         dev = float(np.abs(cert.xi_fn(ts) - problem.xi_closed_form(ts)).max())
         print(f"vsharp coefficient: {problem.vsharp_coefficient_text}")
         print(f"xi closed-form max deviation: {dev:.3e}")
-        if dev > 1.0e-6:
+        if not dev <= 1.0e-6:       # also true for nan
             print("xi closed-form validation: FAIL")
             return EXIT_FAIL, cert
         print("xi closed-form validation: PASS")
@@ -342,11 +342,12 @@ def _simulate(problem: Problem, out: Path | None, cert) -> int:
                              sim.step)
         except BlowUpError as exc:
             return EXIT_FAIL, f"run {k}: blow-up at t = {exc.time:.6g} (|x| = {exc.norm:.3e})"
-        v = np.asarray(problem.candidate.V(traj.times, traj.states), dtype=float)
-        extra = {"V": v}
-        if cert is not None:
-            extra["Vsharp"] = np.asarray(cert.v_sharp(traj.times, traj.states),
-                                         dtype=float)
+        with np.errstate(all="ignore"):     # V may be inf or nan at a step time
+            v = np.asarray(problem.candidate.V(traj.times, traj.states), dtype=float)
+            extra = {"V": v}
+            if cert is not None:
+                extra["Vsharp"] = np.asarray(cert.v_sharp(traj.times, traj.states),
+                                             dtype=float)
         if out is not None:
             write_trajectory_csv(part(k), traj, extra)
         return EXIT_OK, (f"run {k}: x0={run.x0.tolist()} final |x| = "

@@ -54,13 +54,6 @@ def _state_args(n: int, m: int = 0) -> tuple[str, ...]:
     return ("t", *(f"x{i+1}" for i in range(n)), *(f"u{j+1}" for j in range(m)))
 
 
-def _split(t, x):
-    """Batch arguments (t, x1..xn) for x of shape (k, n); a scalar t is broadcast."""
-    if np.ndim(t) == 0:
-        t = np.full(x.shape[0], float(t))
-    return (t, *x.T)
-
-
 def _columns(values, shape) -> np.ndarray:
     """The components of a fused array call as the columns of (*shape, len)."""
     out = np.empty((*shape, len(values)))
@@ -88,7 +81,7 @@ def _vector_field(texts: Sequence[str], n: int, m: int = 0) -> Callable:
         u = np.asarray(u, dtype=float)
         if x.ndim == 1:
             return np.array(point(float(t), *x.tolist(), *u.tolist()))
-        return _columns(fused(*_split(t, x), *u.T), (len(x),))
+        return _columns(fused(t, *x.T, *u.T), (len(x),))
 
     f.point = point
     return f
@@ -116,7 +109,7 @@ def _scalar_field(text: str, n: int):
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(point(float(t), *x.tolist()))
-        return np.broadcast_to(np.asarray(fn(*_split(t, x)), dtype=float), (len(x),))
+        return np.broadcast_to(np.asarray(fn(t, *x.T), dtype=float), (len(x),))
 
     return g
 

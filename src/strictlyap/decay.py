@@ -181,13 +181,13 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float):
         raise NotPersistentlyExcitingError(f"window tables are not finite for tau={tau!r}")
     m = 2 * n + 2 * max(1, math.ceil((t_hi - t_lo) / (2 * h)))
     x = (t_lo - tau) + h * np.arange(m + 1)
-    y = _rate_values(p, x)
-    bad = ~np.isfinite(y)
-    if bad.any():
-        raise NotPersistentlyExcitingError(
-            f"rate is not finite at t={float(x[np.argmax(bad)])!r}")
     now, back = slice(2 * n, None, 2), slice(0, m - 2 * n + 1, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        y = _rate_values(p, x)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            raise NotPersistentlyExcitingError(
+                f"rate is not finite at t={float(x[np.argmax(bad)])!r}")
         C = cumulative_simpson(y, h)
         D = cumulative_simpson(C, h)
         W = C[now] - C[back]

@@ -16,7 +16,8 @@ stage, on the stage's time, state and input (each shared subtree, such as
 stage: ``close_loop``'s composition of a field's and its feedback's
 kernels, or, for any other callable, one adapter with the kernel's
 signature that calls ``f(t, x, u)`` on ``(n,)`` arrays.  A step that
-overflows or leaves a domain on floats is repeated through that adapter.
+overflows or leaves a domain on floats is redone in place, inside the same
+loop, through that adapter.
 The exogenous input is read once per run, on all stage times, and its rows
 are converted to floats a chunk of steps at a time; finished states go into
 one preallocated array.  Runs are independent, so their parallelism lives
@@ -137,15 +138,15 @@ def _check_norm(t: float, x: tuple) -> None:
 _STAGES = (("p", "t", "a", "", ""), ("q", "tm", "b", "hh", "p"),
            ("r", "tm", "b", "hh", "q"), ("s", "tn", "c", "h", "r"))
 _LOOP_NS = {**_SCALAR_NS, "_hypot": math.hypot, "_GUARD_FAST": _GUARD_FAST,
-            "_check_norm": _check_norm, "_array": np.array}
+            "_check_norm": _check_norm, "_array": np.array, "_FLOAT_ERRORS": FLOAT_ERRORS}
 
 
-def _stage_lines(kernel: Callable, n: int, m: int, stage: tuple) -> list[str]:
+def _stage_lines(kernel: Callable, call: str, n: int, m: int, stage: tuple) -> list[str]:
     """Statements setting stage outputs ``{out}0..`` from state, time and input.
 
     A kernel from ``compile_expr`` is written out: the used stage arguments
     become ``{out}x0..``, the kernel's temporaries ``_{out}0..``.  Any other
-    kernel is called as ``f(time, states.., inputs..)``.
+    kernel is called as ``call(time, states.., inputs..)``.
     """
     out, time, row, coef, prev = stage
     states = [f"x{i} + {coef} * {prev}{i}" if prev else f"x{i}" for i in range(n)]
@@ -153,7 +154,7 @@ def _stage_lines(kernel: Callable, n: int, m: int, stage: tuple) -> list[str]:
     exprs, names = getattr(kernel, "expr", None), getattr(kernel, "arg_names", ())
     if not (isinstance(exprs, tuple) and len(exprs) == n and len(names) == 1 + n + m):
         outs = "".join(f"{out}{i}, " for i in range(n))
-        return [f"{outs}= f({', '.join([time, *states, *inputs])})"]
+        return [f"{outs}= {call}({', '.join([time, *states, *inputs])})"]
     used = set().union(*(e.variables() for e in exprs))
     lines, rename = [], {names[0]: time}
     rename.update(zip(names[1 + n:], inputs))
@@ -165,19 +166,19 @@ def _stage_lines(kernel: Callable, n: int, m: int, stage: tuple) -> list[str]:
     return lines + body + [f"{out}{i} = {r}" for i, r in enumerate(results)]
 
 
-def _chunk_loop(kernel: Callable, n: int, m: int, errors: tuple) -> Callable:
+def _chunk_loop(kernel: Callable, adapter: Callable, n: int, m: int) -> Callable:
     """The RK4 loop over a chunk of steps, for n states, m inputs and ``kernel``.
 
-    ``run(ts, us, lo, hi, x0..x{n-1}, append, stop_when) -> (j, stopped, x)``
-    steps the state x0.. from step lo to step hi of a chunk whose stage
-    times are ``ts`` (t0, t0 + h/2, t1, ...) and whose input rows, one per
-    stage time, are concatenated in ``us``.  Each new state goes to
-    ``append`` as a tuple, after the norm guard; ``stop_when(t, x)``, with
-    x an (n,) array, ends the loop after it.  The loop returns the steps
-    done, whether ``stop_when`` fired and the last state; it returns at
-    step j, not done, when a stage raises one of ``errors``.  Each component
-    is written out in the order of operations of the vector form, so the
-    states are bit for bit those of an (n,) array loop.
+    ``run(ts, us, x0..x{n-1}, append, stop_when) -> stopped`` steps the
+    state x0.. over a chunk whose stage times are ``ts`` (t0, t0 + h/2, t1,
+    ...) and whose input rows, one per stage time, are concatenated in
+    ``us``.  Each new state goes to ``append`` as a tuple, after the norm
+    guard; ``stop_when(t, x)``, with x an (n,) array, ends the loop after it,
+    and the loop returns whether it did.  A step whose kernel stages raise
+    one of ``FLOAT_ERRORS`` is redone in place, all four stages, through
+    ``adapter``; when the kernel is the adapter, what it raises propagates.
+    Each component is written out in the order of operations of the vector
+    form, so the states are bit for bit those of an (n,) array loop.
 
     The source is generated on each call and compiled once per text: it
     names every state and input, so it holds (n, m), and it holds every
@@ -185,21 +186,26 @@ def _chunk_loop(kernel: Callable, n: int, m: int, errors: tuple) -> Callable:
     against -0.0 get loops of their own.
     """
     xs = "".join(f"x{i}, " for i in range(n))
-    lines = [f"def run(ts, us, lo, hi, {xs}append, stop_when):",
-             "    tn = ts[2 * lo]",
-             "    for i in range(2 * lo, 2 * hi, 2):",
+    lines = [f"def run(ts, us, {xs}append, stop_when):",
+             "    tn = ts[0]",
+             "    for i in range(0, len(ts) - 1, 2):",
              "        t = tn",
              "        tm = ts[i + 1]",
              "        tn = ts[i + 2]"]
     if m:
         rows = "".join(f"{r}{k}, " for r in "abc" for k in range(m))
         lines.append(f"        {rows}= us[{m} * i:{m} * i + {3 * m}]")
-    lines += ["        h = tn - t", "        hh = 0.5 * h", "        try:"]
-    lines += ["            " + line for stage in _STAGES
-              for line in _stage_lines(kernel, n, m, stage)]
-    lines += ["        except errors:",
-              f"            return i // 2, False, ({xs})",
-              "        h6 = h / 6.0"]
+    lines += ["        h = tn - t", "        hh = 0.5 * h"]
+
+    def stages(k: Callable, call: str, pad: str) -> list[str]:
+        return [pad + line for stage in _STAGES for line in _stage_lines(k, call, n, m, stage)]
+
+    if kernel is adapter:
+        lines += stages(kernel, "f", 8 * " ")
+    else:
+        lines += ["        try:", *stages(kernel, "f", 12 * " "),
+                  "        except _FLOAT_ERRORS:", *stages(adapter, "g", 12 * " ")]
+    lines += ["        h6 = h / 6.0"]
     lines += [f"        x{i} = x{i} + h6 * (((p{i} + 2.0 * q{i}) + 2.0 * r{i}) + s{i})"
               for i in range(n)]
     lines += [f"        x = ({xs})",
@@ -207,15 +213,15 @@ def _chunk_loop(kernel: Callable, n: int, m: int, errors: tuple) -> Callable:
               "            _check_norm(tn, x)",
               "        append(x)",
               "        if stop_when is not None and stop_when(tn, _array(x)):",
-              "            return i // 2 + 1, True, x",
-              f"    return hi, False, ({xs})"]
-    src = "def make(f, errors):\n" + "".join(f"    {line}\n" for line in lines)
-    return _loop_factory(src + "    return run\n")(kernel, errors)
+              "            return True",
+              "    return False"]
+    src = "def make(f, g):\n" + "".join(f"    {line}\n" for line in lines)
+    return _loop_factory(src + "    return run\n")(kernel, adapter)
 
 
 @functools.cache
 def _loop_factory(src: str) -> Callable:
-    """``make(f, errors) -> run`` from ``src``, compiled once per text."""
+    """``make(f, g) -> run`` from ``src``, compiled once per text."""
     ns = dict(_LOOP_NS)
     exec(src, ns)  # noqa: S102 - source built by _chunk_loop only
     return ns["make"]
@@ -250,10 +256,11 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
 
     ``u`` is called once, on all stage times; its rows are converted to
     Python floats a chunk of steps at a time, and each chunk's states are
-    written into one preallocated (steps + 1, n) array.  A step raising one
-    of ``FLOAT_ERRORS`` on the field's kernel is repeated through the array
-    adapter; a callable without a kernel is called on arrays only, and what
-    it raises propagates.  ``stop_when(t, x)``, with x an (n,) array, may end
+    written into one preallocated (steps + 1, n) array.  One loop, built
+    once, steps each chunk; a step raising one of ``FLOAT_ERRORS`` on the
+    field's kernel is redone inside it through the array adapter.  A
+    callable without a kernel is called on arrays only, and what it raises
+    propagates.  ``stop_when(t, x)``, with x an (n,) array, may end
     the run early (the point that triggered it is still recorded).  Raises
     EvalDomainError on a non-finite input and BlowUpError when |x| exceeds
     the guard; `step_count` refuses a bad time grid with ValueError.
@@ -273,9 +280,7 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
         raise EvalDomainError(f"input is not finite at t={float(grid[bad[0]])!r}: "
                               f"u = {rows[bad[0]]}")
     adapter = _on_arrays(system.f, n)
-    kernel = getattr(system.f, "point", adapter)
-    run = _chunk_loop(kernel, n, m, () if kernel is adapter else FLOAT_ERRORS)
-    retry = _chunk_loop(adapter, n, m, ())
+    run = _chunk_loop(getattr(system.f, "point", adapter), adapter, n, m)
     states = np.empty((n_steps + 1, n))
     states[0] = x0
     x = tuple(x0.tolist())
@@ -285,13 +290,10 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
         ts = grid[2 * done:2 * end + 1].tolist()
         us = rows[2 * done:2 * end + 1].ravel().tolist()
         chunk: list = []
-        j, hi = 0, end - done
-        while j < hi and not stopped:
-            j, stopped, x = run(ts, us, j, hi, *x, chunk.append, stop_when)
-            if j < hi and not stopped:      # step j raised on floats: redo it on arrays
-                j, stopped, x = retry(ts, us, j, j + 1, *x, chunk.append, stop_when)
+        stopped = run(ts, us, *x, chunk.append, stop_when)
         states[done + 1:done + 1 + len(chunk)] = chunk
         done += len(chunk)
+        x = chunk[-1]
     return Trajectory(nodes[:done + 1], states[:done + 1], rows[0::2][:done + 1])
 
 

@@ -226,18 +226,26 @@ def check_reference_admissibility(w1r_text: str, w2r_text: str) -> Admissibility
 
     Boundedness is judged by horizon doubling: growth of the running sup
     across [0,H] -> [0,2H] -> [0,4H], H = ADMISSIBILITY_HORIZON, by the rule
-    of `strictify._horizon_growth`, marks the reference inadmissible.  The
-    windows are tried in the order of ADMISSIBILITY_TAUS.
+    of `strictify._horizon_growth`, or a sup that is not finite, marks the
+    reference inadmissible; so does a w1r or w2r not finite on those grids,
+    named with its first such time.  The windows are tried in the order of
+    ADMISSIBILITY_TAUS.
     """
     f1, f2 = (exprparse.compile_expr(text, ("t",)) for text in (w1r_text, w2r_text))
-
-    def sup_cross(H: float) -> float:
-        t = np.linspace(0.0, H, 32_001)
-        y = _rate_values(f1, t) * _rate_values(f2, t)
-        return float(np.abs(cumulative_trapezoid(y, t)).max())
-
-    s1, s2, s4 = (sup_cross(k * ADMISSIBILITY_HORIZON) for k in (1.0, 2.0, 4.0))
-    if _horizon_growth(s1, s2, s4):
+    sups = []
+    for k in (1.0, 2.0, 4.0):
+        t = np.linspace(0.0, k * ADMISSIBILITY_HORIZON, 32_001)
+        with np.errstate(all="ignore"):
+            y = [_rate_values(f, t) for f in (f1, f2)]
+            for text, v in zip((w1r_text, w2r_text), y):
+                bad = ~np.isfinite(v)
+                if bad.any():
+                    return AdmissibilityResult(
+                        False, f"reference {text!r} is not finite at "
+                               f"t={float(t[np.argmax(bad)])!r}")
+            sups.append(float(np.abs(cumulative_trapezoid(y[0] * y[1], t)).max()))
+    s1, s2, s4 = sups
+    if not all(map(math.isfinite, sups)) or _horizon_growth(s1, s2, s4):
         return AdmissibilityResult(False,
                                    f"cross integral grows without bound "
                                    f"(sup {s1:.6g} -> {s2:.6g} -> {s4:.6g})",

@@ -11,8 +11,8 @@ gain built from point-exact expressions (see `exprparse.is_point_exact`)
 and the constructions below carries ``point_exact``: its float value and its
 batch value agree bit for bit, so the float loop gives the batch answer,
 and an inverse gain answers a float, or a batch of at most `FLOAT_BATCH`
-targets, one target at a time on floats.  An inverse gain answers a target
-equal to its last one from its last answer.
+targets, one target at a time on floats.  An inverse gain answers an array
+of targets equal to its last array from its last answer.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ FLOAT_BATCH = 14
 
 class BracketNotFoundError(RuntimeError):
     """The target value was never reached while doubling the bracket."""
+
+
+class TargetOutOfRangeError(ValidationFailure, ValueError):
+    """An inverse gain was asked a target outside the range of its gain:
+    a negative one, or one past where the gain looks bounded."""
 
 
 @dataclass(frozen=True)
@@ -126,12 +131,19 @@ def check_kl(beta: KLFunction, s_max: float = 10.0, t_max: float = 10.0,
 
     beta is called once, on the grid of n values of s in [0, s_max] by the
     n values of t in [0, t_max] and t_big; the checks read its rows and
-    columns.
+    columns.  A value that is not finite fails the check, naming its first
+    (s, t).
     """
     ss = np.linspace(0.0, s_max, n)
     ts = np.linspace(0.0, t_max, n)
     s_grid, t_grid = np.meshgrid(ss, np.append(ts, t_big), indexing="ij")
-    grid = np.asarray(beta(s_grid, t_grid), dtype=float)   # (n, n + 1)
+    with np.errstate(all="ignore"):
+        grid = np.asarray(beta(s_grid, t_grid), dtype=float)   # (n, n + 1)
+    bad = ~np.isfinite(grid)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), grid.shape)
+        s, t, v = float(ss[i]), float(t_grid[i, j]), float(grid[i, j])
+        return SpotCheckReport("kl", False, v, s, f"beta({s!r}, {t!r}) = {v!r} is not finite")
     worst = np.inf
     where = 0.0
     msg = ""
@@ -268,34 +280,28 @@ def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:
 def inverse_gain(g: GainFunction) -> GainFunction:
     """Numeric inverse of an increasing gain, as a GainFunction.
 
-    Each target gets the answer it would get alone.  For a point-exact g a
-    float goes through `invert` and gives a float, and a batch of at most
-    `FLOAT_BATCH` targets goes through `invert` one target at a time; every
-    other argument goes through `_invert_array`, so a float gives a 0-d
-    array.  The gain keeps its last target and answer: a float equal to the
-    last float, or an array of the same shape and equal values (NaN equal to
-    NaN, -0.0 to 0.0) to the last array, gets the last answer (arrays a
-    copy) without a new inversion, so ``deriv(y)`` followed by ``fn(y)``
-    inverts ``y`` once.  The derivative uses the inverse-function rule
-    1/g'(g^{-1}(y)), divided as numpy divides, so a zero slope gives inf.
-    The inverse is probed on [0, g(probe_max)]; a g not finite at probe_max
-    raises ValidationFailure naming it.
+    Each target gets the answer it would get alone, and a float target a
+    float.  For a point-exact g a float goes through `invert`, and a batch
+    of at most `FLOAT_BATCH` targets goes through `invert` one target at a
+    time; every other argument goes through `_invert_array`, a float as a
+    0-d array.  The gain keeps its last array of targets and its answer: an
+    array of the same shape and equal values (NaN equal to NaN, -0.0 to
+    0.0) gets a copy of the last answer without a new inversion, so
+    ``deriv(y)`` followed by ``fn(y)`` inverts a batch ``y`` once.  A
+    negative target, or one the gain looks bounded below, raises
+    TargetOutOfRangeError naming g.  The derivative uses the
+    inverse-function rule 1/g'(g^{-1}(y)), divided as numpy divides, so a
+    zero slope gives inf.  The inverse is probed on [0, g(probe_max)]; a g
+    not finite at probe_max raises ValidationFailure naming it.
     """
-    last = None     # (target, answer) of the last inversion, arrays as copies
+    last = None     # (target, answer) of the last array inversion, as copies
+    name = g.label or "(unnamed)"
 
-    def fn(y):
+    def solve(y):
         nonlocal last
         prev = last     # one read: target and answer always belong together
-        if g.point_exact and isinstance(y, float):
-            if prev is not None and isinstance(prev[0], float) and (
-                    prev[0] == y or (prev[0] != prev[0] and y != y)):
-                return prev[1]
-            out = invert(g, y)
-            last = (float(y), out)
-            return out
         y = np.asarray(y, dtype=float)
-        if (prev is not None and isinstance(prev[0], np.ndarray)
-                and np.array_equal(prev[0], y, equal_nan=True)):
+        if prev is not None and np.array_equal(prev[0], y, equal_nan=True):
             return prev[1].copy()
         if g.point_exact and y.size <= FLOAT_BATCH:
             out = np.array([invert(g, v) for v in y.ravel().tolist()]).reshape(y.shape)
@@ -303,6 +309,14 @@ def inverse_gain(g: GainFunction) -> GainFunction:
             out = _invert_array(g, y)
         last = (y.copy(), out.copy())
         return out
+
+    def fn(y):
+        try:
+            if isinstance(y, float):
+                return invert(g, y) if g.point_exact else float(solve(y))
+            return solve(y)
+        except (ValueError, BracketNotFoundError) as exc:
+            raise TargetOutOfRangeError(f"inverse of gain {name}: {exc}") from None
 
     def deriv(y):
         return np.divide(1.0, g.deriv(fn(y)))
@@ -312,7 +326,7 @@ def inverse_gain(g: GainFunction) -> GainFunction:
     except exprparse.FLOAT_ERRORS:      # a gain written by hand may raise on floats
         top = math.inf
     if not math.isfinite(top):
-        raise ValidationFailure(f"gain {g.label or '(unnamed)'} is not finite at the top "
+        raise ValidationFailure(f"gain {name} is not finite at the top "
                                 f"of its probed range, s = {g.probe_max!r}: its inverse "
                                 f"has no finite range")
     return GainFunction(fn, deriv, probe_max=top, label=f"inv({g.label})" if g.label else "inv",

@@ -70,8 +70,7 @@ class ValidationFailedError(ValidationFailure):
 class LyapunovCandidate:
     """V(t, x) with its time/space derivatives and envelope gains.
 
-    Callables take batches: t of shape (k,) (or a scalar) with x of shape
-    (k, n).  Point calls (x of shape (n,)) are for RK4 stop tests only;
+    Callables take batches: t of shape (k,) with x of shape (k, n).  Point calls (x of shape (n,)) are for RK4 stop tests only;
     V, dV_dt and grad_x built from expressions answer them on floats.
     """
 
@@ -264,17 +263,23 @@ def build_w(mu_tilde: GainFunction, tau: float, pbar: float,
             factor: float = DEFAULT_FACTOR_ISS) -> GainFunction:
     """w(s) = (factor/tau) * mu_tilde(s), gated by the slope bound.
 
-    w'(s), sampled at SLOPE_GRID points of [0, probe_max], must stay within
-    [0, 1/(2 tau^2 pbar)] up to PASS_TOL; otherwise the certificate would
-    lose the coefficient bound 1 + xi w' <= 5/4 and the construction is
-    refused.
+    w'(s), sampled at SLOPE_GRID points of [0, probe_max], must be finite
+    and stay within [0, 1/(2 tau^2 pbar)] up to PASS_TOL; otherwise the
+    certificate would lose the coefficient bound 1 + xi w' <= 5/4 and the
+    construction is refused.
     """
     if not 0.0 < factor <= 0.25 + 1.0e-12:
         raise ValueError("factor must lie in (0, 1/4]")
     w = scale_gain(factor / tau, mu_tilde)
     bound = 1.0 / (2.0 * tau * tau * pbar)
     s = np.linspace(0.0, mu_tilde.probe_max, SLOPE_GRID)
-    slopes = np.asarray(w.deriv(s), dtype=float)
+    with np.errstate(all="ignore"):
+        slopes = np.asarray(w.deriv(s), dtype=float)
+    bad = ~np.isfinite(slopes)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise SlopeBoundViolatedError(
+            f"w'({float(s[j])!r}) = {float(slopes[j])!r} is not finite")
     if float(slopes.max()) > bound + PASS_TOL:
         j = int(np.argmax(slopes))
         raise SlopeBoundViolatedError(

@@ -342,25 +342,41 @@ def _running_input_sup(traj: Trajectory) -> np.ndarray:
 def check_iss_estimate(trajs: Sequence[Trajectory], p: DecayRate,
                        beta: KLFunction, gamma: GainFunction) -> InequalityReport:
     """|phi(t0+h)| <= beta(|x0|, int_{t0}^{t0+h} p) + gamma(sup |u|), read at
-    ISS_POINTS evenly spaced steps of each run."""
-    worst = np.inf
-    worst_point = (0.0, np.zeros(trajs[0].states.shape[1]), np.zeros(trajs[0].inputs.shape[1]))
-    total = 0
+    ISS_POINTS evenly spaced steps of each run.  A margin that is not
+    finite, or read where the clock int p is not, fails the check, counted
+    and named with its first point as in `_run_check`."""
+    margins, steps = [], []
     for traj in trajs:
-        r = cumulative_trapezoid(_rate_values(p, traj.times), traj.times)
-        sup_u = _running_input_sup(traj)
         nrm = traj.norms()
-        x0 = float(nrm[0])
         idxs = np.unique(np.linspace(0, traj.times.size - 1, ISS_POINTS).astype(int))
-        m = beta(x0, r[idxs]) + gamma(sup_u[idxs]) - nrm[idxs]
-        total += idxs.size
-        j = int(np.argmin(m))
-        if m[j] < worst:
-            worst = float(m[j])
-            worst_point = (float(traj.times[idxs[j]]), traj.states[idxs[j]],
-                           traj.inputs[idxs[j]])
-    return InequalityReport("iss-estimate", total, worst, worst_point,
-                            worst >= -PASS_TOL, sampled_worst=worst)
+        with np.errstate(all="ignore"):
+            r = cumulative_trapezoid(_rate_values(p, traj.times), traj.times)[idxs]
+            m = beta(float(nrm[0]), r) + gamma(_running_input_sup(traj)[idxs]) - nrm[idxs]
+        margins.append(np.where(np.isfinite(r), m, np.nan))
+        steps += [(traj, i) for i in idxs.tolist()]
+    m = np.concatenate(margins)
+    bad = ~np.isfinite(m)
+    j = int(np.argmax(bad)) if bad.any() else int(np.argmin(m))
+    traj, i = steps[j]
+    worst, point = float(m[j]), (float(traj.times[i]), traj.states[i], traj.inputs[i])
+    if bad.any():
+        notes = f"{int(bad.sum())} non-finite margins; first {worst!r} at {point_text(point)}"
+        return InequalityReport("iss-estimate", m.size, worst, point, False, notes=notes,
+                                sampled_worst=worst, n_nonfinite=int(bad.sum()))
+    return InequalityReport("iss-estimate", m.size, worst, point, worst >= -PASS_TOL,
+                            sampled_worst=worst)
+
+
+def _clock(p: DecayRate, traj: Trajectory, run: int) -> np.ndarray:
+    """int p from the start of a run to each of its times; a clock that is
+    not finite raises FitFailedError naming the run and the first time."""
+    with np.errstate(all="ignore"):
+        r = cumulative_trapezoid(_rate_values(p, traj.times), traj.times)
+    bad = ~np.isfinite(r)
+    if bad.any():
+        raise FitFailedError(f"the decay clock int p of fit run {run} is not finite "
+                             f"from t={float(traj.times[np.argmax(bad)])!r}")
+    return r
 
 
 def fit_iss_envelope(trajs: Sequence[Trajectory], p: DecayRate,
@@ -372,17 +388,18 @@ def fit_iss_envelope(trajs: Sequence[Trajectory], p: DecayRate,
     the ultimate-bound hull for gamma.  The fitted pair must pass
     `check_iss_estimate` on the held-out batch.
     """
-    zero_runs = [tr for tr in trajs if float(np.linalg.norm(tr.inputs)) == 0.0]
-    forced_runs = [tr for tr in trajs if float(np.linalg.norm(tr.inputs)) > 0.0]
+    runs = list(enumerate(trajs, start=1))
+    zero_runs = [(k, tr) for k, tr in runs if float(np.linalg.norm(tr.inputs)) == 0.0]
+    forced_runs = [(k, tr) for k, tr in runs if float(np.linalg.norm(tr.inputs)) > 0.0]
     if not zero_runs:
         raise FitFailedError("need at least one zero-input run to fit the decay")
 
     rs, ys = [], []
-    for tr in zero_runs:
+    for k, tr in zero_runs:
         x0 = float(tr.norms()[0])
         if x0 <= 0.0:
             continue
-        r = cumulative_trapezoid(_rate_values(p, tr.times), tr.times)
+        r = _clock(p, tr, k)
         nrm = tr.norms()
         keep = nrm > 1.0e-8 * x0
         rs.append(r[keep])
@@ -405,9 +422,9 @@ def fit_iss_envelope(trajs: Sequence[Trajectory], p: DecayRate,
                       label=f"{C:.6g}*s*exp(-{lam:.6g}*r)")
 
     amps, ubs = [0.0], [0.0]
-    for tr in forced_runs:
+    for k, tr in forced_runs:
         amp = float(np.linalg.norm(tr.inputs, axis=1).max())
-        r = cumulative_trapezoid(_rate_values(p, tr.times), tr.times)
+        r = _clock(p, tr, k)
         residual = tr.norms() - C * float(tr.norms()[0]) * np.exp(-lam * r)
         amps.append(amp)
         ubs.append(max(0.0, float(residual.max())) * 1.05)

@@ -473,6 +473,61 @@ _SUBPROCESS_CASES = [
                    [_DRIVEN, ('chi = "2*s"', f'chi = "{chi}"')], 1, None, _ENVELOPE,
                    id=f"chi-{chi}")
       for chi in ("exp(s^3)", "log(s)", "exp(4*s^2)")),
+    # one of each kind of _IN_PROCESS_CASES below, in a fresh process
+    pytest.param(["strictify", "--config", "INI"], [('alpha1 = "0.5*s^2"', 'alpha1 = "-s"')],
+                 1, None, None, id="alpha1-negative"),
+    pytest.param(["example", "rigid-body", "--reference", "exp(t^3); 1; 0"], [], 1,
+                 "admissibility-failed: reference 'exp(t^3)' is not finite at t=8.92125",
+                 None, id="reference-overflows"),
+]
+
+# The same columns, run by cli.main in this process, where every
+# RuntimeWarning is an error too (pyproject.toml); ``line`` may be in stdout
+# or stderr.  Bad gains, rates, candidates and references exit 1 by name, or
+# 0 from simulate, which reports V# unavailable and runs on.
+_A2T = "inverse of gain 1.0*((0.5*s^2) + ({mu}) + s)"
+_NEGATIVE = _A2T.format(mu="0.5*s^2") + ": target must be nonnegative"
+_MU_NEGATIVE = ('mu = "0.5*s^2"', 'mu = "-s^2"')
+_DISP_STATE = [("mode = issp", "mode = disp-state"),
+               ('; disp-state and disp-value: omega = "0.5*s^2"', 'omega = "0.5*s^2"')]
+_POLE = ('p = "1"', 'p = "1/(t - 0.5)^2"')
+_LOG = ('p = "1"', 'p = "log(t)"')
+_IN_PROCESS_CASES = [
+    pytest.param(["verify", "iss-estimate", "--config", "INI"], [_POLE], 1,
+                 "validation failure: the decay clock int p of fit run 1 is not finite "
+                 "from t=0.5", None, id="iss-estimate-rate-pole"),
+    *(pytest.param([command, "--config", "INI"],
+                   [('alpha1 = "0.5*s^2"', 'alpha1 = "-s"'), *edits], code,
+                   prefix + _NEGATIVE, None, id=f"{command}-alpha1-negative-{mode}")
+      for command, code, prefix in (("strictify", 1, "strictification failed: "),
+                                    ("simulate", 0, "V# unavailable: "))
+      for mode, edits in (("issp", []), ("disp-state", _DISP_STATE))),
+    pytest.param(["strictify", "--config", "INI"], [_MU_NEGATIVE], 1,
+                 "strictification failed: " + _A2T.format(mu="-s^2")
+                 + ": target must be nonnegative", None, id="strictify-mu-negative"),
+    pytest.param(["simulate", "--config", "INI"], [_MU_NEGATIVE], 0,
+                 "V# unavailable: " + _A2T.format(mu="-s^2")
+                 + ": target must be nonnegative", None, id="simulate-mu-negative"),
+    *(pytest.param([command, "--config", "INI"], [_MU_NEGATIVE, *_DISP_STATE], code,
+                   prefix + _A2T.format(mu="-s^2") + ": gain looks bounded on probed range",
+                   None, id=f"{command}-mu-negative-disp-state")
+      for command, code, prefix in (("strictify", 1, "strictification failed: "),
+                                    ("simulate", 0, "V# unavailable: "))),
+    *(pytest.param([command, "--config", "INI"], [edit], code,
+                   prefix + f"rate is not finite at t={t!r}", None,
+                   id=f"{command}-rate-{name}")
+      for edit, name, t in ((_LOG, "log", -1.0), (_POLE, "pole", -0.5))
+      for command, code, prefix in (("pe", 1, "validation failure: "),
+                                    ("strictify", 1, "validation failure: "),
+                                    ("simulate", 0, "V# unavailable: "))),
+    pytest.param(["simulate", "--config", "INI"], [('V = "0.5*x1^2"', 'V = "x1^2/(t - 1)"')],
+                 0, "run 1: x0=[1.0] final |x| = 6.737947e-03 V(tf) = 1.134998e-05",
+                 "Vsharp", id="simulate-V-pole"),
+    *(pytest.param(["example", "rigid-body", "--reference", f"{ref}; 1; 0"], [], 1,
+                   f"admissibility-failed: reference {ref!r} is not finite at t={t!r}",
+                   None, id=f"reference-{ref}")
+      for ref, t in (("1/t", 0.0), ("log(t)", 0.0), ("exp(t^3)", 8.92125),
+                     ("sqrt(t - 1)", 0.0))),
 ]
 
 
@@ -488,6 +543,28 @@ def test_command_in_fresh_process(tmp_path, argv, edits, code, line, absent):
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     assert line is None or line in proc.stdout.splitlines()
     assert absent is None or absent not in proc.stdout
+
+
+@pytest.mark.parametrize("argv, edits, code, line, absent", _IN_PROCESS_CASES)
+def test_command_in_process(tmp_path, capsys, argv, edits, code, line, absent):
+    cfg = _readme_ini(tmp_path)
+    cfg.write_text(_edited(cfg.read_text(encoding="utf-8"), *edits), encoding="utf-8")
+    assert cli.main([str(cfg) if a == "INI" else a for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and "RuntimeWarning" not in out + err
+    assert line in (out + err).splitlines(), out + err
+    assert absent is None or absent not in out
+
+
+def test_xi_deviation_not_finite_fails(capsys):
+    # nan > 1e-6 is false: a nan deviation used to print PASS
+    from strictlyap.fixtures import rigid_body
+
+    problem = rigid_body()
+    problem.xi_closed_form = lambda t: np.full(np.shape(t), np.nan)
+    assert cli._strictify(problem, None)[0] == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["xi closed-form max deviation: nan", "xi closed-form validation: FAIL"]
 
 
 @pytest.mark.parametrize("section, key", [("decay", "p"), ("lyapunov", "V"),
@@ -873,6 +950,7 @@ EXIT_CODES = {
     "strictify.ValidationFailedError": 1,
     "dynsys.BlowUpError": 1,
     "verify.FitFailedError": 1,
+    "funcalc.TargetOutOfRangeError": 1,
     # a failed bracket escaping a command is a defect of the command, not a
     # verdict: internal error on purpose
     "funcalc.BracketNotFoundError": 3,

@@ -489,9 +489,13 @@ def _package_texts(source, tmp_path, sweep_inis) -> list[str]:
     return list({t: None for problem in problems for t in _fixture_texts(problem)})
 
 
-# where math raises (domain, division by zero, overflow) and numpy does not
+# where math raises (domain, division by zero, overflow) and numpy does not,
+# and where Python's max and min differ from numpy's: a NaN operand, and a
+# tie of signed zeros (numpy gives the second operand)
 _EDGE_POINTS = [("log(x1)", -1.0), ("log(x1)", 0.0), ("1/x1", 0.0), ("x1/x1", 0.0),
-                ("exp(x1)", 1000.0), ("x1^2.5", -2.0), ("sqrt(x1)", -1.0)]
+                ("exp(x1)", 1000.0), ("x1^2.5", -2.0), ("sqrt(x1)", -1.0),
+                *((text, x) for text in ("max(0, x1)", "min(x1, 0)")
+                  for x in (math.nan, math.inf, -math.inf, 0.0, -0.0))]
 
 
 @pytest.mark.parametrize("source", ["fixtures", "readme", "sweep-seed-0", "edge-points"])

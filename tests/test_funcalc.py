@@ -159,6 +159,26 @@ def test_invert_array_rejects_negative_and_bounded():
         fc._invert_array(bounded, np.array([0.0, np.nan, 0.5, 2.0]))
 
 
+def test_both_solvers_refuse_a_bracket_past_the_probed_range():
+    # the bracket [0, 1] holds the target, but 1 is past probe_max * 2^60
+    g = dataclasses.replace(fc.identity_gain(), probe_max=1.0e-20)
+    with pytest.raises(fc.BracketNotFoundError, match="gain looks bounded"):
+        fc.invert(g, 0.5)
+    with pytest.raises(fc.BracketNotFoundError, match="gain looks bounded"):
+        fc._invert_array(g, np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("y", [-1.0, np.array([2.0, -1.0e-12]), 5.0, np.array([0.5, 5.0])])
+@pytest.mark.parametrize("exact", [True, False])
+def test_inverse_gain_names_the_gain_of_a_target_out_of_range(y, exact):
+    # a negative target, or one past the bounded gain 2 tanh(s), on both routes
+    g = fc.GainFunction(lambda s: 2.0 * np.tanh(s), lambda s: 2.0 / np.cosh(s) ** 2,
+                        probe_max=10.0, label="2*tanh(s)", point_exact=exact)
+    match = "target must be nonnegative" if np.min(y) < 0 else "gain looks bounded"
+    with pytest.raises(fc.TargetOutOfRangeError, match=rf"^inverse of gain 2\*tanh\(s\): {match}"):
+        fc.inverse_gain(g)(y)
+
+
 def _counting(monkeypatch):
     """Count the inversions behind every inverse gain from here on: the
     shape of each `_invert_array` batch, and "float" for each target that
@@ -227,10 +247,10 @@ def test_reuse_keeps_nan_and_signed_zero_answers(monkeypatch):
     plus, minus = np.array([0.0, np.nan, 2.0]), np.array([-0.0, np.nan, 2.0])
     assert _bits(inv(plus)) == _bits(original(g, plus))
     assert _bits(inv(minus)) == _bits(original(g, minus))   # equal target, reused
-    for y in (np.nan, np.nan, -0.0, 0.0):     # each second one reused
+    for y in (np.nan, np.nan, -0.0, 0.0):     # floats are never reused
         got = inv(y)
         assert type(got) is float and _bits(got) == _bits(original(g, y))
-    assert calls == ["float"] * 5
+    assert calls == ["float"] * 7
 
 
 def test_raising_target_keeps_the_last_answer(monkeypatch):
@@ -242,7 +262,13 @@ def test_raising_target_keeps_the_last_answer(monkeypatch):
     with pytest.raises(ValueError, match="target must be nonnegative"):
         inv(-2.0)
     assert _bits(inv(2.0)) == _bits(good)
-    assert calls == ["float", "float"]
+    assert calls == ["float"] * 3     # floats are inverted anew, never reused
+    del calls[:]
+    batch = inv(np.array([2.0]))
+    with pytest.raises(ValueError, match="target must be nonnegative"):
+        inv(np.array([-2.0]))
+    assert _bits(inv(np.array([2.0]))) == _bits(batch)    # the last array's answer
+    assert calls == ["float"] * 2
 
 
 def _inverted_gains(monkeypatch, problems):
@@ -448,3 +474,11 @@ def test_rescale_kl_preserves_kl_checks():
 def test_check_kl_flags_growth():
     bad = fc.KLFunction(lambda s, t: s * (1.0 + t))
     assert not fc.check_kl(bad, n=16).passed
+
+
+def test_check_kl_fails_a_value_not_finite_by_name():
+    nan = fc.check_kl(fc.KLFunction(lambda s, t: np.full(np.shape(s), np.nan)), n=8)
+    assert not nan.passed and math.isnan(nan.worst_violation)
+    assert nan.detail == "beta(0.0, 0.0) = nan is not finite"
+    pole = fc.check_kl(fc.KLFunction(lambda s, t: s / (t - 50.0)), n=8)
+    assert not pole.passed and pole.detail == "beta(0.0, 50.0) = nan is not finite"

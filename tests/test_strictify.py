@@ -91,6 +91,12 @@ class TestBuildW:
         with pytest.raises(ValueError):
             st.build_w(identity_gain(), 1.0, 1.0, factor=0.0)
 
+    def test_slope_not_finite_is_refused_by_name(self):
+        # w'(0) = 0*log(0) + ... is nan, which is neither above the bound nor
+        # below zero
+        with pytest.raises(st.SlopeBoundViolatedError, match=r"w'\(0\.0\) = nan is not finite"):
+            st.build_w(gain_from_expr("s^2*log(s) + s"), 1.0, 1.0)
+
 
 class TestDisToIsspChi:
     def test_identity_mu(self):

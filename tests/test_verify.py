@@ -414,6 +414,25 @@ class TestIssEstimate:
         with pytest.raises(verify.FitFailedError):
             verify.fit_iss_envelope(batch, ONE)
 
+    def test_nan_margin_fails_by_name(self):
+        # one NaN used to hide every finite margin of its run: argmin picks it
+        # and nan < worst is false, so the check passed with margin inf
+        sc = scalar_linear()
+        run = integrate(sc.system, [1.0], 0.0, 1.0, Signal.zero(sc.system.m))
+        beta = KLFunction(lambda s, r: np.where(r > 0.5, np.nan, 2 * s * np.exp(-r)))
+        rep = verify.check_iss_estimate([run], sc.rate, beta, gain_from_expr("s"))
+        assert not rep.passed and math.isnan(rep.worst_margin)
+        assert rep.n_nonfinite == 100 and rep.worst_point[0] == 0.502
+        assert rep.notes == ("100 non-finite margins; first nan at "
+                             + verify.point_text(rep.worst_point))
+
+    def test_clock_not_finite_fails_the_fit_by_run_and_time(self):
+        pole = DecayRate(lambda t: 1.0 / (np.asarray(t) - 0.5) ** 2, label="pole")
+        batch = self._batch([0.0, 0.5], [2.0, 1.0], tf=1.0)
+        with pytest.raises(verify.FitFailedError,
+                           match=r"clock int p of fit run 1 is not finite from t=0\.5$"):
+            verify.fit_iss_envelope(batch, pole)
+
 
 def _one_point_descent(margin_fn, domain, point, accept=None):
     """The coordinate descent that probes one point per margin call, as it
