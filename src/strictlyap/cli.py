@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 import traceback
@@ -51,10 +52,10 @@ VERIFY_CHECKS = ("uppd", "issp", "disp-state", "disp-value", "strict-iss",
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.entry(args)
+        # looked up at each call, so the parser, built once, holds no entry
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, ExpressionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -67,11 +68,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="strictlyap", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, entry, text, source=True):
+    def subcommand(name, text, source=True):
         sp = sub.add_parser(name, help=text)
         if source:
             g = sp.add_mutually_exclusive_group()
@@ -81,16 +83,15 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "pe":        # the PE estimate samples nothing
             sp.add_argument("--seed", type=int, help="override the sampling seed")
             sp.add_argument("--samples", type=int, help="override the sample count")
-        sp.set_defaults(entry=entry, seed=None, samples=None)
+        sp.set_defaults(seed=None, samples=None)
         return sp
 
-    subcommand("pe", cmd_pe, "estimate the excitation constants of p")
-    subcommand("strictify", cmd_strictify, "build and validate the strict certificate")
-    subcommand("verify", cmd_verify, "run one named inequality check").add_argument(
+    subcommand("pe", "estimate the excitation constants of p")
+    subcommand("strictify", "build and validate the strict certificate")
+    subcommand("verify", "run one named inequality check").add_argument(
         "check", help=f"one of {', '.join(VERIFY_CHECKS)}")
-    subcommand("simulate", cmd_simulate, "integrate the configured runs")
-    sp = subcommand("example", cmd_example, "run a built-in fixture end to end",
-                    source=False)
+    subcommand("simulate", "integrate the configured runs")
+    sp = subcommand("example", "run a built-in fixture end to end", source=False)
     sp.add_argument("name", choices=sorted(FIXTURES))
     sp.add_argument("--reference", default=None,
                     help="rigid-body only: 'w1r; w2r; w3r' reference expressions")

@@ -65,15 +65,15 @@ def _columns(values, shape) -> np.ndarray:
 _NO_INPUT = np.zeros(0)
 
 
-def _vector_field(texts: Sequence[str], n: int, m: int = 0) -> Callable:
-    """One fused compile of ``texts`` over t, x1..xn, u1..um as f(t, x[, u]).
+def _vector_field(exprs: Sequence[str | exprparse.Expr], n: int, m: int = 0) -> Callable:
+    """One fused compile of ``exprs`` over t, x1..xn, u1..um as f(t, x[, u]).
 
     A point (x of shape (n,)) is one call of the float path ``f.point``,
     the compile's ``math`` (t, x1..xn, u1..um) -> tuple, which the
-    integrator also writes out in its loop; it gives shape (len(texts),).
-    A batch (x of shape (k, n), u of shape (k, m)) gives (k, len(texts)).
+    integrator also writes out in its loop; it gives shape (len(exprs),).
+    A batch (x of shape (k, n), u of shape (k, m)) gives (k, len(exprs)).
     """
-    fused = exprparse.compile_expr(texts, _state_args(n, m))
+    fused = exprparse.compile_expr(exprs, _state_args(n, m))
     point = getattr(fused, "math", fused)   # a wrapped compile may carry none
 
     def f(t, x, u=_NO_INPUT):
@@ -100,9 +100,9 @@ def feedback_from_exprs(texts: Sequence[str], n: int) -> Callable:
     return _vector_field(texts, n)
 
 
-def _scalar_field(text: str, n: int):
+def _scalar_field(e: str | exprparse.Expr, n: int):
     """Scalar field V(t, x): a float at a point, shape (k,) on a batch."""
-    fn = exprparse.compile_expr(text, _state_args(n))
+    fn = exprparse.compile_expr(e, _state_args(n))
     point = getattr(fn, "math", fn)
 
     def g(t, x):
@@ -119,24 +119,21 @@ def candidate_from_exprs(v_text: str, n: int, alpha1: str | GainFunction,
                          period: float | None = None, dv_dt_text: str | None = None,
                          grad_texts: Sequence[str] | None = None,
                          label: str = "") -> LyapunovCandidate:
-    """Candidate from a V expression; missing derivatives are symbolic."""
+    """Candidate from a V expression; missing derivatives are compiled as built."""
     e = exprparse.parse(v_text)
     if dv_dt_text is None or grad_texts is None:
         if not exprparse.is_smooth(e):
             raise ConfigError(
                 "V uses abs/max/min; supply dV_dt and gradient expressions")
-    dv_dt_text = dv_dt_text or exprparse.to_text(exprparse.differentiate(e, "t"))
-    if grad_texts is None:
-        grad_texts = [exprparse.to_text(exprparse.differentiate(e, f"x{i+1}"))
-                      for i in range(n)]
-    v_fn = _scalar_field(v_text, n)
-    dt_fn = _scalar_field(dv_dt_text, n)
-    grad = _vector_field(grad_texts, n)
+    dv_dt = dv_dt_text or exprparse.differentiate(e, "t")
+    grad = (grad_texts if grad_texts is not None
+            else [exprparse.differentiate(e, f"x{i+1}") for i in range(n)])
 
     def as_gain(g):
         return gain_from_expr(g) if isinstance(g, str) else g
 
-    return LyapunovCandidate(n=n, V=v_fn, dV_dt=dt_fn, grad_x=grad,
+    return LyapunovCandidate(n=n, V=_scalar_field(e, n), dV_dt=_scalar_field(dv_dt, n),
+                             grad_x=_vector_field(grad, n),
                              alpha1=as_gain(alpha1), alpha2=as_gain(alpha2),
                              alpha3=as_gain(alpha3), period=period,
                              label=label or v_text)

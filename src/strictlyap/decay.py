@@ -49,7 +49,11 @@ def _rate_values(p, nodes) -> np.ndarray:
 
 
 class NotPersistentlyExcitingError(ValidationFailure):
-    """Sampled window integral came out nonpositive for the given tau."""
+    """The excitation analysis of a rate failed for the given tau."""
+
+
+class WindowIntegralTooSmallError(NotPersistentlyExcitingError):
+    """The least sampled window integral is not above PASS_TOL."""
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,9 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float):
     slopes W' = p(t) - p(t - tau) and xi' = tau p(t) - W(t); the two tables
     share their knots, so `hermite_values` places a batch once for both.  A
     non-finite rate value on the grid raises NotPersistentlyExcitingError
-    naming its time, and tables that are not finite (they overflow, or tau
-    is too short for a grid) raise it naming tau, with no RuntimeWarning.
+    naming its time, folded into the period of a periodic p, and tables
+    that are not finite (they overflow, or tau is too short for a grid)
+    raise it naming tau, with no RuntimeWarning.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -186,8 +191,9 @@ def window_table(p: DecayRate, tau: float, t_lo: float, t_hi: float):
         y = _rate_values(p, x)
         bad = ~np.isfinite(y)
         if bad.any():
-            raise NotPersistentlyExcitingError(
-                f"rate is not finite at t={float(x[np.argmax(bad)])!r}")
+            t = x[np.argmax(bad)]           # named as p was evaluated: folded
+            t = t if p.period is None else np.mod(t, p.period)
+            raise NotPersistentlyExcitingError(f"rate is not finite at t={float(t)!r}")
         C = cumulative_simpson(y, h)
         D = cumulative_simpson(C, h)
         W = C[now] - C[back]
@@ -377,6 +383,7 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
     on a grid over [-tau, horizon], polished by Brent on the rate itself.
     Certified values carry a 1% safety margin (epsilon shrunk, pbar
     inflated).  An epsilon not above PASS_TOL raises
+    WindowIntegralTooSmallError, any other failure of the rate
     NotPersistentlyExcitingError.
     """
     if tau <= 0:
@@ -387,7 +394,7 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
 
     eps = _window_min(p.windows(tau), np.linspace(0.0, horizon, n_grid))
     if not eps > PASS_TOL:  # also catches NaN
-        raise NotPersistentlyExcitingError(
+        raise WindowIntegralTooSmallError(
             f"window integral reaches {eps!r} on [0, {horizon!r}] for tau={tau!r}")
 
     n_p = max(4 * n_grid, 4096)

@@ -7,7 +7,11 @@ abs max min tanh`` and the constants ``pi`` and ``e``.  Everything the rest
 of the package consumes (vector fields, Lyapunov candidates, decay rates,
 gains, signals) is declared in this language.
 
-``Expr.eval`` is the reference scalar evaluator with strict error reporting.
+``Expr.walk`` visits every node through its ``children()``, and ``Expr.eval``
+is the reference scalar evaluator with strict error reporting.  The trees
+`differentiate` builds are compiled as built.  ``parse(to_text(e)) == e`` for
+every tree whose literals are finite and not negative (only folding makes
+others; they read back as the same value, ``-2.0`` as ``Neg(Num(2.0))``).
 ``compile_expr`` turns an expression, or a sequence of them (the components
 of a vector field, returned as a tuple), into one generated ``def`` whose
 source is compiled once and bound twice: to the ``math`` functions for plain
@@ -101,8 +105,18 @@ class Expr:
     def eval(self, env: Mapping[str, float]) -> float:
         raise NotImplementedError
 
+    def children(self) -> tuple[Expr, ...]:
+        """The operands of this node; a leaf has none."""
+        return ()
+
+    def walk(self) -> Iterator[Expr]:
+        """Every node of the tree, this one first."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
+
     def variables(self) -> set[str]:
-        raise NotImplementedError
+        return {e.name for e in self.walk() if isinstance(e, Var)}
 
     def __str__(self) -> str:
         return to_text(self)
@@ -115,9 +129,6 @@ class Num(Expr):
     def eval(self, env):
         return self.value
 
-    def variables(self):
-        return set()
-
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -129,9 +140,6 @@ class Var(Expr):
         except KeyError:
             raise UnboundVariableError(f"unbound variable '{self.name}'") from None
 
-    def variables(self):
-        return {self.name}
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
@@ -140,8 +148,8 @@ class Neg(Expr):
     def eval(self, env):
         return -self.arg.eval(env)
 
-    def variables(self):
-        return self.arg.variables()
+    def children(self):
+        return (self.arg,)
 
 
 @dataclass(frozen=True)
@@ -171,8 +179,8 @@ class BinOp(Expr):
         except (OverflowError, ZeroDivisionError) as exc:
             raise EvalDomainError(str(exc)) from None
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
+    def children(self):
+        return (self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -194,11 +202,8 @@ class Call(Expr):
         except ValueError as exc:
             raise EvalDomainError(f"{f}: {exc}") from None
 
-    def variables(self):
-        out: set[str] = set()
-        for a in self.args:
-            out |= a.variables()
-        return out
+    def children(self):
+        return self.args
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +356,7 @@ def parse(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Printing (round-trips through parse)
+# Printing (round-trips through parse; see the module docstring)
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 # Non-finite literals (folded from, say, 1e400) have no name in the grammar:
@@ -378,10 +383,10 @@ def to_text(e: Expr) -> str:
         p = _PREC[e.op]
         left = to_text(e.left)
         right = to_text(e.right)
-        # '-' and '/' are left-assoc, '^' right-assoc: parenthesize accordingly
+        # '^' is right-assoc, the others left-assoc: parenthesize accordingly
         if lp < p or (e.op == "^" and lp <= p):
             left = f"({left})"
-        if rp < p or (e.op in "-/" and rp <= p):
+        if rp < p or (e.op != "^" and rp <= p):
             right = f"({right})"
         return f"{left} {e.op} {right}" if e.op != "^" else f"{left}^{right}"
     raise TypeError(f"not an Expr: {e!r}")
@@ -390,9 +395,7 @@ def to_text(e: Expr) -> str:
 def _prec(e: Expr) -> int:
     if isinstance(e, BinOp):
         return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    if isinstance(e, Num) and e.value < 0:
+    if isinstance(e, Neg) or (isinstance(e, Num) and e.value < 0):
         return _PREC["neg"]
     return 9
 
@@ -410,7 +413,6 @@ def differentiate(e: Expr, var: str) -> Expr:
         return _neg(differentiate(e.arg, var))
     if isinstance(e, BinOp):
         a, b = e.left, e.right
-        da, db = None, None
         if e.op in "+-":
             da, db = differentiate(a, var), differentiate(b, var)
             return _add(da, _neg(db) if e.op == "-" else db)
@@ -677,33 +679,20 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
 _POINT_EXACT_CALLS = {"abs", "sqrt"}
 
 
+def _point_exact_node(e: Expr) -> bool:
+    if isinstance(e, BinOp) and e.op == "^":
+        return isinstance(e.right, Num) and e.right.value in (1.0, 2.0, 3.0)
+    return not isinstance(e, Call) or e.func in _POINT_EXACT_CALLS
+
+
 def is_point_exact(e: Expr) -> bool:
     """True when the tree uses only literals, variables, unary minus,
     ``+ - * /``, the constant exponents 1, 2 and 3 and the calls ``abs``
     and ``sqrt``: its compiled value at floats equals a batch row bit for
     bit (the module docstring says why ``max min`` are left out)."""
-    if isinstance(e, (Num, Var)):
-        return True
-    if isinstance(e, Neg):
-        return is_point_exact(e.arg)
-    if isinstance(e, BinOp):
-        if e.op == "^":
-            return (isinstance(e.right, Num) and e.right.value in (1.0, 2.0, 3.0)
-                    and is_point_exact(e.left))
-        return is_point_exact(e.left) and is_point_exact(e.right)
-    if isinstance(e, Call):
-        return e.func in _POINT_EXACT_CALLS and is_point_exact(e.args[0])
-    raise TypeError(f"not an Expr: {e!r}")
+    return all(map(_point_exact_node, e.walk()))
 
 
 def is_smooth(e: Expr) -> bool:
     """True when no abs/max/min appears anywhere in the tree."""
-    if isinstance(e, Call):
-        if e.func in _NON_SMOOTH:
-            return False
-        return all(is_smooth(a) for a in e.args)
-    if isinstance(e, BinOp):
-        return is_smooth(e.left) and is_smooth(e.right)
-    if isinstance(e, Neg):
-        return is_smooth(e.arg)
-    return True
+    return not any(isinstance(n, Call) and n.func in _NON_SMOOTH for n in e.walk())

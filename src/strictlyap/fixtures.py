@@ -27,8 +27,8 @@ from ._numerics import cumulative_trapezoid
 from .config import (Problem, SimRun, SimSpec, candidate_from_exprs,
                      feedback_from_exprs, field_from_exprs, rate_from_expr,
                      signal_from_exprs)
-from .decay import (DecayRate, NotPersistentlyExcitingError, PETriple, _rate_values,
-                    estimate_pe)
+from .decay import (DecayRate, NotPersistentlyExcitingError, PETriple,
+                    WindowIntegralTooSmallError, _rate_values, estimate_pe)
 from .dynsys import Signal
 from .strictify import _horizon_growth
 from .verify import SampleDomain
@@ -229,7 +229,8 @@ def check_reference_admissibility(w1r_text: str, w2r_text: str) -> Admissibility
     of `strictify._horizon_growth`, or a sup that is not finite, marks the
     reference inadmissible; so does a w1r or w2r not finite on those grids,
     named with its first such time.  The windows are tried in the order of
-    ADMISSIBILITY_TAUS.
+    ADMISSIBILITY_TAUS while the window integral is too small; any other
+    failure of w1r^2 + w2r^2 (not finite at t < 0, say) ends the check.
     """
     f1, f2 = (exprparse.compile_expr(text, ("t",)) for text in (w1r_text, w2r_text))
     sups = []
@@ -257,8 +258,12 @@ def check_reference_admissibility(w1r_text: str, w2r_text: str) -> Admissibility
         try:
             est = estimate_pe(pe_rate, float(tau), horizon=4.0 * ADMISSIBILITY_HORIZON,
                               n_grid=256)
-        except NotPersistentlyExcitingError:
+        except WindowIntegralTooSmallError:
             continue
+        except NotPersistentlyExcitingError as exc:
+            return AdmissibilityResult(False, f"w1r^2 + w2r^2 of reference "
+                                              f"({w1r_text!r}, {w2r_text!r}): {exc}",
+                                       sup_cross_integral=s4)
         return AdmissibilityResult(True, "admissible", tau=float(tau),
                                    epsilon=est.epsilon, sup_cross_integral=s4)
     return AdmissibilityResult(False,

@@ -23,7 +23,7 @@ of integrator error (W is the sliding-window integral of p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -271,7 +271,7 @@ def build_w(mu_tilde: GainFunction, tau: float, pbar: float,
     if not 0.0 < factor <= 0.25 + 1.0e-12:
         raise ValueError("factor must lie in (0, 1/4]")
     w = scale_gain(factor / tau, mu_tilde)
-    bound = 1.0 / (2.0 * tau * tau * pbar)
+    bound = float(1.0 / (2.0 * tau * tau * pbar))
     s = np.linspace(0.0, mu_tilde.probe_max, SLOPE_GRID)
     with np.errstate(all="ignore"):
         slopes = np.asarray(w.deriv(s), dtype=float)
@@ -283,11 +283,11 @@ def build_w(mu_tilde: GainFunction, tau: float, pbar: float,
     if float(slopes.max()) > bound + PASS_TOL:
         j = int(np.argmax(slopes))
         raise SlopeBoundViolatedError(
-            f"w'({s[j]!r}) = {slopes[j]!r} exceeds 1/(2 tau^2 pbar) = {bound!r}; "
-            f"retry with factor < {factor * bound / float(slopes.max()):.6g}")
+            f"w'({float(s[j])!r}) = {float(slopes[j])!r} exceeds 1/(2 tau^2 pbar) = "
+            f"{bound!r}; retry with factor < {factor * bound / float(slopes.max()):.6g}")
     if float(slopes.min()) < -PASS_TOL:
         j = int(np.argmin(slopes))
-        raise SlopeBoundViolatedError(f"w'({s[j]!r}) = {slopes[j]!r} is negative")
+        raise SlopeBoundViolatedError(f"w'({float(s[j])!r}) = {float(slopes[j])!r} is negative")
     return w
 
 
@@ -466,11 +466,9 @@ def strictify_from_state_form(candidate: LyapunovCandidate, system: ControlSyste
 
 
 def _decay_gain(epsilon: float, w: GainFunction, alpha1: GainFunction) -> GainFunction:
-    g = compose(w, alpha1)
-    return GainFunction(lambda s: epsilon * g(s), lambda s: epsilon * g.deriv(s),
-                        probe_max=alpha1.probe_max,
-                        label=f"{epsilon!r}*({w.label or 'w'})(({alpha1.label or 'a1'}))",
-                        point_exact=g.point_exact)
+    """epsilon * w(alpha1(s)), under the label the reports print."""
+    return replace(scale_gain(epsilon, compose(w, alpha1)),
+                   label=f"{epsilon!r}*({w.label or 'w'})(({alpha1.label or 'a1'}))")
 
 
 # ---------------------------------------------------------------------------

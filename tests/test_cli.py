@@ -1,6 +1,8 @@
+import argparse
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -516,7 +519,7 @@ _IN_PROCESS_CASES = [
     *(pytest.param([command, "--config", "INI"], [edit], code,
                    prefix + f"rate is not finite at t={t!r}", None,
                    id=f"{command}-rate-{name}")
-      for edit, name, t in ((_LOG, "log", -1.0), (_POLE, "pole", -0.5))
+      for edit, name, t in ((_LOG, "log", 0.0), (_POLE, "pole", 0.5))
       for command, code, prefix in (("pe", 1, "validation failure: "),
                                     ("strictify", 1, "validation failure: "),
                                     ("simulate", 0, "V# unavailable: "))),
@@ -528,6 +531,11 @@ _IN_PROCESS_CASES = [
                    None, id=f"reference-{ref}")
       for ref, t in (("1/t", 0.0), ("log(t)", 0.0), ("exp(t^3)", 8.92125),
                      ("sqrt(t - 1)", 0.0))),
+    # finite on [0, 160], but the first window reads w1r^2 + w2r^2 from t = -pi
+    pytest.param(["example", "rigid-body", "--reference", "sin(t) + 0*sqrt(t); cos(t); 0"],
+                 [], 1, "admissibility-failed: w1r^2 + w2r^2 of reference "
+                 "('sin(t) + 0*sqrt(t)', 'cos(t)'): rate is not finite at "
+                 f"t={-math.pi!r}", "persistently exciting", id="reference-negative-time"),
 ]
 
 
@@ -921,6 +929,22 @@ class TestSampleBudget:
         assert "PASS" not in out
 
 
+def test_two_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    argv = ["pe", "--example", "scalar-linear"]
+    assert cli.main(argv) == 0      # the process has its parser from here on
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
+    assert cli.main(argv) == 0 and cli.main(argv) == 0
+    assert built == []
+    assert capsys.readouterr().out.count("decay rate: ") == 3
+
+
 def test_unexpected_exception_exits_3(monkeypatch, capsys):
     def broken(args):
         raise IndexError("index 7 is out of bounds")
@@ -945,6 +969,7 @@ EXIT_CODES = {
     "exprparse.NonSmoothPrimitiveError": 2,
     "errors.ValidationFailure": 1,
     "decay.NotPersistentlyExcitingError": 1,
+    "decay.WindowIntegralTooSmallError": 1,
     "strictify.SlopeBoundViolatedError": 1,
     "strictify.UnboundedSupError": 1,
     "strictify.ValidationFailedError": 1,

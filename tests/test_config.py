@@ -44,10 +44,11 @@ def _stacked_batch(texts, n):
     return f
 
 
-def _derivative_texts(v_text, n):
+def _derivatives(v_text, n):
+    """dV/dt and the gradient of V, as `differentiate` builds them."""
     e = exprparse.parse(v_text)
-    return (exprparse.to_text(exprparse.differentiate(e, "t")),
-            [exprparse.to_text(exprparse.differentiate(e, f"x{i+1}")) for i in range(n)])
+    return (exprparse.differentiate(e, "t"),
+            [exprparse.differentiate(e, f"x{i+1}") for i in range(n)])
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +64,10 @@ def points(rb):
 class TestPointCalls:
     def test_candidate_matches_numpy_scalar_path(self, rb, points):
         v_text = rb.expressions["V"]
-        dt_text, grad_texts = _derivative_texts(v_text, 3)
+        dt, grads = _derivatives(v_text, 3)
         v_ref = _numpy_scalar_path([v_text], 3)
-        dt_ref = _numpy_scalar_path([dt_text], 3)
-        grad_ref = _numpy_scalar_path(grad_texts, 3)
+        dt_ref = _numpy_scalar_path([dt], 3)
+        grad_ref = _numpy_scalar_path(grads, 3)
         cand = rb.candidate
         for t, x in zip(*points[:2]):
             t = float(t)
@@ -93,17 +94,29 @@ class TestPointCalls:
         cand = candidate_from_exprs("x1^400", 1, "s", "s", "s")
         x = np.array([10.0])
         assert cand.V(0.0, x) == np.inf
-        _, grad_texts = _derivative_texts("x1^400", 1)
-        assert (cand.grad_x(0.0, x) == _numpy_scalar_path(grad_texts, 1)(0.0, x)).all()
+        _, grads = _derivatives("x1^400", 1)
+        assert (cand.grad_x(0.0, x) == _numpy_scalar_path(grads, 1)(0.0, x)).all()
 
 
 class TestBatchCalls:
+    def test_dv_dt_is_the_tree_differentiate_builds(self, rb):
+        """The rigid-body dV/dt is 0.5 * ((2.0 * B) * (cos(t) * x3)) as
+        built; the left-nested product its print once read back as differs
+        from it in the last bit at about a third of the points."""
+        rng = np.random.default_rng(5)
+        t, x = rng.uniform(0.0, 10.0, 2000), rng.uniform(-3.0, 3.0, (2000, 3))
+        built, _ = _derivatives(rb.expressions["V"], 3)
+        flat = "0.5 * 2.0 * (x2 + sin(t) * x3)^1.0 * cos(t) * x3"
+        got = rb.candidate.dV_dt(t, x)
+        assert np.array_equal(got, exprparse.compile_expr(built, _args(3))(t, *x.T))
+        assert not np.array_equal(got, exprparse.compile_expr(flat, _args(3))(t, *x.T))
+
     def test_grad_matches_stacked_components(self, rb, points):
         t, x, _ = points
-        _, grad_texts = _derivative_texts(rb.expressions["V"], 3)
+        _, grads = _derivatives(rb.expressions["V"], 3)
         got = rb.candidate.grad_x(t, x)
         assert got.shape == (N_POINTS, 3)
-        assert np.array_equal(got, _stacked_batch(grad_texts, 3)(t, x))
+        assert np.array_equal(got, _stacked_batch(grads, 3)(t, x))
 
     def test_constant_components_broadcast(self):
         cand = candidate_from_exprs("x1 + 0.5*x2^2", 2, "s", "s", "s")

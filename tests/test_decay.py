@@ -293,6 +293,21 @@ class TestWindowTable:
         with pytest.raises(decay.NotPersistentlyExcitingError, match=r"not finite at t=2\.0"):
             decay.window_table(rate_from_expr("1/(t - 2)"), 1.0, 2.0, 5.0)
 
+    # a periodic rate is evaluated at its grid times folded into one period,
+    # and the time named is the folded one, where the pole is
+    @pytest.mark.parametrize("text, t", [("1/(t - 0.5)^2", "0.5"), ("log(t)", "0.0")])
+    def test_non_finite_periodic_rate_named_at_the_folded_time(self, text, t):
+        with pytest.raises(decay.NotPersistentlyExcitingError,
+                           match=rf"^rate is not finite at t={re.escape(t)}$"):
+            decay.estimate_pe(rate_from_expr(text, period=1.0), 1.0)
+
+    def test_window_integral_too_small_has_its_own_class(self):
+        with pytest.raises(decay.WindowIntegralTooSmallError, match="window integral"):
+            decay.estimate_pe(rate_from_expr("max(0, sin(t))", period=2 * math.pi), 1.0)
+        with pytest.raises(decay.NotPersistentlyExcitingError) as info:
+            decay.estimate_pe(rate_from_expr("1/t"), 1.0)
+        assert not isinstance(info.value, decay.WindowIntegralTooSmallError)
+
     def test_non_finite_maximum_rejected(self):
         # finite on every grid, infinite at the scalar polish of the maximum
         p = DecayRate(lambda t: np.ones_like(t) if isinstance(t, np.ndarray) else math.inf)

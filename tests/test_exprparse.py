@@ -134,6 +134,20 @@ class TestRoundTrip:
         assert math.isnan(ep.compile_expr(back, ("t",))(0.0))
         assert ep.to_text(ep.parse(ep.to_text(back))) == ep.to_text(back)
 
+    # operands nested on the right, as differentiate builds them, keep their
+    # grouping
+    @pytest.mark.parametrize("text", ["x1*(x2*x3)", "x1 + (x2 + x3)", "x1 + (x2 - x3)",
+                                      "x1/(x2*x3)", "x1*(x2/x3)", "x1 - (x2 + x3)",
+                                      "x1^x2^x3", "(x1^x2)^x3", "-x1*-(x2*x3)"])
+    def test_print_parse_gives_the_same_tree(self, text):
+        e = ep.parse(text)
+        assert ep.parse(ep.to_text(e)) == e
+
+    def test_right_operand_of_equal_precedence_keeps_parentheses(self):
+        assert ep.to_text(ep.parse("x1*(x2*x3)")) == "x1 * (x2 * x3)"
+        assert ep.to_text(ep.parse("(x1*x2)*x3")) == "x1 * x2 * x3"
+        assert ep.to_text(ep.parse("x1^(x2^x3)")) == "x1^x2^x3"
+
     def test_candidate_with_an_infinite_coefficient_loads(self):
         from strictlyap.config import candidate_from_exprs
 
@@ -143,17 +157,17 @@ class TestRoundTrip:
 
 
 # random AST strategy for the round-trip property
-def _exprs(depth):
+def _exprs(depth, ops="+-*"):
     leaf = st.one_of(
         st.floats(min_value=0.1, max_value=5.0).map(lambda v: ep.Num(round(v, 3))),
         st.sampled_from(["t", "s", "x1", "x2", "u1"]).map(ep.Var),
     )
     if depth == 0:
         return leaf
-    sub = _exprs(depth - 1)
+    sub = _exprs(depth - 1, ops)
     return st.one_of(
         leaf,
-        st.tuples(st.sampled_from("+-*"), sub, sub).map(lambda o: ep.BinOp(o[0], o[1], o[2])),
+        st.tuples(st.sampled_from(ops), sub, sub).map(lambda o: ep.BinOp(o[0], o[1], o[2])),
         sub.map(ep.Neg),
         st.tuples(st.sampled_from(["sin", "cos", "exp", "tanh"]), sub).map(
             lambda o: ep.Call(o[0], (o[1],))),
@@ -171,6 +185,54 @@ def test_roundtrip_property(e):
     for _ in range(5):
         env = {v: rng.uniform(0.0, 3.0) for v in ("t", "s", "x1", "x2", "u1")}
         assert e2.eval(env) == pytest.approx(e.eval(env), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs(3, ops="+-*/^"))
+def test_print_parse_gives_the_same_tree_property(e):
+    assert ep.parse(ep.to_text(e)) == e
+
+
+def _v_derivatives(problem):
+    """V's derivatives in t and each state, as `differentiate` builds them."""
+    v = ep.parse(problem.expressions["V"])
+    if not ep.is_smooth(v):
+        return []
+    return [ep.differentiate(v, var)
+            for var in ("t", *(f"x{i+1}" for i in range(problem.system.n)))]
+
+
+def test_v_derivatives_print_and_parse_back(sweep_problems):
+    from strictlyap.fixtures import FIXTURES
+
+    problems = [build() for build in FIXTURES.values()]
+    problems += sweep_problems(0) + sweep_problems(1)
+    trees = [d for problem in problems for d in _v_derivatives(problem)]
+    assert len(trees) > len(problems)
+    for d in trees:
+        assert ep.parse(ep.to_text(d)) == d, ep.to_text(d)
+
+
+class TestWalk:
+    def test_children_of_each_node_type(self):
+        e = ep.parse("-x1 + max(t, 2)")
+        neg, call = e.children()
+        assert isinstance(neg, ep.Neg) and neg.children() == (ep.Var("x1"),)
+        assert call.children() == (ep.Var("t"), ep.Num(2.0))
+        assert ep.Num(2.0).children() == () and ep.Var("t").children() == ()
+
+    def test_walk_visits_every_node_once(self):
+        e = ep.parse("x1*(x2 + sin(x1)) - 3")
+        assert len(list(e.walk())) == 8
+        assert e.variables() == {"x1", "x2"}
+        assert ep.parse("2*pi").variables() == set()
+
+    @pytest.mark.parametrize("text, smooth", [
+        ("x1^2 + sin(t)", True), ("2", True), ("-abs(x1)", False),
+        ("exp(max(x1, 0))", False), ("x1/(1 + min(t, 1))", False),
+    ])
+    def test_is_smooth(self, text, smooth):
+        assert ep.is_smooth(ep.parse(text)) is smooth
 
 
 class TestDifferentiate:

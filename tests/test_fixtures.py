@@ -85,6 +85,14 @@ class TestReferenceAdmissibility:
         assert not res.admissible
         assert "not persistently exciting" in res.reason
 
+    def test_value_not_finite_before_zero_ends_the_ladder(self):
+        # w1r^2 + w2r^2 = 1 on [0, 160], nan from t = -pi, where the first
+        # window reads it: no other window is tried
+        res = check_reference_admissibility("sin(t) + 0*sqrt(t)", "cos(t)")
+        assert not res.admissible
+        assert res.reason == ("w1r^2 + w2r^2 of reference ('sin(t) + 0*sqrt(t)', 'cos(t)'): "
+                              f"rate is not finite at t={-PI!r}")
+
     def test_two_channel_excitation(self):
         # cos and sin together keep w1r^2 + w2r^2 = 1; cross integral bounded
         res = check_reference_admissibility("sin(t)", "cos(t)")

@@ -76,6 +76,16 @@ class TestBuildW:
         with pytest.raises(st.SlopeBoundViolatedError):
             st.build_w(identity_gain(), PI, 1.0, factor=0.25)
 
+    def test_slope_messages_print_floats(self):
+        with pytest.raises(st.SlopeBoundViolatedError) as info:
+            st.build_w(identity_gain(), PI, 1.0, factor=0.25)
+        assert str(info.value) == (
+            "w'(0.0) = 0.07957747154594767 exceeds 1/(2 tau^2 pbar) = "
+            "0.05066059182116889; retry with factor < 0.159155")
+        with pytest.raises(st.SlopeBoundViolatedError) as info:
+            st.build_w(gain_from_expr("-s"), 1.0, 1.0, factor=0.25)
+        assert str(info.value) == "w'(0.0) = -0.25 is negative"
+
     def test_quarter_factor_accepted_through_alpha2_tilde(self):
         from strictlyap.funcalc import compose, inverse_gain
         a2t = st.build_alpha2_tilde(identity_gain(), identity_gain(), 1.0, 1.0)
@@ -138,6 +148,13 @@ class TestStrictifyIssp:
         z = invert(cert.alpha2_tilde, float(candidate.alpha1(s)))
         expected = (PI / 2) / (4 * PI) * float(gain_from_expr("0.5*s^2")(z))
         assert float(cert.decay(s)) == pytest.approx(expected, rel=1e-8)
+        # epsilon times w o alpha1, under its own label
+        a1, w = candidate.alpha1, cert.w
+        assert cert.decay.label == f"{PI / 2!r}*({w.label})(({a1.label}))"
+        assert cert.decay.probe_max == a1.probe_max
+        assert cert.decay.point_exact == (w.point_exact and a1.point_exact)
+        assert float(cert.decay.deriv(s)) == (PI / 2) * (float(w.deriv(a1(s)))
+                                                         * float(a1.deriv(s)))
 
     def test_constant_rate_gives_constant_xi(self):
         sc = scalar_linear()
