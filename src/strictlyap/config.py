@@ -4,7 +4,7 @@ A Problem bundles everything one strictification run needs: the (closed)
 system, the Lyapunov candidate with envelope gains, the decay rate, the
 route gains, sampling domain and simulation plan.  Configs are flat INI
 files whose values are expressions in the package grammar; the built-in
-fixtures construct the same bundle programmatically.
+fixtures are such INI sections, kept as dicts, and read by the same loader.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
+from itertools import count, takewhile
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,7 +126,7 @@ def candidate_from_exprs(v_text: str, n: int, alpha1: str | GainFunction,
         if not exprparse.is_smooth(e):
             raise ConfigError(
                 "V uses abs/max/min; supply dV_dt and gradient expressions")
-    dv_dt = dv_dt_text or exprparse.differentiate(e, "t")
+    dv_dt = dv_dt_text if dv_dt_text is not None else exprparse.differentiate(e, "t")
     grad = (grad_texts if grad_texts is not None
             else [exprparse.differentiate(e, f"x{i+1}") for i in range(n)])
 
@@ -145,14 +146,14 @@ def rate_from_expr(text: str, period: float | None = None,
     return DecayRate(fn, period=period, pe=pe, label=text)
 
 
-def signal_from_exprs(texts: Sequence[str], sup_bound: float | None = None) -> Signal:
+def signal_from_exprs(texts: Sequence[str]) -> Signal:
     fused = exprparse.compile_expr(texts, ("t",))
 
     def fn(t):
         t = np.asarray(t, dtype=float)
         return _columns(fused(t), t.shape)
 
-    return Signal(fn, len(texts), sup_bound=sup_bound, label=", ".join(texts))
+    return Signal(fn, len(texts), label=", ".join(texts))
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +233,67 @@ def _number(section, key: str, fallback: float | None = None,
     return value
 
 
-def load_problem(path) -> Problem:
-    """Parse an INI problem description; see the README for the schema."""
+def _parser() -> configparser.ConfigParser:
+    """The reader of configs: keys keep their case, and a ';' or '%' in a
+    value is part of it."""
     cp = configparser.ConfigParser(inline_comment_prefixes=None, interpolation=None)
     cp.optionxform = str
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
+    return cp
+
+
+def load_problem(path) -> Problem:
+    """Parse an INI problem description; see the README for the schema."""
+    cp = _parser()
     try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
         return _build(cp)
     except (configparser.Error, KeyError, ValueError, exprparse.ExpressionError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(_named(cp, exc)) from exc
+
+
+def _numbered(section, pattern: str) -> list[int]:
+    """1, 2, .. for as long as ``pattern.format(k)`` is a key of ``section``."""
+    return list(takewhile(lambda k: pattern.format(k) in section, count(1)))
+
+
+def _expression_keys(cp: configparser.ConfigParser):
+    """(section, key, arguments) of each expression `_build` reads, in its
+    order; a gain's arguments are None."""
+    lyap, ss = cp["lyapunov"], cp["sim"]
+    n, m = cp["problem"].getint("n"), cp["problem"].getint("m")
+    fb = _numbered(cp["system"], "feedback{}")
+    yield from (("system", f"f{i+1}", _state_args(n, m)) for i in range(n))
+    yield from (("system", f"feedback{k}", _state_args(n)) for k in fb)
+    grads = [f"dV_dx{i+1}" for i in range(n)] if "dV_dx1" in lyap else []
+    yield from (("lyapunov", key, _state_args(n)) for key in ("V", "dV_dt", *grads))
+    yield from (("lyapunov", f"alpha{i}", None) for i in (1, 2, 3))
+    yield "decay", "p", ("t",)
+    yield from (("gains", key, None) for key in ("mu", "chi", "mu_tilde", "omega"))
+    for k in _numbered(ss, "x0.{}"):
+        yield from (("sim", f"u.{k}.{j+1}", ("t",)) for j in range(m - len(fb)))
+
+
+def _named(cp: configparser.ConfigParser, exc: Exception) -> str:
+    """``exc``'s message led by ``[section] key: `` of the first expression
+    `_build` reads that fails alone: with any expression error if ``exc`` is
+    one, else with ``exc``'s message.  Runs on the failure path only."""
+    try:
+        for section, key, args in _expression_keys(cp):
+            try:
+                text = _strip(cp[section][key])
+                if args is None:
+                    gain_from_expr(text)
+                else:
+                    exprparse.compile_expr(text, args)
+            except KeyError:   # an optional key left out
+                continue
+            except (ValueError, exprparse.ExpressionError) as own:
+                if isinstance(exc, exprparse.ExpressionError) or str(own) == str(exc):
+                    return f"[{section}] {key}: {own}"
+    except (KeyError, ValueError):   # no section, or n or m no integer
+        pass
+    return str(exc)
 
 
 def _build(cp: configparser.ConfigParser) -> Problem:
@@ -260,6 +312,10 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     for key in ("n", "m", "tau"):
         _required(prob, key)
     n, m = prob.getint("n"), prob.getint("m")
+    if n < 1:
+        raise ConfigError(f"[problem] n must be at least 1, got {n}")
+    if m < 0:
+        raise ConfigError(f"[problem] m must be non-negative, got {m}")
     mode = _strip(prob.get("mode", "disp-value"))
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -274,12 +330,9 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     sys_sec = cp["system"]
     f_texts = [_required(sys_sec, f"f{i+1}") for i in range(n)]
     expressions = {f"f{i+1}": txt for i, txt in enumerate(f_texts)}
-    fb_texts = []
-    k = 1
-    while f"feedback{k}" in sys_sec:
-        fb_texts.append(_strip(sys_sec[f"feedback{k}"]))
-        expressions[f"feedback{k}"] = fb_texts[-1]
-        k += 1
+    fb_keys = [f"feedback{k}" for k in _numbered(sys_sec, "feedback{}")]
+    fb_texts = [_strip(sys_sec[key]) for key in fb_keys]
+    expressions.update(zip(fb_keys, fb_texts))
 
     open_system = field_from_exprs(f_texts, n, m, period=period, label=name)
     feedback = feedback_from_exprs(fb_texts, n) if fb_texts else None
@@ -327,15 +380,15 @@ def _build(cp: configparser.ConfigParser) -> Problem:
         step_count(sim.t0, sim.tf, sim.step)
     except ValueError as exc:
         raise ConfigError(f"[sim] {exc}") from None
-    k = 1
-    while f"x0.{k}" in ss:
+    for k in _numbered(ss, "x0.{}"):
         raw = _strip(ss[f"x0.{k}"]).replace(",", " ")
         x0 = np.array([float(v) for v in raw.split()])
         if x0.size != n or not np.isfinite(x0).all():
             raise ConfigError(f"[sim] x0.{k} must be {n} finite numbers, got {raw!r}")
-        texts = [_strip(ss.get(f"u.{k}.{j+1}", "0")) for j in range(system.m)]
-        sim.runs.append(SimRun(x0, signal_from_exprs(texts)))
-        k += 1
+        keys = [f"u.{k}.{j+1}" for j in range(system.m)]
+        signal = (signal_from_exprs([_strip(ss.get(key, "0")) for key in keys])
+                  if any(key in ss for key in keys) else Signal.zero(system.m))
+        sim.runs.append(SimRun(x0, signal))
     if not sim.runs:
         sim.runs.append(SimRun(np.zeros(n), Signal.zero(system.m)))
 

@@ -1,5 +1,10 @@
 """Built-in example problems.
 
+Each fixture is the sections of an INI config, kept in `SECTIONS` and read
+by the loader of `--config` files.  Its function then sets what the schema
+cannot express: the given PE triple, a forced run's sup bound and, for
+rigid-body, the open loop, its feedback and the closed form of V#.
+
 `rigid-body`: velocity tracking for a rotating rigid body after feedback
 transformation.  The error dynamics are driven toward the reference through
 the backstepping control laws; with the squared-sine decay rate the closed
@@ -17,96 +22,96 @@ run.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprparse
+from . import config, exprparse
 from ._numerics import cumulative_trapezoid
-from .config import (Problem, SimRun, SimSpec, candidate_from_exprs,
-                     feedback_from_exprs, field_from_exprs, rate_from_expr,
-                     signal_from_exprs)
+from .config import Problem, feedback_from_exprs, field_from_exprs
 from .decay import (DecayRate, NotPersistentlyExcitingError, PETriple,
                     WindowIntegralTooSmallError, _rate_values, estimate_pe)
-from .dynsys import Signal
 from .strictify import _horizon_growth
-from .verify import SampleDomain
 
 PI = math.pi
 ADMISSIBILITY_HORIZON = 40.0   # reference cross integral: sups over H, 2H and 4H
 ADMISSIBILITY_TAUS = (PI, PI / 2.0, 2.0 * PI, 4.0 * PI)   # PE windows, in order
 
+_RIGID_BODY_ALPHA1 = "((3 - sqrt(5))/4)*s^2"
+SECTIONS = {
+    # the closed loop written out directly (the feedback cancels the cos drift)
+    "rigid-body": {
+        "problem": {"name": "rigid-body", "n": 3, "m": 2, "mode": "disp-value",
+                    "tau": PI, "period": 2.0 * PI, "factor": 0.125, "seed": 2026},
+        "system": {"f1": "-x1 - x2*x3 + u1",
+                   "f2": "-(1 + sin(t)*x1 + sin(t)^2)*x2 - (2*sin(t) + cos(t))*x3 + u2",
+                   "f3": "(x1 + sin(t))*x2"},
+        "lyapunov": {"V": "0.5*(x1^2 + (x2 + sin(t)*x3)^2 + x3^2)",
+                     "alpha1": _RIGID_BODY_ALPHA1, "alpha2": "((3 + sqrt(5))/4)*s^2",
+                     "alpha3": "4*s + 2*s^2"},
+        "decay": {"p": "sin(t)^2", "period": PI},
+        # mu, the state-form decay term, for Step-3 runs
+        "gains": {"mu": _RIGID_BODY_ALPHA1, "mu_tilde": "s", "omega": "0.5*s^2"},
+        "domains": {"t_min": 0.0, "t_max": 2.0 * PI, "x_radius": 5.0, "u_radius": 2.0,
+                    "samples": 100_000},
+        "sim": {"t0": 0.0, "tf": 60.0, "step": 1.0e-3, "x0.1": "1 -1 2",
+                "x0.2": "1 1 1", "u.2.1": "0.1*sin(3*t)", "u.2.2": "0.1*cos(5*t)"},
+    },
+    "counterexample-elw": {
+        "problem": {"name": "counterexample-elw", "n": 1, "m": 1, "mode": "disp-state",
+                    "tau": 1.0, "seed": 7},
+        "system": {"f1": "-x1 + (1 + t)*max(0, u1 - abs(x1))^3"},
+        "lyapunov": {"V": "x1^2", "alpha1": "s^2", "alpha2": "s^2", "alpha3": "2*s"},
+        "decay": {"p": "1", "period": 1.0},
+        "gains": {"mu": "s^2", "chi": "s", "omega": "s^2"},
+        "domains": {"t_min": 0.0, "t_max": 10.0, "x_radius": 5.0, "u_radius": 2.0,
+                    "samples": 20_000},
+        "sim": {"t0": 0.0, "tf": 10.0, "step": 1.0e-3, "x0.1": "1"},
+    },
+    "scalar-linear": {
+        "problem": {"name": "scalar-linear", "n": 1, "m": 1, "mode": "issp",
+                    "tau": 1.0, "period": 1.0, "factor": 0.25, "seed": 11},
+        "system": {"f1": "-x1 + u1"},
+        "lyapunov": {"V": "0.5*x1^2", "alpha1": "0.5*s^2", "alpha2": "0.5*s^2",
+                     "alpha3": "s"},
+        "decay": {"p": "1", "period": 1.0},
+        "gains": {"mu": "0.5*s^2", "chi": "2*s", "mu_tilde": "s", "omega": "0.5*s^2"},
+        "domains": {"t_min": 0.0, "t_max": 2.0, "x_radius": 8.0, "u_radius": 2.0,
+                    "samples": 8_000},
+        "sim": {"t0": 0.0, "tf": 10.0, "step": 1.0e-3, "x0.1": "1", "x0.2": "2",
+                "u.2.1": "0.5*sin(t)"},
+    },
+}
+
+
+def _load(name: str, pe: PETriple, sup_bounds: dict[int, float] | None = None) -> Problem:
+    """The fixture's sections read as a config, with its given PE triple and
+    the declared sup bound of each forced run (keyed by its index)."""
+    cp = config._parser()
+    cp.read_dict(SECTIONS[name])
+    problem = config._build(cp)
+    problem.rate = problem.rate.with_pe(pe)
+    for k, bound in (sup_bounds or {}).items():
+        run = problem.sim.runs[k]
+        run.signal = dataclasses.replace(run.signal, sup_bound=bound)
+    return problem
+
 
 def rigid_body() -> Problem:
     """Three-state tracking errors, two disturbance channels, mode disp-value."""
-    n, m_open = 3, 4
-    f_open = [
-        "u1 + u3 - cos(t)",
-        "u2 + u4",
-        "(x1 + sin(t))*x2",
-    ]
-    fb = [
-        "-x1 - x2*x3 + cos(t)",
-        "-(1 + sin(t)*x1 + sin(t)^2)*x2 - (2*sin(t) + cos(t))*x3",
-    ]
-    # closed loop written out directly (feedback cancels the cos drift)
-    f_closed = [
-        "-x1 - x2*x3 + u1",
-        "-(1 + sin(t)*x1 + sin(t)^2)*x2 - (2*sin(t) + cos(t))*x3 + u2",
-        "(x1 + sin(t))*x2",
-    ]
-    period = 2.0 * PI
-    open_system = field_from_exprs(f_open, n, m_open, period=period,
-                                   label="rigid-body-open")
-    system = field_from_exprs(f_closed, n, 2, period=period, label="rigid-body")
-    feedback = feedback_from_exprs(fb, n)
-
-    v_text = "0.5*(x1^2 + (x2 + sin(t)*x3)^2 + x3^2)"
-    alpha1 = "((3 - sqrt(5))/4)*s^2"
-    alpha2 = "((3 + sqrt(5))/4)*s^2"
-    alpha3 = "4*s + 2*s^2"
-    candidate = candidate_from_exprs(v_text, n, alpha1, alpha2, alpha3,
-                                     period=period, label="rigid-body")
-
-    rate = rate_from_expr("sin(t)^2", period=PI,
-                          pe=PETriple(PI, PI / 2.0, 1.0))
-
-    from .funcalc import gain_from_expr
-    expressions = {f"f{i+1}": txt for i, txt in enumerate(f_closed)}
-    expressions.update({f"feedback{i+1}": txt for i, txt in enumerate(fb)})
-    expressions.update({"V": v_text, "alpha1": alpha1, "alpha2": alpha2,
-                        "alpha3": alpha3, "p": "sin(t)^2",
-                        "mu_tilde": "s", "omega": "0.5*s^2", "mu": alpha1})
-
-    sim = SimSpec(t0=0.0, tf=60.0, step=1.0e-3, runs=[
-        SimRun(np.array([1.0, -1.0, 2.0]), Signal.zero(2)),
-        SimRun(np.array([1.0, 1.0, 1.0]),
-               signal_from_exprs(["0.1*sin(3*t)", "0.1*cos(5*t)"], sup_bound=0.15)),
-    ])
-
-    return Problem(
-        name="rigid-body",
-        system=system,
-        candidate=candidate,
-        rate=rate,
-        mode="disp-value",
-        tau=PI,
-        factor=0.125,
-        mu=gain_from_expr(alpha1),        # state-form decay term, for Step-3 runs
-        mu_tilde=gain_from_expr("s"),
-        omega=gain_from_expr("0.5*s^2"),
-        chi=None,
-        domain=SampleDomain((0.0, 2.0 * PI), 5.0, 2.0),
-        samples=100_000,
-        seed=2026,
-        sim=sim,
-        open_system=open_system,
-        feedback=feedback,
-        expressions=expressions,
-        xi_closed_form=lambda t: (PI / 4.0) * (PI - np.sin(2.0 * np.asarray(t))),
-        vsharp_coefficient_text="1 + pi/32 - sin(2*t)/32",
-    )
+    problem = _load("rigid-body", PETriple(PI, PI / 2.0, 1.0), {1: 0.15})
+    feedback = ["-x1 - x2*x3 + cos(t)",
+                "-(1 + sin(t)*x1 + sin(t)^2)*x2 - (2*sin(t) + cos(t))*x3"]
+    problem.open_system = field_from_exprs(
+        ["u1 + u3 - cos(t)", "u2 + u4", "(x1 + sin(t))*x2"], 3, 4,
+        period=2.0 * PI, label="rigid-body-open")
+    problem.feedback = feedback_from_exprs(feedback, 3)
+    problem.expressions.update({f"feedback{i+1}": t for i, t in enumerate(feedback)})
+    problem.xi_closed_form = lambda t: (PI / 4.0) * (PI - np.sin(2.0 * np.asarray(t)))
+    problem.vsharp_coefficient_text = "1 + pi/32 - sin(2*t)/32"
+    return problem
 
 
 def counterexample_elw() -> Problem:
@@ -116,80 +121,12 @@ def counterexample_elw() -> Problem:
     chi = identity.  The dissipation form fails on every fixed gain pair;
     the sampled margin drifts down linearly with the time horizon.
     """
-    n, m = 1, 1
-    f_text = "-x1 + (1 + t)*max(0, u1 - abs(x1))^3"
-    system = field_from_exprs([f_text], n, m, period=None, label="counterexample-elw")
-
-    v_text = "x1^2"
-    candidate = candidate_from_exprs(v_text, n, "s^2", "s^2", "2*s",
-                                     period=None, label="counterexample-elw")
-    rate = rate_from_expr("1", period=1.0, pe=PETriple(1.0, 1.0, 1.0))
-
-    from .funcalc import gain_from_expr
-    expressions = {"f1": f_text, "V": v_text, "alpha1": "s^2", "alpha2": "s^2",
-                   "alpha3": "2*s", "p": "1", "mu": "s^2", "chi": "s",
-                   "omega": "s^2"}
-
-    sim = SimSpec(t0=0.0, tf=10.0, step=1.0e-3, runs=[
-        SimRun(np.array([1.0]), Signal.zero(1)),
-    ])
-
-    return Problem(
-        name="counterexample-elw",
-        system=system,
-        candidate=candidate,
-        rate=rate,
-        mode="disp-state",
-        tau=1.0,
-        factor=None,
-        mu=gain_from_expr("s^2"),
-        chi=gain_from_expr("s"),
-        omega=gain_from_expr("s^2"),
-        domain=SampleDomain((0.0, 10.0), 5.0, 2.0),
-        samples=20_000,
-        seed=7,
-        sim=sim,
-        expressions=expressions,
-    )
+    return _load("counterexample-elw", PETriple(1.0, 1.0, 1.0))
 
 
 def scalar_linear() -> Problem:
     """Leaky integrator dx = -x + u with V = x^2/2; the smallest fixture."""
-    n, m = 1, 1
-    system = field_from_exprs(["-x1 + u1"], n, m, period=1.0, label="scalar-linear")
-    candidate = candidate_from_exprs("0.5*x1^2", n, "0.5*s^2", "0.5*s^2", "s",
-                                     period=1.0, label="scalar-linear")
-    rate = rate_from_expr("1", period=1.0, pe=PETriple(1.0, 1.0, 1.0))
-
-    from .funcalc import gain_from_expr
-    expressions = {"f1": "-x1 + u1", "V": "0.5*x1^2", "alpha1": "0.5*s^2",
-                   "alpha2": "0.5*s^2", "alpha3": "s", "p": "1",
-                   "mu": "0.5*s^2", "chi": "2*s", "mu_tilde": "s",
-                   "omega": "0.5*s^2"}
-
-    sim = SimSpec(t0=0.0, tf=10.0, step=1.0e-3, runs=[
-        SimRun(np.array([1.0]), Signal.zero(1)),
-        SimRun(np.array([2.0]), signal_from_exprs(["0.5*sin(t)"], sup_bound=0.5)),
-    ])
-
-    return Problem(
-        name="scalar-linear",
-        system=system,
-        candidate=candidate,
-        rate=rate,
-        mode="issp",
-        tau=1.0,
-        factor=0.25,
-        mu=gain_from_expr("0.5*s^2"),
-        chi=gain_from_expr("2*s"),
-        mu_tilde=gain_from_expr("s"),
-        omega=gain_from_expr("0.5*s^2"),
-        domain=SampleDomain((0.0, 2.0), 8.0, 2.0),
-        samples=8_000,
-        seed=11,
-        sim=sim,
-        expressions=expressions,
-    )
+    return _load("scalar-linear", PETriple(1.0, 1.0, 1.0), {1: 0.5})
 
 
 FIXTURES = {

@@ -232,7 +232,10 @@ def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None):
 def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
                n: int, seed: int, *, mask_fn=None,
                notes: str = "") -> InequalityReport:
-    """Sample, mask, evaluate and refine one margin; it passes at >= -PASS_TOL."""
+    """Sample, mask, evaluate and refine one margin; it passes at >= -PASS_TOL.
+    A budget of fewer than 2 samples is refused."""
+    if n < 2:
+        raise ValueError(f"{name}: sample budget must be at least 2, got {n}")
     t, x, u = domain.sample(n, nx, nu, seed)
     # samples outside a field's domain give nan or inf, which fail by name below
     with np.errstate(all="ignore"):

@@ -165,6 +165,8 @@ class TestConfigLoading:
                 load_problem(p)
 
     @pytest.mark.parametrize("old, new, match", [
+        _edit_case("n = 1\n", "n = 0\n", r"\[problem\] n must be at least 1, got 0"),
+        _edit_case("m = 1\n", "m = -1\n", r"\[problem\] m must be non-negative, got -1"),
         _edit_case("tau = 1.0", "tau = nan",
                    r"\[problem\] tau must be positive and finite, got nan"),
         _edit_case("tau = 1.0", "tau = inf",
@@ -585,6 +587,54 @@ def test_missing_required_key_is_named(tmp_path, capsys, section, key):
     cfg.write_text(edited, encoding="utf-8")
     assert cli.main(["pe", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"config error: [{section}] {key} is required\n"
+
+
+_DERIVATIVES = "; optional, symbolic derivatives are the default: dV_dt = ..., dV_dx1 = ..."
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('f1 = "-x1 + u1"', 'f1 = "-x1 + sin("',
+     "[system] f1: unexpected 'end of input' (line 1, column 11)"),
+    ('p = "1"', 'p = ""', "[decay] p: unexpected 'end of input' (line 1, column 1)"),
+    ('u.1.1 = "0"', 'u.1.1 = "x1"',
+     "[sim] u.1.1: expression uses ['x1'] not among arguments ['t']"),
+    ("; optional state feedbacks occupying leading inputs: feedback1 = ...",
+     'feedback1 = "u1"',
+     "[system] feedback1: expression uses ['u1'] not among arguments ['t', 'x1']"),
+    ('chi = "2*s"', 'chi = "2*t"', "[gains] chi: gain expression may only use 's', found ['t']"),
+    # an empty derivative is an expression like any other, not an absent key
+    (_DERIVATIVES, 'dV_dt = ""', "[lyapunov] dV_dt: unexpected 'end of input' (line 1, column 1)"),
+    (_DERIVATIVES, 'dV_dx1 = ""',
+     "[lyapunov] dV_dx1: unexpected 'end of input' (line 1, column 1)"),
+], ids=["f1", "p", "u.1.1", "feedback1", "chi", "dV_dt", "dV_dx1"])
+def test_expression_error_names_its_key(tmp_path, capsys, old, new, message):
+    cfg = _readme_ini(tmp_path)
+    cfg.write_text(_edited(cfg.read_text(encoding="utf-8"), (old, new)), encoding="utf-8")
+    assert cli.main(["strictify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("n = 1\n", "n = 1\nn = 2\n", "option 'n' in section 'problem' already exists"),
+    ("[problem]\n", "n = 1\n[problem]\n", "File contains no section headers."),
+], ids=["duplicate-key", "no-section-header"])
+def test_malformed_ini_is_config_error(tmp_path, capsys, old, new, message):
+    cfg = _readme_ini(tmp_path)
+    cfg.write_text(_edited(cfg.read_text(encoding="utf-8"), (old, new)), encoding="utf-8")
+    assert cli.main(["strictify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
+
+
+def test_run_without_input_keys_is_the_zero_input(tmp_path):
+    cfg = _readme_ini(tmp_path)
+    text = cfg.read_text(encoding="utf-8")
+    cfg.write_text(_edited(text, ('u.1.1 = "0"', "")), encoding="utf-8")
+    (run,) = load_problem(cfg).sim.runs
+    assert run.signal.sup_bound == 0.0 and run.signal.m == 1
+    cfg.write_text(text, encoding="utf-8")
+    (run,) = load_problem(cfg).sim.runs
+    assert run.signal.sup_bound is None and run.signal.label == "0"
 
 
 @pytest.mark.parametrize("command", ["strictify", "simulate"])

@@ -1,3 +1,4 @@
+import configparser
 import inspect
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from strictlyap import exprparse, fixtures
+from strictlyap.config import load_problem, strictify_problem
 from strictlyap.fixtures import (FIXTURES, check_reference_admissibility,
                                  get_fixture)
 
@@ -35,6 +37,33 @@ def test_fixture_field_is_finite_on_boxes(name):
     u = rng.normal(size=(k, problem.system.m)) * problem.domain.u_radius / 2
     vals = problem.system.f(t, x, u)
     assert np.isfinite(vals).all()
+
+
+def _outcome(problem):
+    """The report lines of a 500-sample strictification, or its failure."""
+    try:
+        return strictify_problem(problem, n_samples=500).report_lines()
+    except Exception as exc:  # noqa: BLE001 - the failure is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_sections_load_as_an_ini_file(tmp_path, name):
+    """A fixture is its INI sections read by the config loader: written to a
+    file they load, with the fixture's triple attached, to the same problem."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    cp.read_dict(fixtures.SECTIONS[name])
+    ini = tmp_path / f"{name}.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    fixture, loaded = get_fixture(name), load_problem(ini)
+    loaded.rate = loaded.rate.with_pe(fixture.rate.pe)
+    assert loaded.expressions == {k: v for k, v in fixture.expressions.items()
+                                  if not k.startswith("feedback")}
+    assert (loaded.domain, loaded.samples, loaded.seed, loaded.mode) == (
+        fixture.domain, fixture.samples, fixture.seed, fixture.mode)
+    assert _outcome(loaded) == _outcome(fixture)
 
 
 def test_rigid_body_period_declared():

@@ -142,6 +142,14 @@ class TestSampleDomain:
             SampleDomain().sample(n, 2, 1)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_budget_below_two_is_refused(n):
+    # one sample once passed the rigid-body envelope check
+    rb = rigid_body()
+    with pytest.raises(ValueError, match=f"^uppd: sample budget must be at least 2, got {n}$"):
+        verify.check_uppd(rb.candidate, rb.domain, n=n)
+
+
 def test_empty_implication_region_fails():
     def never(t, x, u):
         return np.zeros(t.size, dtype=bool)
