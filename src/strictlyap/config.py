@@ -222,12 +222,25 @@ def _required(section, key: str) -> str:
     return _strip(section[key])
 
 
+def _parsed(section, key: str, convert: Callable, fallback=None):
+    """``convert(section[key])``, ``fallback`` if absent; a value that does
+    not convert is a config error naming its key."""
+    if key not in section:
+        return fallback
+    try:
+        return convert(section[key])
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"[{section.name}] {key} must be {kind}, "
+                          f"got {section[key]!r}") from None
+
+
 def _number(section, key: str, fallback: float | None = None,
             rule: tuple = _FINITE) -> float | None:
     """``section[key]`` as a float held to ``rule``; ``fallback`` if absent."""
     if key not in section:
         return fallback
-    value = float(section[key])
+    value = _parsed(section, key, float)
     if not rule[1](value):
         raise ConfigError(f"[{section.name}] {key} must be {rule[0]}, got {value!r}")
     return value
@@ -311,7 +324,7 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     prob = cp["problem"]
     for key in ("n", "m", "tau"):
         _required(prob, key)
-    n, m = prob.getint("n"), prob.getint("m")
+    n, m = _parsed(prob, "n", int), _parsed(prob, "m", int)
     if n < 1:
         raise ConfigError(f"[problem] n must be at least 1, got {n}")
     if m < 0:
@@ -321,8 +334,8 @@ def _build(cp: configparser.ConfigParser) -> Problem:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     tau = _number(prob, "tau", rule=_POSITIVE)
     period = _number(prob, "period", rule=_POSITIVE)
-    seed = prob.getint("seed", fallback=Problem.seed)
-    samples = cp["domains"].getint("samples", fallback=DEFAULT_SAMPLES)
+    seed = _parsed(prob, "seed", int, Problem.seed)
+    samples = _parsed(cp["domains"], "samples", int, DEFAULT_SAMPLES)
     check_run_settings(seed, samples)
     factor = _number(prob, "factor", rule=_FACTOR)
     name = _strip(prob.get("name", "problem"))
@@ -364,7 +377,7 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     t_min, t_max = _number(ds, "t_min", t_min), _number(ds, "t_max", t_max)
     if not math.isfinite(t_max):    # the default max(P, tau) + tau overflows
         raise ConfigError(f"[domains] t_max is required: its default is {t_max!r}")
-    radii = {k: ds.getfloat(k) for k in ("x_radius", "u_radius") if k in ds}
+    radii = {k: _parsed(ds, k, float) for k in ("x_radius", "u_radius") if k in ds}
     try:
         domain = SampleDomain((t_min, t_max), **radii)
     except ValueError as exc:   # the type's rules, in the INI's keys
@@ -382,8 +395,12 @@ def _build(cp: configparser.ConfigParser) -> Problem:
         raise ConfigError(f"[sim] {exc}") from None
     for k in _numbered(ss, "x0.{}"):
         raw = _strip(ss[f"x0.{k}"]).replace(",", " ")
-        x0 = np.array([float(v) for v in raw.split()])
-        if x0.size != n or not np.isfinite(x0).all():
+        try:
+            x0 = np.array([float(v) for v in raw.split()])
+            valid = x0.size == n and np.isfinite(x0).all()
+        except ValueError:      # a word that is no number
+            valid = False
+        if not valid:
             raise ConfigError(f"[sim] x0.{k} must be {n} finite numbers, got {raw!r}")
         keys = [f"u.{k}.{j+1}" for j in range(system.m)]
         signal = (signal_from_exprs([_strip(ss.get(key, "0")) for key in keys])

@@ -9,10 +9,11 @@ takes these steps on numpy arrays and `invert` on Python floats, where a
 compiled gain gives what numpy gives, so no float error needs handling.  A
 gain built from point-exact expressions (see `exprparse.is_point_exact`)
 and the constructions below carries ``point_exact``: its float value and its
-batch value agree bit for bit, so the float loop gives the batch answer,
-and an inverse gain answers a float, or a batch of at most `FLOAT_BATCH`
-targets, one target at a time on floats.  An inverse gain answers an array
-of targets equal to its last array from its last answer.
+batch value agree bit for bit, so the float loop gives the batch answer.
+An inverse gain solves each distinct target of a batch once, and for a
+point-exact gain it answers a float, or a batch of at most `FLOAT_BATCH`
+distinct targets, one target at a time on floats.  It answers an array of
+targets equal to its last array from its last answer.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .errors import ValidationFailure
 
 DEFAULT_PROBE_MAX = 1.0e3
 _BRACKET_DOUBLINGS = 60
-# the largest batch of a point-exact gain's targets inverted one by one on
-# floats: at 14 targets both routes take about 0.23 ms on the alpha2_tilde
-# of the benchmark's sweep problems, and from 16 up one array call is faster
+# the most distinct targets of a point-exact gain inverted one by one on
+# floats: on the alpha2_tilde of the benchmark's sweep problems (one CPU),
+# 14 take 0.36 ms on floats and 0.46 ms in one array call, both routes take
+# about 0.45 ms at 16, and from 18 up one array call is faster
 FLOAT_BATCH = 14
 
 
@@ -281,12 +283,14 @@ def inverse_gain(g: GainFunction) -> GainFunction:
     """Numeric inverse of an increasing gain, as a GainFunction.
 
     Each target gets the answer it would get alone, and a float target a
-    float.  For a point-exact g a float goes through `invert`, and a batch
-    of at most `FLOAT_BATCH` targets goes through `invert` one target at a
-    time; every other argument goes through `_invert_array`, a float as a
-    0-d array.  The gain keeps its last array of targets and its answer: an
-    array of the same shape and equal values (NaN equal to NaN, -0.0 to
-    0.0) gets a copy of the last answer without a new inversion, so
+    float.  For a point-exact g a float goes through `invert`; any other
+    argument is a batch, a float a batch of one.  A batch is solved once per
+    distinct target (-0.0 and 0.0 are one target, and so are all NaNs, whose
+    answers agree): through `invert` one target at a time for a point-exact
+    g with at most `FLOAT_BATCH` distinct targets, else through
+    `_invert_array`.  The gain keeps its last array of targets and its
+    answer: an array of the same shape and equal values (NaN equal to NaN,
+    -0.0 to 0.0) gets a copy of the last answer without a new inversion, so
     ``deriv(y)`` followed by ``fn(y)`` inverts a batch ``y`` once.  A
     negative target, or one the gain looks bounded below, raises
     TargetOutOfRangeError naming g.  The derivative uses the
@@ -303,10 +307,12 @@ def inverse_gain(g: GainFunction) -> GainFunction:
         y = np.asarray(y, dtype=float)
         if prev is not None and np.array_equal(prev[0], y, equal_nan=True):
             return prev[1].copy()
-        if g.point_exact and y.size <= FLOAT_BATCH:
-            out = np.array([invert(g, v) for v in y.ravel().tolist()]).reshape(y.shape)
+        targets, where = np.unique(y, return_inverse=True)
+        if g.point_exact and targets.size <= FLOAT_BATCH:
+            answers = np.array([invert(g, v) for v in targets.tolist()], dtype=float)
         else:
-            out = _invert_array(g, y)
+            answers = _invert_array(g, targets)
+        out = answers[where].reshape(y.shape)
         last = (y.copy(), out.copy())
         return out
 

@@ -4,10 +4,11 @@ Every check draws a deterministic batch of points (unit-cube rows from
 scrambled Halton for coverage plus seeded uniform noise, sent into the domain
 by one map), evaluates a vectorized margin whose nonnegativity expresses the
 inequality, then polishes the worst point with coordinate descent, which
-evaluates the probes of a pass as one batch.  A passing
-report means "no violation found on this domain with this budget", never a
-proof; an implication region that kept no sample fails, and so does a
-non-finite sampled margin, without refinement.
+evaluates every probe it has left, of all its passes, as one batch and
+rebuilds that batch after each move.  A passing report means "no violation
+found on this domain with this budget", never a proof; an implication region
+that kept no sample fails, and so does a non-finite sampled margin, without
+refinement.
 """
 
 from __future__ import annotations
@@ -167,35 +168,46 @@ def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None):
     """Locally minimize the margin around ``point`` (deterministic); probes
     outside the batch mask ``accept`` count as +inf.
 
-    A pass probes t, x1..xn, u1..um in turn, each +step before -step, and
-    moves to the first probe that lowers the margin.  The probes left in a
-    pass are evaluated as one batch from the current point; after a move the
-    ones behind it are rebuilt from the new point, so the search takes the
-    path that probing one point at a time takes.
+    Pass p of `REFINE_PASSES` probes t, x1..xn, u1..um in turn with steps
+    halved p times, each +step before -step, and the search moves to the
+    first probe that lowers the margin.  One margin batch holds every probe
+    left, the rest of this pass and all later ones, around the current
+    point (the first batch also holds that point); after a move the batch
+    is rebuilt from the probe behind it.  So a descent costs 1 + moves
+    margin calls and takes the path that probing one point at a time takes.
     """
     t, x, u = point
     nx = np.size(x)
     z = np.concatenate(([float(t)], np.array(x, dtype=float), np.array(u, dtype=float)))
     d = z.size
-    # probe q moves coordinate q // 2 of z = (t, x, u), by +step before -step
+    # probe g moves coordinate coord[g] of z = (t, x, u) by delta[g]: pass
+    # g // (2d), +step before -step
     steps = np.repeat([0.1 * (domain.t_range[1] - domain.t_range[0]),
                        0.1 * max(domain.x_radius, 1.0e-6),
                        0.1 * max(domain.u_radius, 1.0e-6)], [1, nx, d - 1 - nx])
     signed = np.tile([1.0, -1.0], d) * np.repeat(steps, 2)
+    delta = np.concatenate([signed * 0.5 ** p for p in range(REFINE_PASSES)])
+    coord = np.tile(np.repeat(np.arange(d), 2), REFINE_PASSES)
     balls = ((1, 1 + nx, domain.x_radius), (1 + nx, d, domain.u_radius))
 
-    def probes(q, delta):
-        """Rows (t, x, u) of probes q, q+1, ... around z: t clipped to its
-        range, a moved x or u projected back onto its ball with a norm per
-        row, as for one point."""
-        k = delta.size
-        rows = np.repeat(z[None, :], k, axis=0)
-        rows[np.arange(k), (q + np.arange(k)) // 2] += delta
-        n_t = max(0, 2 - q)
-        rows[:n_t, 0] = np.clip(rows[:n_t, 0], *domain.t_range)
+    def probes(g):
+        """Rows (t, x, u) of probes g, g+1, ... around z: t clipped to its
+        range, a moved x or u that may leave its ball projected back onto it
+        with a norm per row, as for one point."""
+        moved = coord[g:]
+        rows = np.repeat(z[None, :], moved.size, axis=0)
+        rows[np.arange(moved.size), moved] += delta[g:]
+        on_t = moved == 0
+        rows[on_t, 0] = np.clip(rows[on_t, 0], *domain.t_range)
         for lo, hi, radius in balls:
-            for i in range(max(0, 2 * lo - q), max(0, 2 * hi - q)):
-                v = rows[i, lo:hi]
+            i = np.flatnonzero((moved >= lo) & (moved < hi))
+            part = rows[i, lo:hi]
+            # a sum of squares below radius^2 (1 - 1e-9) is a norm below the
+            # radius however either rounds, so only the other rows take the
+            # one-point norm
+            inside = np.einsum("ij,ij->i", part, part) < radius * radius * (1.0 - 1.0e-9)
+            for j in i[~inside]:
+                v = rows[j, lo:hi]
                 nrm = np.linalg.norm(v)
                 if nrm > radius:
                     v *= radius / nrm
@@ -213,19 +225,19 @@ def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None):
                 out[keep] = margin_fn(tt[keep], xx[keep], uu[keep])
         return out
 
-    best = float(values(z[None, :])[0])
-    for p in range(REFINE_PASSES):
-        delta = signed * 0.5 ** p
-        q = 0
-        while q < 2 * d:
-            rows = probes(q, delta[q:])
-            vals = values(rows)
-            better = np.flatnonzero(vals < best)
-            if better.size == 0:
-                break
-            j = int(better[0])
-            best, z = float(vals[j]), rows[j]
-            q += j + 1
+    rows = np.vstack((z, probes(0)))
+    vals = values(rows)
+    best, rows, vals, g = float(vals[0]), rows[1:], vals[1:], 0
+    while True:
+        better = np.flatnonzero(vals < best)
+        if better.size == 0:
+            break
+        j = int(better[0])
+        best, z, g = float(vals[j]), rows[j], g + j + 1
+        if g == delta.size:
+            break
+        rows = probes(g)
+        vals = values(rows)
     return best, (float(z[0]), z[1:1 + nx].copy(), z[1 + nx:].copy())
 
 

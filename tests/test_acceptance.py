@@ -106,7 +106,7 @@ def test_c04_bounds_and_slope_invariants():
         if i % 2 == 0:
             # implication route: dx = -c p(t) (x - u), mu(s) = c s^2 / 2
             system = ControlSystem(
-                1, 1, lambda t, x, u, c=c, p=p: -c * np.asarray(p(t)) * (x - u),
+                1, 1, lambda t, x, u, c=c, p=p: -c * np.asarray(p(t))[..., None] * (x - u),
                 period=period)
             candidate = candidate_from_exprs("0.5*x1^2", 1, "0.5*s^2", "0.5*s^2",
                                              "s", period=period)
@@ -118,7 +118,7 @@ def test_c04_bounds_and_slope_invariants():
         else:
             # dissipation route: dx = -p(t) x + p(t) u, mu_tilde = id
             system = ControlSystem(
-                1, 1, lambda t, x, u, p=p: -np.asarray(p(t)) * (x - 0.5 * u),
+                1, 1, lambda t, x, u, p=p: -np.asarray(p(t))[..., None] * (x - 0.5 * u),
                 period=period)
             candidate = candidate_from_exprs("0.5*x1^2", 1, "0.5*s^2", "0.5*s^2",
                                              "s", period=period)

@@ -840,10 +840,11 @@ def test_library_surface():
 
 def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, capsys):
     # the README's issp route inverts alpha2_tilde behind every w and decay
-    # call; an inverse gain that reuses its last answer, probed a descent pass
-    # at a time, inverts 21 times here: the slope grid and the two checks'
-    # samples as arrays, and 18 descent batches of 1 to 5 targets, 70 in
-    # all, one target at a time on floats
+    # call; an inverse gain that reuses its last answer and solves each
+    # distinct target once, probed one batch per descent move, inverts the
+    # slope grid and the two checks' samples as arrays, two descent batches
+    # of 15 and 17 distinct targets as arrays, and 10 targets of the others
+    # one at a time on floats
     cfg = _readme_ini(tmp_path)
     calls = []
     original, original_invert = funcalc._invert_array, funcalc.invert
@@ -859,8 +860,8 @@ def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, 
     monkeypatch.setattr(funcalc, "_invert_array", counted)
     monkeypatch.setattr(funcalc, "invert", counted_invert)
     assert cli.main(["strictify", "--config", str(cfg)]) == 0
-    assert sorted(c for c in calls if c != "float") == [(1024,), (2009,), (3000,)]
-    assert calls.count("float") == 70
+    assert sorted(c for c in calls if c != "float") == [(15,), (17,), (1024,), (2009,), (3000,)]
+    assert calls.count("float") == 10
 
 
 _SCIPY_AFTER = (

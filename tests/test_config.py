@@ -1,14 +1,17 @@
-"""The point and batch conventions of the expression-backed builders.
+"""The point and batch conventions of the expression-backed builders, and
+the number keys of an INI config.
 
 A point (x of shape (n,)) is evaluated on Python floats by one fused call; a
 batch (t of shape (k,), x of shape (k, n)) by one fused array call.  Both
 must give exactly what one compiled callable per component gives.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from strictlyap import exprparse
+from strictlyap import cli, exprparse
 from strictlyap.config import candidate_from_exprs, field_from_exprs
 from strictlyap.dynsys import close_loop
 from strictlyap.fixtures import rigid_body
@@ -162,3 +165,80 @@ class TestCloseLoop:
         assert np.array_equal(closed.f(0.0, x[0], np.zeros(0)), [-1.0, -1.0])
         assert np.array_equal(closed.f(np.zeros(2), x, np.zeros((2, 0))),
                               [[-1.0, -1.0], [-3.0, 7.0]])
+
+
+# every number key a config may hold, each with a valid value
+NUMBERS_CONFIG = """\
+[problem]
+n = 1
+m = 1
+mode = issp
+tau = 1.0
+period = 1.0
+factor = 0.125
+seed = 3
+
+[system]
+f1 = "-x1 + u1"
+
+[lyapunov]
+V = "0.5*x1^2"
+alpha1 = "0.5*s^2"
+alpha2 = "0.5*s^2"
+alpha3 = "s"
+
+[decay]
+p = "1"
+period = 1.0
+
+[gains]
+mu = "0.5*s^2"
+chi = "2*s"
+
+[domains]
+t_min = 0.0
+t_max = 2.0
+x_radius = 6.0
+u_radius = 2.0
+samples = 500
+
+[sim]
+t0 = 0.0
+tf = 1.0
+step = 0.01
+x0.1 = 1.0
+"""
+
+
+@pytest.mark.parametrize("section, key, kind", [
+    *(("problem", key, "a number") for key in ("tau", "period", "factor")),
+    ("decay", "period", "a number"),
+    *(("domains", key, "a number") for key in ("t_min", "t_max", "x_radius", "u_radius")),
+    *(("sim", key, "a number") for key in ("t0", "tf", "step")),
+    *(("problem", key, "an integer") for key in ("n", "m", "seed")),
+    ("domains", "samples", "an integer"),
+])
+def test_number_key_that_is_no_number_is_named(tmp_path, capsys, section, key, kind):
+    head, _, rest = NUMBERS_CONFIG.partition(f"[{section}]\n")
+    body, sep, tail = rest.partition("\n[")
+    edited, k = re.subn(rf"^{key} = .*$", f"{key} = abc", body, flags=re.M)
+    assert k == 1
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"{head}[{section}]\n{edited}{sep}{tail}", encoding="utf-8")
+    assert cli.main(["pe", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: [{section}] {key} must be {kind}, got 'abc'\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "1.0 abc"])
+def test_initial_state_that_is_no_number_is_named(tmp_path, capsys, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(NUMBERS_CONFIG.replace("x0.1 = 1.0", f"x0.1 = {value}"), encoding="utf-8")
+    assert cli.main(["pe", "--config", str(cfg)]) == 2
+    assert (capsys.readouterr().err
+            == f"config error: [sim] x0.1 must be 1 finite numbers, got {value!r}\n")
+
+
+def test_numbers_config_loads(tmp_path):
+    cfg = tmp_path / "good.ini"
+    cfg.write_text(NUMBERS_CONFIG, encoding="utf-8")
+    assert cli.main(["pe", "--config", str(cfg)]) == 0

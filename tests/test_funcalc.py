@@ -168,7 +168,8 @@ def test_both_solvers_refuse_a_bracket_past_the_probed_range():
         fc._invert_array(g, np.array([0.0, 0.5]))
 
 
-@pytest.mark.parametrize("y", [-1.0, np.array([2.0, -1.0e-12]), 5.0, np.array([0.5, 5.0])])
+@pytest.mark.parametrize("y", [-1.0, np.array([2.0, -1.0e-12]), 5.0, np.array([0.5, 5.0]),
+                               np.array([2.0, -1.0, 2.0, 0.0, -1.0])])
 @pytest.mark.parametrize("exact", [True, False])
 def test_inverse_gain_names_the_gain_of_a_target_out_of_range(y, exact):
     # a negative target, or one past the bounded gain 2 tanh(s), on both routes
@@ -269,6 +270,39 @@ def test_raising_target_keeps_the_last_answer(monkeypatch):
         inv(np.array([-2.0]))
     assert _bits(inv(np.array([2.0]))) == _bits(batch)    # the last array's answer
     assert calls == ["float"] * 2
+
+
+# repeated targets, both zeros and NaNs: 4 distinct targets in 10
+_REPEATED = np.array([[2.0, -0.0, 0.0, np.nan, 2.0], [0.0, np.nan, 7.5, -0.0, 2.0]])
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_repeated_targets_are_solved_once_each(monkeypatch, exact):
+    # the float route for a point-exact gain, the array route otherwise;
+    # either gives each element the bits the array route gives it
+    g = dataclasses.replace(fc.gain_from_expr("s + s^3"), point_exact=exact)
+    inv = fc.inverse_gain(g)
+    calls, original = _counting(monkeypatch)
+    got = inv(_REPEATED)
+    assert calls == (["float"] * 4 if exact else [(4,)])
+    ref = original(g, _REPEATED)
+    assert _bits(got) == _bits(ref)
+    for a, b in zip(got.ravel(), ref.ravel()):
+        assert _bits(a) == _bits(b)
+
+
+def test_float_route_counts_distinct_targets(monkeypatch):
+    g = fc.gain_from_expr("s + s^3")
+    inv = fc.inverse_gain(g)
+    calls, original = _counting(monkeypatch)
+    y = np.repeat(np.linspace(0.5, 30.0, fc.FLOAT_BATCH), 3)[::-1].copy()
+    assert y.size > fc.FLOAT_BATCH
+    assert _bits(inv(y)) == _bits(original(g, y))
+    assert calls == ["float"] * fc.FLOAT_BATCH
+    del calls[:]
+    more = np.append(y, 31.0)                    # one distinct target too many
+    assert _bits(inv(more)) == _bits(original(g, more))
+    assert calls == [(fc.FLOAT_BATCH + 1,)]
 
 
 def _inverted_gains(monkeypatch, problems):

@@ -488,7 +488,8 @@ class TestCoordinateDescent:
     @staticmethod
     def _compare(margin_fn, domain, point, accept=None):
         """Batched and one-point descents from ``point``: the same result,
-        bit for bit, within the margin-call bound; returns every probed row."""
+        bit for bit, in at most 1 + moves margin calls (one batch, then one
+        per move); returns every probed row."""
         rows = []
 
         def recorded(t, x, u):
@@ -501,7 +502,7 @@ class TestCoordinateDescent:
         assert best == ref_best and t == ref_t
         assert np.array_equal(x, ref_x) and np.array_equal(u, ref_u)
         assert moves > 0
-        assert len(rows) <= 1 + verify.REFINE_PASSES + moves
+        assert len(rows) <= 1 + moves
         return [np.concatenate(a) for a in zip(*rows)]
 
     def test_uppd_margin(self):
@@ -543,6 +544,54 @@ class TestCoordinateDescent:
         x0 = 0.99 * radius * np.array([0.6, 0.0, 0.8])
         t, x, u = self._compare(margin_fn, rb.domain, (1.0, x0, np.zeros(0)))
         assert np.isclose(np.linalg.norm(x, axis=1), radius, rtol=1e-14, atol=0.0).any()
+
+    def test_start_on_the_ball_boundary_projects_row_by_row(self, monkeypatch):
+        # rows that may leave the ball fall back to the one-point norm
+        rb = rigid_body()
+        margin_fn = verify.check_uppd(rb.candidate, rb.domain, n=200, seed=3).margin_fn
+        radius = rb.domain.x_radius
+        row_norms = []
+        norm = np.linalg.norm
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 1 and not args and not kwargs:
+                row_norms.append(a.copy())
+            return norm(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        for x0 in (radius * np.array([0.6, 0.0, 0.8]), np.array([0.0, -radius, 0.0])):
+            del row_norms[:]
+            t, x, u = self._compare(margin_fn, rb.domain, (2.0, x0, np.zeros(0)))
+            assert row_norms
+            assert np.isclose(np.linalg.norm(x, axis=1), radius, rtol=1e-14, atol=0.0).any()
+
+    def test_zero_x_radius_keeps_x_at_the_origin(self):
+        dom = SampleDomain((0.0, 10.0), x_radius=0.0, u_radius=2.0)
+
+        def margin_fn(t, x, u):
+            return (t - 3.3) ** 2 + (x ** 2).sum(axis=1) + ((u - 0.7) ** 2).sum(axis=1)
+
+        t, x, u = self._compare(margin_fn, dom, (1.0, np.zeros(2), np.zeros(1)))
+        assert not x.any()      # every x probe is projected back to the origin
+
+    def test_accept_rejecting_every_later_pass(self):
+        # the first pass's steps are 1 in t and 0.5 in x, and every later
+        # pass probes off that grid, where the mask rejects each row
+        dom = SampleDomain((0.0, 10.0), x_radius=5.0, u_radius=0.0)
+
+        def margin_fn(t, x, u):
+            return (t - 3.3) ** 2 + ((x - [0.7, -0.4]) ** 2).sum(axis=1)
+
+        def on_first_grid(t, x, u):
+            return (t % 1.0 == 0.0) & (x % 0.5 == 0.0).all(axis=1)
+
+        t, x, u = self._compare(margin_fn, dom, (1.0, np.zeros(2), np.zeros(0)),
+                                on_first_grid)
+        assert on_first_grid(t, x, u).all()
+        best, point = verify._coordinate_descent(margin_fn, dom,
+                                                 (1.0, np.zeros(2), np.zeros(0)),
+                                                 on_first_grid)
+        assert point[0] == 2.0 and np.array_equal(point[1], [0.5, -0.5])
 
     @pytest.mark.parametrize("fixture", [rigid_body, scalar_linear, counterexample_elw])
     def test_refined_margin_reevaluates_exactly(self, fixture):
