@@ -157,10 +157,18 @@ def _at_point(fn, t, x, u):
 
 
 def vdot(candidate, system, t, x, u):
-    """dV/dt + grad_x V . f along the system, vectorized over batches."""
+    """dV/dt + grad_x V . f along the system, vectorized over batches.
+
+    A field whose output is not shaped like ``x``, (k, n), raises ValueError
+    naming the system: broadcast against the gradient it would mix the rows
+    of a batch, so a verdict would depend on how many points share it.
+    """
     dt = np.asarray(candidate.dV_dt(t, x), dtype=float)
     g = np.asarray(candidate.grad_x(t, x), dtype=float)
     fx = np.asarray(system.f(t, x, u), dtype=float)
+    if fx.shape != np.shape(x):
+        raise ValueError(f"system {system.label or '(unnamed)'}: f(t, x, u) has shape "
+                         f"{fx.shape}, expected the shape {np.shape(x)} of x")
     return dt + np.einsum("ij,ij->i", g, fx)
 
 

@@ -250,6 +250,29 @@ ONE = DecayRate(lambda t: np.ones_like(np.asarray(t, dtype=float)), period=1.0,
                 pe=PETriple(1, 1, 1), label="1")
 
 
+def test_field_not_shaped_like_x_is_refused_by_name():
+    # a time-varying rate times (x - u) without p(t)[..., None]: shapes (k,)
+    # and (k, 1) broadcast to (k, k), which would mix the rows of a batch
+    p = DecayRate(lambda t: 0.5 + np.sin(np.asarray(t)) ** 2, period=PI, label="0.5+sin^2")
+    bad = ControlSystem(1, 1, lambda t, x, u: -np.asarray(p(t)) * (x - 0.5 * u),
+                        period=PI, label="rate-times-gap")
+    good = dataclasses.replace(
+        bad, f=lambda t, x, u: -np.asarray(p(t))[..., None] * (x - 0.5 * u))
+    t, x, u = SampleDomain((0.0, PI), 2.0, 1.0).sample(7, 1, 1, 0)
+    with pytest.raises(ValueError) as err:
+        verify.vdot(_leaky_candidate(), bad, t, x, u)
+    assert str(err.value) == ("system rate-times-gap: f(t, x, u) has shape (7, 7), "
+                              "expected the shape (7, 1) of x")
+    assert verify.vdot(_leaky_candidate(), good, t, x, u).shape == (7,)
+    with pytest.raises(ValueError, match=r"^system rate-times-gap: .* \(200, 200\)"):
+        verify.check_disp_lyap(_leaky_candidate(), bad, p, identity_gain(),
+                               gain_from_expr("s^2"), "state",
+                               SampleDomain((0.0, PI), 2.0, 1.0), n=200, seed=0)
+    unnamed = dataclasses.replace(bad, label="")
+    with pytest.raises(ValueError, match=r"^system \(unnamed\): "):
+        verify.vdot(_leaky_candidate(), unnamed, t, x, u)
+
+
 class TestCheckIsspLyap:
     DOMAIN = SampleDomain((0.0, 2.0), 6.0, 2.0)
 

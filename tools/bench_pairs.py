@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the benchmark, written as one JSON file.
 
     python tools/bench_pairs.py --parent HEAD~1 --change WORKTREE \\
-        --workload sweep --seed 0 --seed 1 --pairs 10 --seconds 20 \\
+        --seed 0 --seed 1 --pairs 10 --seconds 20 \\
         --claim sweep:wall_s --out BENCH_<n>.json
 
 Run from inside the repository.  Each side runs from its own tree: a
@@ -10,10 +10,10 @@ working tree's files that git tracks or would track.  For each workload and
 seed, pair i runs ``perfbench/run.py --trace 0`` once on each side, the
 parent first in even pairs and the change first in odd ones.  The file holds
 each end-to-end metric's runs, median and quartiles per side, the pairs in
-which the change read lower, the change of the median against the bound of
-``BENCHMARK.json``, and both sides' digests at every seed of
-``--digest-seed`` (one short run a side where no pair ran at that seed).
-The layout is that of ``BENCH_28.json`` to ``BENCH_30.json``.
+which the change read lower, a verdict on the change of the median against
+the bound of the parent's ``BENCHMARK.json``, and both sides' digests at
+seeds 0 and 1 (one short run a side where no pair ran at that seed).  The
+layout is that of ``BENCH_28.json`` to ``BENCH_30.json``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ from pathlib import Path
 
 QUARTILES = "statistics.quantiles(runs, n=4, method='inclusive'); runs listed in pair order"
 RUN_TIMEOUT_S = 900
+WORKLOADS = ("fixtures", "sweep", "trajectories")
+DIGEST_SEEDS = (0, 1)
+VERDICT_RULE = ("unresolved when the parent's interquartile range exceeds the bound "
+                "times the parent median, unless every change run is better than every "
+                "parent run; otherwise within bound when the median is no worse than the "
+                "bound, else worse than bound")
 
 
 def parse_args(argv):
@@ -39,13 +45,8 @@ def parse_args(argv):
     p.add_argument("--parent", default="HEAD~1", help="revision of the parent side")
     p.add_argument("--change", default="WORKTREE",
                    help="revision of the change side, or WORKTREE for the working tree")
-    p.add_argument("--workload", action="append", dest="workloads",
-                   choices=("fixtures", "sweep", "trajectories"),
-                   help="workload to pair (repeatable; default all three)")
     p.add_argument("--seed", action="append", type=int, dest="seeds",
                    help="workload seed to pair (repeatable; default 0)")
-    p.add_argument("--digest-seed", action="append", type=int, dest="digest_seeds",
-                   help="seed whose digests both sides report (repeatable; default 0 and 1)")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=int, default=20)
     p.add_argument("--size", choices=("full", "tiny"), default="full")
@@ -54,14 +55,12 @@ def parse_args(argv):
     p.add_argument("--what", default="", help="what the change does, for the file")
     p.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     args = p.parse_args(argv)
-    args.workloads = args.workloads or ["fixtures", "sweep", "trajectories"]
     args.seeds = args.seeds or [0]
-    args.digest_seeds = args.digest_seeds or [0, 1]
     if args.pairs < 1:
         p.error(f"--pairs must be at least 1, got {args.pairs}")
     for claim in args.claim:
-        if claim.count(":") != 1 or claim.split(":")[0] not in args.workloads:
-            p.error(f"--claim must be WORKLOAD:METRIC of a paired workload, got {claim!r}")
+        if claim.count(":") != 1 or claim.split(":")[0] not in WORKLOADS:
+            p.error(f"--claim must be WORKLOAD:METRIC of a workload, got {claim!r}")
     return args
 
 
@@ -112,11 +111,17 @@ def compare(parent: list[float], change: list[float], bound: float, lower: bool)
     """One metric of one workload and seed, both sides over the pairs."""
     p, c = summary(parent), summary(change)
     rel = c["median"] / p["median"] - 1.0 if p["median"] else math.nan
-    worse = rel if lower else -rel
+    iqr = p["q3"] - p["q1"]
+    spread = iqr / p["median"] if p["median"] else math.inf
+    all_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if spread > bound and not all_better:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound" if (rel if lower else -rel) <= bound else "worse than bound"
     return {"bound": bound, "parent": p, "change": c,
             "change_lower_in_pairs": sum(b < a for a, b in zip(parent, change)),
-            "median_change_rel": rel, "parent_iqr": p["q3"] - p["q1"],
-            "verdict": "within bound" if worse <= bound else "worse than bound"}
+            "median_change_rel": rel, "parent_iqr": iqr, "parent_iqr_rel": spread,
+            "verdict": verdict}
 
 
 def claim_text(entry: dict, metric: str, pairs: int) -> str:
@@ -137,10 +142,10 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         names = {side: make_tree(repo, rev, trees[side])
                  for side, rev in (("parent", args.parent), ("change", args.change))}
-        bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        bench = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
         bounds = {m["name"]: (m["bound"], m["better"] == "lower") for m in bench["end_to_end"]}
         workloads, digests, env = {}, {}, None
-        for wl in args.workloads:
+        for wl in WORKLOADS:
             for seed in args.seeds:
                 runs = {"parent": [], "change": []}
                 order = []
@@ -168,10 +173,10 @@ def main(argv=None) -> int:
                 digests[f"{wl} seed {seed} (pairs)"] = {
                     "equal": sets["parent"] == sets["change"] and len(sets["parent"]) == 1,
                     "parent_sets": len(sets["parent"]), "change_sets": len(sets["change"])}
-                if seed in args.digest_seeds:
+                if seed in DIGEST_SEEDS:
                     digests[f"{wl} seed {seed}"] = {
                         s: runs[s][0]["report"]["digests"] for s in runs}
-            for seed in args.digest_seeds:
+            for seed in DIGEST_SEEDS:
                 if seed not in args.seeds:
                     digests[f"{wl} seed {seed}"] = {
                         s: run_side(trees[s], wl, seed, 1, args.size)["report"]["digests"]
@@ -191,8 +196,8 @@ def main(argv=None) -> int:
                     f"--trace 0" + ("" if args.size == "full" else f" --size {args.size}")),
         "parent": names["parent"], "change": names["change"],
         "env": ", ".join(f"{k} {v}" for k, v in (env or {}).items()),
-        "quartiles": QUARTILES + "; verdict compares median_change_rel with the "
-                                 "BENCHMARK.json bound",
+        "quartiles": QUARTILES,
+        "verdict_rule": VERDICT_RULE + " (bounds from the parent's BENCHMARK.json)",
         "claim_rule": ("claimed: the metric lower in at least 9 of 10 pairs and the median "
                        "difference larger than the parent's interquartile range, at every "
                        "paired seed; every other metric: a regression is a change median "
@@ -215,6 +220,12 @@ def main(argv=None) -> int:
     unequal = [k for k, d in digests.items() if not d["equal"]]
     for key, text in claims.items():
         print(f"claim {key}: {text}")
+    for key, w in workloads.items():
+        for name, entry in w["metrics"].items():
+            if entry["verdict"] != "within bound":
+                print(f"{key} {name}: {entry['verdict']}, median "
+                      f"{entry['median_change_rel']:+.1%}, parent IQR "
+                      f"{entry['parent_iqr_rel']:.1%} of its median")
     print(f"wrote {args.out}: {len(workloads)} workload seeds, "
           f"{len(failed)} with failed operations, {len(unequal)} digest sets unequal")
     return 1 if failed or unequal else 0
