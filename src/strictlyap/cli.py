@@ -382,7 +382,7 @@ def cmd_example(args) -> int:
             print("reference must be three ';'-separated expressions", file=sys.stderr)
             return EXIT_CONFIG
         # w3r enters no admissibility condition, but must be an expression in t
-        exprparse.compile_expr(exprparse.parse(parts[2]), ("t",))
+        exprparse.parse_over(parts[2], ("t",))
         res = check_reference_admissibility(parts[0], parts[1])
         print(f"reference: ({parts[0]}, {parts[1]}, {parts[2]})")
         if not res.admissible:

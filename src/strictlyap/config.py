@@ -5,6 +5,11 @@ system, the Lyapunov candidate with envelope gains, the decay rate, the
 route gains, sampling domain and simulation plan.  Configs are flat INI
 files whose values are expressions in the package grammar; the built-in
 fixtures are such INI sections, kept as dicts, and read by the same loader.
+The loader reads each expression once, through `_expression`: the text is
+parsed and its variables checked by ``exprparse.parse_over`` (a gain by
+``gain_from_expr``), and a failure is a ConfigError led by ``[section] key``
+where that key is read.  The checked trees go on to the compiles.  A key or
+section that no read takes is refused after the rest has loaded.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ def _vector_field(exprs: Sequence[str | exprparse.Expr], n: int, m: int = 0) -> 
     return f
 
 
-def field_from_exprs(texts: Sequence[str], n: int, m: int,
+def field_from_exprs(texts: Sequence[str | exprparse.Expr], n: int, m: int,
                      period: float | None = None, label: str = "") -> ControlSystem:
     """Vector field from n component expressions over t, x1..xn, u1..um."""
     if len(texts) != n:
@@ -96,7 +101,7 @@ def field_from_exprs(texts: Sequence[str], n: int, m: int,
     return ControlSystem(n, m, _vector_field(texts, n, m), period=period, label=label)
 
 
-def feedback_from_exprs(texts: Sequence[str], n: int) -> Callable:
+def feedback_from_exprs(texts: Sequence[str | exprparse.Expr], n: int) -> Callable:
     """State feedback (t, x) -> leading input channels."""
     return _vector_field(texts, n)
 
@@ -115,13 +120,15 @@ def _scalar_field(e: str | exprparse.Expr, n: int):
     return g
 
 
-def candidate_from_exprs(v_text: str, n: int, alpha1: str | GainFunction,
+def candidate_from_exprs(v_text: str | exprparse.Expr, n: int, alpha1: str | GainFunction,
                          alpha2: str | GainFunction, alpha3: str | GainFunction,
-                         period: float | None = None, dv_dt_text: str | None = None,
-                         grad_texts: Sequence[str] | None = None,
+                         period: float | None = None,
+                         dv_dt_text: str | exprparse.Expr | None = None,
+                         grad_texts: Sequence[str | exprparse.Expr] | None = None,
                          label: str = "") -> LyapunovCandidate:
-    """Candidate from a V expression; missing derivatives are compiled as built."""
-    e = exprparse.parse(v_text)
+    """Candidate from a V expression, a text or a tree; missing derivatives
+    are compiled as built."""
+    e = exprparse.parse_over(v_text, _state_args(n))
     if dv_dt_text is None or grad_texts is None:
         if not exprparse.is_smooth(e):
             raise ConfigError(
@@ -137,7 +144,7 @@ def candidate_from_exprs(v_text: str, n: int, alpha1: str | GainFunction,
                              grad_x=_vector_field(grad, n),
                              alpha1=as_gain(alpha1), alpha2=as_gain(alpha2),
                              alpha3=as_gain(alpha3), period=period,
-                             label=label or v_text)
+                             label=label or str(v_text))
 
 
 def rate_from_expr(text: str, period: float | None = None,
@@ -215,14 +222,32 @@ _FINITE = ("finite", math.isfinite)
 _FACTOR = ("in (0, 1/4]", lambda v: 0.0 < v <= 0.25)
 
 
-def _required(section, key: str) -> str:
+class _Section:
+    """An INI section that records the keys read from it, so that `_build`
+    can refuse the keys no read took."""
+
+    def __init__(self, proxy: configparser.SectionProxy):
+        self.name, self._proxy, self.read = proxy.name, proxy, set()
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._proxy
+
+    def __getitem__(self, key: str) -> str:
+        self.read.add(key)
+        return self._proxy[key]
+
+    def get(self, key: str, fallback: str) -> str:
+        return self[key] if key in self else fallback
+
+
+def _required(section: _Section, key: str) -> str:
     """``section[key]`` without its quotes; a config error naming both if absent."""
     if key not in section:
         raise ConfigError(f"[{section.name}] {key} is required")
     return _strip(section[key])
 
 
-def _parsed(section, key: str, convert: Callable, fallback=None):
+def _parsed(section: _Section, key: str, convert: Callable, fallback=None):
     """``convert(section[key])``, ``fallback`` if absent; a value that does
     not convert is a config error naming its key."""
     if key not in section:
@@ -235,7 +260,7 @@ def _parsed(section, key: str, convert: Callable, fallback=None):
                           f"got {section[key]!r}") from None
 
 
-def _number(section, key: str, fallback: float | None = None,
+def _number(section: _Section, key: str, fallback: float | None = None,
             rule: tuple = _FINITE) -> float | None:
     """``section[key]`` as a float held to ``rule``; ``fallback`` if absent."""
     if key not in section:
@@ -244,6 +269,20 @@ def _number(section, key: str, fallback: float | None = None,
     if not rule[1](value):
         raise ConfigError(f"[{section.name}] {key} must be {rule[0]}, got {value!r}")
     return value
+
+
+def _expression(section: _Section, key: str, args: tuple[str, ...] | None,
+                texts: dict[str, str] | None = None):
+    """The tree of the required expression at ``key`` checked over ``args``,
+    or its gain when ``args`` is None; its text also goes in ``texts`` when
+    given.  A failure is a config error led by ``[section] key: ``."""
+    text = _required(section, key)
+    if texts is not None:
+        texts[key] = text
+    try:
+        return gain_from_expr(text) if args is None else exprparse.parse_over(text, args)
+    except (ValueError, exprparse.ExpressionError) as exc:
+        raise ConfigError(f"[{section.name}] {key}: {exc}") from None
 
 
 def _parser() -> configparser.ConfigParser:
@@ -261,52 +300,18 @@ def load_problem(path) -> Problem:
         if not cp.read(path):
             raise ConfigError(f"cannot read config file {path!r}")
         return _build(cp)
-    except (configparser.Error, KeyError, ValueError, exprparse.ExpressionError) as exc:
-        raise ConfigError(_named(cp, exc)) from exc
+    except (configparser.Error, KeyError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _numbered(section, pattern: str) -> list[int]:
+def _numbered(section: _Section, pattern: str) -> list[int]:
     """1, 2, .. for as long as ``pattern.format(k)`` is a key of ``section``."""
     return list(takewhile(lambda k: pattern.format(k) in section, count(1)))
 
 
-def _expression_keys(cp: configparser.ConfigParser):
-    """(section, key, arguments) of each expression `_build` reads, in its
-    order; a gain's arguments are None."""
-    lyap, ss = cp["lyapunov"], cp["sim"]
-    n, m = cp["problem"].getint("n"), cp["problem"].getint("m")
-    fb = _numbered(cp["system"], "feedback{}")
-    yield from (("system", f"f{i+1}", _state_args(n, m)) for i in range(n))
-    yield from (("system", f"feedback{k}", _state_args(n)) for k in fb)
-    grads = [f"dV_dx{i+1}" for i in range(n)] if "dV_dx1" in lyap else []
-    yield from (("lyapunov", key, _state_args(n)) for key in ("V", "dV_dt", *grads))
-    yield from (("lyapunov", f"alpha{i}", None) for i in (1, 2, 3))
-    yield "decay", "p", ("t",)
-    yield from (("gains", key, None) for key in ("mu", "chi", "mu_tilde", "omega"))
-    for k in _numbered(ss, "x0.{}"):
-        yield from (("sim", f"u.{k}.{j+1}", ("t",)) for j in range(m - len(fb)))
-
-
-def _named(cp: configparser.ConfigParser, exc: Exception) -> str:
-    """``exc``'s message led by ``[section] key: `` of the first expression
-    `_build` reads that fails alone: with any expression error if ``exc`` is
-    one, else with ``exc``'s message.  Runs on the failure path only."""
-    try:
-        for section, key, args in _expression_keys(cp):
-            try:
-                text = _strip(cp[section][key])
-                if args is None:
-                    gain_from_expr(text)
-                else:
-                    exprparse.compile_expr(text, args)
-            except KeyError:   # an optional key left out
-                continue
-            except (ValueError, exprparse.ExpressionError) as own:
-                if isinstance(exc, exprparse.ExpressionError) or str(own) == str(exc):
-                    return f"[{section}] {key}: {own}"
-    except (KeyError, ValueError):   # no section, or n or m no integer
-        pass
-    return str(exc)
+# the required sections first
+_SECTIONS = ("problem", "system", "lyapunov", "decay", "gains", "domains", "sim")
+_GAINS = ("mu", "chi", "mu_tilde", "omega")
 
 
 def _build(cp: configparser.ConfigParser) -> Problem:
@@ -314,14 +319,18 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     the setting's one owner: the times from ``strictify.default_t_range``,
     the radii and the box's rules from ``SampleDomain``, the budget from
     ``verify.DEFAULT_SAMPLES``, the plan from ``SimSpec``, the factor from
-    the route's signature; a missing optional section is empty."""
-    for section in ("problem", "system", "lyapunov", "decay"):
+    the route's signature; a missing optional section is empty.  Each
+    expression is read and checked by `_expression`, which names its key;
+    a section or key that no read takes is refused last, the first in file
+    order."""
+    for section in _SECTIONS[:4]:
         if section not in cp:
             raise ConfigError(f"missing [{section}] section")
-    for section in ("gains", "domains", "sim"):
+    for section in _SECTIONS[4:]:
         if section not in cp:
             cp.add_section(section)
-    prob = cp["problem"]
+    sections = {section: _Section(cp[section]) for section in _SECTIONS}
+    prob, sys_sec, lyap, dec, gs, ds, ss = sections.values()
     for key in ("n", "m", "tau"):
         _required(prob, key)
     n, m = _parsed(prob, "n", int), _parsed(prob, "m", int)
@@ -335,44 +344,33 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     tau = _number(prob, "tau", rule=_POSITIVE)
     period = _number(prob, "period", rule=_POSITIVE)
     seed = _parsed(prob, "seed", int, Problem.seed)
-    samples = _parsed(cp["domains"], "samples", int, DEFAULT_SAMPLES)
+    samples = _parsed(ds, "samples", int, DEFAULT_SAMPLES)
     check_run_settings(seed, samples)
     factor = _number(prob, "factor", rule=_FACTOR)
     name = _strip(prob.get("name", "problem"))
 
-    sys_sec = cp["system"]
-    f_texts = [_required(sys_sec, f"f{i+1}") for i in range(n)]
-    expressions = {f"f{i+1}": txt for i, txt in enumerate(f_texts)}
-    fb_keys = [f"feedback{k}" for k in _numbered(sys_sec, "feedback{}")]
-    fb_texts = [_strip(sys_sec[key]) for key in fb_keys]
-    expressions.update(zip(fb_keys, fb_texts))
+    expressions: dict[str, str] = {}
+    x_args, xu_args = _state_args(n), _state_args(n, m)
+    f_trees = [_expression(sys_sec, f"f{i+1}", xu_args, expressions) for i in range(n)]
+    fb_trees = [_expression(sys_sec, f"feedback{k}", x_args, expressions)
+                for k in _numbered(sys_sec, "feedback{}")]
 
-    open_system = field_from_exprs(f_texts, n, m, period=period, label=name)
-    feedback = feedback_from_exprs(fb_texts, n) if fb_texts else None
-    system = close_loop(open_system, feedback) if fb_texts else open_system
+    open_system = field_from_exprs(f_trees, n, m, period=period, label=name)
+    feedback = feedback_from_exprs(fb_trees, n) if fb_trees else None
+    system = close_loop(open_system, feedback) if fb_trees else open_system
 
-    lyap = cp["lyapunov"]
-    v_text = _required(lyap, "V")
-    expressions["V"] = v_text
-    dv_dt = _strip(lyap["dV_dt"]) if "dV_dt" in lyap else None
-    grads = [_required(lyap, f"dV_dx{i+1}") for i in range(n)] if "dV_dx1" in lyap else None
-    a_texts = {k: _required(lyap, k) for k in ("alpha1", "alpha2", "alpha3")}
-    expressions.update(a_texts)
-    candidate = candidate_from_exprs(v_text, n, a_texts["alpha1"], a_texts["alpha2"],
-                                     a_texts["alpha3"], period=period,
-                                     dv_dt_text=dv_dt, grad_texts=grads, label=name)
+    v = _expression(lyap, "V", x_args, expressions)
+    dv_dt = _expression(lyap, "dV_dt", x_args) if "dV_dt" in lyap else None
+    grads = ([_expression(lyap, f"dV_dx{i+1}", x_args) for i in range(n)]
+             if "dV_dx1" in lyap else None)
+    alphas = [_expression(lyap, f"alpha{i}", None, expressions) for i in (1, 2, 3)]
+    candidate = candidate_from_exprs(v, n, *alphas, period=period, dv_dt_text=dv_dt,
+                                     grad_texts=grads, label=name)
 
-    dec = cp["decay"]
-    p_text = _required(dec, "p")
-    expressions["p"] = p_text
+    _expression(dec, "p", ("t",), expressions)    # compiled once its period is read
     p_period = _number(dec, "period", rule=_POSITIVE)
-    rate = rate_from_expr(p_text, period=p_period)
+    rate = rate_from_expr(expressions["p"], period=p_period)
 
-    gs = cp["gains"]
-    given = {g: _strip(gs[g]) for g in ("mu", "chi", "mu_tilde", "omega") if g in gs}
-    expressions.update(given)
-
-    ds = cp["domains"]
     t_min, t_max = strictify.default_t_range(candidate, system, rate, tau)
     t_min, t_max = _number(ds, "t_min", t_min), _number(ds, "t_max", t_max)
     if not math.isfinite(t_max):    # the default max(P, tau) + tau overflows
@@ -385,7 +383,7 @@ def _build(cp: configparser.ConfigParser) -> Problem:
                   if str(exc).startswith("t_range") else exc)
         raise ConfigError(f"[domains] {detail}") from None
 
-    ss, sim = cp["sim"], SimSpec()
+    sim = SimSpec()
     sim.t0 = _number(ss, "t0", sim.t0)
     sim.tf = _number(ss, "tf", sim.tf)
     sim.step = _number(ss, "step", sim.step, _POSITIVE)
@@ -403,18 +401,28 @@ def _build(cp: configparser.ConfigParser) -> Problem:
         if not valid:
             raise ConfigError(f"[sim] x0.{k} must be {n} finite numbers, got {raw!r}")
         keys = [f"u.{k}.{j+1}" for j in range(system.m)]
-        signal = (signal_from_exprs([_strip(ss.get(key, "0")) for key in keys])
-                  if any(key in ss for key in keys) else Signal.zero(system.m))
+        texts: dict[str, str] = {}
+        for key in keys:
+            if key in ss:
+                _expression(ss, key, ("t",), texts)
+        signal = (signal_from_exprs([texts.get(key, "0") for key in keys])
+                  if texts else Signal.zero(system.m))
         sim.runs.append(SimRun(x0, signal))
     if not sim.runs:
         sim.runs.append(SimRun(np.zeros(n), Signal.zero(system.m)))
 
+    gains = {g: _expression(gs, g, None, expressions) for g in _GAINS if g in gs}
     problem = Problem(name=name, system=system, candidate=candidate, rate=rate,
                       mode=mode, tau=tau, factor=factor, domain=domain,
                       samples=samples, seed=seed, sim=sim, open_system=open_system,
-                      feedback=feedback, expressions=expressions,
-                      **{g: gain_from_expr(v) for g, v in given.items()})
+                      feedback=feedback, expressions=expressions, **gains)
     require_gains(problem, ROUTES[mode][1], f"mode '{mode}' requires")
+    for section in cp.sections():   # in file order
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp[section]:
+            if key not in sections[section].read:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
     return problem
 
 

@@ -8,7 +8,10 @@ of the package consumes (vector fields, Lyapunov candidates, decay rates,
 gains, signals) is declared in this language.
 
 ``Expr.walk`` visits every node through its ``children()``, and ``Expr.eval``
-is the reference scalar evaluator with strict error reporting.  The trees
+is the reference scalar evaluator with strict error reporting.
+``parse_over`` is the one checked parse: the tree of a text or a tree whose
+variables are all among given argument names, else UnboundVariableError;
+``compile_expr`` and the config loader both check variables through it.  The trees
 `differentiate` builds are compiled as built.  ``parse(to_text(e)) == e`` for
 every tree whose literals are finite and not negative (only folding makes
 others; they read back as the same value, ``-2.0`` as ``Neg(Num(2.0))``).
@@ -355,6 +358,17 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+def parse_over(e: Expr | str, arg_names: Sequence[str]) -> Expr:
+    """The tree of ``e``, a text or a tree, whose variables are all among
+    ``arg_names``; UnboundVariableError names the others."""
+    tree = parse(e) if isinstance(e, str) else e
+    missing = tree.variables() - set(arg_names)
+    if missing:
+        raise UnboundVariableError(
+            f"expression uses {sorted(missing)} not among arguments {list(arg_names)}")
+    return tree
+
+
 # ---------------------------------------------------------------------------
 # Printing (round-trips through parse; see the module docstring)
 
@@ -630,7 +644,9 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
                  arg_names: tuple[str, ...]) -> Callable:
     """Compile ``e`` to a positional callable over ``arg_names``.
 
-    The result takes plain floats (fast ``math`` path) or numpy arrays
+    Each expression, a text or a tree, goes through `parse_over`, so a
+    variable outside ``arg_names`` raises UnboundVariableError naming the
+    first expression's strays.  The result takes plain floats (fast ``math`` path) or numpy arrays
     (vectorized path); both run one generated function, and a sequence of
     expressions gives a tuple (see the module docstring).  A float call that
     raises one of FLOAT_ERRORS runs once more on numpy scalars, warnings
@@ -638,11 +654,7 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     float path alone, for Python floats.
     """
     fused = not isinstance(e, (Expr, str))
-    exprs = tuple(parse(x) if isinstance(x, str) else x for x in (e if fused else (e,)))
-    missing = set().union(*(x.variables() for x in exprs)) - set(arg_names)
-    if missing:
-        raise UnboundVariableError(
-            f"expression uses {sorted(missing)} not among arguments {list(arg_names)}")
+    exprs = tuple(parse_over(x, arg_names) for x in (e if fused else (e,)))
     code = compile(_source(exprs, arg_names, fused), "<compile_expr>", "exec")
     ns_s, ns_v = dict(_SCALAR_NS), dict(_VECTOR_NS)
     exec(code, ns_s)  # noqa: S102 - source emitted by _source only

@@ -408,13 +408,9 @@ def strictify_issp(candidate: LyapunovCandidate, system: ControlSystem,
                                               n_samples, seed + 1))
     a2t = build_alpha2_tilde(candidate.alpha2, mu, pe.tau, pe.pbar)
     mu_tilde = compose(mu, inverse_gain(a2t))
-
-    def mask_fn(t, x, u):
-        return np.linalg.norm(x, axis=1) >= chi(np.linalg.norm(u, axis=1))
-
     return _certify("strict-ISS", candidate, system, p, domain, [uppd, premise],
                     mu_tilde, factor, n_samples, seed,
-                    mask_fn=mask_fn, alpha2_tilde=a2t, chi=chi)
+                    mask_fn=verify.implication_mask(chi), alpha2_tilde=a2t, chi=chi)
 
 
 def strictify_disp(candidate: LyapunovCandidate, system: ControlSystem,

@@ -249,6 +249,30 @@ def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None):
     return best, (float(z[0]), z[1:1 + nx].copy(), z[1 + nx:].copy())
 
 
+def _nonfinite_report(name: str, n_samples: int, bad: np.ndarray, worst: float,
+                      point, margin_fn=None) -> InequalityReport:
+    """The failed report of margins with ``bad`` marking the non-finite ones,
+    the first of which is ``worst`` at ``point``."""
+    notes = f"{int(bad.sum())} non-finite margins; first {worst!r} at {point_text(point)}"
+    return InequalityReport(name, n_samples, worst, point, False, notes=notes,
+                            sampled_worst=worst, n_nonfinite=int(bad.sum()),
+                            margin_fn=margin_fn)
+
+
+def _horizon_note(p: DecayRate) -> str:
+    """The note of a check on a rate with no period, sampled on part of its horizon."""
+    return "" if p.period is not None else "horizon-limited (aperiodic rate)"
+
+
+def implication_mask(chi: GainFunction) -> Callable:
+    """The batch mask of the ISS premise |x| >= chi(|u|)."""
+
+    def mask_fn(t, x, u):
+        return np.linalg.norm(x, axis=1) >= chi(np.linalg.norm(u, axis=1))
+
+    return mask_fn
+
+
 def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
                n: int, seed: int, *, mask_fn=None,
                notes: str = "") -> InequalityReport:
@@ -270,11 +294,8 @@ def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
     bad = ~np.isfinite(margins)
     if bad.any():
         j = int(np.argmax(bad))
-        worst, point = float(margins[j]), (float(t[j]), x[j], u[j])
-        notes = f"{int(bad.sum())} non-finite margins; first {worst!r} at {point_text(point)}"
-        return InequalityReport(name, int(t.size), worst, point, False, notes=notes,
-                                sampled_worst=worst, n_nonfinite=int(bad.sum()),
-                                margin_fn=margin_fn)
+        return _nonfinite_report(name, int(t.size), bad, float(margins[j]),
+                                 (float(t[j]), x[j], u[j]), margin_fn)
     j = int(np.argmin(margins))
     sampled = float(margins[j])
     worst, point = _coordinate_descent(margin_fn, domain, (float(t[j]), x[j], u[j]), mask_fn)
@@ -306,16 +327,12 @@ def check_issp_lyap(candidate, system, p: DecayRate, mu: GainFunction,
                     n: int = DEFAULT_SAMPLES, seed: int = 0) -> InequalityReport:
     """|x| >= chi(|u|)  =>  Vdot <= -p(t) mu(|x|)."""
 
-    def mask_fn(t, x, u):
-        return np.linalg.norm(x, axis=1) >= chi(np.linalg.norm(u, axis=1))
-
     def margin_fn(t, x, u):
         r = np.linalg.norm(x, axis=1)
         return -vdot(candidate, system, t, x, u) - _rate_values(p, t) * mu(r)
 
-    notes = "" if p.period is not None else "horizon-limited (aperiodic rate)"
     return _run_check("issp-lyapunov", margin_fn, domain, candidate.n, system.m,
-                      n, seed, mask_fn=mask_fn, notes=notes)
+                      n, seed, mask_fn=implication_mask(chi), notes=_horizon_note(p))
 
 
 def check_disp_lyap(candidate, system, p: DecayRate, term_gain: GainFunction,
@@ -338,9 +355,8 @@ def check_disp_lyap(candidate, system, p: DecayRate, term_gain: GainFunction,
         return (-vdot(candidate, system, t, x, u)
                 - _rate_values(p, t) * term + omega(uu))
 
-    notes = "" if p.period is not None else "horizon-limited (aperiodic rate)"
     return _run_check(f"disp-lyapunov[{form}]", margin_fn, domain,
-                      candidate.n, system.m, n, seed, notes=notes)
+                      candidate.n, system.m, n, seed, notes=_horizon_note(p))
 
 
 def check_strict_iss_lyap(candidate, system, mu: GainFunction,
@@ -383,9 +399,7 @@ def check_iss_estimate(trajs: Sequence[Trajectory], p: DecayRate,
     traj, i = steps[j]
     worst, point = float(m[j]), (float(traj.times[i]), traj.states[i], traj.inputs[i])
     if bad.any():
-        notes = f"{int(bad.sum())} non-finite margins; first {worst!r} at {point_text(point)}"
-        return InequalityReport("iss-estimate", m.size, worst, point, False, notes=notes,
-                                sampled_worst=worst, n_nonfinite=int(bad.sum()))
+        return _nonfinite_report("iss-estimate", m.size, bad, worst, point)
     return InequalityReport("iss-estimate", m.size, worst, point, worst >= -PASS_TOL,
                             sampled_worst=worst)
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import strictlyap
-from strictlyap import cli, funcalc, strictify
+from strictlyap import cli, fixtures, funcalc, strictify
 from strictlyap.config import ConfigError, SimSpec, load_problem, strictify_problem
 from strictlyap.dynsys import DEFAULT_STEP, BlowUpError, integrate, write_trajectory_csv
 from strictlyap.strictify import default_domain
@@ -589,29 +589,119 @@ def test_missing_required_key_is_named(tmp_path, capsys, section, key):
     assert capsys.readouterr().err == f"config error: [{section}] {key} is required\n"
 
 
+def _base_ini(tmp_path, base: str) -> Path:
+    """The README INI, or TWO_STATE_CONFIG for ``base`` "two-state", as a file."""
+    if base == "readme":
+        return _readme_ini(tmp_path)
+    cfg = tmp_path / "two-state.ini"
+    cfg.write_text(TWO_STATE_CONFIG, encoding="utf-8")
+    return cfg
+
+
 _DERIVATIVES = "; optional, symbolic derivatives are the default: dV_dt = ..., dV_dx1 = ..."
+_FEEDBACKS = "; optional state feedbacks occupying leading inputs: feedback1 = ..."
+
+
+@pytest.mark.parametrize("base, old, new, message", [
+    pytest.param("readme", 'f1 = "-x1 + u1"', 'f1 = "-x1 + sin("',
+                 "[system] f1: unexpected 'end of input' (line 1, column 11)", id="f1"),
+    pytest.param("readme", 'p = "1"', 'p = ""',
+                 "[decay] p: unexpected 'end of input' (line 1, column 1)", id="p"),
+    pytest.param("readme", 'u.1.1 = "0"', 'u.1.1 = "x1"',
+                 "[sim] u.1.1: expression uses ['x1'] not among arguments ['t']", id="u.1.1"),
+    pytest.param("readme", 'u.1.1 = "0"', 'u.1.1 = "sin(t"',
+                 "[sim] u.1.1: expected ')', found 'end of input' (line 1, column 6)",
+                 id="u.1.1-unparsable"),
+    pytest.param("readme", _FEEDBACKS, 'feedback1 = "u1"',
+                 "[system] feedback1: expression uses ['u1'] not among arguments ['t', 'x1']",
+                 id="feedback1"),
+    pytest.param("readme", 'chi = "2*s"', 'chi = "2*t"',
+                 "[gains] chi: gain expression may only use 's', found ['t']", id="chi"),
+    # an empty derivative is an expression like any other, not an absent key
+    pytest.param("readme", _DERIVATIVES, 'dV_dt = ""',
+                 "[lyapunov] dV_dt: unexpected 'end of input' (line 1, column 1)", id="dV_dt"),
+    pytest.param("readme", _DERIVATIVES, 'dV_dx1 = ""',
+                 "[lyapunov] dV_dx1: unexpected 'end of input' (line 1, column 1)",
+                 id="dV_dx1"),
+    pytest.param("readme", 'V = "0.5*x1^2"', 'V = "0.5*x2^2"',
+                 "[lyapunov] V: expression uses ['x2'] not among arguments ['t', 'x1']",
+                 id="V"),
+    pytest.param("readme", 'alpha1 = "0.5*s^2"', 'alpha1 = "0.5*s^"',
+                 "[lyapunov] alpha1: unexpected 'end of input' (line 1, column 7)",
+                 id="alpha1"),
+    pytest.param("readme", 'alpha2 = "0.5*s^2"', 'alpha2 = "0.5*x1^2"',
+                 "[lyapunov] alpha2: gain expression may only use 's', found ['x1']",
+                 id="alpha2"),
+    pytest.param("readme", 'alpha3 = "s"', 'alpha3 = "s s"',
+                 "[lyapunov] alpha3: unexpected trailing input 's' (line 1, column 3)",
+                 id="alpha3"),
+    pytest.param("readme", 'mu = "0.5*s^2"', 'mu = "0.5*x1"',
+                 "[gains] mu: gain expression may only use 's', found ['x1']", id="mu"),
+    pytest.param("readme", '; disp-value: mu_tilde = "s"', 'mu_tilde = "log(s"',
+                 "[gains] mu_tilde: expected ')', found 'end of input' (line 1, column 6)",
+                 id="mu_tilde"),
+    pytest.param("readme", '; disp-state and disp-value: omega = "0.5*s^2"', 'omega = "foo(s)"',
+                 "[gains] omega: unknown function 'foo' (line 1, column 1)", id="omega"),
+    pytest.param("two-state", 'f2 = "-x2 + u2"', 'f2 = "-x2 + u3"',
+                 "[system] f2: expression uses ['u3'] not among arguments "
+                 "['t', 'x1', 'x2', 'u1', 'u2']", id="f2"),
+    pytest.param("two-state", 'f2 = "-x2 + u2"\n',
+                 'f2 = "-x2 + u2"\nfeedback1 = "-x1"\nfeedback2 = "*x2"\n',
+                 "[system] feedback2: unexpected '*' (line 1, column 1)", id="feedback2"),
+])
+def test_expression_error_names_its_key(tmp_path, capsys, base, old, new, message):
+    cfg = _base_ini(tmp_path, base)
+    cfg.write_text(_edited(cfg.read_text(encoding="utf-8"), (old, new)), encoding="utf-8")
+    assert cli.main(["strictify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([('f1 = "-x1 + u1"', 'f1 = "-x1 + u2"'), ('V = "0.5*x1^2"', 'V = "x2"')],
+     "[system] f1: expression uses ['u2'] not among arguments ['t', 'x1', 'u1']"),
+    ([('alpha3 = "s"', 'alpha3 = "t"'), ('p = "1"', 'p = "x1"')],
+     "[lyapunov] alpha3: gain expression may only use 's', found ['t']"),
+    # the gains are read last, after the inputs of the runs
+    ([('chi = "2*s"', 'chi = "2*t"'), ('u.1.1 = "0"', 'u.1.1 = "x1"')],
+     "[sim] u.1.1: expression uses ['x1'] not among arguments ['t']"),
+], ids=["f1-before-V", "alpha3-before-p", "u-before-gains"])
+def test_first_bad_expression_read_is_named(tmp_path, capsys, edits, message):
+    cfg = _readme_ini(tmp_path)
+    cfg.write_text(_edited(cfg.read_text(encoding="utf-8"), *edits), encoding="utf-8")
+    assert cli.main(["strictify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_feedback_of_more_channels_than_inputs_is_config_error(tmp_path, capsys):
+    cfg = _readme_ini(tmp_path)
+    cfg.write_text(_edited(cfg.read_text(encoding="utf-8"),
+                           (_FEEDBACKS, 'feedback1 = "-x1"\nfeedback2 = "x1"')),
+                   encoding="utf-8")
+    assert cli.main(["strictify", "--config", str(cfg)]) == 2
+    assert (capsys.readouterr().err
+            == "config error: feedback supplies 2 channels, system has m=1\n")
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ('f1 = "-x1 + u1"', 'f1 = "-x1 + sin("',
-     "[system] f1: unexpected 'end of input' (line 1, column 11)"),
-    ('p = "1"', 'p = ""', "[decay] p: unexpected 'end of input' (line 1, column 1)"),
-    ('u.1.1 = "0"', 'u.1.1 = "x1"',
-     "[sim] u.1.1: expression uses ['x1'] not among arguments ['t']"),
-    ("; optional state feedbacks occupying leading inputs: feedback1 = ...",
-     'feedback1 = "u1"',
-     "[system] feedback1: expression uses ['u1'] not among arguments ['t', 'x1']"),
-    ('chi = "2*s"', 'chi = "2*t"', "[gains] chi: gain expression may only use 's', found ['t']"),
-    # an empty derivative is an expression like any other, not an absent key
-    (_DERIVATIVES, 'dV_dt = ""', "[lyapunov] dV_dt: unexpected 'end of input' (line 1, column 1)"),
-    (_DERIVATIVES, 'dV_dx1 = ""',
-     "[lyapunov] dV_dx1: unexpected 'end of input' (line 1, column 1)"),
-], ids=["f1", "p", "u.1.1", "feedback1", "chi", "dV_dt", "dV_dx1"])
-def test_expression_error_names_its_key(tmp_path, capsys, old, new, message):
+    ("samples = 3000", "sampels = 3000", "[domains] unknown key 'sampels'"),
+    ("x0.1 = 1.0", "x0.2 = 1.0", "[sim] unknown key 'x0.2'"),
+    ('u.1.1 = "0"', 'u.1.1 = "0"\nu.1.2 = "5"', "[sim] unknown key 'u.1.2'"),
+    ('chi = "2*s"', 'chi = "2*s"\nomgea = "s^2"', "[gains] unknown key 'omgea'"),
+    ("[sim]", "[simulation]", "unknown section [simulation]"),
+], ids=["sampels", "x0.2-without-x0.1", "u.1.2-with-m-1", "omgea", "simulation"])
+def test_key_or_section_never_read_is_refused(tmp_path, capsys, old, new, message):
     cfg = _readme_ini(tmp_path)
     cfg.write_text(_edited(cfg.read_text(encoding="utf-8"), (old, new)), encoding="utf-8")
     assert cli.main(["strictify", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_every_shipped_config_reads_each_of_its_keys(tmp_path, sweep_inis):
+    # the README INI, the benchmark's sweep INIs and the fixtures' sections
+    for path in [_readme_ini(tmp_path), *sweep_inis(0)]:
+        load_problem(path)
+    for name in fixtures.SECTIONS:
+        fixtures.get_fixture(name)
 
 
 @pytest.mark.parametrize("old, new, message", [

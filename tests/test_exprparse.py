@@ -300,6 +300,16 @@ class TestCompile:
         with pytest.raises(ep.UnboundVariableError):
             ep.compile_expr("x1 + x2", ("x1",))
 
+    def test_parse_over_checks_a_text_or_a_tree(self):
+        tree = ep.parse("x1 + t")
+        assert ep.parse_over("x1 + t", ("t", "x1")) == tree
+        assert ep.parse_over(tree, ["x1", "t", "u1"]) is tree
+        message = "expression uses ['u1', 'x2'] not among arguments ['t', 'x1']"
+        for e in ("x2 + u1 + x1", ep.parse("x2 + u1 + x1")):
+            with pytest.raises(ep.UnboundVariableError) as info:
+                ep.parse_over(e, ("t", "x1"))
+            assert str(info.value) == message
+
     def test_scalar_domain_error(self):
         # math.log refuses -1: the float call gives the batch row's nan
         f = ep.compile_expr("log(t)", ("t",))
