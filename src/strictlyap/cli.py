@@ -110,7 +110,7 @@ def _load(args) -> Problem:
 
 def _override(problem: Problem, args) -> Problem:
     """Apply --seed and --samples, held to the rules of the config keys."""
-    check_run_settings(args.seed, args.samples, "--")
+    check_run_settings(args.seed, args.samples)
     if args.seed is not None:
         problem.seed = args.seed
     if args.samples is not None:
@@ -232,9 +232,7 @@ def _diagnose_omega(problem: Problem) -> None:
 def cmd_verify(args) -> int:
     name = args.check
     if name not in VERIFY_CHECKS:
-        print(f"unknown check {name!r}; available: {', '.join(VERIFY_CHECKS)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown check {name!r}; available: {', '.join(VERIFY_CHECKS)}")
     if name == "iss-estimate" and args.samples is not None:
         raise ConfigError("--samples does not apply to iss-estimate, which reads "
                           f"{verify_mod.ISS_POINTS} points per held-out run")
@@ -379,10 +377,13 @@ def cmd_example(args) -> int:
         ref = args.reference or "sin(t); 0; 0"
         parts = [p.strip() for p in ref.split(";")]
         if len(parts) != 3:
-            print("reference must be three ';'-separated expressions", file=sys.stderr)
-            return EXIT_CONFIG
-        # w3r enters no admissibility condition, but must be an expression in t
-        exprparse.parse_over(parts[2], ("t",))
+            raise ConfigError("--reference must be three ';'-separated expressions")
+        # each part an expression in t, also w3r, which enters no admissibility condition
+        for part, text in zip(("w1r", "w2r", "w3r"), parts):
+            try:
+                exprparse.parse_over(text, ("t",))
+            except ExpressionError as exc:
+                raise ConfigError(f"--reference {part}: {exc}") from None
         res = check_reference_admissibility(parts[0], parts[1])
         print(f"reference: ({parts[0]}, {parts[1]}, {parts[2]})")
         if not res.admissible:
@@ -394,8 +395,7 @@ def cmd_example(args) -> int:
                   "--reference for the built-in closed loop")
             return EXIT_OK
     elif args.reference is not None:
-        print("--reference only applies to rigid-body", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--reference only applies to rigid-body")
 
     if args.name == "counterexample-elw":
         return _example_counterexample(problem)

@@ -5,11 +5,13 @@ system, the Lyapunov candidate with envelope gains, the decay rate, the
 route gains, sampling domain and simulation plan.  Configs are flat INI
 files whose values are expressions in the package grammar; the built-in
 fixtures are such INI sections, kept as dicts, and read by the same loader.
-The loader reads each expression once, through `_expression`: the text is
-parsed and its variables checked by ``exprparse.parse_over`` (a gain by
-``gain_from_expr``), and a failure is a ConfigError led by ``[section] key``
-where that key is read.  The checked trees go on to the compiles.  A key or
-section that no read takes is refused after the rest has loaded.
+The loader reads each value once, where it is used: a number or a word
+through `_value`, which converts it and holds it to its rule, an expression
+through `_expression`, which parses it and checks its variables with
+``exprparse.parse_over`` (a gain through ``gain_from_expr``).  The checked
+trees go on to the compiles.  A failure is a ConfigError led by
+``[section] key`` (the CLI's by ``--option``).  A key or section that no
+read takes, and any ``[DEFAULT]`` key, is refused after the rest has loaded.
 """
 
 from __future__ import annotations
@@ -44,13 +46,27 @@ class ConfigError(Exception):
     """Malformed problem configuration."""
 
 
-def check_run_settings(seed: int | None, samples: int | None, prefix: str = "") -> None:
-    """The sampling rules, seed >= 0 and samples >= 2, for each value given;
-    ``prefix`` ("--" for an option) goes before the name in the message."""
-    if seed is not None and seed < 0:
-        raise ConfigError(f"{prefix}seed must be non-negative, got {seed}")
-    if samples is not None and samples < 2:
-        raise ConfigError(f"{prefix}samples must be at least 2, got {samples}")
+# (what a value must be, the test of it): the rules the INI reader and the
+# CLI options hold their values to
+_POSITIVE = ("positive and finite", lambda v: 0.0 < v < math.inf)
+_FINITE = ("finite", math.isfinite)
+_FACTOR = ("in (0, 1/4]", lambda v: 0.0 < v <= 0.25)
+_NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_SAMPLES = ("at least 2", lambda v: v >= 2)     # one sample can never pass
+_MODE = (f"one of {MODES}", MODES.__contains__)
+
+
+def _hold(name: str, value, rule: tuple) -> None:
+    if not rule[1](value):
+        raise ConfigError(f"{name} must be {rule[0]}, got {value!r}")
+
+
+def check_run_settings(seed: int | None, samples: int | None) -> None:
+    """--seed and --samples, each given, held to the rules of the INI keys."""
+    for name, value, rule in (("seed", seed, _NON_NEGATIVE), ("samples", samples, _SAMPLES)):
+        if value is not None:
+            _hold(f"--{name}", value, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +147,8 @@ def candidate_from_exprs(v_text: str | exprparse.Expr, n: int, alpha1: str | Gai
     e = exprparse.parse_over(v_text, _state_args(n))
     if dv_dt_text is None or grad_texts is None:
         if not exprparse.is_smooth(e):
-            raise ConfigError(
-                "V uses abs/max/min; supply dV_dt and gradient expressions")
+            raise ConfigError("V uses abs/max/min; supply dV_dt and "
+                              + ("dV_dx1" if n == 1 else f"dV_dx1..dV_dx{n}"))
     dv_dt = dv_dt_text if dv_dt_text is not None else exprparse.differentiate(e, "t")
     grad = (grad_texts if grad_texts is not None
             else [exprparse.differentiate(e, f"x{i+1}") for i in range(n)])
@@ -147,20 +163,22 @@ def candidate_from_exprs(v_text: str | exprparse.Expr, n: int, alpha1: str | Gai
                              label=label or str(v_text))
 
 
-def rate_from_expr(text: str, period: float | None = None,
-                   pe: PETriple | None = None) -> DecayRate:
-    fn = exprparse.compile_expr(text, ("t",))
-    return DecayRate(fn, period=period, pe=pe, label=text)
+def rate_from_expr(e: str | exprparse.Expr, period: float | None = None,
+                   pe: PETriple | None = None, label: str = "") -> DecayRate:
+    """Decay rate p(t) from an expression, a text or a tree."""
+    fn = exprparse.compile_expr(e, ("t",))
+    return DecayRate(fn, period=period, pe=pe, label=label or str(e))
 
 
-def signal_from_exprs(texts: Sequence[str]) -> Signal:
-    fused = exprparse.compile_expr(texts, ("t",))
+def signal_from_exprs(exprs: Sequence[str | exprparse.Expr], label: str = "") -> Signal:
+    """Input u(t) from one expression, a text or a tree, per channel."""
+    fused = exprparse.compile_expr(exprs, ("t",))
 
     def fn(t):
         t = np.asarray(t, dtype=float)
         return _columns(fused(t), t.shape)
 
-    return Signal(fn, len(texts), label=", ".join(texts))
+    return Signal(fn, len(exprs), label=label or ", ".join(map(str, exprs)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +235,6 @@ def _strip(v: str) -> str:
     return v
 
 
-_POSITIVE = ("positive and finite", lambda v: 0.0 < v < math.inf)
-_FINITE = ("finite", math.isfinite)
-_FACTOR = ("in (0, 1/4]", lambda v: 0.0 < v <= 0.25)
-
-
 class _Section:
     """An INI section that records the keys read from it, so that `_build`
     can refuse the keys no read took."""
@@ -236,38 +249,27 @@ class _Section:
         self.read.add(key)
         return self._proxy[key]
 
-    def get(self, key: str, fallback: str) -> str:
-        return self[key] if key in self else fallback
+
+_REQUIRED = object()
 
 
-def _required(section: _Section, key: str) -> str:
-    """``section[key]`` without its quotes; a config error naming both if absent."""
+def _value(section: _Section, key: str, convert: Callable = float,
+           rule: tuple | None = _FINITE, fallback=_REQUIRED):
+    """``convert(section[key])`` held to ``rule``; ``fallback`` if absent, a
+    required key without one.  ``_strip`` converts a text.  Each failure is
+    a config error led by ``[section] key``."""
     if key not in section:
-        raise ConfigError(f"[{section.name}] {key} is required")
-    return _strip(section[key])
-
-
-def _parsed(section: _Section, key: str, convert: Callable, fallback=None):
-    """``convert(section[key])``, ``fallback`` if absent; a value that does
-    not convert is a config error naming its key."""
-    if key not in section:
+        if fallback is _REQUIRED:
+            raise ConfigError(f"[{section.name}] {key} is required")
         return fallback
     try:
-        return convert(section[key])
+        value = convert(section[key])
     except ValueError:
         kind = "an integer" if convert is int else "a number"
         raise ConfigError(f"[{section.name}] {key} must be {kind}, "
                           f"got {section[key]!r}") from None
-
-
-def _number(section: _Section, key: str, fallback: float | None = None,
-            rule: tuple = _FINITE) -> float | None:
-    """``section[key]`` as a float held to ``rule``; ``fallback`` if absent."""
-    if key not in section:
-        return fallback
-    value = _parsed(section, key, float)
-    if not rule[1](value):
-        raise ConfigError(f"[{section.name}] {key} must be {rule[0]}, got {value!r}")
+    if rule is not None:
+        _hold(f"[{section.name}] {key}", value, rule)
     return value
 
 
@@ -276,7 +278,7 @@ def _expression(section: _Section, key: str, args: tuple[str, ...] | None,
     """The tree of the required expression at ``key`` checked over ``args``,
     or its gain when ``args`` is None; its text also goes in ``texts`` when
     given.  A failure is a config error led by ``[section] key: ``."""
-    text = _required(section, key)
+    text = _value(section, key, _strip, None)
     if texts is not None:
         texts[key] = text
     try:
@@ -320,9 +322,9 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     the radii and the box's rules from ``SampleDomain``, the budget from
     ``verify.DEFAULT_SAMPLES``, the plan from ``SimSpec``, the factor from
     the route's signature; a missing optional section is empty.  Each
-    expression is read and checked by `_expression`, which names its key;
-    a section or key that no read takes is refused last, the first in file
-    order."""
+    value is read and checked by `_value` or `_expression`, which name its
+    key; a ``[DEFAULT]`` key, then a section or key that no read takes, is
+    refused last, the first in file order."""
     for section in _SECTIONS[:4]:
         if section not in cp:
             raise ConfigError(f"missing [{section}] section")
@@ -331,23 +333,17 @@ def _build(cp: configparser.ConfigParser) -> Problem:
             cp.add_section(section)
     sections = {section: _Section(cp[section]) for section in _SECTIONS}
     prob, sys_sec, lyap, dec, gs, ds, ss = sections.values()
-    for key in ("n", "m", "tau"):
-        _required(prob, key)
-    n, m = _parsed(prob, "n", int), _parsed(prob, "m", int)
-    if n < 1:
-        raise ConfigError(f"[problem] n must be at least 1, got {n}")
-    if m < 0:
-        raise ConfigError(f"[problem] m must be non-negative, got {m}")
-    mode = _strip(prob.get("mode", "disp-value"))
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    tau = _number(prob, "tau", rule=_POSITIVE)
-    period = _number(prob, "period", rule=_POSITIVE)
-    seed = _parsed(prob, "seed", int, Problem.seed)
-    samples = _parsed(ds, "samples", int, DEFAULT_SAMPLES)
-    check_run_settings(seed, samples)
-    factor = _number(prob, "factor", rule=_FACTOR)
-    name = _strip(prob.get("name", "problem"))
+    for key in ("n", "m", "tau"):   # all present before any is judged
+        _value(prob, key, str, None)
+    n = _value(prob, "n", int, _AT_LEAST_1)
+    m = _value(prob, "m", int, _NON_NEGATIVE)
+    mode = _value(prob, "mode", _strip, _MODE, "disp-value")
+    tau = _value(prob, "tau", rule=_POSITIVE)
+    period = _value(prob, "period", rule=_POSITIVE, fallback=None)
+    seed = _value(prob, "seed", int, _NON_NEGATIVE, Problem.seed)
+    samples = _value(ds, "samples", int, _SAMPLES, DEFAULT_SAMPLES)
+    factor = _value(prob, "factor", rule=_FACTOR, fallback=None)
+    name = _value(prob, "name", _strip, None, "problem")
 
     expressions: dict[str, str] = {}
     x_args, xu_args = _state_args(n), _state_args(n, m)
@@ -364,18 +360,22 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     grads = ([_expression(lyap, f"dV_dx{i+1}", x_args) for i in range(n)]
              if "dV_dx1" in lyap else None)
     alphas = [_expression(lyap, f"alpha{i}", None, expressions) for i in (1, 2, 3)]
-    candidate = candidate_from_exprs(v, n, *alphas, period=period, dv_dt_text=dv_dt,
-                                     grad_texts=grads, label=name)
+    try:
+        candidate = candidate_from_exprs(v, n, *alphas, period=period, dv_dt_text=dv_dt,
+                                         grad_texts=grads, label=name)
+    except ConfigError as exc:      # V is not smooth, and a derivative is missing
+        raise ConfigError(f"[lyapunov] {exc}") from None
 
-    _expression(dec, "p", ("t",), expressions)    # compiled once its period is read
-    p_period = _number(dec, "period", rule=_POSITIVE)
-    rate = rate_from_expr(expressions["p"], period=p_period)
+    p = _expression(dec, "p", ("t",), expressions)    # compiled once its period is read
+    p_period = _value(dec, "period", rule=_POSITIVE, fallback=None)
+    rate = rate_from_expr(p, period=p_period, label=expressions["p"])
 
     t_min, t_max = strictify.default_t_range(candidate, system, rate, tau)
-    t_min, t_max = _number(ds, "t_min", t_min), _number(ds, "t_max", t_max)
+    t_min = _value(ds, "t_min", fallback=t_min)
+    t_max = _value(ds, "t_max", fallback=t_max)
     if not math.isfinite(t_max):    # the default max(P, tau) + tau overflows
         raise ConfigError(f"[domains] t_max is required: its default is {t_max!r}")
-    radii = {k: _parsed(ds, k, float) for k in ("x_radius", "u_radius") if k in ds}
+    radii = {k: _value(ds, k, rule=None) for k in ("x_radius", "u_radius") if k in ds}
     try:
         domain = SampleDomain((t_min, t_max), **radii)
     except ValueError as exc:   # the type's rules, in the INI's keys
@@ -384,15 +384,15 @@ def _build(cp: configparser.ConfigParser) -> Problem:
         raise ConfigError(f"[domains] {detail}") from None
 
     sim = SimSpec()
-    sim.t0 = _number(ss, "t0", sim.t0)
-    sim.tf = _number(ss, "tf", sim.tf)
-    sim.step = _number(ss, "step", sim.step, _POSITIVE)
+    sim.t0 = _value(ss, "t0", fallback=sim.t0)
+    sim.tf = _value(ss, "tf", fallback=sim.tf)
+    sim.step = _value(ss, "step", rule=_POSITIVE, fallback=sim.step)
     try:
         step_count(sim.t0, sim.tf, sim.step)
     except ValueError as exc:
         raise ConfigError(f"[sim] {exc}") from None
     for k in _numbered(ss, "x0.{}"):
-        raw = _strip(ss[f"x0.{k}"]).replace(",", " ")
+        raw = _value(ss, f"x0.{k}", _strip, None).replace(",", " ")
         try:
             x0 = np.array([float(v) for v in raw.split()])
             valid = x0.size == n and np.isfinite(x0).all()
@@ -402,11 +402,10 @@ def _build(cp: configparser.ConfigParser) -> Problem:
             raise ConfigError(f"[sim] x0.{k} must be {n} finite numbers, got {raw!r}")
         keys = [f"u.{k}.{j+1}" for j in range(system.m)]
         texts: dict[str, str] = {}
-        for key in keys:
-            if key in ss:
-                _expression(ss, key, ("t",), texts)
-        signal = (signal_from_exprs([texts.get(key, "0") for key in keys])
-                  if texts else Signal.zero(system.m))
+        trees = {key: _expression(ss, key, ("t",), texts) for key in keys if key in ss}
+        signal = (signal_from_exprs([trees.get(key, "0") for key in keys],
+                                    label=", ".join(texts.get(key, "0") for key in keys))
+                  if trees else Signal.zero(system.m))
         sim.runs.append(SimRun(x0, signal))
     if not sim.runs:
         sim.runs.append(SimRun(np.zeros(n), Signal.zero(system.m)))
@@ -417,6 +416,8 @@ def _build(cp: configparser.ConfigParser) -> Problem:
                       samples=samples, seed=seed, sim=sim, open_system=open_system,
                       feedback=feedback, expressions=expressions, **gains)
     require_gains(problem, ROUTES[mode][1], f"mode '{mode}' requires")
+    for key in cp.defaults():   # which configparser copies into every section
+        raise ConfigError(f"[DEFAULT] unknown key {key!r}")
     for section in cp.sections():   # in file order
         if section not in sections:
             raise ConfigError(f"unknown section [{section}]")

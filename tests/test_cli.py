@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import strictlyap
-from strictlyap import cli, fixtures, funcalc, strictify
+from strictlyap import cli, exprparse, fixtures, funcalc, strictify
 from strictlyap.config import ConfigError, SimSpec, load_problem, strictify_problem
 from strictlyap.dynsys import DEFAULT_STEP, BlowUpError, integrate, write_trajectory_csv
 from strictlyap.strictify import default_domain
@@ -192,15 +192,22 @@ class TestConfigLoading:
                    r"\[domains\] t_max must exceed t_min, got t_min=2.0, t_max=2.0"),
         _edit_case("x0.1 = 1.0", "x0.1 = nan",
                    r"\[sim\] x0.1 must be 1 finite numbers, got 'nan'"),
+        _edit_case("mode = issp", "mode = bogus",
+                   r"^\[problem\] mode must be one of \('issp', 'disp-state', 'disp-value'\), "
+                   r"got 'bogus'$"),
+        _edit_case("seed = 5\n", "seed = -1\n",
+                   r"^\[problem\] seed must be non-negative, got -1$"),
+        _edit_case("samples = 3000", "samples = 1",
+                   r"^\[domains\] samples must be at least 2, got 1$"),
     ])
     def test_out_of_range_number_is_config_error(self, tmp_path, capsys, old, new, match):
         assert old in SCALAR_CONFIG
         cfg = tmp_path / "bad.ini"
         cfg.write_text(SCALAR_CONFIG.replace(old, new), encoding="utf-8")
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ConfigError, match=match) as exc:
             load_problem(cfg)
         assert cli.main(["strictify", "--config", str(cfg)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -346,6 +353,28 @@ class TestCommands:
     def test_example_rigid_body_bad_third_reference(self, capsys, w3r):
         assert cli.main(["example", "rigid-body", "--reference", f"sin(t); 0; {w3r}"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, line", [
+        pytest.param(["verify", "nonsense", "--example", "scalar-linear"],
+                     "unknown check 'nonsense'; available: uppd, issp, disp-state, "
+                     "disp-value, strict-iss, iss-estimate", id="unknown-check"),
+        pytest.param(["example", "rigid-body", "--reference", "sin(t); 0"],
+                     "--reference must be three ';'-separated expressions", id="two-parts"),
+        pytest.param(["example", "scalar-linear", "--reference", "sin(t); 0; 0"],
+                     "--reference only applies to rigid-body", id="other-fixture"),
+        pytest.param(["example", "rigid-body", "--reference", "sin(t; 0; 0"],
+                     "--reference w1r: expected ')', found 'end of input' (line 1, column 6)",
+                     id="w1r"),
+        pytest.param(["example", "rigid-body", "--reference", "sin(t); x1; 0"],
+                     "--reference w2r: expression uses ['x1'] not among arguments ['t']",
+                     id="w2r"),
+        pytest.param(["example", "rigid-body", "--reference", "sin(t); 0; garbage((("],
+                     "--reference w3r: unknown function 'garbage' (line 1, column 1)",
+                     id="w3r"),
+    ])
+    def test_command_line_error_names_its_option(self, capsys, argv, line):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -626,6 +655,11 @@ _FEEDBACKS = "; optional state feedbacks occupying leading inputs: feedback1 = .
     pytest.param("readme", 'V = "0.5*x1^2"', 'V = "0.5*x2^2"',
                  "[lyapunov] V: expression uses ['x2'] not among arguments ['t', 'x1']",
                  id="V"),
+    pytest.param("readme", 'V = "0.5*x1^2"', 'V = "0.5*abs(x1)^2"',
+                 "[lyapunov] V uses abs/max/min; supply dV_dt and dV_dx1", id="V-not-smooth"),
+    pytest.param("two-state", 'V = "0.5*x1^2 + 0.5*x2^2"', 'V = "max(x1^2, x2^2)"\ndV_dt = "0"',
+                 "[lyapunov] V uses abs/max/min; supply dV_dt and dV_dx1..dV_dx2",
+                 id="V-not-smooth-without-gradient"),
     pytest.param("readme", 'alpha1 = "0.5*s^2"', 'alpha1 = "0.5*s^"',
                  "[lyapunov] alpha1: unexpected 'end of input' (line 1, column 7)",
                  id="alpha1"),
@@ -688,7 +722,9 @@ def test_feedback_of_more_channels_than_inputs_is_config_error(tmp_path, capsys)
     ('u.1.1 = "0"', 'u.1.1 = "0"\nu.1.2 = "5"', "[sim] unknown key 'u.1.2'"),
     ('chi = "2*s"', 'chi = "2*s"\nomgea = "s^2"', "[gains] unknown key 'omgea'"),
     ("[sim]", "[simulation]", "unknown section [simulation]"),
-], ids=["sampels", "x0.2-without-x0.1", "u.1.2-with-m-1", "omgea", "simulation"])
+    # configparser copies a [DEFAULT] key into every section
+    ("[problem]\n", "[DEFAULT]\nfoo = 1\n[problem]\n", "[DEFAULT] unknown key 'foo'"),
+], ids=["sampels", "x0.2-without-x0.1", "u.1.2-with-m-1", "omgea", "simulation", "DEFAULT"])
 def test_key_or_section_never_read_is_refused(tmp_path, capsys, old, new, message):
     cfg = _readme_ini(tmp_path)
     cfg.write_text(_edited(cfg.read_text(encoding="utf-8"), (old, new)), encoding="utf-8")
@@ -926,6 +962,16 @@ def test_library_surface():
                       (strictlyap.gain_from_expr, "probe_max"),
                       (strictlyap.underline_p, "horizon")):
         assert param not in inspect.signature(fn).parameters
+
+
+def test_readme_ini_parses_each_expression_key_once(tmp_path, monkeypatch):
+    texts = []
+    parse = exprparse.parse
+    monkeypatch.setattr(exprparse, "parse", lambda text: texts.append(text) or parse(text))
+    load_problem(_readme_ini(tmp_path))
+    # f1, V, alpha1..3, p, u.1.1, mu, chi: the checked trees go on to the compiles
+    assert texts == ["-x1 + u1", "0.5*x1^2", "0.5*s^2", "0.5*s^2", "s", "1", "0",
+                     "0.5*s^2", "2*s"]
 
 
 def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, capsys):

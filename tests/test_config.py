@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from strictlyap import cli, exprparse
-from strictlyap.config import candidate_from_exprs, field_from_exprs
+from strictlyap.config import ConfigError, candidate_from_exprs, field_from_exprs
 from strictlyap.dynsys import close_loop
 from strictlyap.fixtures import rigid_body
 
@@ -120,6 +120,13 @@ class TestBatchCalls:
         got = rb.candidate.grad_x(t, x)
         assert got.shape == (N_POINTS, 3)
         assert np.array_equal(got, _stacked_batch(grads, 3)(t, x))
+
+    @pytest.mark.parametrize("v, n, keys", [("abs(x1)", 1, "dV_dx1"),
+                                             ("max(x1, x2)", 2, "dV_dx1..dV_dx2")])
+    def test_non_smooth_v_without_derivatives_is_config_error(self, v, n, keys):
+        with pytest.raises(ConfigError) as exc:
+            candidate_from_exprs(v, n, "s", "s", "s")
+        assert str(exc.value) == f"V uses abs/max/min; supply dV_dt and {keys}"
 
     def test_constant_components_broadcast(self):
         cand = candidate_from_exprs("x1 + 0.5*x2^2", 2, "s", "s", "s")
