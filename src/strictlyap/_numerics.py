@@ -18,9 +18,11 @@ pin every one against scipy with ``np.array_equal``):
   x, initial=0.0)``;
 - ``CubicHermite(x, y, dydx)``: ``scipy.interpolate.CubicHermiteSpline``,
   evaluated as its ``PPoly`` is, extrapolation included;
-- ``minimize_bounded(fn, lo, hi, xatol)``: the ``x`` and ``fun`` of
-  ``scipy.optimize.minimize_scalar(fn, bounds=(lo, hi), method="bounded",
-  options={"xatol": xatol})``, Brent's bounded minimizer on Python floats.
+- ``minimize_brackets(fn, brackets, xatol)``: for each ``(lo, hi)``, the
+  ``x`` and ``fun`` of ``scipy.optimize.minimize_scalar(f, bounds=(lo, hi),
+  method="bounded", options={"xatol": xatol})``, Brent's bounded minimizer
+  on Python floats, run on all the brackets in lockstep with one call of
+  ``fn`` per round for all their points.
 
 Importing scipy.stats, scipy.integrate, scipy.interpolate and scipy.optimize
 costs over a second, several times the run time of most commands; these few
@@ -245,16 +247,18 @@ def _unit_sign(v: float) -> float:
     return -1.0 if v < 0.0 else 1.0
 
 
-def minimize_bounded(fn, lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """(x, fn(x)) at a local minimum of fn on [lo, hi], by Brent's method.
+def _brent(lo: float, hi: float, xatol: float):
+    """Brent's bounded minimizer on [lo, hi] as a generator: it yields each
+    point, is sent the objective's value there, and returns (x, fn(x)) at
+    a local minimum.
 
     Golden-section steps, replaced by a parabola through the three best
     points when it falls inside the bracket (Brent, *Algorithms for
     Minimization Without Derivatives*, 1973, ch. 5), until the bracket is
     within about xatol of the best point or 500 evaluations are spent.  The
-    steps and comparisons are scipy's ``_minimize_scalar_bounded``, so fn
-    sees the same points.  A NaN value never replaces the best point, so
-    only a NaN at the first point is returned.
+    steps and comparisons are scipy's ``_minimize_scalar_bounded``, so the
+    objective sees the same points.  A NaN value never replaces the best
+    point, so only a NaN at the first point is returned.
     """
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -262,7 +266,7 @@ def minimize_bounded(fn, lo: float, hi: float, xatol: float) -> tuple[float, flo
     a, b = lo, hi
     xf = fulc = nfc = a + _GOLDEN * (b - a)
     rat = e = 0.0
-    fx = ffulc = fnfc = fn(xf)
+    fx = ffulc = fnfc = yield xf
     num = 1
     xm = 0.5 * (a + b)
     tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
@@ -288,7 +292,7 @@ def minimize_bounded(fn, lo: float, hi: float, xatol: float) -> tuple[float, flo
             e = a - xf if xf >= xm else b - xf
             rat = _GOLDEN * e
         x = xf + _unit_sign(rat) * max(abs(rat), tol1)
-        fu = fn(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -314,3 +318,29 @@ def minimize_bounded(fn, lo: float, hi: float, xatol: float) -> tuple[float, flo
         if num >= _MAX_EVALS:
             break
     return xf, fx
+
+
+def minimize_brackets(fn, brackets, xatol: float) -> list[tuple[float, float]]:
+    """(x, f(x)) at a local minimum on each (lo, hi) of ``brackets``, each
+    by Brent's bounded method (`_brent`), run in lockstep.
+
+    Each round calls ``fn`` once, with the list of the points the brackets
+    still open ask next, and reads a sequence of their values, in order; a
+    bracket's points and answer are those it gets alone.
+    """
+    runs = [_brent(lo, hi, xatol) for lo, hi in brackets]
+    points = [next(run) for run in runs]
+    found: list = [None] * len(runs)
+    open_ = list(range(len(runs)))
+    while open_:
+        values = fn([points[i] for i in open_])
+        still = []
+        for i, value in zip(open_, values):
+            try:
+                points[i] = runs[i].send(value)
+                still.append(i)
+            except StopIteration as stop:
+                found[i] = stop.value
+        open_ = still
+    return found
+

@@ -35,10 +35,10 @@ from . import verify as verify_mod
 from .config import (ROUTES, ConfigError, Problem, check_run_settings, load_problem,
                      require_gains, strictify_problem)
 from .decay import estimate_pe
-from .dynsys import (BlowUpError, Signal, _write_columns, integrate, map_forked,
-                     write_trajectory_csv)
+from .dynsys import (BlowUpError, NonFiniteInputError, Signal, _write_columns, integrate,
+                     map_forked, write_trajectory_csv)
 from .errors import ValidationFailure
-from .exprparse import ExpressionError
+from .exprparse import EvalDomainError, ExpressionError
 from .fixtures import FIXTURES, check_reference_admissibility, get_fixture
 from .strictify import UnboundedSupError, ValidationFailedError, construct_omega
 
@@ -341,6 +341,9 @@ def _simulate(problem: Problem, out: Path | None, cert) -> int:
                              sim.step)
         except BlowUpError as exc:
             return EXIT_FAIL, f"run {k}: blow-up at t = {exc.time:.6g} (|x| = {exc.norm:.3e})"
+        except NonFiniteInputError as exc:
+            key = f", [sim] {run.inputs[exc.channel]}" if run.inputs else ""
+            raise EvalDomainError(f"{exc} (run {k}{key})") from None
         with np.errstate(all="ignore"):     # V may be inf or nan at a step time
             v = np.asarray(problem.candidate.V(traj.times, traj.states), dtype=float)
             extra = {"V": v}
@@ -368,22 +371,32 @@ def _simulate(problem: Problem, out: Path | None, cert) -> int:
     return code
 
 
+def _reference(args) -> list[str] | None:
+    """The three parts of rigid-body's reference, each an expression in t
+    (also w3r, which enters no admissibility condition); None for another
+    fixture, which takes no --reference."""
+    if args.name != "rigid-body":
+        if args.reference is not None:
+            raise ConfigError("--reference only applies to rigid-body")
+        return None
+    parts = [p.strip() for p in (args.reference or "sin(t); 0; 0").split(";")]
+    if len(parts) != 3:
+        raise ConfigError("--reference must be three ';'-separated expressions")
+    for part, text in zip(("w1r", "w2r", "w3r"), parts):
+        try:
+            exprparse.parse_over(text, ("t",))
+        except ExpressionError as exc:
+            raise ConfigError(f"--reference {part}: {exc}") from None
+    return parts
+
+
 def cmd_example(args) -> int:
     problem = _override(get_fixture(args.name), args)
+    parts = _reference(args)    # before --out is made and anything is printed
     out = _outdir(args)
 
     print(f"fixture: {problem.name}")
-    if args.name == "rigid-body":
-        ref = args.reference or "sin(t); 0; 0"
-        parts = [p.strip() for p in ref.split(";")]
-        if len(parts) != 3:
-            raise ConfigError("--reference must be three ';'-separated expressions")
-        # each part an expression in t, also w3r, which enters no admissibility condition
-        for part, text in zip(("w1r", "w2r", "w3r"), parts):
-            try:
-                exprparse.parse_over(text, ("t",))
-            except ExpressionError as exc:
-                raise ConfigError(f"--reference {part}: {exc}") from None
+    if parts is not None:
         res = check_reference_admissibility(parts[0], parts[1])
         print(f"reference: ({parts[0]}, {parts[1]}, {parts[2]})")
         if not res.admissible:
@@ -394,8 +407,6 @@ def cmd_example(args) -> int:
             print("constructions below use the default reference; rerun without "
                   "--reference for the built-in closed loop")
             return EXIT_OK
-    elif args.reference is not None:
-        raise ConfigError("--reference only applies to rigid-body")
 
     if args.name == "counterexample-elw":
         return _example_counterexample(problem)

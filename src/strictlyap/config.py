@@ -186,8 +186,11 @@ def signal_from_exprs(exprs: Sequence[str | exprparse.Expr], label: str = "") ->
 
 @dataclass
 class SimRun:
+    """One RK4 run; ``inputs`` are the ``[sim]`` keys of its input channels."""
+
     x0: np.ndarray
     signal: Signal
+    inputs: tuple[str, ...] = ()
 
 
 @dataclass
@@ -406,7 +409,7 @@ def _build(cp: configparser.ConfigParser) -> Problem:
         signal = (signal_from_exprs([trees.get(key, "0") for key in keys],
                                     label=", ".join(texts.get(key, "0") for key in keys))
                   if trees else Signal.zero(system.m))
-        sim.runs.append(SimRun(x0, signal))
+        sim.runs.append(SimRun(x0, signal, tuple(keys)))
     if not sim.runs:
         sim.runs.append(SimRun(np.zeros(n), Signal.zero(system.m)))
 

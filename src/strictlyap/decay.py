@@ -29,11 +29,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import CubicHermite, cumulative_simpson, hermite_values, minimize_bounded
+from ._numerics import CubicHermite, cumulative_simpson, hermite_values, minimize_brackets
 from .errors import ValidationFailure
 
 SIMPSON_SUBINTERVALS = 2048
@@ -330,21 +330,24 @@ def xi_nested(p: DecayRate, tau: float, t: float, n: int = 256) -> float:
 # ---------------------------------------------------------------------------
 # PE constants
 
-def _refine_min(fn: Callable[[float], float], grid: np.ndarray,
+def _refine_min(fn: Callable[[list], Sequence[float]], grid: np.ndarray,
                 vals: np.ndarray) -> float:
     """Polish the 3 best grid minima with bounded Brent; return the least.
 
-    Each runs `minimize_bounded` (scipy's bounded method, bit for bit) on
-    the two grid steps around its node, to an absolute tolerance of 1e-11.
+    Each runs scipy's bounded method, bit for bit, on the two grid steps
+    around its node, to an absolute tolerance of 1e-11; they run in
+    lockstep through `minimize_brackets`, so ``fn`` maps the list of a
+    round's points, up to one per bracket, to their values.
     """
     best = float(vals.min())
-    order = np.argsort(vals)[:3]
-    for j in order:
+    brackets = []
+    for j in np.argsort(vals)[:3]:
         lo = grid[max(0, j - 1)]
         hi = grid[min(len(grid) - 1, j + 1)]
-        if hi <= lo:
-            continue
-        best = min(best, minimize_bounded(fn, lo, hi, 1.0e-11)[1])
+        if hi > lo:
+            brackets.append((lo, hi))
+    for _, value in minimize_brackets(fn, brackets, 1.0e-11):
+        best = min(best, value)
     return best
 
 
@@ -363,12 +366,12 @@ def _horizon(p: DecayRate, tau: float, horizon: float | None = None) -> float:
 
 def _window_min(look: WindowTables, ts: np.ndarray, shift: float = 0.0) -> float:
     """Least W(t + shift) over t in [ts[0], ts[-1]], with W read from the
-    lookup both on the grid ts and at each point Brent polishes.
+    lookup both on the grid ts and at the points Brent polishes.
 
-    A polished point is read as a batch of one, which copies no table into
-    the Python lists of its float path.
+    The points of a polishing round, one per bracket, are read as one
+    batch, which copies no table into the Python lists of its float path.
     """
-    return _refine_min(lambda t: float(look.column(0, np.array([t + shift]))[0]),
+    return _refine_min(lambda points: look.column(0, np.array(points) + shift).tolist(),
                        ts, look.column(0, ts + shift))
 
 
@@ -400,7 +403,7 @@ def estimate_pe(p: DecayRate, tau: float, horizon: float | None = None,
     n_p = max(4 * n_grid, 4096)
     tg = np.linspace(-tau, horizon, n_p + 1)
     pv = _rate_values(p, tg)
-    pbar = -_refine_min(lambda t: -float(p(float(t))), tg, -pv)
+    pbar = -_refine_min(lambda ts: [-float(p(t)) for t in ts], tg, -pv)
     if not math.isfinite(pbar):
         raise NotPersistentlyExcitingError(
             f"maximum of the rate on [{-tau!r}, {horizon!r}] is {pbar!r}")

@@ -52,6 +52,16 @@ _CHUNK = 4096              # RK4 steps whose input rows are converted at a time
 _CSV_CHUNK = 4096          # CSV rows formatted per write
 
 
+class NonFiniteInputError(EvalDomainError):
+    """The input of a run is not finite at a stage time; ``channel`` is the
+    index of its first non-finite channel there."""
+
+    def __init__(self, time: float, row: np.ndarray):
+        super().__init__(f"input is not finite at t={time!r}: u = {row}")
+        self.time = time
+        self.channel = int(np.argmax(~np.isfinite(row)))
+
+
 class BlowUpError(ValidationFailure):
     """State norm exceeded the guard; possible finite escape time."""
 
@@ -262,7 +272,7 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
     callable without a kernel is called on arrays only, and what it raises
     propagates.  ``stop_when(t, x)``, with x an (n,) array, may end
     the run early (the point that triggered it is still recorded).  Raises
-    EvalDomainError on a non-finite input and BlowUpError when |x| exceeds
+    NonFiniteInputError on a non-finite input and BlowUpError when |x| exceeds
     the guard; `step_count` refuses a bad time grid with ValueError.
     """
     n_steps = step_count(t0, tf, step)
@@ -277,8 +287,7 @@ def integrate(system: ControlSystem, x0, t0: float, tf: float, u: Signal,
         rows = np.asarray(u(grid), dtype=float).reshape(grid.size, m)
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        raise EvalDomainError(f"input is not finite at t={float(grid[bad[0]])!r}: "
-                              f"u = {rows[bad[0]]}")
+        raise NonFiniteInputError(float(grid[bad[0]]), rows[bad[0]])
     adapter = _on_arrays(system.f, n)
     run = _chunk_loop(getattr(system.f, "point", adapter), adapter, n, m)
     states = np.empty((n_steps + 1, n))

@@ -17,20 +17,24 @@ every tree whose literals are finite and not negative (only folding makes
 others; they read back as the same value, ``-2.0`` as ``Neg(Num(2.0))``).
 ``compile_expr`` turns an expression, or a sequence of them (the components
 of a vector field, returned as a tuple), into one generated ``def`` whose
-source is compiled once and bound twice: to the ``math`` functions for plain
-floats and to the numpy functions for arrays, dispatched per call.  A float
-call that ``math`` refuses (``FLOAT_ERRORS``) runs again on numpy scalars
-and gives its batch row's values, inf or nan, so no caller handles these
-errors.  The float path alone is the ``math`` attribute; both carry
-the expressions and argument names as ``expr`` and ``arg_names``.  The
-emitter, `body_lines`, numbers the subtrees by value, so a subtree that
-occurs more than once is computed once, and writes a constant exponent of
-1, 2 or 3 as ``a``, ``a*a`` and ``(a*a)*a``.  A point and a batch of one
-compile therefore give the same bits wherever the float operations and the
-``math`` functions agree with numpy.  The emitter gives statements and
+source is compiled (`compiled` keeps the code of recent texts) and bound
+twice: to the ``math`` functions for plain floats and to the numpy
+functions for arrays, dispatched per call.  A float call that ``math``
+refuses (``FLOAT_ERRORS``) runs again on numpy scalars and gives its batch
+row's values, inf or nan, so no caller handles these errors; an error of an
+`Apply` callable itself propagates (`passing`).  The float path alone is
+the ``math`` attribute; both carry the expressions and argument names as
+``expr`` and ``arg_names``.  The emitter, `body_lines`, numbers the
+subtrees by value, so a subtree that occurs more than once is computed
+once, and writes a constant exponent of 1, 2 or 3 as ``a``, ``a*a`` and
+``(a*a)*a``.  A point and a batch of one compile therefore give the same
+bits wherever the float operations and the ``math`` functions agree with
+numpy.  The emitter gives statements and
 result texts, with variables renamed and temporaries prefixed as asked, so
-the integrator writes a field's expressions out in its RK4 loop the way
-``compile_expr`` writes them in its function, with the same bits.
+the integrator writes a field's expressions out in its RK4 loop, and
+`funcalc` a gain's in its inversion loop, the way ``compile_expr`` writes
+them in its function, with the same bits.  An `Apply` node calls a Python
+callable the language cannot write, by a name the caller binds.
 IEEE 754 rounds ``+ - * /`` and ``sqrt`` correctly, so both paths
 agree on them, on the small powers, on unary minus and on ``abs``; a tree
 built from these alone is *point-exact* (`is_point_exact`).  ``exp log tan
@@ -45,10 +49,11 @@ inversion route, which was measured on the set as it stands.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -113,10 +118,13 @@ class Expr:
         return ()
 
     def walk(self) -> Iterator[Expr]:
-        """Every node of the tree, this one first."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Every node of the tree, this one first, then each child's walk in
+        order; one generator, so a node costs the same at any depth."""
+        stack = [self]
+        while stack:
+            e = stack.pop()
+            yield e
+            stack.extend(reversed(e.children()))
 
     def variables(self) -> set[str]:
         return {e.name for e in self.walk() if isinstance(e, Var)}
@@ -207,6 +215,21 @@ class Call(Expr):
 
     def children(self):
         return self.args
+
+
+@dataclass(frozen=True)
+class Apply(Expr):
+    """``fn(arg)`` for a Python callable the language cannot write, such as
+    an opaque gain inside a gain's tree, for `body_lines` to call by name.
+    ``exact`` promises that fn at a float equals its batch element bit for
+    bit (see `is_point_exact`).  It has no text and no symbolic derivative."""
+
+    fn: Callable
+    arg: Expr
+    exact: bool = False
+
+    def children(self):
+        return (self.arg,)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +492,21 @@ def differentiate(e: Expr, var: str) -> Expr:
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def substitute(e: Expr, var: str, value: Expr) -> Expr:
+    """The tree ``e`` with every variable ``var`` replaced by the tree ``value``."""
+    if isinstance(e, Var):
+        return value if e.name == var else e
+    if isinstance(e, Neg):
+        return Neg(substitute(e.arg, var, value))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, substitute(e.left, var, value), substitute(e.right, var, value))
+    if isinstance(e, Call):
+        return Call(e.func, tuple(substitute(a, var, value) for a in e.args))
+    if isinstance(e, Apply):
+        return Apply(e.fn, substitute(e.arg, var, value), e.exact)
+    return e
+
+
 def _is_zero(e: Expr) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 
@@ -558,12 +596,16 @@ _NON_FINITE = {"inf": "_inf", "-inf": "(-_inf)", "nan": "_nan"}
 _SMALL_POWERS = {2.0: "({} * {})", 3.0: "(({} * {}) * {})"}
 
 
-def body_lines(exprs: Sequence[Expr], names: Mapping[str, str],
-               prefix: str) -> tuple[list[str], list[str]]:
+def body_lines(exprs: Sequence[Expr], names: Mapping[str, str], prefix: str,
+               calls: dict | None = None) -> tuple[list[str], list[str]]:
     """Statements and result texts that evaluate ``exprs`` in line.
 
     Each variable ``v`` is written as ``names.get(v, v)``, and each
-    temporary as ``prefix`` and a number.  One post-order pass numbers the
+    temporary as ``prefix`` and a number.  The callable of an `Apply` node
+    is written as its name in ``calls``, which maps ``id(fn)`` to ``(name,
+    fn)``; one it does not hold yet is added as ``_call`` and a number, in
+    first-use order, for the caller to bind (keyed by identity, so a
+    callable need not be hashable).  One post-order pass numbers the
     distinct subtrees, keyed on their emitted text with operands as
     references (so ``x1*0.0`` and ``x1*-0.0`` stay apart, which ``Expr``
     equality would merge).  A subtree referenced more than once, such as the
@@ -585,6 +627,9 @@ def body_lines(exprs: Sequence[Expr], names: Mapping[str, str],
             return names.get(e.name, e.name)
         if isinstance(e, Neg):
             fmt, ops = "(-{})", [visit(e.arg)]
+        elif isinstance(e, Apply):
+            name, _ = calls.setdefault(id(e.fn), (f"_call{len(calls)}", e.fn))
+            fmt, ops = name + "({})", [visit(e.arg)]
         elif isinstance(e, BinOp) and e.op == "^":
             expo = e.right.value if isinstance(e.right, Num) else None
             if expo == 1.0:
@@ -626,10 +671,12 @@ def body_lines(exprs: Sequence[Expr], names: Mapping[str, str],
     return lines, [text[r] if isinstance(r, int) else r for r in roots]
 
 
-def _source(exprs: Sequence[Expr], arg_names: tuple[str, ...], fused: bool) -> str:
+def _source(exprs: Sequence[Expr], arg_names: tuple[str, ...], fused: bool,
+            calls: dict) -> str:
     """Source of ``def _f(*arg_names)`` returning ``exprs`` (a tuple if fused),
-    from `body_lines` with temporaries ``_0, _1, ...``."""
-    lines, out = body_lines(exprs, {}, "_")
+    from `body_lines` with temporaries ``_0, _1, ...``; the callables of
+    `Apply` nodes are named in ``calls``."""
+    lines, out = body_lines(exprs, {}, "_", calls)
     body = [f"def _f({', '.join(arg_names)}):", *("    " + line for line in lines),
             f"    return ({''.join(o + ', ' for o in out)})" if fused
             else f"    return {out[0]}"]
@@ -640,6 +687,39 @@ def _source(exprs: Sequence[Expr], arg_names: tuple[str, ...], fused: bool) -> s
 FLOAT_ERRORS = (ArithmeticError, ValueError)
 
 
+# generated sources whose code objects `compiled` keeps: the 12 generated
+# problems of the benchmark's `sweep` look up 198 texts, 98 of them distinct
+COMPILED_SOURCES = 256
+
+
+@functools.lru_cache(maxsize=COMPILED_SOURCES)
+def compiled(src: str):
+    """The code object of the generated source ``src``.  The last
+    COMPILED_SOURCES texts are kept, so a process that builds a problem
+    again, or gains of the same texts, compiles none of them again."""
+    return compile(src, "<generated>", "exec")
+
+
+def passing(fn: Callable) -> Callable:
+    """``fn`` for the float path of generated code that calls it (an
+    `Apply`): an error of FLOAT_ERRORS it raises is marked ``from_call``, so
+    the code's float fallback lets it propagate instead of evaluating the
+    whole tree again (`from_call`)."""
+    def call(x):
+        try:
+            return fn(x)
+        except FLOAT_ERRORS as err:
+            err.from_call = True
+            raise
+    return call
+
+
+def from_call(err: BaseException) -> bool:
+    """True when ``err`` came out of a callable bound through `passing`,
+    not out of the float operations of the generated code."""
+    return getattr(err, "from_call", False)
+
+
 def compile_expr(e: Expr | str | Sequence[Expr | str],
                  arg_names: tuple[str, ...]) -> Callable:
     """Compile ``e`` to a positional callable over ``arg_names``.
@@ -648,15 +728,19 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     variable outside ``arg_names`` raises UnboundVariableError naming the
     first expression's strays.  The result takes plain floats (fast ``math`` path) or numpy arrays
     (vectorized path); both run one generated function, and a sequence of
-    expressions gives a tuple (see the module docstring).  A float call that
-    raises one of FLOAT_ERRORS runs once more on numpy scalars, warnings
-    off, and returns numpy's values as Python floats.  ``call.math`` is the
+    expressions gives a tuple (see the module docstring).  The callable of
+    an `Apply` node is called on both paths.  A float call whose float
+    operations raise one of FLOAT_ERRORS runs once more on numpy scalars, warnings
+    off, and returns numpy's values as Python floats; an error the callable
+    of an `Apply` raises propagates.  ``call.math`` is the
     float path alone, for Python floats.
     """
     fused = not isinstance(e, (Expr, str))
     exprs = tuple(parse_over(x, arg_names) for x in (e if fused else (e,)))
-    code = compile(_source(exprs, arg_names, fused), "<compile_expr>", "exec")
-    ns_s, ns_v = dict(_SCALAR_NS), dict(_VECTOR_NS)
+    calls: dict = {}
+    code = compiled(_source(exprs, arg_names, fused, calls))
+    ns_s = {**_SCALAR_NS, **{name: passing(fn) for name, fn in calls.values()}}
+    ns_v = {**_VECTOR_NS, **dict(calls.values())}
     exec(code, ns_s)  # noqa: S102 - source emitted by _source only
     exec(code, ns_v)  # noqa: S102
     fn_s, fn_v = ns_s["_f"], ns_v["_f"]
@@ -669,7 +753,9 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     def point(*args):
         try:
             return fn_s(*args)
-        except FLOAT_ERRORS:
+        except FLOAT_ERRORS as err:
+            if from_call(err):
+                raise
             return on_numpy(args)
 
     def call(*args):
@@ -678,7 +764,9 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
                 return fn_v(*args)
         try:
             return fn_s(*args)
-        except FLOAT_ERRORS:
+        except FLOAT_ERRORS as err:
+            if from_call(err):
+                raise
             return on_numpy(args)
 
     for f in (call, point):
@@ -691,18 +779,21 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
 _POINT_EXACT_CALLS = {"abs", "sqrt"}
 
 
-def _point_exact_node(e: Expr) -> bool:
+def _point_exact_node(e: Expr, also: Collection[str]) -> bool:
     if isinstance(e, BinOp) and e.op == "^":
         return isinstance(e.right, Num) and e.right.value in (1.0, 2.0, 3.0)
-    return not isinstance(e, Call) or e.func in _POINT_EXACT_CALLS
+    if isinstance(e, Apply):
+        return e.exact
+    return not isinstance(e, Call) or e.func in _POINT_EXACT_CALLS or e.func in also
 
 
-def is_point_exact(e: Expr) -> bool:
+def is_point_exact(e: Expr, also: Collection[str] = ()) -> bool:
     """True when the tree uses only literals, variables, unary minus,
-    ``+ - * /``, the constant exponents 1, 2 and 3 and the calls ``abs``
-    and ``sqrt``: its compiled value at floats equals a batch row bit for
-    bit (the module docstring says why ``max min`` are left out)."""
-    return all(map(_point_exact_node, e.walk()))
+    ``+ - * /``, the constant exponents 1, 2 and 3, the calls ``abs``
+    and ``sqrt``, the calls named in ``also`` and `Apply` nodes marked
+    exact: its compiled value at floats equals a batch row bit for bit (the
+    module docstring says why ``max min`` are left out unless named)."""
+    return all(_point_exact_node(n, also) for n in e.walk())
 
 
 def is_smooth(e: Expr) -> bool:

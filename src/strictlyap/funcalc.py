@@ -1,40 +1,54 @@
 """Calculus of comparison functions (candidate class-K-infinity gains).
 
-A GainFunction bundles a nonnegative scalar map with derivative access and a
-probe interval.  Class membership cannot be proven by sampling, so `check_kl`
-reports the worst violation found on a grid instead of claiming a proof.
+A GainFunction carries two expression trees in the variable ``s``: its
+value and its derivative.  `gain_from_expr` and `identity_gain` make them
+from text, with the symbolic derivative when the expression is smooth and
+a finite-difference tree otherwise; `compose`, `scale_gain` and the
+constructions of `strictify` build theirs from their parts' trees, in the
+float operations and order of the closures they replace.  A callable the
+language cannot write (an inverse gain, the Omega envelope, a gain written
+by hand) is opaque: its trees are one named call (`exprparse.Apply`) each.
+Each tree compiles once, on first use, through `exprparse.compile_expr`.
+Class membership cannot be proven by sampling, so `check_kl` reports the
+worst violation found on a grid instead of claiming a proof.
+
 Numeric inversion is bracket doubling followed by safeguarded Newton steps
 that fall back on bisection, which only needs monotonicity.  `_invert_array`
-takes these steps on numpy arrays and `invert` on Python floats, where a
-compiled gain gives what numpy gives, so no float error needs handling.  A
-gain built from point-exact expressions (see `exprparse.is_point_exact`)
-and the constructions below carries ``point_exact``: its float value and its
-batch value agree bit for bit, so the float loop gives the batch answer.
-An inverse gain solves each distinct target of a batch once, and for a
-point-exact gain it answers a float, or a batch of at most `FLOAT_BATCH`
-distinct targets, one target at a time on floats.  It answers an array of
-targets equal to its last array from its last answer.
+takes these steps on numpy arrays.  `invert` takes them on Python floats in
+one loop generated per gain from its two trees (through
+`exprparse.body_lines`, its code kept by source text in
+`exprparse.compiled`), with the trees written out in its body and opaque
+parts called by name.  A gain
+whose trees are point-exact (see `exprparse.is_point_exact`) carries
+``point_exact``: its float value and its batch value agree bit for bit, so
+the float loop gives the batch answer.  An inverse gain solves each
+distinct target of a batch once, and for a point-exact gain it answers a
+float, or a batch of at most `FLOAT_BATCH` distinct targets, one target at
+a time on floats.  It answers an array of targets equal to its last array
+from its last answer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import exprparse
 from .errors import ValidationFailure
+from .exprparse import Apply, BinOp, Call, Expr, Num, Var
 
 DEFAULT_PROBE_MAX = 1.0e3
 _BRACKET_DOUBLINGS = 60
 # the most distinct targets of a point-exact gain inverted one by one on
-# floats: on the alpha2_tilde of the benchmark's sweep problems (one CPU),
-# 14 take 0.36 ms on floats and 0.46 ms in one array call, both routes take
-# about 0.45 ms at 16, and from 18 up one array call is faster
-FLOAT_BATCH = 14
+# floats: on the alpha2_tilde of the benchmark's sweep problems (seed 0, one
+# CPU), 56 take 0.22 ms on floats and 0.26 ms in one array call, both routes
+# take about 0.25 ms at 64, and from 72 up one array call is faster
+FLOAT_BATCH = 64
+_S = Var("s")
 
 
 class BracketNotFoundError(RuntimeError):
@@ -50,31 +64,84 @@ class TargetOutOfRangeError(ValidationFailure, ValueError):
 class GainFunction:
     """Candidate class-K-infinity function with derivative access.
 
-    ``fn`` must accept floats and numpy arrays.  When ``deriv_fn`` is not
-    given, the derivative falls back to central differences with step
-    ``max(1e-6, 1e-6*s)`` (one-sided at 0).  ``point_exact`` is derived,
-    never configured: `gain_from_expr` and `identity_gain` set it, and each
-    construction of this module and of `strictify` passes on the AND of its
-    parts.  It promises that the value and the derivative at a float equal,
-    bit for bit, the elements of a batch call.
+    A tree gain is given by ``tree`` and ``slope``, its value and derivative
+    as expressions in ``s``.  An opaque gain is given by ``fn``, which must
+    accept floats and numpy arrays, and ``deriv_fn``; its trees are the
+    named calls of these, and when ``deriv_fn`` is not given its slope is
+    the central difference with step ``max(1e-6, 1e-6*s)`` (one-sided at 0).
+    ``point_exact`` promises that the value and the derivative at a float
+    equal, bit for bit, the elements of a batch call.  The constructors of
+    tree gains set it to `is_point_exact` of the two trees, where the maxima
+    of a finite difference count as exact (they follow numpy's rule on
+    floats); an opaque gain is given its flag.
     """
 
-    fn: Callable
+    fn: Callable | None = None
     deriv_fn: Callable | None = None
     probe_max: float = DEFAULT_PROBE_MAX
     label: str = ""
     point_exact: bool = False
+    tree: Expr | None = None
+    slope: Expr | None = None
+
+    def __post_init__(self):
+        if self.fn is not None:
+            tree = Apply(self.fn, _S, self.point_exact)
+            slope = (_difference(tree) if self.deriv_fn is None
+                     else Apply(self.deriv_fn, _S, self.point_exact))
+            object.__setattr__(self, "tree", tree)
+            object.__setattr__(self, "slope", slope)
+        elif self.tree is None or self.slope is None:
+            raise ValueError("a gain needs fn, or a value tree and a slope tree")
+
+    @functools.cached_property
+    def _value(self) -> Callable:
+        return _callable(self.tree)
+
+    @functools.cached_property
+    def _slope(self) -> Callable:
+        return _callable(self.slope)
+
+    @functools.cached_property
+    def _newton(self) -> Callable:
+        return _newton_loop(self)
 
     def __call__(self, s):
-        return self.fn(s)
+        return self._value(s)
 
     def deriv(self, s):
-        if self.deriv_fn is not None:
-            return self.deriv_fn(s)
-        h = np.maximum(1.0e-6, 1.0e-6 * np.abs(s))
-        lo = np.maximum(np.asarray(s) - h, 0.0)
-        hi = np.asarray(s) + h
-        return (self.fn(hi) - self.fn(lo)) / (hi - lo)
+        return self._slope(s)
+
+
+def tree_gain(tree: Expr, slope: Expr, probe_max: float = DEFAULT_PROBE_MAX,
+              label: str = "") -> GainFunction:
+    """The gain of value ``tree`` and derivative ``slope``, point-exact when
+    both trees are, the maxima of finite differences counted as exact."""
+    exact = exprparse.is_point_exact(tree) and exprparse.is_point_exact(slope, ("max",))
+    return GainFunction(probe_max=probe_max, label=label, point_exact=exact,
+                        tree=tree, slope=slope)
+
+
+def _difference(tree: Expr) -> Expr:
+    """(g(s + h) - g(lo)) / ((s + h) - lo), h = max(1e-6, 1e-6 |s|) and
+    lo = max(s - h, 0), for g the value ``tree``."""
+    h = Call("max", (Num(1.0e-6), BinOp("*", Num(1.0e-6), Call("abs", (_S,)))))
+    lo = Call("max", (BinOp("-", _S, h), Num(0.0)))
+    hi = BinOp("+", _S, h)
+    return BinOp("/", BinOp("-", exprparse.substitute(tree, "s", hi),
+                            exprparse.substitute(tree, "s", lo)), BinOp("-", hi, lo))
+
+
+def _callable(tree: Expr) -> Callable:
+    """The compiled tree: an opaque gain's own callable for its named call,
+    and for a tree without ``s`` its value, computed once on floats, filled
+    into the shape of the argument."""
+    if isinstance(tree, Apply) and tree.arg == _S:
+        return tree.fn
+    fn = exprparse.compile_expr(tree, ("s",))
+    if tree.variables():
+        return fn
+    return functools.partial(np.full_like, fill_value=float(fn(0.0)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -100,31 +167,26 @@ class SpotCheckReport:
 
 
 def identity_gain() -> GainFunction:
-    return GainFunction(lambda s: s * 1.0, lambda s: np.ones_like(s, dtype=float), label="s",
-                        point_exact=True)
+    return tree_gain(BinOp("*", _S, Num(1.0)), Num(1.0), label="s")
 
 
 def gain_from_expr(text: str) -> GainFunction:
     """Build a gain from an expression in the variable ``s``.
 
     Uses the symbolic derivative when the expression is smooth, otherwise
-    the finite-difference fallback.  A constant derivative keeps the shape
-    of its argument.
+    the finite-difference tree.  A constant derivative is folded to its
+    value on floats, and keeps the shape of its argument.
     """
     e = exprparse.parse(text)
     extra = e.variables() - {"s"}
     if extra:
         raise ValueError(f"gain expression may only use 's', found {sorted(extra)}")
-    fn = exprparse.compile_expr(e, ("s",))
-    deriv = None
-    exact = exprparse.is_point_exact(e)
-    if exprparse.is_smooth(e):
-        d = exprparse.differentiate(e, "s")
-        exact = exact and exprparse.is_point_exact(d)
-        deriv = exprparse.compile_expr(d, ("s",))
-        if not d.variables():
-            deriv = partial(np.full_like, fill_value=float(deriv(0.0)), dtype=float)
-    return GainFunction(fn, deriv, label=text, point_exact=exact)
+    if not exprparse.is_smooth(e):
+        return tree_gain(e, _difference(e), label=text)
+    d = exprparse.differentiate(e, "s")
+    if not d.variables():
+        d = Num(float(exprparse.compile_expr(d, ("s",))(0.0)))
+    return tree_gain(e, d, label=text)
 
 
 def check_kl(beta: KLFunction, s_max: float = 10.0, t_max: float = 10.0,
@@ -173,44 +235,85 @@ def invert(g: GainFunction, y: float) -> float:
     """Solve g(s) = y for s >= 0 on Python floats: the loop of
     `_invert_array` written for one target, step by step, so for a
     point-exact g the answer that target gets inside any batch, bit for bit.
-    A zero slope bisects, as numpy's inf or nan Newton step does.
+    A zero slope bisects, as numpy's inf or nan Newton step does.  The loop
+    is g's own, generated from its trees (`_newton_loop`).
     """
     y = float(y)
     if y < 0.0:
         raise ValueError("target must be nonnegative")
     if not y > 0.0:
         return 0.0 if y == 0.0 else math.nan
-    fn, deriv = g.fn, g.deriv
-    lo, hi = 0.0, 1.0
-    for _ in range(_BRACKET_DOUBLINGS + 20):
-        f = float(fn(hi)) - y       # g(x) - y at the iterate x
-        if not f < 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise BracketNotFoundError("gain looks bounded on probed range")
-    if hi > g.probe_max * 2.0 ** _BRACKET_DOUBLINGS:
-        raise BracketNotFoundError("gain looks bounded on probed range")
-    x = hi
-    moved = math.inf
-    for _ in range(110):
-        tol = 1.0e-15 * max(1.0, hi)
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-        slope = float(deriv(x))
-        step = f / slope if slope else math.inf     # s = -inf: numpy's bisection
-        s = x - step - math.copysign(0.25 * tol, step)
-        if not (math.isfinite(s) and lo < s < hi and abs(s - x) <= 0.5 * moved):
-            s = 0.5 * (lo + hi)
-        f = float(fn(s)) - y
-        if f < 0.0:
-            lo = s
+    return g._newton(y)
+
+
+_NEWTON = """\
+def make(_g, _top, {calls}):
+    def run(y):
+        lo, hi = 0.0, 1.0
+        for _ in range({doublings}):
+{value_hi}
+            if not f < 0.0:
+                break
+            lo = hi
+            hi *= 2.0
         else:
-            hi = s
-        moved = abs(s - x)
-        x = s
-    return 0.5 * (lo + hi)
+            raise _Bracket("gain looks bounded on probed range")
+        if hi > _top:
+            raise _Bracket("gain looks bounded on probed range")
+        x = hi
+        moved = _inf
+        for _ in range(110):
+            tol = 1.0e-15 * _fmax(1.0, hi)
+            if hi - lo <= tol:
+                return 0.5 * (lo + hi)
+{slope_x}
+            step = f / slope if slope else _inf     # s = -inf: numpy's bisection
+            s = x - step - _copysign(0.25 * tol, step)
+            if not (_isfinite(s) and lo < s < hi and abs(s - x) <= 0.5 * moved):
+                s = 0.5 * (lo + hi)
+{value_s}
+            if f < 0.0:
+                lo = s
+            else:
+                hi = s
+            moved = abs(s - x)
+            x = s
+        return 0.5 * (lo + hi)
+    return run
+"""
+_NEWTON_NS = {**exprparse._SCALAR_NS, "_Bracket": BracketNotFoundError, "_inf": math.inf,
+              "_fmax": max, "_copysign": math.copysign, "_isfinite": math.isfinite,
+              "_FLOAT_ERRORS": exprparse.FLOAT_ERRORS, "_from_call": exprparse.from_call}
+
+
+def _evaluation(tree: Expr, at: str, assign: str, fallback: str, calls: dict) -> str:
+    """Lines computing ``assign`` of the tree at the float named ``at``:
+    written out, through ``fallback`` on the gain where its float operations
+    raise one of FLOAT_ERRORS (it gives numpy's values), and as a float.  An
+    error of an opaque callable propagates (`exprparse.passing`)."""
+    lines, (text,) = exprparse.body_lines([tree], {"s": at}, "_t", calls)
+    if any(isinstance(node, Apply) for node in tree.walk()):
+        text = f"float({text})"
+    pad = 12 * " "
+    return "\n".join([f"{pad}try:", *(f"{pad}    {line}" for line in lines),
+                      f"{pad}    {assign.format(text)}", f"{pad}except _FLOAT_ERRORS as _err:",
+                      f"{pad}    if _from_call(_err):", f"{pad}        raise",
+                      f"{pad}    {assign.format(f'float({fallback}({at}))')}"])
+
+
+def _newton_loop(g: GainFunction) -> Callable:
+    """``run(y)``, `invert`'s loop for g and a target y > 0, generated from
+    g's trees, with g's opaque callables bound as ``_call0, ...``."""
+    calls: dict = {}
+    parts = {"value_hi": _evaluation(g.tree, "hi", "f = {} - y", "_g", calls),
+             "slope_x": _evaluation(g.slope, "x", "slope = {}", "_g.deriv", calls),
+             "value_s": _evaluation(g.tree, "s", "f = {} - y", "_g", calls)}
+    src = _NEWTON.format(calls="".join(f"{name}, " for name, _ in calls.values()),
+                         doublings=_BRACKET_DOUBLINGS + 20, **parts)
+    ns = dict(_NEWTON_NS)
+    exec(exprparse.compiled(src), ns)  # noqa: S102 - source built here only
+    return ns["make"](g, g.probe_max * 2.0 ** _BRACKET_DOUBLINGS,
+                      *(exprparse.passing(fn) for _, fn in calls.values()))
 
 
 def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:
@@ -340,28 +443,23 @@ def inverse_gain(g: GainFunction) -> GainFunction:
 
 
 def compose(outer: GainFunction, inner: GainFunction) -> GainFunction:
-    """outer(inner(s)) with chain-rule derivative."""
-    def fn(s):
-        return outer(inner(s))
-
-    def deriv(s):
-        return outer.deriv(inner(s)) * inner.deriv(s)
-
+    """outer(inner(s)), with the chain-rule derivative outer'(inner(s)) * inner'(s)."""
     label = ""
     if outer.label and inner.label:
         label = f"({outer.label}) o ({inner.label})"
-    return GainFunction(fn, deriv, probe_max=inner.probe_max, label=label,
-                        point_exact=outer.point_exact and inner.point_exact)
+    return tree_gain(exprparse.substitute(outer.tree, "s", inner.tree),
+                     BinOp("*", exprparse.substitute(outer.slope, "s", inner.tree),
+                           inner.slope),
+                     probe_max=inner.probe_max, label=label)
 
 
 def scale_gain(c: float, g: GainFunction) -> GainFunction:
     """c * g(s) for c > 0."""
     if c <= 0:
         raise ValueError("scale must be positive")
-    return GainFunction(lambda s: c * g(s), lambda s: c * g.deriv(s),
-                        probe_max=g.probe_max,
-                        label=f"{c!r}*({g.label})" if g.label else "",
-                        point_exact=g.point_exact)
+    k = Num(float(c))
+    return tree_gain(BinOp("*", k, g.tree), BinOp("*", k, g.slope), probe_max=g.probe_max,
+                     label=f"{c!r}*({g.label})" if g.label else "")
 
 
 def rescale_kl(beta: KLFunction, pbar_fn: GainFunction) -> KLFunction:

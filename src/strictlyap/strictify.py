@@ -33,7 +33,8 @@ from . import verify
 from .decay import PASS_TOL, DecayRate, PETriple
 from .dynsys import ControlSystem
 from .errors import ValidationFailure
-from .funcalc import GainFunction, compose, inverse_gain, scale_gain
+from .exprparse import BinOp, Num, Var
+from .funcalc import GainFunction, compose, inverse_gain, scale_gain, tree_gain
 from .verify import InequalityReport, SampleDomain
 
 GAIN_MARGIN = 1.25          # the 5/4 factor multiplying the disturbance gain
@@ -247,16 +248,11 @@ def build_alpha2_tilde(alpha2: GainFunction, mu: GainFunction, tau: float,
     if tau <= 0 or pbar <= 0:
         raise ValueError("tau and pbar must be positive")
     c = max(tau * pbar / 2.0, 1.0)
-
-    def fn(s):
-        return c * (alpha2(s) + mu(s) + s)
-
-    def deriv(s):
-        return c * (alpha2.deriv(s) + mu.deriv(s) + 1.0)
-
+    k = Num(float(c))
+    value = BinOp("*", k, BinOp("+", BinOp("+", alpha2.tree, mu.tree), Var("s")))
+    slope = BinOp("*", k, BinOp("+", BinOp("+", alpha2.slope, mu.slope), Num(1.0)))
     label = f"{c!r}*(({alpha2.label or 'a2'}) + ({mu.label or 'mu'}) + s)"
-    return GainFunction(fn, deriv, probe_max=min(alpha2.probe_max, mu.probe_max),
-                        label=label, point_exact=alpha2.point_exact and mu.point_exact)
+    return tree_gain(value, slope, probe_max=min(alpha2.probe_max, mu.probe_max), label=label)
 
 
 def build_w(mu_tilde: GainFunction, tau: float, pbar: float,

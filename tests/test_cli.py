@@ -376,6 +376,20 @@ class TestCommands:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
 
+    @pytest.mark.parametrize("name, reference, line", [
+        ("scalar-linear", "0;0;0", "--reference only applies to rigid-body"),
+        ("rigid-body", "sin(t); 0", "--reference must be three ';'-separated expressions"),
+        ("rigid-body", "sin(t); x1; 0",
+         "--reference w2r: expression uses ['x1'] not among arguments ['t']"),
+    ])
+    def test_refused_reference_prints_and_makes_nothing(self, capsys, tmp_path, name,
+                                                        reference, line):
+        out = tmp_path / "out"
+        assert cli.main(["example", name, "--reference", reference, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: {line}\n"
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[problem]\nn = 1\n", encoding="utf-8")
@@ -978,9 +992,9 @@ def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, 
     # the README's issp route inverts alpha2_tilde behind every w and decay
     # call; an inverse gain that reuses its last answer and solves each
     # distinct target once, probed one batch per descent move, inverts the
-    # slope grid and the two checks' samples as arrays, two descent batches
-    # of 15 and 17 distinct targets as arrays, and 10 targets of the others
-    # one at a time on floats
+    # slope grid and the two checks' samples as arrays, and the 42 distinct
+    # targets of the descent batches and the others one at a time on floats
+    # (two descent batches of 15 and 17, at most FLOAT_BATCH each)
     cfg = _readme_ini(tmp_path)
     calls = []
     original, original_invert = funcalc._invert_array, funcalc.invert
@@ -996,8 +1010,9 @@ def test_readme_ini_strictify_inverts_each_argument_once(tmp_path, monkeypatch, 
     monkeypatch.setattr(funcalc, "_invert_array", counted)
     monkeypatch.setattr(funcalc, "invert", counted_invert)
     assert cli.main(["strictify", "--config", str(cfg)]) == 0
-    assert sorted(c for c in calls if c != "float") == [(15,), (17,), (1024,), (2009,), (3000,)]
-    assert calls.count("float") == 10
+    assert 17 <= funcalc.FLOAT_BATCH < 1024
+    assert sorted(c for c in calls if c != "float") == [(1024,), (2009,), (3000,)]
+    assert calls.count("float") == 10 + 15 + 17
 
 
 _SCIPY_AFTER = (
@@ -1161,6 +1176,7 @@ EXIT_CODES = {
     "strictify.UnboundedSupError": 1,
     "strictify.ValidationFailedError": 1,
     "dynsys.BlowUpError": 1,
+    "dynsys.NonFiniteInputError": 2,
     "verify.FitFailedError": 1,
     "funcalc.TargetOutOfRangeError": 1,
     # a failed bracket escaping a command is a defect of the command, not a
@@ -1520,6 +1536,22 @@ def test_simulate_blow_up_in_run_2_of_3(tmp_path, capsys, cpus):
                                                                       "sim_3.csv"]
     _same_files(tmp_path / "forked", tmp_path / "serial")
     _assert_no_child()
+
+
+@pytest.mark.parametrize("inputs, named", [
+    ('u.2.1 = "log(1 - t)"', "(run 2, [sim] u.2.1)"),
+    ('u.2.1 = "0.2*sin(t)"\nu.2.2 = "log(1 - t)"', "(run 2, [sim] u.2.2)"),
+])
+def test_non_finite_input_names_its_run_and_key(tmp_path, capsys, inputs, named):
+    # two inputs, so that the key names the channel: the first non-finite one
+    cfg = tmp_path / "two.ini"
+    cfg.write_text(SCALAR_CONFIG.replace("m = 1", "m = 2")
+                   .replace('"-x1 + u1"', '"-x1 + u1 + u2"')
+                   .replace('u.2.1 = "0.2*sin(t)"', inputs), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: input is not finite at t=1.0: u = ")
+    assert err[0].endswith(" " + named)
 
 
 def test_simulate_non_finite_input_in_run_2_of_3(tmp_path, capsys, cpus):

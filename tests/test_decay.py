@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from strictlyap import decay
+from strictlyap._numerics import minimize_brackets
 from strictlyap.config import rate_from_expr
 from strictlyap.decay import DecayRate, PETriple
 
@@ -524,8 +525,8 @@ def _simpson_polished_epsilon(p, tau):
     single-window Simpson sums: the oracle of the table polish."""
     horizon = p.period + tau if p.period is not None else 20.0 * tau
     ts = np.linspace(0.0, horizon, 512)
-    return decay._refine_min(lambda t: decay.window_integral(p, tau, t), ts,
-                             decay.window_integral_vec(p, tau, ts))
+    return decay._refine_min(lambda points: [decay.window_integral(p, tau, t) for t in points],
+                             ts, decay.window_integral_vec(p, tau, ts))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -539,3 +540,44 @@ def test_epsilon_matches_the_simpson_polish(sweep_problems, seed):
         eps = decay.estimate_pe(problem.rate, problem.tau).epsilon
         oracle = _simpson_polished_epsilon(problem.rate, problem.tau)
         assert eps == pytest.approx(oracle, rel=1e-11, abs=0.0)
+
+
+def _bits(v: float) -> int:
+    return int(np.float64(v).view(np.uint64))
+
+
+def _sequential_min(fn, grid, vals):
+    """`_refine_min` polishing its brackets one after the other, each alone
+    and read at one point at a time: the oracle of the lockstep."""
+    best = float(vals.min())
+    for j in np.argsort(vals)[:3]:
+        lo, hi = grid[max(0, j - 1)], grid[min(len(grid) - 1, j + 1)]
+        if hi > lo:
+            polished = minimize_brackets(lambda xs: [fn(x) for x in xs], [(lo, hi)], 1.0e-11)
+            best = min(best, polished[0][1])
+    return best
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lockstep_polish_equals_sequential_polishes(sweep_problems, seed):
+    # epsilon's brackets read W as one batch a round, pbar's read -p at each
+    # point; both give the bits of three polishes run one after the other
+    from strictlyap.fixtures import FIXTURES, get_fixture
+
+    problems = sweep_problems(seed) + [get_fixture(name) for name in FIXTURES]
+    for problem in problems:
+        p, tau = problem.rate, problem.tau
+        look, horizon = p.windows(tau), decay._horizon(p, tau)
+        for ts, shift in ((np.linspace(0.0, horizon, 512), 0.0),
+                          (np.linspace(0.0, horizon, 128), 0.5 * tau)):
+            alone = _sequential_min(lambda t: float(look.column(0, np.array([t + shift]))[0]),
+                                    ts, look.column(0, ts + shift))
+            assert _bits(decay._window_min(look, ts, shift)) == _bits(alone), problem.name
+        tg = np.linspace(-tau, horizon, 4097)
+        pv = decay._rate_values(p, tg)
+        lockstep = decay._refine_min(lambda xs: [-float(p(x)) for x in xs], tg, -pv)
+        alone = _sequential_min(lambda t: -float(p(t)), tg, -pv)
+        assert _bits(lockstep) == _bits(alone), problem.name
+        est = decay.estimate_pe(p, tau)
+        assert (_bits(est.epsilon), _bits(est.pbar)) == (_bits(decay._window_min(
+            look, np.linspace(0.0, horizon, 512))), _bits(-lockstep))

@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strictlyap import decay, funcalc as fc
+from strictlyap import decay, exprparse as ep, funcalc as fc
 from strictlyap.decay import DecayRate, underline_p_gain
 from strictlyap.strictify import (DEFAULT_FACTOR_ISS, _decay_gain, build_alpha2_tilde,
                                   build_w)
@@ -342,6 +343,7 @@ def test_float_inversion_is_the_batch_element(monkeypatch, sweep_problems):
     problems = [get_fixture(name) for name in FIXTURES] + sweep_problems(0) + sweep_problems(1)
     gains = _inverted_gains(monkeypatch, problems)
     assert len(gains) == 14 and all(g.point_exact for g in gains)
+    assert all(g.fn is None and not isinstance(g.tree, ep.Apply) for g in gains)   # trees
     rng = np.random.default_rng(27)
     ys = np.concatenate([rng.uniform(0.0, 50.0, 10_000), 10.0 ** rng.uniform(-8.0, 3.0, 10_000)])
     for g in gains:
@@ -480,6 +482,47 @@ def test_deriv_finite_difference_fallback():
     assert float(g.deriv(3.0)) == pytest.approx(6.0, rel=1e-5)
 
 
+@dataclasses.dataclass
+class _Cube:
+    """A gain written by hand whose instances cannot be hashed."""
+
+    def __call__(self, s):
+        return s * s * s
+
+
+def test_opaque_gain_need_not_be_hashable():
+    # the generated code names an opaque callable by its identity
+    assert _Cube.__hash__ is None
+    g = fc.GainFunction(_Cube(), probe_max=10.0)
+    assert float(g.deriv(2.0)) == pytest.approx(12.0, rel=1e-5)
+    assert fc.invert(g, 8.0) == pytest.approx(2.0, rel=1e-12)
+    h = fc.compose(fc.gain_from_expr("2*s"), g)
+    assert h(2.0) == 16.0 and np.array_equal(h(np.array([1.0, 2.0])), [2.0, 16.0])
+    assert float(h.deriv(2.0)) == pytest.approx(24.0, rel=1e-5)
+    assert fc.invert(h, 16.0) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_refused_target_inside_a_tree_is_solved_once(monkeypatch, exact):
+    # the inverse of the bounded 2 tanh(s) refuses 5.0 and 4.0 (it answers
+    # 2.0, where tanh rounds to 1); as a part of a tree it raises at once,
+    # not again after the float fallback runs the tree on numpy scalars,
+    # both in a compiled gain and in the Newton loop of invert (which
+    # brackets through 1.0, 2.0 and 4.0)
+    g = fc.GainFunction(lambda s: 2.0 * np.tanh(s), lambda s: 2.0 / np.cosh(s) ** 2,
+                        probe_max=10.0, label="2*tanh(s)", point_exact=exact)
+    inv = fc.inverse_gain(g)
+    solve = "float" if exact else (1,)
+    calls, _ = _counting(monkeypatch)
+    with pytest.raises(fc.TargetOutOfRangeError, match="gain looks bounded"):
+        fc.compose(fc.gain_from_expr("3*s"), inv)(5.0)
+    assert calls == [solve]
+    calls.clear()
+    with pytest.raises(fc.TargetOutOfRangeError, match="gain looks bounded"):
+        fc.invert(fc.compose(inv, fc.identity_gain()), 100.0)
+    assert calls == ["float", solve, solve, solve]
+
+
 def test_rescale_kl_identity_clock():
     beta = fc.KLFunction(lambda s, t: s * np.exp(-t))
     hat = fc.rescale_kl(beta, fc.identity_gain())
@@ -516,3 +559,151 @@ def test_check_kl_fails_a_value_not_finite_by_name():
     assert nan.detail == "beta(0.0, 0.0) = nan is not finite"
     pole = fc.check_kl(fc.KLFunction(lambda s, t: s / (t - 50.0)), n=8)
     assert not pole.passed and pole.detail == "beta(0.0, 50.0) = nan is not finite"
+
+
+# ---------------------------------------------------------------------------
+# The closure constructions that gains were before they were trees, kept as
+# the oracle of the trees: each tree gain equals its closure bit for bit.
+
+class _Closure:
+    """A gain as a chain of closures; without ``deriv_fn``, its slope is the
+    central difference with step max(1e-6, 1e-6 s), one-sided at 0."""
+
+    def __init__(self, fn, deriv_fn=None):
+        self.fn, self.deriv_fn = fn, deriv_fn
+
+    def __call__(self, s):
+        return self.fn(s)
+
+    def deriv(self, s):
+        if self.deriv_fn is not None:
+            return self.deriv_fn(s)
+        h = np.maximum(1.0e-6, 1.0e-6 * np.abs(s))
+        lo = np.maximum(np.asarray(s) - h, 0.0)
+        hi = np.asarray(s) + h
+        return (self.fn(hi) - self.fn(lo)) / (hi - lo)
+
+
+def _closure_from_expr(text):
+    e = ep.parse(text)
+    fn, deriv = ep.compile_expr(e, ("s",)), None
+    if ep.is_smooth(e):
+        d = ep.differentiate(e, "s")
+        deriv = ep.compile_expr(d, ("s",))
+        if not d.variables():
+            deriv = functools.partial(np.full_like, fill_value=float(deriv(0.0)), dtype=float)
+    return _Closure(fn, deriv)
+
+
+def _closure_compose(outer, inner):
+    return _Closure(lambda s: outer(inner(s)), lambda s: outer.deriv(inner(s)) * inner.deriv(s))
+
+
+def _closure_scale(c, g):
+    return _Closure(lambda s: c * g(s), lambda s: c * g.deriv(s))
+
+
+def _closure_alpha2_tilde(alpha2, mu, tau, pbar):
+    c = max(tau * pbar / 2.0, 1.0)
+    return _Closure(lambda s: c * (alpha2(s) + mu(s) + s),
+                    lambda s: c * (alpha2.deriv(s) + mu.deriv(s) + 1.0))
+
+
+class _Oracles:
+    """Pairs each gain built through the constructions of `strictify` with
+    its closure: a tree gain from text with the closure of its text, an
+    opaque gain with itself, an inverse gain with the inverse of its gain's
+    closure, and a construction with the construction of its parts'
+    closures."""
+
+    def __init__(self, monkeypatch):
+        from strictlyap import strictify
+
+        self.pairs = {}     # id(gain) -> (gain, closure)
+        real = {name: getattr(strictify, name) for name in
+                ("compose", "scale_gain", "inverse_gain", "build_alpha2_tilde", "_decay_gain")}
+
+        def paired(name, closure_of):
+            def construction(*args):
+                gain = real[name](*args)
+                self.pairs[id(gain)] = (gain, closure_of(*args))
+                return gain
+            monkeypatch.setattr(strictify, name, construction)
+
+        paired("compose", lambda a, b: _closure_compose(self.of(a), self.of(b)))
+        paired("scale_gain", lambda c, g: _closure_scale(c, self.of(g)))
+        paired("build_alpha2_tilde", lambda a2, mu, tau, pbar: _closure_alpha2_tilde(
+            self.of(a2), self.of(mu), tau, pbar))
+        paired("inverse_gain", lambda g: real["inverse_gain"](fc.GainFunction(
+            self.of(g), self.of(g).deriv, probe_max=g.probe_max, label=g.label,
+            point_exact=g.point_exact)))
+        paired("_decay_gain", lambda eps, w, a1: _closure_scale(
+            eps, _closure_compose(self.of(w), self.of(a1))))
+
+    def of(self, g):
+        if id(g) in self.pairs:
+            return self.pairs[id(g)][1]
+        if g.fn is not None:
+            return g
+        closure = _closure_from_expr(g.label)
+        self.pairs[id(g)] = (g, closure)
+        return closure
+
+
+_POINTS = np.concatenate([[0.0, 1.0e-300, 1.0e-9, 0.37, 1.0, 2.5, 17.0, 900.0],
+                          np.geomspace(1.0e-6, 50.0, 41)])
+
+
+def _assert_equals_closure(gain, closure):
+    for f, g in ((gain, closure), (gain.deriv, closure.deriv)):
+        with np.errstate(all="ignore"):
+            batch = np.asarray(f(_POINTS), dtype=float)
+            assert _bits(batch) == _bits(np.asarray(g(_POINTS), dtype=float)), gain.label
+            assert batch.shape == _POINTS.shape
+            for s in _POINTS.tolist():
+                assert _bits(np.float64(f(s))) == _bits(np.float64(g(s))), (gain.label, s)
+
+
+def test_every_gain_of_the_fixtures_and_sweep_equals_its_closure(monkeypatch, sweep_problems):
+    from strictlyap.config import strictify_problem
+    from strictlyap.decay import estimate_pe
+    from strictlyap.errors import ValidationFailure
+    from strictlyap.fixtures import FIXTURES, get_fixture
+
+    oracles = _Oracles(monkeypatch)
+    problems = [get_fixture(name) for name in FIXTURES] + sweep_problems(0) + sweep_problems(1)
+    for problem in problems:
+        for g in (problem.candidate.alpha1, problem.candidate.alpha2, problem.candidate.alpha3,
+                  problem.mu, problem.chi, problem.omega, problem.mu_tilde):
+            if g is not None:
+                oracles.of(g)
+        if problem.rate.pe is None:
+            problem.rate = problem.rate.with_pe(
+                estimate_pe(problem.rate, problem.tau).triple(certified=True))
+        try:    # the gains are built before any check samples
+            strictify_problem(problem, n_samples=200)
+        except ValidationFailure:
+            pass
+    trees = [g for g, _ in oracles.pairs.values() if g.fn is None]
+    assert len(trees) > 100 and "s" in {g.label for g in trees}    # a constant derivative
+    assert any(g.label.startswith("inv(") for g, _ in oracles.pairs.values())
+    for gain, closure in oracles.pairs.values():
+        _assert_equals_closure(gain, closure)
+
+
+@pytest.mark.parametrize("outer, inner", [("s*abs(s)", "2*s + s^2"), ("s^2", "s*abs(s)"),
+                                          ("3*s", "s/3"), ("s + tanh(s)", "sqrt(s) + s")])
+def test_constructions_of_non_smooth_and_linear_gains_equal_their_closures(outer, inner):
+    # finite-difference slopes, constant derivatives and their compositions
+    a, b = fc.gain_from_expr(outer), fc.gain_from_expr(inner)
+    ca, cb = _closure_from_expr(outer), _closure_from_expr(inner)
+    pairs = [(a, ca), (b, cb), (fc.compose(a, b), _closure_compose(ca, cb)),
+             (fc.compose(b, a), _closure_compose(cb, ca)),
+             (fc.scale_gain(0.3, a), _closure_scale(0.3, ca)),
+             (build_alpha2_tilde(a, b, 1.5, 0.8), _closure_alpha2_tilde(ca, cb, 1.5, 0.8)),
+             (_decay_gain(0.7, a, b), _closure_scale(0.7, _closure_compose(ca, cb)))]
+    inv = fc.inverse_gain(b)
+    pairs.append((fc.compose(a, inv), _closure_compose(ca, inv)))
+    for gain, closure in pairs:
+        assert gain.fn is None
+        _assert_equals_closure(gain, closure)

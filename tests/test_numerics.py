@@ -139,10 +139,15 @@ def _same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def _minimize_bounded(fn, lo, hi, xatol):
+    """`minimize_brackets` on the one bracket (lo, hi), fn read at a point at a time."""
+    return nm.minimize_brackets(lambda xs: [fn(x) for x in xs], [(lo, hi)], xatol)[0]
+
+
 def _assert_matches_scipy(fn, lo, hi, xatol=1.0e-11):
     r = minimize_scalar(fn, bounds=(lo, hi), method="bounded",
                         options={"xatol": xatol})
-    x, fun = nm.minimize_bounded(fn, lo, hi, xatol)
+    x, fun = _minimize_bounded(fn, lo, hi, xatol)
     assert type(x) is float
     assert _same(fun, float(r.fun)) and _same(x, float(r.x)), (lo, hi, x, fun, r.x, r.fun)
     return x, fun
@@ -151,14 +156,19 @@ def _assert_matches_scipy(fn, lo, hi, xatol=1.0e-11):
 class TestMinimizeBounded:
     @pytest.fixture
     def pinned(self, monkeypatch):
-        """Route every minimization of decay through the scipy comparison."""
+        """Compare every bracket decay polishes in lockstep with scipy."""
         calls = []
+        lockstep = nm.minimize_brackets
 
-        def compare(fn, lo, hi, xatol):
-            calls.append((lo, hi))
-            return _assert_matches_scipy(fn, lo, hi, xatol)
+        def compare(fn, brackets, xatol):
+            found = lockstep(fn, brackets, xatol)
+            for (lo, hi), got in zip(brackets, found):
+                calls.append((lo, hi))
+                want = _assert_matches_scipy(lambda x: fn([x])[0], lo, hi, xatol)
+                assert all(map(_same, got, want)), (lo, hi, got, want)
+            return found
 
-        monkeypatch.setattr(decay, "minimize_bounded", compare)
+        monkeypatch.setattr(decay, "minimize_brackets", compare)
         return calls
 
     @pytest.mark.parametrize("name", ["rigid-body", "counterexample-elw", "scalar-linear"])
@@ -231,4 +241,4 @@ class TestMinimizeBounded:
     @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
     def test_bad_bounds_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="bounds"):
-            nm.minimize_bounded(lambda x: x, lo, hi, 1.0e-11)
+            _minimize_bounded(lambda x: x, lo, hi, 1.0e-11)
