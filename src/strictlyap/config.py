@@ -353,6 +353,9 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     f_trees = [_expression(sys_sec, f"f{i+1}", xu_args, expressions) for i in range(n)]
     fb_trees = [_expression(sys_sec, f"feedback{k}", x_args, expressions)
                 for k in _numbered(sys_sec, "feedback{}")]
+    if len(fb_trees) > m:
+        raise ConfigError(f"[system] feedback{m + 1}: feedback supplies {len(fb_trees)} "
+                          f"channels, system has m={m}")
 
     open_system = field_from_exprs(f_trees, n, m, period=period, label=name)
     feedback = feedback_from_exprs(fb_trees, n) if fb_trees else None

@@ -15,9 +15,9 @@ stage, on the stage's time, state and input (each shared subtree, such as
 ``sin(t)``, computed once a stage).  Any other kernel is called once a
 stage: ``close_loop``'s composition of a field's and its feedback's
 kernels, or, for any other callable, one adapter with the kernel's
-signature that calls ``f(t, x, u)`` on ``(n,)`` arrays.  A step that
-overflows or leaves a domain on floats is redone in place, inside the same
-loop, through that adapter.
+signature that calls ``f(t, x, u)`` on ``(n,)`` arrays.  The loop is an
+``exprparse.generate`` template whose guard redoes a step that overflows or
+leaves a domain on floats in place, inside the same loop, by that adapter.
 The exogenous input is read once per run, on all stage times, and its rows
 are converted to floats a chunk of steps at a time; finished states go into
 one preallocated array.  Runs are independent, so their parallelism lives
@@ -28,7 +28,6 @@ runs one state at a time as above.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import pickle
@@ -41,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationFailure
-from .exprparse import _SCALAR_NS, FLOAT_ERRORS, EvalDomainError, body_lines
+from .exprparse import EvalDomainError, body_lines, generate, guarded
 
 BLOWUP_GUARD = 1.0e8
 # math.hypot and np.linalg.norm may differ in the last bits: a state within
@@ -147,16 +146,18 @@ def _check_norm(t: float, x: tuple) -> None:
 # The RK4 stages: (output, time, input row, coefficient, previous output)
 _STAGES = (("p", "t", "a", "", ""), ("q", "tm", "b", "hh", "p"),
            ("r", "tm", "b", "hh", "q"), ("s", "tn", "c", "h", "r"))
-_LOOP_NS = {**_SCALAR_NS, "_hypot": math.hypot, "_GUARD_FAST": _GUARD_FAST,
-            "_check_norm": _check_norm, "_array": np.array, "_FLOAT_ERRORS": FLOAT_ERRORS}
+_LOOP_NS = {"_hypot": math.hypot, "_GUARD_FAST": _GUARD_FAST, "_check_norm": _check_norm,
+            "_array": np.array}
 
 
-def _stage_lines(kernel: Callable, call: str, n: int, m: int, stage: tuple) -> list[str]:
+def _stage_lines(kernel: Callable, call: str, n: int, m: int, stage: tuple,
+                 calls: dict) -> list[str]:
     """Statements setting stage outputs ``{out}0..`` from state, time and input.
 
     A kernel from ``compile_expr`` is written out: the used stage arguments
-    become ``{out}x0..``, the kernel's temporaries ``_{out}0..``.  Any other
-    kernel is called as ``call(time, states.., inputs..)``.
+    become ``{out}x0..``, the kernel's temporaries ``_{out}0..``, its
+    `Apply` callables are named in ``calls``.  Any other kernel is called
+    as ``call(time, states.., inputs..)``.
     """
     out, time, row, coef, prev = stage
     states = [f"x{i} + {coef} * {prev}{i}" if prev else f"x{i}" for i in range(n)]
@@ -172,7 +173,7 @@ def _stage_lines(kernel: Callable, call: str, n: int, m: int, stage: tuple) -> l
         rename[name] = f"{out}x{i}" if prev else states[i]
         if prev and name in used:
             lines.append(f"{out}x{i} = {states[i]}")
-    body, results = body_lines(exprs, rename, f"_{out}")
+    body, results = body_lines(exprs, rename, f"_{out}", calls)
     return lines + body + [f"{out}{i} = {r}" for i, r in enumerate(results)]
 
 
@@ -186,14 +187,12 @@ def _chunk_loop(kernel: Callable, adapter: Callable, n: int, m: int) -> Callable
     guard; ``stop_when(t, x)``, with x an (n,) array, ends the loop after it,
     and the loop returns whether it did.  A step whose kernel stages raise
     one of ``FLOAT_ERRORS`` is redone in place, all four stages, through
-    ``adapter``; when the kernel is the adapter, what it raises propagates.
-    Each component is written out in the order of operations of the vector
-    form, so the states are bit for bit those of an (n,) array loop.
-
-    The source is generated on each call and compiled once per text: it
-    names every state and input, so it holds (n, m), and it holds every
-    literal of an inlined kernel as its repr, so kernels differing in 0.0
-    against -0.0 get loops of their own.
+    ``adapter`` (`exprparse.guarded`); when the kernel is the adapter, what
+    it raises propagates.  Each component is written out in the order of
+    operations of the vector form, so the states are bit for bit those of
+    an (n,) array loop.  The source, bound by `exprparse.generate`, holds
+    (n, m) and every literal of an inlined kernel as its repr, so kernels
+    differing in 0.0 against -0.0 get loops of their own.
     """
     xs = "".join(f"x{i}, " for i in range(n))
     lines = [f"def run(ts, us, {xs}append, stop_when):",
@@ -206,15 +205,14 @@ def _chunk_loop(kernel: Callable, adapter: Callable, n: int, m: int) -> Callable
         rows = "".join(f"{r}{k}, " for r in "abc" for k in range(m))
         lines.append(f"        {rows}= us[{m} * i:{m} * i + {3 * m}]")
     lines += ["        h = tn - t", "        hh = 0.5 * h"]
+    calls: dict = {}
 
-    def stages(k: Callable, call: str, pad: str) -> list[str]:
-        return [pad + line for stage in _STAGES for line in _stage_lines(k, call, n, m, stage)]
+    def stages(k: Callable, call: str) -> list[str]:
+        return [line for stage in _STAGES for line in _stage_lines(k, call, n, m, stage, calls)]
 
-    if kernel is adapter:
-        lines += stages(kernel, "f", 8 * " ")
-    else:
-        lines += ["        try:", *stages(kernel, "f", 12 * " "),
-                  "        except _FLOAT_ERRORS:", *stages(adapter, "g", 12 * " ")]
+    step = stages(kernel, "f") if kernel is adapter else guarded(stages(kernel, "f"),
+                                                                 stages(adapter, "g"))
+    lines += [8 * " " + line for line in step]
     lines += ["        h6 = h / 6.0"]
     lines += [f"        x{i} = x{i} + h6 * (((p{i} + 2.0 * q{i}) + 2.0 * r{i}) + s{i})"
               for i in range(n)]
@@ -225,16 +223,8 @@ def _chunk_loop(kernel: Callable, adapter: Callable, n: int, m: int) -> Callable
               "        if stop_when is not None and stop_when(tn, _array(x)):",
               "            return True",
               "    return False"]
-    src = "def make(f, g):\n" + "".join(f"    {line}\n" for line in lines)
-    return _loop_factory(src + "    return run\n")(kernel, adapter)
-
-
-@functools.cache
-def _loop_factory(src: str) -> Callable:
-    """``make(f, g) -> run`` from ``src``, compiled once per text."""
-    ns = dict(_LOOP_NS)
-    exec(src, ns)  # noqa: S102 - source built by _chunk_loop only
-    return ns["make"]
+    return generate("".join(f"{line}\n" for line in lines), "run", calls,
+                    {**_LOOP_NS, "f": kernel, "g": adapter})
 
 
 def step_count(t0: float, tf: float, step: float) -> int:

@@ -15,26 +15,31 @@ variables are all among given argument names, else UnboundVariableError;
 `differentiate` builds are compiled as built.  ``parse(to_text(e)) == e`` for
 every tree whose literals are finite and not negative (only folding makes
 others; they read back as the same value, ``-2.0`` as ``Neg(Num(2.0))``).
-``compile_expr`` turns an expression, or a sequence of them (the components
-of a vector field, returned as a tuple), into one generated ``def`` whose
-source is compiled (`compiled` keeps the code of recent texts) and bound
-twice: to the ``math`` functions for plain floats and to the numpy
-functions for arrays, dispatched per call.  A float call that ``math``
-refuses (``FLOAT_ERRORS``) runs again on numpy scalars and gives its batch
-row's values, inf or nan, so no caller handles these errors; an error of an
-`Apply` callable itself propagates (`passing`).  The float path alone is
-the ``math`` attribute; both carry the expressions and argument names as
-``expr`` and ``arg_names``.  The emitter, `body_lines`, numbers the
+Every generated function of the package comes from one primitive here:
+`generate` binds a template's source, compiled once per text (`compiled`,
+the one cache of generated code, of ``COMPILED_SOURCES`` texts), by the one
+``exec``, in a new namespace of the language's functions on floats or on
+arrays, the template's names and the callables of `Apply` nodes.
+`guarded` writes the one guard: a block runs its written-out statements,
+and a fallback where their float operations raise one of ``FLOAT_ERRORS``
+that no `Apply` callable raised.  Three templates use them:
+``compile_expr``, the Newton loop of `funcalc.invert` and the RK4 loop of
+`dynsys.integrate`, each writing its expressions out through the emitter,
+`body_lines`, so all three give the same bits.  ``compile_expr`` turns an
+expression, or a sequence of them (the components of a vector field,
+returned as a tuple), into one generated ``def`` bound twice: to the
+``math`` functions for plain floats and to the numpy functions for arrays,
+dispatched per call.  Its float function, the ``math`` attribute, falls
+back on numpy scalars (`numpy_point`) and gives its batch row's values, inf
+or nan, so no caller handles these errors; both carry the expressions and
+argument names as ``expr`` and ``arg_names``.  `body_lines` numbers the
 subtrees by value, so a subtree that occurs more than once is computed
 once, and writes a constant exponent of 1, 2 or 3 as ``a``, ``a*a`` and
 ``(a*a)*a``.  A point and a batch of one compile therefore give the same
 bits wherever the float operations and the ``math`` functions agree with
-numpy.  The emitter gives statements and
-result texts, with variables renamed and temporaries prefixed as asked, so
-the integrator writes a field's expressions out in its RK4 loop, and
-`funcalc` a gain's in its inversion loop, the way ``compile_expr`` writes
-them in its function, with the same bits.  An `Apply` node calls a Python
-callable the language cannot write, by a name the caller binds.
+numpy.  It renames variables and prefixes temporaries as asked, and names
+the callable of an `Apply` node, one the language cannot write, for
+`generate` to bind.
 IEEE 754 rounds ``+ - * /`` and ``sqrt`` correctly, so both paths
 agree on them, on the small powers, on unary minus and on ``abs``; a tree
 built from these alone is *point-exact* (`is_point_exact`).  ``exp log tan
@@ -556,7 +561,7 @@ def _div(a: Expr, b: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to fast callables
+# Generated code: the one place it is guarded, compiled, cached and bound
 
 def _scalar_pow(a, b):
     if a < 0.0 and b != round(b):      # a float ** would give a complex number
@@ -574,16 +579,34 @@ def _scalar_min(a, b):
     return a if a != a or a < b else b
 
 
+# What a plain-float evaluation raises where numpy gives inf or nan.
+FLOAT_ERRORS = (ArithmeticError, ValueError)
+
+
+def _passing(fn: Callable) -> Callable:
+    """``fn`` as float code calls it: an error of FLOAT_ERRORS it raises is
+    marked ``from_call``, so the code's guard lets it propagate."""
+    def call(x):
+        try:
+            return fn(x)
+        except FLOAT_ERRORS as err:
+            err.from_call = True
+            raise
+    return call
+
+
 _SCALAR_NS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
     "log": math.log, "sqrt": math.sqrt, "tanh": math.tanh,
     "abs": abs, "max": _scalar_max, "min": _scalar_min, "_pow": _scalar_pow,
+    "_FLOAT_ERRORS": FLOAT_ERRORS,
 }
+# numpy gives inf or nan where floats raise, so on arrays a guard catches nothing
 _VECTOR_NS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": np.log, "sqrt": np.sqrt, "tanh": np.tanh,
     "abs": np.abs, "max": np.maximum, "min": np.minimum,
-    "_pow": np.power,
+    "_pow": np.power, "_FLOAT_ERRORS": (),
 }
 # A literal is emitted as its repr; the non-finite ones name these floats
 _SCALAR_NS["_inf"] = _VECTOR_NS["_inf"] = math.inf
@@ -604,7 +627,7 @@ def body_lines(exprs: Sequence[Expr], names: Mapping[str, str], prefix: str,
     temporary as ``prefix`` and a number.  The callable of an `Apply` node
     is written as its name in ``calls``, which maps ``id(fn)`` to ``(name,
     fn)``; one it does not hold yet is added as ``_call`` and a number, in
-    first-use order, for the caller to bind (keyed by identity, so a
+    first-use order, for `generate` to bind (keyed by identity, so a
     callable need not be hashable).  One post-order pass numbers the
     distinct subtrees, keyed on their emitted text with operands as
     references (so ``x1*0.0`` and ``x1*-0.0`` stay apart, which ``Expr``
@@ -671,53 +694,73 @@ def body_lines(exprs: Sequence[Expr], names: Mapping[str, str], prefix: str,
     return lines, [text[r] if isinstance(r, int) else r for r in roots]
 
 
-def _source(exprs: Sequence[Expr], arg_names: tuple[str, ...], fused: bool,
-            calls: dict) -> str:
-    """Source of ``def _f(*arg_names)`` returning ``exprs`` (a tuple if fused),
-    from `body_lines` with temporaries ``_0, _1, ...``; the callables of
-    `Apply` nodes are named in ``calls``."""
-    lines, out = body_lines(exprs, {}, "_", calls)
-    body = [f"def _f({', '.join(arg_names)}):", *("    " + line for line in lines),
-            f"    return ({''.join(o + ', ' for o in out)})" if fused
-            else f"    return {out[0]}"]
-    return "\n".join(body) + "\n"
-
-
-# What a plain-float evaluation raises where numpy gives inf or nan.
-FLOAT_ERRORS = (ArithmeticError, ValueError)
-
-
-# generated sources whose code objects `compiled` keeps: the 12 generated
-# problems of the benchmark's `sweep` look up 198 texts, 98 of them distinct
+# generated sources whose code objects `compiled` keeps: a pass of the
+# benchmark uses 98 distinct texts on `sweep` (12 problems), 35 on
+# `fixtures` and 26 on `trajectories`, 2 of them RK4 loops
 COMPILED_SOURCES = 256
 
 
 @functools.lru_cache(maxsize=COMPILED_SOURCES)
 def compiled(src: str):
     """The code object of the generated source ``src``.  The last
-    COMPILED_SOURCES texts are kept, so a process that builds a problem
-    again, or gains of the same texts, compiles none of them again."""
+    COMPILED_SOURCES texts are kept, so a process that builds a problem,
+    a gain or an RK4 loop of the same text again compiles none of it again."""
     return compile(src, "<generated>", "exec")
 
 
-def passing(fn: Callable) -> Callable:
-    """``fn`` for the float path of generated code that calls it (an
-    `Apply`): an error of FLOAT_ERRORS it raises is marked ``from_call``, so
-    the code's float fallback lets it propagate instead of evaluating the
-    whole tree again (`from_call`)."""
-    def call(x):
-        try:
-            return fn(x)
-        except FLOAT_ERRORS as err:
-            err.from_call = True
-            raise
-    return call
+def guarded(body: Sequence[str], fallback: Sequence[str]) -> list[str]:
+    """A block running the statements ``body``, and ``fallback`` where their
+    float operations raise one of FLOAT_ERRORS; what an `Apply` callable
+    raises propagates.  Bound on arrays, it runs ``body`` alone."""
+    return ["try:", *["    " + line for line in body], "except _FLOAT_ERRORS as _err:",
+            "    if getattr(_err, 'from_call', False):", "        raise",
+            *["    " + line for line in fallback]]
 
 
-def from_call(err: BaseException) -> bool:
-    """True when ``err`` came out of a callable bound through `passing`,
-    not out of the float operations of the generated code."""
-    return getattr(err, "from_call", False)
+def generate(src: str, name: str, calls: Mapping, binds: Mapping | tuple = (),
+             numpy: bool = False) -> Callable:
+    """The function ``name`` that the generated source ``src`` defines, its
+    code from `compiled` run in a new namespace: the language's functions
+    on floats (numpy's with ``numpy``), ``binds``, and the `Apply`
+    callables of ``calls`` (from `body_lines`; on floats through `_passing`).
+    """
+    ns = dict(_VECTOR_NS if numpy else _SCALAR_NS)
+    ns.update(binds)
+    for key, fn in calls.values():
+        ns[key] = fn if numpy else _passing(fn)
+    exec(compiled(src), ns)  # noqa: S102 - every source comes from a template of the package
+    return ns[name]
+
+
+def _expr_source(e: Expr | str | Sequence[Expr | str], arg_names: tuple[str, ...]):
+    """The checked trees of ``e``, whether it is a sequence, the source of
+    ``def _f(*arg_names)`` returning their values (a tuple if it is), whose
+    guard falls back on ``_numpy``, and the `Apply` callables it names."""
+    fused = not isinstance(e, (Expr, str))
+    exprs = tuple(parse_over(x, arg_names) for x in (e if fused else (e,)))
+    calls: dict = {}
+    lines, out = body_lines(exprs, {}, "_", calls)
+    args = ", ".join(arg_names)
+    value = f"({''.join(o + ', ' for o in out)})" if fused else out[0]
+    body = guarded([*lines, f"return {value}"], [f"return _numpy({args})"])
+    return exprs, fused, f"def _f({args}):\n    " + "\n    ".join(body) + "\n", calls
+
+
+def _on_numpy(fn_v: Callable, fused: bool) -> Callable:
+    """The numpy function ``fn_v`` of an `_expr_source` text at Python floats:
+    on numpy scalars, warnings off, its values as Python floats."""
+    def at(*args):
+        with np.errstate(all="ignore"):
+            out = fn_v(*map(np.float64, args))
+        return tuple(map(float, out)) if fused else float(out)
+    return at
+
+
+def numpy_point(e: Expr | str | Sequence[Expr | str], arg_names: tuple[str, ...]) -> Callable:
+    """``e`` at Python floats as the guard of `compile_expr` evaluates it:
+    numpy's values, inf and nan included, as Python floats."""
+    _, fused, src, calls = _expr_source(e, arg_names)
+    return _on_numpy(generate(src, "_f", calls, numpy=True), fused)
 
 
 def compile_expr(e: Expr | str | Sequence[Expr | str],
@@ -726,53 +769,26 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
 
     Each expression, a text or a tree, goes through `parse_over`, so a
     variable outside ``arg_names`` raises UnboundVariableError naming the
-    first expression's strays.  The result takes plain floats (fast ``math`` path) or numpy arrays
-    (vectorized path); both run one generated function, and a sequence of
-    expressions gives a tuple (see the module docstring).  The callable of
-    an `Apply` node is called on both paths.  A float call whose float
-    operations raise one of FLOAT_ERRORS runs once more on numpy scalars, warnings
-    off, and returns numpy's values as Python floats; an error the callable
-    of an `Apply` raises propagates.  ``call.math`` is the
-    float path alone, for Python floats.
+    first expression's strays.  The result takes plain floats or numpy
+    arrays, and a sequence of expressions gives a tuple (see the module
+    docstring).  ``call.math`` is the generated float function itself: it
+    falls back on `numpy_point` where its float operations raise one of
+    FLOAT_ERRORS, and lets what an `Apply` callable raises propagate.
     """
-    fused = not isinstance(e, (Expr, str))
-    exprs = tuple(parse_over(x, arg_names) for x in (e if fused else (e,)))
-    calls: dict = {}
-    code = compiled(_source(exprs, arg_names, fused, calls))
-    ns_s = {**_SCALAR_NS, **{name: passing(fn) for name, fn in calls.values()}}
-    ns_v = {**_VECTOR_NS, **dict(calls.values())}
-    exec(code, ns_s)  # noqa: S102 - source emitted by _source only
-    exec(code, ns_v)  # noqa: S102
-    fn_s, fn_v = ns_s["_f"], ns_v["_f"]
-
-    def on_numpy(args):
-        with np.errstate(all="ignore"):
-            out = fn_v(*map(np.float64, args))
-        return tuple(map(float, out)) if fused else float(out)
-
-    def point(*args):
-        try:
-            return fn_s(*args)
-        except FLOAT_ERRORS as err:
-            if from_call(err):
-                raise
-            return on_numpy(args)
+    exprs, fused, src, calls = _expr_source(e, arg_names)
+    fn_v = generate(src, "_f", calls, numpy=True)
+    fn_s = generate(src, "_f", calls, {"_numpy": _on_numpy(fn_v, fused)})
 
     def call(*args):
         for a in args:
             if isinstance(a, np.ndarray):
                 return fn_v(*args)
-        try:
-            return fn_s(*args)
-        except FLOAT_ERRORS as err:
-            if from_call(err):
-                raise
-            return on_numpy(args)
+        return fn_s(*args)
 
-    for f in (call, point):
+    for f in (call, fn_s):
         f.expr = exprs if fused else exprs[0]  # type: ignore[attr-defined]
         f.arg_names = arg_names  # type: ignore[attr-defined]
-    call.math = point  # type: ignore[attr-defined]
+    call.math = fn_s  # type: ignore[attr-defined]
     return call
 
 

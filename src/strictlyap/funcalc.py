@@ -15,10 +15,9 @@ worst violation found on a grid instead of claiming a proof.
 Numeric inversion is bracket doubling followed by safeguarded Newton steps
 that fall back on bisection, which only needs monotonicity.  `_invert_array`
 takes these steps on numpy arrays.  `invert` takes them on Python floats in
-one loop generated per gain from its two trees (through
-`exprparse.body_lines`, its code kept by source text in
-`exprparse.compiled`), with the trees written out in its body and opaque
-parts called by name.  A gain
+one loop generated per gain, an `exprparse.generate` template that writes
+the two trees out where it evaluates them, guarded by the trees on numpy
+scalars (`exprparse.numpy_point`), and calls opaque parts by name.  A gain
 whose trees are point-exact (see `exprparse.is_point_exact`) carries
 ``point_exact``: its float value and its batch value agree bit for bit, so
 the float loop gives the batch answer.  An inverse gain solves each
@@ -134,14 +133,15 @@ def _difference(tree: Expr) -> Expr:
 
 def _callable(tree: Expr) -> Callable:
     """The compiled tree: an opaque gain's own callable for its named call,
-    and for a tree without ``s`` its value, computed once on floats, filled
-    into the shape of the argument."""
+    and for a tree without ``s`` its value, computed once on floats, given
+    for a float and filled into the shape of an array."""
     if isinstance(tree, Apply) and tree.arg == _S:
         return tree.fn
     fn = exprparse.compile_expr(tree, ("s",))
     if tree.variables():
         return fn
-    return functools.partial(np.full_like, fill_value=float(fn(0.0)), dtype=float)
+    value = float(fn(0.0))
+    return lambda s: np.full_like(s, value, dtype=float) if isinstance(s, np.ndarray) else value
 
 
 @dataclass(frozen=True)
@@ -247,73 +247,63 @@ def invert(g: GainFunction, y: float) -> float:
 
 
 _NEWTON = """\
-def make(_g, _top, {calls}):
-    def run(y):
-        lo, hi = 0.0, 1.0
-        for _ in range({doublings}):
+def run(y):
+    lo, hi = 0.0, 1.0
+    for _ in range({doublings}):
 {value_hi}
-            if not f < 0.0:
-                break
-            lo = hi
-            hi *= 2.0
-        else:
-            raise _Bracket("gain looks bounded on probed range")
-        if hi > _top:
-            raise _Bracket("gain looks bounded on probed range")
-        x = hi
-        moved = _inf
-        for _ in range(110):
-            tol = 1.0e-15 * _fmax(1.0, hi)
-            if hi - lo <= tol:
-                return 0.5 * (lo + hi)
+        if not f < 0.0:
+            break
+        lo = hi
+        hi *= 2.0
+    if f < 0.0 or hi > _top:      # no doubling reached y, or past the probed range
+        raise _Bracket("gain looks bounded on probed range")
+    x = hi
+    moved = _inf
+    for _ in range(110):
+        tol = 1.0e-15 * (hi if hi > 1.0 else 1.0)
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
 {slope_x}
-            step = f / slope if slope else _inf     # s = -inf: numpy's bisection
-            s = x - step - _copysign(0.25 * tol, step)
-            if not (_isfinite(s) and lo < s < hi and abs(s - x) <= 0.5 * moved):
-                s = 0.5 * (lo + hi)
+        step = f / slope if slope else _inf     # s = -inf: numpy's bisection
+        s = x - step - _copysign(0.25 * tol, step)
+        if not (_isfinite(s) and lo < s < hi and abs(s - x) <= 0.5 * moved):
+            s = 0.5 * (lo + hi)
 {value_s}
-            if f < 0.0:
-                lo = s
-            else:
-                hi = s
-            moved = abs(s - x)
-            x = s
-        return 0.5 * (lo + hi)
-    return run
+        if f < 0.0:
+            lo = s
+        else:
+            hi = s
+        moved = abs(s - x)
+        x = s
+    return 0.5 * (lo + hi)
 """
-_NEWTON_NS = {**exprparse._SCALAR_NS, "_Bracket": BracketNotFoundError, "_inf": math.inf,
-              "_fmax": max, "_copysign": math.copysign, "_isfinite": math.isfinite,
-              "_FLOAT_ERRORS": exprparse.FLOAT_ERRORS, "_from_call": exprparse.from_call}
+_NEWTON_NS = {"_Bracket": BracketNotFoundError, "_copysign": math.copysign,
+              "_isfinite": math.isfinite}
 
 
 def _evaluation(tree: Expr, at: str, assign: str, fallback: str, calls: dict) -> str:
-    """Lines computing ``assign`` of the tree at the float named ``at``:
-    written out, through ``fallback`` on the gain where its float operations
-    raise one of FLOAT_ERRORS (it gives numpy's values), and as a float.  An
-    error of an opaque callable propagates (`exprparse.passing`)."""
+    """Lines computing ``assign`` of the tree at the float named ``at``, as a
+    float, written out and guarded by ``fallback`` (`exprparse.guarded`)."""
     lines, (text,) = exprparse.body_lines([tree], {"s": at}, "_t", calls)
     if any(isinstance(node, Apply) for node in tree.walk()):
         text = f"float({text})"
-    pad = 12 * " "
-    return "\n".join([f"{pad}try:", *(f"{pad}    {line}" for line in lines),
-                      f"{pad}    {assign.format(text)}", f"{pad}except _FLOAT_ERRORS as _err:",
-                      f"{pad}    if _from_call(_err):", f"{pad}        raise",
-                      f"{pad}    {assign.format(f'float({fallback}({at}))')}"])
+    block = exprparse.guarded([*lines, assign.format(text)],
+                              [assign.format(f"{fallback}({at})")])
+    return "\n".join(8 * " " + line for line in block)
 
 
 def _newton_loop(g: GainFunction) -> Callable:
     """``run(y)``, `invert`'s loop for g and a target y > 0, generated from
-    g's trees, with g's opaque callables bound as ``_call0, ...``."""
+    g's trees, with g's opaque callables named ``_call0, ...``."""
     calls: dict = {}
-    parts = {"value_hi": _evaluation(g.tree, "hi", "f = {} - y", "_g", calls),
-             "slope_x": _evaluation(g.slope, "x", "slope = {}", "_g.deriv", calls),
-             "value_s": _evaluation(g.tree, "s", "f = {} - y", "_g", calls)}
-    src = _NEWTON.format(calls="".join(f"{name}, " for name, _ in calls.values()),
-                         doublings=_BRACKET_DOUBLINGS + 20, **parts)
-    ns = dict(_NEWTON_NS)
-    exec(exprparse.compiled(src), ns)  # noqa: S102 - source built here only
-    return ns["make"](g, g.probe_max * 2.0 ** _BRACKET_DOUBLINGS,
-                      *(exprparse.passing(fn) for _, fn in calls.values()))
+    parts = {"value_hi": _evaluation(g.tree, "hi", "f = {} - y", "_value", calls),
+             "slope_x": _evaluation(g.slope, "x", "slope = {}", "_slope", calls),
+             "value_s": _evaluation(g.tree, "s", "f = {} - y", "_value", calls)}
+    src = _NEWTON.format(doublings=_BRACKET_DOUBLINGS + 20, **parts)
+    return exprparse.generate(src, "run", calls, {
+        **_NEWTON_NS, "_top": g.probe_max * 2.0 ** _BRACKET_DOUBLINGS,
+        "_value": exprparse.numpy_point(g.tree, ("s",)),
+        "_slope": exprparse.numpy_point(g.slope, ("s",))})
 
 
 def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:

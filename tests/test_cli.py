@@ -727,7 +727,8 @@ def test_feedback_of_more_channels_than_inputs_is_config_error(tmp_path, capsys)
                    encoding="utf-8")
     assert cli.main(["strictify", "--config", str(cfg)]) == 2
     assert (capsys.readouterr().err
-            == "config error: feedback supplies 2 channels, system has m=1\n")
+            == "config error: [system] feedback2: feedback supplies 2 channels, "
+               "system has m=1\n")
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import os
+import sys
 import time
 import warnings
 
@@ -492,6 +493,21 @@ class TestGeneratedStep:
             assert np.signbit(tr.states).tolist() == np.signbit(states).tolist()
             signs.append(np.signbit(tr.states[-1, 0]))
         assert signs == [True, False]
+
+    def test_generated_code_is_cached_within_the_bound(self):
+        # fields that differ only in a literal each get a kernel and an RK4
+        # loop of their own text; every cache of generated code in the
+        # package keeps at most COMPILED_SOURCES entries
+        bound = exprparse.COMPILED_SOURCES
+        for k in range(bound + 10):
+            system = field_from_exprs([f"-(1 + {k}*1e-3)*x1 + u1"], 1, 1)
+            integrate(system, [1.0], 0.0, 0.01, Signal.constant([0.0]))
+        sizes = {f"{name}.{attr}": fn.cache_info().currsize
+                 for name, mod in list(sys.modules.items())
+                 if name == "strictlyap" or name.startswith("strictlyap.")
+                 for attr, fn in vars(mod).items() if hasattr(fn, "cache_info")}
+        assert "strictlyap.exprparse.compiled" in sizes
+        assert all(size <= bound for size in sizes.values()), sizes
 
     def test_callable_without_kernel_is_called_four_times_per_step(self):
         calls = []

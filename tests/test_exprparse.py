@@ -318,6 +318,8 @@ class TestCompile:
         assert math.isnan(row[0])
         for value in (f(-1.0), f.math(-1.0)):
             assert type(value) is float and math.isnan(value)
+        # the float path is the generated function itself, with no wrapper
+        assert f.math.__code__.co_filename == "<generated>"
 
 
 class TestFusedCompile:

@@ -404,6 +404,25 @@ def test_float_error_target_takes_the_array_route(monkeypatch):
     assert _bits(got) == _bits(original(g, 1.0))
 
 
+def test_float_error_in_the_newton_loop_runs_no_second_float_evaluation(monkeypatch):
+    # the bracket of 5 = s + 0.5 sin(s) doubles through hi = 4.0, where the
+    # float sin refuses: the loop takes the tree on numpy scalars at once,
+    # without running the float code that raised a second time
+    seen = []
+
+    def sin(a):
+        seen.append(a)
+        if a == 4.0:
+            raise ValueError("refused on floats")
+        return math.sin(a)
+
+    monkeypatch.setitem(ep._SCALAR_NS, "sin", sin)
+    g = fc.gain_from_expr("s + 0.5*sin(s)")
+    assert fc.invert(g, 5.0) == pytest.approx(fc._invert_array(g, np.array([5.0]))[0],
+                                              rel=1e-15)
+    assert seen.count(4.0) == 1
+
+
 @pytest.mark.parametrize("text, c", [("s", 1.0), ("2*s", 2.0), ("3*s + 1", 3.0)])
 def test_constant_derivative_keeps_argument_shape(text, c):
     g = fc.gain_from_expr(text)
@@ -417,6 +436,21 @@ def test_linear_gains_are_shape_agnostic():
         assert float(g.deriv(3.0)) == c
         assert np.array_equal(g.deriv(np.array([0.0, 4.0])), [c, c])
         assert g.deriv(np.zeros((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("build, c", [(lambda: fc.gain_from_expr("2*s"), 2.0),
+                                      (fc.identity_gain, 1.0),
+                                      (lambda: fc.scale_gain(2.5, fc.identity_gain()), 2.5)],
+                         ids=["2*s", "identity", "scaled-identity"])
+def test_constant_tree_answers_a_float_with_a_float(build, c):
+    # a constant derivative tree, like every other tree of a gain, gives a
+    # float at a float and an array of the argument's shape at an array
+    g = build()
+    got = g.deriv(3.0)
+    assert type(got) is float and got == c
+    at_0d = g.deriv(np.array(3.0))
+    assert isinstance(at_0d, np.ndarray) and at_0d.shape == () and at_0d == c
+    assert g.deriv(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_underline_p_gain_float_and_array():
