@@ -22,17 +22,18 @@ the one cache of generated code, of ``COMPILED_SOURCES`` texts), by the one
 arrays, the template's names and the callables of `Apply` nodes.
 `guarded` writes the one guard: a block runs its written-out statements,
 and a fallback where their float operations raise one of ``FLOAT_ERRORS``
-that no `Apply` callable raised.  Three templates use them:
-``compile_expr``, the Newton loop of `funcalc.invert` and the RK4 loop of
-`dynsys.integrate`, each writing its expressions out through the emitter,
-`body_lines`, so all three give the same bits.  ``compile_expr`` turns an
-expression, or a sequence of them (the components of a vector field,
-returned as a tuple), into one generated ``def`` bound twice: to the
-``math`` functions for plain floats and to the numpy functions for arrays,
-dispatched per call.  Its float function, the ``math`` attribute, falls
-back on numpy scalars (`numpy_point`) and gives its batch row's values, inf
-or nan, so no caller handles these errors; both carry the expressions and
-argument names as ``expr`` and ``arg_names``.  `body_lines` numbers the
+that no `Apply` callable raised.  Two templates use them, ``compile_expr``
+and the RK4 loop of `dynsys.integrate`, each writing its expressions out
+through the emitter, `body_lines`, so both give the same bits (the float
+loop of `funcalc.invert` calls ``compile_expr``'s float functions).
+``compile_expr`` turns an expression, or a sequence of them (the
+components of a vector field, returned as a tuple), into one generated
+``def`` bound twice: to the ``math`` functions for plain floats and to the
+numpy functions for arrays, dispatched per call.  Its float function, the
+``math`` attribute, falls back on the numpy-bound function at numpy
+scalars and gives its batch row's values, inf or nan, so no caller handles
+these errors; both carry the expressions and argument names as ``expr``
+and ``arg_names``.  `body_lines` numbers the
 subtrees by value, so a subtree that occurs more than once is computed
 once, and writes a constant exponent of 1, 2 or 3 as ``a``, ``a*a`` and
 ``(a*a)*a``.  A point and a batch of one compile therefore give the same
@@ -695,7 +696,7 @@ def body_lines(exprs: Sequence[Expr], names: Mapping[str, str], prefix: str,
 
 
 # generated sources whose code objects `compiled` keeps: a pass of the
-# benchmark uses 98 distinct texts on `sweep` (12 problems), 35 on
+# benchmark uses 92 distinct texts on `sweep` (12 problems), 34 on
 # `fixtures` and 26 on `trajectories`, 2 of them RK4 loops
 COMPILED_SOURCES = 256
 
@@ -732,37 +733,6 @@ def generate(src: str, name: str, calls: Mapping, binds: Mapping | tuple = (),
     return ns[name]
 
 
-def _expr_source(e: Expr | str | Sequence[Expr | str], arg_names: tuple[str, ...]):
-    """The checked trees of ``e``, whether it is a sequence, the source of
-    ``def _f(*arg_names)`` returning their values (a tuple if it is), whose
-    guard falls back on ``_numpy``, and the `Apply` callables it names."""
-    fused = not isinstance(e, (Expr, str))
-    exprs = tuple(parse_over(x, arg_names) for x in (e if fused else (e,)))
-    calls: dict = {}
-    lines, out = body_lines(exprs, {}, "_", calls)
-    args = ", ".join(arg_names)
-    value = f"({''.join(o + ', ' for o in out)})" if fused else out[0]
-    body = guarded([*lines, f"return {value}"], [f"return _numpy({args})"])
-    return exprs, fused, f"def _f({args}):\n    " + "\n    ".join(body) + "\n", calls
-
-
-def _on_numpy(fn_v: Callable, fused: bool) -> Callable:
-    """The numpy function ``fn_v`` of an `_expr_source` text at Python floats:
-    on numpy scalars, warnings off, its values as Python floats."""
-    def at(*args):
-        with np.errstate(all="ignore"):
-            out = fn_v(*map(np.float64, args))
-        return tuple(map(float, out)) if fused else float(out)
-    return at
-
-
-def numpy_point(e: Expr | str | Sequence[Expr | str], arg_names: tuple[str, ...]) -> Callable:
-    """``e`` at Python floats as the guard of `compile_expr` evaluates it:
-    numpy's values, inf and nan included, as Python floats."""
-    _, fused, src, calls = _expr_source(e, arg_names)
-    return _on_numpy(generate(src, "_f", calls, numpy=True), fused)
-
-
 def compile_expr(e: Expr | str | Sequence[Expr | str],
                  arg_names: tuple[str, ...]) -> Callable:
     """Compile ``e`` to a positional callable over ``arg_names``.
@@ -771,13 +741,27 @@ def compile_expr(e: Expr | str | Sequence[Expr | str],
     variable outside ``arg_names`` raises UnboundVariableError naming the
     first expression's strays.  The result takes plain floats or numpy
     arrays, and a sequence of expressions gives a tuple (see the module
-    docstring).  ``call.math`` is the generated float function itself: it
-    falls back on `numpy_point` where its float operations raise one of
-    FLOAT_ERRORS, and lets what an `Apply` callable raises propagate.
+    docstring).  ``call.math`` is the generated float function itself: where
+    its float operations raise one of FLOAT_ERRORS it runs the numpy-bound
+    function once on numpy scalars and gives its values as Python floats,
+    and it lets what an `Apply` callable raises propagate.
     """
-    exprs, fused, src, calls = _expr_source(e, arg_names)
+    fused = not isinstance(e, (Expr, str))
+    exprs = tuple(parse_over(x, arg_names) for x in (e if fused else (e,)))
+    calls: dict = {}
+    lines, out = body_lines(exprs, {}, "_", calls)
+    args = ", ".join(arg_names)
+    value = f"({''.join(o + ', ' for o in out)})" if fused else out[0]
+    body = guarded([*lines, f"return {value}"], [f"return _numpy({args})"])
+    src = f"def _f({args}):\n    " + "\n    ".join(body) + "\n"
     fn_v = generate(src, "_f", calls, numpy=True)
-    fn_s = generate(src, "_f", calls, {"_numpy": _on_numpy(fn_v, fused)})
+
+    def on_numpy(*xs):      # the guard's fallback: warnings off, floats out
+        with np.errstate(all="ignore"):
+            values = fn_v(*map(np.float64, xs))
+        return tuple(map(float, values)) if fused else float(values)
+
+    fn_s = generate(src, "_f", calls, {"_numpy": on_numpy})
 
     def call(*args):
         for a in args:

@@ -14,10 +14,9 @@ worst violation found on a grid instead of claiming a proof.
 
 Numeric inversion is bracket doubling followed by safeguarded Newton steps
 that fall back on bisection, which only needs monotonicity.  `_invert_array`
-takes these steps on numpy arrays.  `invert` takes them on Python floats in
-one loop generated per gain, an `exprparse.generate` template that writes
-the two trees out where it evaluates them, guarded by the trees on numpy
-scalars (`exprparse.numpy_point`), and calls opaque parts by name.  A gain
+takes these steps on numpy arrays.  `invert` takes them on Python floats,
+one plain loop over the gain's own float functions: the ``math`` function
+of each compiled tree, or an opaque tree's callable.  A gain
 whose trees are point-exact (see `exprparse.is_point_exact`) carries
 ``point_exact``: its float value and its batch value agree bit for bit, so
 the float loop gives the batch answer.  An inverse gain solves each
@@ -44,8 +43,9 @@ DEFAULT_PROBE_MAX = 1.0e3
 _BRACKET_DOUBLINGS = 60
 # the most distinct targets of a point-exact gain inverted one by one on
 # floats: on the alpha2_tilde of the benchmark's sweep problems (seed 0, one
-# CPU), 56 take 0.22 ms on floats and 0.26 ms in one array call, both routes
-# take about 0.25 ms at 64, and from 72 up one array call is faster
+# CPU, process time, median over the 6 gains), 56 take 0.20 ms on floats
+# and 0.23 ms in one array call, both routes take about 0.22 ms at 64, and
+# from 72 up one array call is faster (0.33 against 0.23 ms at 96)
 FLOAT_BATCH = 64
 _S = Var("s")
 
@@ -100,10 +100,6 @@ class GainFunction:
     @functools.cached_property
     def _slope(self) -> Callable:
         return _callable(self.slope)
-
-    @functools.cached_property
-    def _newton(self) -> Callable:
-        return _newton_loop(self)
 
     def __call__(self, s):
         return self._value(s)
@@ -236,39 +232,41 @@ def invert(g: GainFunction, y: float) -> float:
     `_invert_array` written for one target, step by step, so for a
     point-exact g the answer that target gets inside any batch, bit for bit.
     A zero slope bisects, as numpy's inf or nan Newton step does.  The loop
-    is g's own, generated from its trees (`_newton_loop`).
+    calls g's own float functions, read once a call: the ``math`` function
+    of each compiled tree (which falls back on numpy scalars where its float
+    operations raise, and lets what an opaque part raises propagate), or
+    the callable of an opaque tree.  Each value is read through ``float()``,
+    so a tree with an opaque part that answers numpy scalars still gives
+    a float.
     """
     y = float(y)
     if y < 0.0:
         raise ValueError("target must be nonnegative")
     if not y > 0.0:
         return 0.0 if y == 0.0 else math.nan
-    return g._newton(y)
-
-
-_NEWTON = """\
-def run(y):
+    value_at = getattr(g._value, "math", g._value)
+    slope_at = getattr(g._slope, "math", g._slope)
     lo, hi = 0.0, 1.0
-    for _ in range({doublings}):
-{value_hi}
+    for _ in range(_BRACKET_DOUBLINGS + 20):
+        f = float(value_at(hi)) - y
         if not f < 0.0:
             break
         lo = hi
         hi *= 2.0
-    if f < 0.0 or hi > _top:      # no doubling reached y, or past the probed range
-        raise _Bracket("gain looks bounded on probed range")
+    if f < 0.0 or hi > g.probe_max * 2.0 ** _BRACKET_DOUBLINGS:
+        raise BracketNotFoundError("gain looks bounded on probed range")
     x = hi
-    moved = _inf
+    moved = math.inf
     for _ in range(110):
         tol = 1.0e-15 * (hi if hi > 1.0 else 1.0)
         if hi - lo <= tol:
             return 0.5 * (lo + hi)
-{slope_x}
-        step = f / slope if slope else _inf     # s = -inf: numpy's bisection
-        s = x - step - _copysign(0.25 * tol, step)
-        if not (_isfinite(s) and lo < s < hi and abs(s - x) <= 0.5 * moved):
+        slope = float(slope_at(x))
+        step = f / slope if slope else math.inf     # s = -inf: numpy's bisection
+        s = x - step - math.copysign(0.25 * tol, step)
+        if not (math.isfinite(s) and lo < s < hi and abs(s - x) <= 0.5 * moved):
             s = 0.5 * (lo + hi)
-{value_s}
+        f = float(value_at(s)) - y
         if f < 0.0:
             lo = s
         else:
@@ -276,34 +274,6 @@ def run(y):
         moved = abs(s - x)
         x = s
     return 0.5 * (lo + hi)
-"""
-_NEWTON_NS = {"_Bracket": BracketNotFoundError, "_copysign": math.copysign,
-              "_isfinite": math.isfinite}
-
-
-def _evaluation(tree: Expr, at: str, assign: str, fallback: str, calls: dict) -> str:
-    """Lines computing ``assign`` of the tree at the float named ``at``, as a
-    float, written out and guarded by ``fallback`` (`exprparse.guarded`)."""
-    lines, (text,) = exprparse.body_lines([tree], {"s": at}, "_t", calls)
-    if any(isinstance(node, Apply) for node in tree.walk()):
-        text = f"float({text})"
-    block = exprparse.guarded([*lines, assign.format(text)],
-                              [assign.format(f"{fallback}({at})")])
-    return "\n".join(8 * " " + line for line in block)
-
-
-def _newton_loop(g: GainFunction) -> Callable:
-    """``run(y)``, `invert`'s loop for g and a target y > 0, generated from
-    g's trees, with g's opaque callables named ``_call0, ...``."""
-    calls: dict = {}
-    parts = {"value_hi": _evaluation(g.tree, "hi", "f = {} - y", "_value", calls),
-             "slope_x": _evaluation(g.slope, "x", "slope = {}", "_slope", calls),
-             "value_s": _evaluation(g.tree, "s", "f = {} - y", "_value", calls)}
-    src = _NEWTON.format(doublings=_BRACKET_DOUBLINGS + 20, **parts)
-    return exprparse.generate(src, "run", calls, {
-        **_NEWTON_NS, "_top": g.probe_max * 2.0 ** _BRACKET_DOUBLINGS,
-        "_value": exprparse.numpy_point(g.tree, ("s",)),
-        "_slope": exprparse.numpy_point(g.slope, ("s",))})
 
 
 def _invert_array(g: GainFunction, y: np.ndarray) -> np.ndarray:

@@ -71,8 +71,9 @@ class ValidationFailedError(ValidationFailure):
 class LyapunovCandidate:
     """V(t, x) with its time/space derivatives and envelope gains.
 
-    Callables take batches: t of shape (k,) with x of shape (k, n).  Point calls (x of shape (n,)) are for RK4 stop tests only;
-    V, dV_dt and grad_x built from expressions answer them on floats.
+    Callables take batches: t of shape (k,) with x of shape (k, n).
+    Point calls (x of shape (n,)) are for RK4 stop tests only; V, dV_dt
+    and grad_x built from expressions answer them on floats.
     """
 
     n: int

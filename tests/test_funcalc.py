@@ -423,7 +423,32 @@ def test_float_error_in_the_newton_loop_runs_no_second_float_evaluation(monkeypa
     assert seen.count(4.0) == 1
 
 
-@pytest.mark.parametrize("text, c", [("s", 1.0), ("2*s", 2.0), ("3*s + 1", 3.0)])
+def test_inverting_generates_no_code():
+    # the float loop calls the gain's own compiled functions, so once g and
+    # g' have run, an inversion compiles no source (a literal of its own,
+    # so the gain's texts are new to the cache)
+    g = fc.gain_from_expr("s + 0.8125*s^3")
+    g(1.0), g.deriv(1.0)
+    misses = ep.compiled.cache_info().misses
+    fc.invert(g, 2.0)
+    assert ep.compiled.cache_info().misses == misses
+
+
+def test_invert_answers_a_float_through_an_opaque_part():
+    # the opaque part answers numpy scalars, so the compiled tree around it
+    # does too; an inverse gain still answers a float with a float, the bits
+    # of the array route's element
+    part = fc.GainFunction(lambda s: 1.5 * np.maximum(np.asarray(s, dtype=float), 0.0),
+                           lambda s: np.full_like(np.asarray(s, dtype=float), 1.5),
+                           point_exact=True)
+    g = fc.compose(fc.gain_from_expr("2*s"), part)
+    assert g.point_exact and type(g(1.0)) is not float
+    batch = fc._invert_array(g, np.array([3.0]))[0]
+    for got in (fc.invert(g, 3.0), fc.inverse_gain(g)(3.0)):
+        assert type(got) is float and _bits(got) == _bits(batch)
+
+
+@pytest.mark.parametrize("text, c",[("s", 1.0), ("2*s", 2.0), ("3*s + 1", 3.0)])
 def test_constant_derivative_keeps_argument_shape(text, c):
     g = fc.gain_from_expr(text)
     assert np.array_equal(g.deriv(np.zeros(3)), [c, c, c])
