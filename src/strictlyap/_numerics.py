@@ -109,20 +109,19 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     """Running composite-Simpson integral of samples y spaced dx, from 0.
 
     Each step's piece is the quadratic through its three nearest samples,
-    taken from the left triple (h1) and from the reversed array (h2), which
-    alone covers the last step; needs at least 3 samples.
+    as scipy takes it: the left triple's first step (steps 0, 2, 4, ...),
+    its second step (steps 1, 3, 5, ...), and for the last step the last
+    triple; only these pieces are computed.  Needs at least 3 samples.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 3:
         raise ValueError("cumulative Simpson needs at least 3 samples")
     d = dx / 3
-    h1 = d * (5 * y[:-2] / 4 + 2 * y[1:-1] - y[2:] / 4)
-    r = y[::-1]
-    h2 = (d * (5 * r[:-2] / 4 + 2 * r[1:-1] - r[2:] / 4))[::-1]
+    a, b, c = y[0:-2:2], y[1:-1:2], y[2::2]
     pieces = np.empty(y.size - 1)
-    pieces[:-1:2] = h1[::2]
-    pieces[1::2] = h2[::2]
-    pieces[-1] = h2[-1]
+    pieces[:-1:2] = d * (5 * a / 4 + 2 * b - c / 4)
+    pieces[1::2] = d * (5 * c / 4 + 2 * b - a / 4)
+    pieces[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
     # scipy adds the initial 0.0 to the running sum, which turns -0.0 into 0.0
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 

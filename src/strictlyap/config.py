@@ -9,7 +9,8 @@ The loader reads each value once, where it is used: a number or a word
 through `_value`, which converts it and holds it to its rule, an expression
 through `_expression`, which parses it and checks its variables with
 ``exprparse.parse_over`` (a gain through ``gain_from_expr``).  The checked
-trees go on to the compiles.  A failure is a ConfigError led by
+trees go on to the compiles, and fields and candidates keep them as
+``expr`` for the margin kernels of `verify` to write out.  A failure is a ConfigError led by
 ``[section] key`` (the CLI's by ``--option``).  A key or section that no
 read takes, and any ``[DEFAULT]`` key, is refused after the rest has loaded.
 """
@@ -29,7 +30,7 @@ from .decay import DecayRate, PETriple
 from .dynsys import DEFAULT_STEP, ControlSystem, Signal, close_loop, step_count
 from .funcalc import GainFunction, gain_from_expr
 from .strictify import LyapunovCandidate
-from .verify import DEFAULT_SAMPLES, SampleDomain
+from .verify import DEFAULT_SAMPLES, SampleDomain, state_args
 
 # mode -> (strictify route, its gain fields in call order); the route's own
 # signature holds its default factor.  The route is named, not bound, so that
@@ -72,10 +73,6 @@ def check_run_settings(seed: int | None, samples: int | None) -> None:
 # ---------------------------------------------------------------------------
 # Expression-backed callables with the (t, x, u) batch convention
 
-def _state_args(n: int, m: int = 0) -> tuple[str, ...]:
-    return ("t", *(f"x{i+1}" for i in range(n)), *(f"u{j+1}" for j in range(m)))
-
-
 def _columns(values, shape) -> np.ndarray:
     """The components of a fused array call as the columns of (*shape, len)."""
     out = np.empty((*shape, len(values)))
@@ -94,8 +91,12 @@ def _vector_field(exprs: Sequence[str | exprparse.Expr], n: int, m: int = 0) -> 
     the compile's ``math`` (t, x1..xn, u1..um) -> tuple, which the
     integrator also writes out in its loop; it gives shape (len(exprs),).
     A batch (x of shape (k, n), u of shape (k, m)) gives (k, len(exprs)).
+    ``f.expr`` holds the trees and ``f.arg_names`` their arguments, which
+    margin kernels write out.
     """
-    fused = exprparse.compile_expr(exprs, _state_args(n, m))
+    args = state_args(n, m)
+    trees = tuple(exprparse.parse_over(e, args) for e in exprs)
+    fused = exprparse.compile_expr(trees, args)
     point = getattr(fused, "math", fused)   # a wrapped compile may carry none
 
     def f(t, x, u=_NO_INPUT):
@@ -106,6 +107,7 @@ def _vector_field(exprs: Sequence[str | exprparse.Expr], n: int, m: int = 0) -> 
         return _columns(fused(t, *x.T, *u.T), (len(x),))
 
     f.point = point
+    f.expr, f.arg_names = trees, args
     return f
 
 
@@ -123,8 +125,11 @@ def feedback_from_exprs(texts: Sequence[str | exprparse.Expr], n: int) -> Callab
 
 
 def _scalar_field(e: str | exprparse.Expr, n: int):
-    """Scalar field V(t, x): a float at a point, shape (k,) on a batch."""
-    fn = exprparse.compile_expr(e, _state_args(n))
+    """Scalar field V(t, x): a float at a point, shape (k,) on a batch; its
+    tree and arguments are ``expr`` and ``arg_names``, as for a vector field."""
+    args = state_args(n)
+    tree = exprparse.parse_over(e, args)
+    fn = exprparse.compile_expr(tree, args)
     point = getattr(fn, "math", fn)
 
     def g(t, x):
@@ -133,6 +138,7 @@ def _scalar_field(e: str | exprparse.Expr, n: int):
             return float(point(float(t), *x.tolist()))
         return np.broadcast_to(np.asarray(fn(t, *x.T), dtype=float), (len(x),))
 
+    g.expr, g.arg_names = tree, args
     return g
 
 
@@ -144,7 +150,7 @@ def candidate_from_exprs(v_text: str | exprparse.Expr, n: int, alpha1: str | Gai
                          label: str = "") -> LyapunovCandidate:
     """Candidate from a V expression, a text or a tree; missing derivatives
     are compiled as built."""
-    e = exprparse.parse_over(v_text, _state_args(n))
+    e = exprparse.parse_over(v_text, state_args(n))
     if dv_dt_text is None or grad_texts is None:
         if not exprparse.is_smooth(e):
             raise ConfigError("V uses abs/max/min; supply dV_dt and "
@@ -349,7 +355,7 @@ def _build(cp: configparser.ConfigParser) -> Problem:
     name = _value(prob, "name", _strip, None, "problem")
 
     expressions: dict[str, str] = {}
-    x_args, xu_args = _state_args(n), _state_args(n, m)
+    x_args, xu_args = state_args(n), state_args(n, m)
     f_trees = [_expression(sys_sec, f"f{i+1}", xu_args, expressions) for i in range(n)]
     fb_trees = [_expression(sys_sec, f"feedback{k}", x_args, expressions)
                 for k in _numbered(sys_sec, "feedback{}")]

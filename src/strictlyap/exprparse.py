@@ -25,7 +25,8 @@ and a fallback where their float operations raise one of ``FLOAT_ERRORS``
 that no `Apply` callable raised.  Two templates use them, ``compile_expr``
 and the RK4 loop of `dynsys.integrate`, each writing its expressions out
 through the emitter, `body_lines`, so both give the same bits (the float
-loop of `funcalc.invert` calls ``compile_expr``'s float functions).
+loop of `funcalc.invert` calls ``compile_expr``'s float functions, and each
+margin kernel of `verify` is one ``compile_expr`` of one tree).
 ``compile_expr`` turns an expression, or a sequence of them (the
 components of a vector field, returned as a tuple), into one generated
 ``def`` bound twice: to the ``math`` functions for plain floats and to the
@@ -696,8 +697,9 @@ def body_lines(exprs: Sequence[Expr], names: Mapping[str, str], prefix: str,
 
 
 # generated sources whose code objects `compiled` keeps: a pass of the
-# benchmark uses 92 distinct texts on `sweep` (12 problems), 34 on
-# `fixtures` and 26 on `trajectories`, 2 of them RK4 loops
+# benchmark uses 103 distinct texts on `sweep` (12 problems; 37 of them
+# margin kernels), 39 on `fixtures` (11 kernels) and 24 on `trajectories`
+# (4 kernels, 2 RK4 loops)
 COMPILED_SOURCES = 256
 
 

@@ -23,6 +23,7 @@ of integrator error (W is the sliding-window integral of p).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -33,7 +34,7 @@ from . import verify
 from .decay import PASS_TOL, DecayRate, PETriple
 from .dynsys import ControlSystem
 from .errors import ValidationFailure
-from .exprparse import BinOp, Num, Var
+from .exprparse import BinOp, Call, Expr, Neg, Num, Var
 from .funcalc import GainFunction, compose, inverse_gain, scale_gain, tree_gain
 from .verify import InequalityReport, SampleDomain
 
@@ -73,7 +74,8 @@ class LyapunovCandidate:
 
     Callables take batches: t of shape (k,) with x of shape (k, n).
     Point calls (x of shape (n,)) are for RK4 stop tests only; V, dV_dt
-    and grad_x built from expressions answer them on floats.
+    and grad_x built from expressions answer them on floats, and carry
+    their trees (``expr``) for margin kernels.
     """
 
     n: int
@@ -147,8 +149,13 @@ class StrictCertificate:
 
     def vdot_sharp(self, t, x, u):
         """Analytic expansion of d/dt V# along the system."""
-        return _dvsharp_dt(self._windows, self.w, t, self.candidate.V(t, x),
-                           verify.vdot(self.candidate, self.system, t, x, u))
+        return self._vdot_sharp(t, x, u)
+
+    @functools.cached_property
+    def _vdot_sharp(self) -> Callable:
+        k = verify.MarginKernel(self.candidate.n, self.system.m)
+        return k.compile(_dvsharp_dt(k, self._windows, self.w, k.value(self.candidate),
+                                     k.vdot(self.candidate, self.system)))
 
     @property
     def passed(self) -> bool:
@@ -167,8 +174,8 @@ class StrictCertificate:
         xi_max = self.pe.tau ** 2 * self.pe.pbar / 2.0
         dxi_max = 2.0 * self.pe.tau * self.pe.pbar
 
-        def dV_dt(t, x):
-            return _dvsharp_dt(self._windows, w, t, cand.V(t, x), cand.dV_dt(t, x))
+        k = verify.MarginKernel(cand.n)
+        dV_dt = k.compile(_dvsharp_dt(k, self._windows, w, k.value(cand), k.time_slope(cand)))
 
         def grad_x(t, x):
             coef = np.asarray(1.0 + self.xi_fn(t) * w.deriv(cand.V(t, x)))
@@ -229,15 +236,20 @@ class StrictCertificate:
 
 
 # ---------------------------------------------------------------------------
-# The time derivative of V#, from the certificate's (W, xi) lookup of its
-# rate.  Certificate checks call it and the lookup directly, so a report's
-# margin function holds no reference to its certificate, which would put
-# every certificate in a reference cycle.
+# The time derivative of V#, written into margin kernels with the
+# certificate's (W, xi) lookup of its rate.  A kernel holds the lookup and
+# w, not the certificate, so a report's margin function does not put its
+# certificate in a reference cycle.
 
-def _dvsharp_dt(windows: decay_mod.WindowTables, w: GainFunction, t, v, vd):
-    """d/dt V# = (1 + xi w'(V)) vd + (tau p - W) w(V), with vd = d/dt V."""
-    W, xi = windows(t)
-    return (1.0 + xi * w.deriv(v)) * vd + (windows.tau * windows.rate(t) - W) * w(v)
+def _dvsharp_dt(k: verify.MarginKernel, windows: decay_mod.WindowTables, w: GainFunction,
+                v: Expr, vd: Expr) -> Expr:
+    """The tree of d/dt V# = (1 + xi w'(V)) vd + (tau p - W) w(V), with vd =
+    d/dt V, in kernel ``k``: W and xi from one read of ``windows``, and p
+    the lookup's rate."""
+    W, xi = k.windows(windows)
+    coef = BinOp("+", Num(1.0), BinOp("*", xi, verify.gain_at(w, v, slope=True)))
+    drift = BinOp("-", BinOp("*", Num(windows.tau), k.rate(windows.rate)), W)
+    return BinOp("+", BinOp("*", coef, vd), BinOp("*", drift, verify.gain_at(w, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +371,18 @@ def _certify(kind: str, candidate: LyapunovCandidate, system: ControlSystem,
     decay = _decay_gain(pe.epsilon, w, candidate.alpha1)
     omega, gain_margin = extra.get("omega"), extra.get("gain_margin")
 
-    def contract_fn(t, x, u):
-        vdot_sharp = _dvsharp_dt(windows, w, t, candidate.V(t, x),
-                                 verify.vdot(candidate, system, t, x, u))
-        margin = -vdot_sharp - decay(np.linalg.norm(x, axis=1))
-        if kind == "strict-DIS":
-            margin = margin + gain_margin * omega(np.linalg.norm(u, axis=1))
-        return margin
-
-    def bounds_fn(t, x, u):
-        q = windows.column(1, t) * w.deriv(candidate.V(t, x))
-        return np.minimum(q, 0.25 - q)
+    k = verify.MarginKernel(candidate.n, system.m)
+    contract = BinOp("-", Neg(_dvsharp_dt(k, windows, w, k.value(candidate),
+                                          k.vdot(candidate, system))),
+                     verify.gain_at(decay, verify.row_norm(k.x)))
+    if kind == "strict-DIS":
+        contract = BinOp("+", contract, BinOp("*", Num(gain_margin), verify.gain_at(
+            omega, verify.row_norm(k.u))))
+    contract_fn = k.compile(contract)
+    k = verify.MarginKernel(candidate.n)
+    (xi,) = k.windows(windows, (1,))
+    q = BinOp("*", xi, verify.gain_at(w, k.value(candidate), slope=True))
+    bounds_fn = k.compile(Call("min", (q, BinOp("-", Num(0.25), q))))
 
     cert = StrictCertificate(
         kind=kind, candidate=candidate, system=system, rate=p, pe=pe, w=w,
@@ -490,6 +503,7 @@ def construct_omega(system: ControlSystem, candidate: LyapunovCandidate,
     reads as T * t.
     """
     horizons = [system.period] if system.period is not None else OMEGA_HORIZONS
+    vdot = verify.vdot_kernel(candidate, system)
 
     sups = np.empty((len(horizons), OMEGA_S_GRID.size))
     for i, s in enumerate(OMEGA_S_GRID.tolist()):
@@ -502,7 +516,7 @@ def construct_omega(system: ControlSystem, candidate: LyapunovCandidate,
         with np.errstate(all="ignore"):
             mu_x = mu(np.linalg.norm(x, axis=1))
             for k, T in enumerate(horizons):
-                vd = verify.vdot(candidate, system, T * t01, x, u)
+                vd = vdot(T * t01, x, u)
                 sups[k, i] = float((vd + mu_x).max())
         if not np.isfinite(sups[:, i]).all():
             raise UnboundedSupError(f"sup of Vdot + mu at s = {s:g} is not finite: "

@@ -2,18 +2,30 @@
 
 Every check draws a deterministic batch of points (unit-cube rows from
 scrambled Halton for coverage plus seeded uniform noise, sent into the domain
-by one map), evaluates a vectorized margin whose nonnegativity expresses the
+by one map), evaluates a margin whose nonnegativity expresses the
 inequality, then polishes the worst point with coordinate descent, which
 evaluates every probe it has left, of all its passes, as one batch and
 rebuilds that batch after each move.  A passing report means "no violation
 found on this domain with this budget", never a proof; an implication region
 that kept no sample fails, and so does a non-finite sampled margin, without
 refinement.
+
+A margin is a kernel (`MarginKernel`): the inequality written out as one
+expression tree over ``t, x1..xn, u1..um``, into which the candidate's V and
+derivatives, the field and the gains are substituted as trees, compiled
+once by ``exprparse.compile_expr`` so that a shared subtree is computed once
+a batch.  Hand-written callables, the rate p(t) and the W/xi columns of a
+window lookup enter as input columns read once a batch; inverse gains and
+other opaque gains as named calls.  The kernel keeps the float operations
+of numpy's array code for the same margin, its row sums in numpy's order
+(`row_norm`, `row_dot`), so every margin keeps its bits.  `vdot` and the
+certificate checks of `strictify` are kernels of the same builder.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -24,11 +36,16 @@ from ._numerics import cumulative_trapezoid, halton
 from .decay import PASS_TOL, DecayRate, _rate_values
 from .dynsys import Trajectory
 from .errors import ValidationFailure
+from .exprparse import BinOp, Call, Expr, Neg, Num, Var, compile_expr, substitute
 from .funcalc import GainFunction, KLFunction
 
 DEFAULT_SAMPLES = 10_000
 REFINE_PASSES = 8       # coordinate-descent passes, each halving the steps
 ISS_POINTS = 200        # points read per held-out run by check_iss_estimate
+# rows a margin kernel evaluates at once: on rigid-body's 1e5-row batches
+# this cut the traced peak of its contract kernel from 13.0 to 1.9 MiB, and
+# its time from 22 to 16 ms (rows of 4096 to 32768 all took 16-17 ms)
+KERNEL_ROWS = 8192
 
 
 class FitFailedError(ValidationFailure):
@@ -154,22 +171,6 @@ def _at_point(fn, t, x, u):
     a field's domain gives nan or inf, without a warning."""
     with np.errstate(all="ignore"):
         return fn(np.asarray([t]), np.asarray(x)[None, :], np.asarray(u)[None, :])[0]
-
-
-def vdot(candidate, system, t, x, u):
-    """dV/dt + grad_x V . f along the system, vectorized over batches.
-
-    A field whose output is not shaped like ``x``, (k, n), raises ValueError
-    naming the system: broadcast against the gradient it would mix the rows
-    of a batch, so a verdict would depend on how many points share it.
-    """
-    dt = np.asarray(candidate.dV_dt(t, x), dtype=float)
-    g = np.asarray(candidate.grad_x(t, x), dtype=float)
-    fx = np.asarray(system.f(t, x, u), dtype=float)
-    if fx.shape != np.shape(x):
-        raise ValueError(f"system {system.label or '(unnamed)'}: f(t, x, u) has shape "
-                         f"{fx.shape}, expected the shape {np.shape(x)} of x")
-    return dt + np.einsum("ij,ij->i", g, fx)
 
 
 def _coordinate_descent(margin_fn, domain: SampleDomain, point, accept=None):
@@ -304,34 +305,197 @@ def _run_check(name: str, margin_fn, domain: SampleDomain, nx: int, nu: int,
 
 
 # ---------------------------------------------------------------------------
+# Margin kernels
+
+def state_args(n: int, m: int = 0) -> tuple[str, ...]:
+    """The argument names ``t, x1..xn, u1..um`` of fields, candidates and margins."""
+    return ("t", *(f"x{i+1}" for i in range(n)), *(f"u{j+1}" for j in range(m)))
+
+
+def row_sum(terms: Sequence[Expr]) -> Expr:
+    """The terms added left to right: the order of ``np.add.reduce(a, axis=1)``,
+    and so of ``np.linalg.norm(a, axis=1)``, for up to 7 columns."""
+    return functools.reduce(lambda a, b: BinOp("+", a, b), terms)
+
+
+def row_norm(cols: Sequence[Expr]) -> Expr:
+    """``np.linalg.norm(a, axis=1)`` of the columns ``cols`` of ``a``: 0 of none."""
+    if not cols:
+        return Num(0.0)
+    return Call("sqrt", (row_sum([BinOp("^", c, Num(2.0)) for c in cols]),))
+
+
+def row_dot(a: Sequence[Expr], b: Sequence[Expr]) -> Expr:
+    """``np.einsum("ij,ij->i", a, b)`` of the columns, for up to 7: the odd
+    and the even products each added left to right, in two lanes that start
+    at +0.0, then the lanes added (so a sum of -0.0 products is +0.0)."""
+    p = [BinOp("*", ai, bi) for ai, bi in zip(a, b)]
+    lanes = row_sum(p[0::2]) if len(p) == 1 else BinOp("+", row_sum(p[0::2]),
+                                                        row_sum(p[1::2]))
+    return BinOp("+", lanes, Num(0.0))
+
+
+def gain_at(g: GainFunction, arg: Expr, slope: bool = False) -> Expr:
+    """The tree of g(arg), or of g'(arg) with ``slope``.  A tree without
+    ``s`` is the number the gain fills its arrays with, computed once on
+    floats, as its own call does."""
+    tree = g.slope if slope else g.tree
+    if tree.variables():
+        return substitute(tree, "s", arg)
+    return Num(float((g.deriv if slope else g)(0.0)))
+
+
+_NO_INPUT = np.zeros((0, 0))
+
+
+class MarginKernel:
+    """A function of a batch written out as one tree over ``t, x1..xn,
+    u1..um`` and compiled once by ``exprparse.compile_expr``, so a subtree
+    that occurs more than once, such as ``sin(t)``, is computed once a batch.
+
+    What has no tree enters as input columns, each read once a batch: a
+    candidate's or a field's callable written by hand, the rate p(t), folded
+    into its period, and the W and xi columns of a lookup.  A margin keeps
+    the float operations, and for reductions the order, of numpy's array
+    code for it (`row_norm`, `row_dot`), so its rows have their bits.  A
+    batch of more than `KERNEL_ROWS` rows is evaluated that many rows at a
+    time, which bounds the temporaries; a row's value depends on that row
+    alone, so the parts give the bits of one call.
+    """
+
+    def __init__(self, n: int, m: int = 0):
+        self.n, self.m = n, m
+        args = state_args(n, m)
+        self.x = [Var(a) for a in args[1:1 + n]]
+        self.u = [Var(a) for a in args[1 + n:]]
+        self._names: list[str] = []
+        self._reads: list[Callable] = []
+
+    def _columns(self, names: Sequence[str], read: Callable) -> list[Expr]:
+        """Variables ``names`` whose columns ``read(t, x, u)`` gives."""
+        self._names += names
+        self._reads.append(read)
+        return [Var(name) for name in names]
+
+    def _given(self, fn: Callable, names: list[str], read: Callable, m: int = 0) -> list[Expr]:
+        """The trees ``fn`` was compiled from over ``t, x1..xn`` (and
+        ``u1..um``); for a function written by hand, the input columns
+        ``names``, one a column of ``read(t, x, u)``."""
+        trees = (getattr(fn, "expr", None)
+                 if getattr(fn, "arg_names", None) == state_args(self.n, m) else None)
+        if trees is None:
+            return self._columns(names, lambda t, x, u: np.asarray(
+                read(t, x, u), dtype=float).T.reshape(len(names), -1))
+        return list(trees) if isinstance(trees, tuple) else [trees]
+
+    def value(self, candidate) -> Expr:
+        """V(t, x)."""
+        return self._given(candidate.V, ["_V"], lambda t, x, u: candidate.V(t, x))[0]
+
+    def time_slope(self, candidate) -> Expr:
+        """dV/dt (t, x)."""
+        return self._given(candidate.dV_dt, ["_Vt"], lambda t, x, u: candidate.dV_dt(t, x))[0]
+
+    def gradient(self, candidate) -> list[Expr]:
+        """grad_x V (t, x), one tree a component."""
+        return self._given(candidate.grad_x, [f"_g{i+1}" for i in range(self.n)],
+                           lambda t, x, u: candidate.grad_x(t, x))
+
+    def field(self, system) -> list[Expr]:
+        """f(t, x, u), one tree a component.  A function written by hand
+        whose value is not shaped like ``x``, (k, n), raises ValueError
+        naming the system: broadcast against the gradient it would mix the
+        rows of a batch, so a verdict would depend on how many points share
+        it."""
+        def read(t, x, u):
+            fx = np.asarray(system.f(t, x, u), dtype=float)
+            if fx.shape != np.shape(x):
+                raise ValueError(f"system {system.label or '(unnamed)'}: f(t, x, u) has "
+                                 f"shape {fx.shape}, expected the shape {np.shape(x)} of x")
+            return fx
+
+        return self._given(system.f, [f"_f{i+1}" for i in range(self.n)], read, self.m)
+
+    def vdot(self, candidate, system) -> Expr:
+        """dV/dt + grad_x V . f, with a +0.0 time slope left out."""
+        dt = self.time_slope(candidate)
+        dot = row_dot(self.gradient(candidate), self.field(system))
+        if isinstance(dt, Num) and math.copysign(1.0, dt.value) == 1.0 and dt.value == 0.0:
+            return dot      # +0.0 + (sum + 0.0) is sum + 0.0
+        return BinOp("+", dt, dot)
+
+    def rate(self, p: DecayRate) -> Expr:
+        """p(t)."""
+        return self._columns(["_p"], lambda t, x, u: (_rate_values(p, t),))[0]
+
+    def windows(self, look, columns: Sequence[int] = (0, 1)) -> list[Expr]:
+        """W(t) (column 0) and xi(t) (column 1) of the lookup, one read a batch."""
+        names = [("_W", "_xi")[j] for j in columns]
+        return self._columns(names, lambda t, x, u: look(t, tuple(columns)))
+
+    def compile(self, tree: Expr) -> Callable:
+        """The batch function of ``tree``: (t, x, u) of shapes (k,), (k, n)
+        and (k, m) to an array of shape (k,)."""
+        fn = compile_expr(tree, (*state_args(self.n, self.m), *self._names))
+        reads, m = tuple(self._reads), self.m
+
+        def rows(t, x, u):
+            cols = [c for read in reads for c in read(t, x, u)]
+            out = fn(t, *x.T, *(u.T if m else ()), *cols)
+            if isinstance(out, np.ndarray) and out.shape == np.shape(t):
+                return out
+            return np.full(np.shape(t), out, dtype=float)
+
+        def kernel(t, x, u=_NO_INPUT):
+            x, u = np.asarray(x), np.asarray(u)
+            if np.size(t) <= KERNEL_ROWS:
+                return rows(t, x, u)
+            out = np.empty(np.shape(t))
+            for lo in range(0, out.size, KERNEL_ROWS):
+                part = slice(lo, lo + KERNEL_ROWS)
+                out[part] = rows(t[part], x[part], u[part])
+            return out
+
+        return kernel
+
+
+def vdot_kernel(candidate, system) -> Callable:
+    """The kernel (t, x, u) -> dV/dt + grad_x V . f along the system (see
+    `MarginKernel.field` for the shape of a field written by hand)."""
+    k = MarginKernel(candidate.n, system.m)
+    return k.compile(k.vdot(candidate, system))
+
+
+def vdot(candidate, system, t, x, u):
+    """dV/dt + grad_x V . f along the system, vectorized over batches."""
+    return vdot_kernel(candidate, system)(t, x, u)
+
+
+# ---------------------------------------------------------------------------
 # Named checks
 
 def check_uppd(candidate, domain: SampleDomain, n: int = DEFAULT_SAMPLES,
                seed: int = 0) -> InequalityReport:
     """Envelope check: a1(|x|) <= V <= a2(|x|), |full grad V| <= a3(|x|)."""
-    a1, a2, a3 = candidate.alpha1, candidate.alpha2, candidate.alpha3
-
-    def margin_fn(t, x, u):
-        r = np.linalg.norm(x, axis=1)
-        v = np.asarray(candidate.V(t, x), dtype=float)
-        g = np.asarray(candidate.grad_x(t, x), dtype=float)
-        gt = np.asarray(candidate.dV_dt(t, x), dtype=float)
-        full = np.sqrt((g ** 2).sum(axis=1) + gt ** 2)
-        return np.minimum(np.minimum(v - a1(r), a2(r) - v), a3(r) - full)
-
-    return _run_check("uppd", margin_fn, domain, candidate.n, 0, n, seed)
+    k = MarginKernel(candidate.n)
+    r, v = row_norm(k.x), k.value(candidate)
+    squares = [BinOp("^", g, Num(2.0)) for g in k.gradient(candidate)]
+    full = Call("sqrt", (BinOp("+", row_sum(squares),
+                               BinOp("^", k.time_slope(candidate), Num(2.0))),))
+    margin = Call("min", (Call("min", (BinOp("-", v, gain_at(candidate.alpha1, r)),
+                                       BinOp("-", gain_at(candidate.alpha2, r), v))),
+                          BinOp("-", gain_at(candidate.alpha3, r), full)))
+    return _run_check("uppd", k.compile(margin), domain, candidate.n, 0, n, seed)
 
 
 def check_issp_lyap(candidate, system, p: DecayRate, mu: GainFunction,
                     chi: GainFunction, domain: SampleDomain,
                     n: int = DEFAULT_SAMPLES, seed: int = 0) -> InequalityReport:
     """|x| >= chi(|u|)  =>  Vdot <= -p(t) mu(|x|)."""
-
-    def margin_fn(t, x, u):
-        r = np.linalg.norm(x, axis=1)
-        return -vdot(candidate, system, t, x, u) - _rate_values(p, t) * mu(r)
-
-    return _run_check("issp-lyapunov", margin_fn, domain, candidate.n, system.m,
+    k = MarginKernel(candidate.n, system.m)
+    margin = BinOp("-", Neg(k.vdot(candidate, system)),
+                   BinOp("*", k.rate(p), gain_at(mu, row_norm(k.x))))
+    return _run_check("issp-lyapunov", k.compile(margin), domain, candidate.n, system.m,
                       n, seed, mask_fn=implication_mask(chi), notes=_horizon_note(p))
 
 
@@ -345,17 +509,12 @@ def check_disp_lyap(candidate, system, p: DecayRate, term_gain: GainFunction,
     """
     if form not in ("state", "value"):
         raise ValueError("form must be 'state' or 'value'")
-
-    def margin_fn(t, x, u):
-        if form == "state":
-            term = term_gain(np.linalg.norm(x, axis=1))
-        else:
-            term = term_gain(np.asarray(candidate.V(t, x), dtype=float))
-        uu = np.linalg.norm(u, axis=1)
-        return (-vdot(candidate, system, t, x, u)
-                - _rate_values(p, t) * term + omega(uu))
-
-    return _run_check(f"disp-lyapunov[{form}]", margin_fn, domain,
+    k = MarginKernel(candidate.n, system.m)
+    vd = k.vdot(candidate, system)
+    term = gain_at(term_gain, row_norm(k.x) if form == "state" else k.value(candidate))
+    margin = BinOp("+", BinOp("-", Neg(vd), BinOp("*", k.rate(p), term)),
+                   gain_at(omega, row_norm(k.u)))
+    return _run_check(f"disp-lyapunov[{form}]", k.compile(margin), domain,
                       candidate.n, system.m, n, seed, notes=_horizon_note(p))
 
 

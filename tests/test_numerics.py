@@ -51,7 +51,10 @@ class TestHalton:
 
 
 class TestCumulativeSimpson:
-    @pytest.mark.parametrize("m", [3, 4, 5, 8, 101, 4099, 20001])
+    # odd and even lengths: an even one ends on a step of its own, the last
+    # triple's second step
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 100, 101, 4098, 4099, 8193,
+                                   20001, 20481, 20482])
     def test_matches_scipy(self, m):
         rng = np.random.default_rng(m)
         y = rng.normal(size=m)
